@@ -32,6 +32,7 @@
 use std::io::Write;
 use std::time::Instant;
 
+use ss_core::checksum::{fnv1a_update, FNV_OFFSET};
 use ss_core::prelude::*;
 use ss_pipeline::{fnv1a_64, BatchReport, Pipeline, PipelineConfig};
 use ss_tensor::{FixedType, Shape, Tensor};
@@ -43,11 +44,6 @@ const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const FULL: (usize, usize) = (128, 1 << 16);
 /// Smoke run: 24 tensors x 2Ki values — same code paths, sub-second.
 const SMOKE: (usize, usize) = (24, 2 << 10);
-
-/// FNV-1a offset basis / prime, for chaining per-tensor hashes exactly
-/// the way `BatchReport` does.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Deterministic skewed batch (LCG per tensor; no RNG dependency).
 fn batch(tensors: usize, values: usize) -> Vec<Tensor> {
@@ -86,10 +82,8 @@ fn per_call_baseline(codec: &ShapeShifterCodec, tensors: &[Tensor]) -> (f64, u64
         assert_eq!(report.total_bits(), enc.bit_len(), "accounting identity");
         let back = seq.decode(&enc).expect("decode");
         assert_eq!(&back, t, "round trip");
-        for b in fnv1a_64(enc.bytes()).to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        // Chained exactly the way `BatchReport` chains per-tensor hashes.
+        hash = fnv1a_update(hash, &fnv1a_64(enc.bytes()).to_le_bytes());
     }
     (t0.elapsed().as_secs_f64() * 1e3, hash)
 }

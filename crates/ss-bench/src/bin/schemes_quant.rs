@@ -8,9 +8,9 @@
 //!
 //! 1. **Registry byte identity** — ShapeShifter (wire id 0) and Delta
 //!    (id 1) streams produced through `encode_with_scheme` are
-//!    bit-for-bit the bytes the pre-registry one-shot encoders produce
-//!    (`CodecSession::encode` and `DeltaShapeShifter::encode`), frame
-//!    fields and chunk index included.
+//!    bit-for-bit the bytes of the direct encoders
+//!    (`CodecSession::encode`, and the Delta struct's own `encode_into`
+//!    on a fresh writer), frame fields and chunk index included.
 //! 2. **DPRed/AdaBits round trip** — both plug-in schemes encode a
 //!    deterministic mixed pool through the `ss-pipeline` worker pool
 //!    (worker count follows `SS_THREADS`) and decode back losslessly;
@@ -34,24 +34,16 @@
 use std::io::Write;
 
 use ss_bench::figs::ext_schemes_quant::{serving_family, serving_width_traffic, SERVING_WIDTHS};
-use ss_core::prelude::{CodecConfig, CodecSession, IndexPolicy, SchemeId, SchemeRegistry, SchemeStream};
+use ss_bitio::BitWriter;
+use ss_core::checksum::{fnv1a_update, FNV_OFFSET};
+use ss_core::prelude::{
+    CodecConfig, CodecSession, ContainerScheme, IndexPolicy, SchemeId, SchemeRegistry, SchemeStream,
+};
 use ss_core::scheme::{AdaBitsScheme, CompressionScheme, DeltaShapeShifter, SchemeCtx};
 use ss_pipeline::{Pipeline, PipelineConfig};
 use ss_tensor::{FixedType, Shape, Tensor};
 
 const GROUP_SIZE: usize = 16;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a_chain(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Deterministic mixed pool: skewed magnitudes, lengths from empty to
 /// multi-chunk, both signedness families (LCG; no RNG crate).
@@ -87,7 +79,7 @@ fn config() -> CodecConfig {
 }
 
 /// Gate 1: registry streams for the two built-in schemes equal the
-/// pre-registry one-shot encoders bit for bit.
+/// direct encoders bit for bit.
 fn registry_byte_identical(pool: &[Tensor]) -> bool {
     let mut session = CodecSession::new(config()).expect("session");
     let delta = DeltaShapeShifter::new(GROUP_SIZE);
@@ -98,6 +90,7 @@ fn registry_byte_identical(pool: &[Tensor]) -> bool {
         .get(SchemeId::DELTA)
         .expect("built-in");
     let mut stream = SchemeStream::default();
+    let mut delta_stream = BitWriter::new();
     for t in pool {
         let legacy = session.encode(t).expect("legacy encode");
         let (legacy_bytes, legacy_bits, legacy_index) =
@@ -111,11 +104,19 @@ fn registry_byte_identical(pool: &[Tensor]) -> bool {
         {
             return false;
         }
-        let (delta_bytes, delta_bits) = delta.encode(t).expect("legacy delta encode");
+        delta
+            .encode_into(
+                t,
+                GROUP_SIZE,
+                IndexPolicy::None,
+                &mut delta_stream,
+                &mut Vec::new(),
+            )
+            .expect("direct delta encode");
         session
             .encode_with_scheme(delta_scheme, t, IndexPolicy::None, &mut stream)
             .expect("registry delta encode");
-        if stream.bytes != delta_bytes || stream.bit_len != delta_bits {
+        if stream.bytes != delta_stream.as_bytes() || stream.bit_len != delta_stream.bit_len() {
             return false;
         }
     }
@@ -136,9 +137,9 @@ fn dpred_adabits_roundtrip(pool: &[Tensor], workers: usize) -> (bool, u64) {
     for id in [SchemeId::DPRED, SchemeId::ADABITS] {
         let streams = pipeline.encode_batch_with(id, pool).expect("encode batch");
         for s in &streams {
-            hash = fnv1a_chain(hash, &[s.scheme.as_byte()]);
-            hash = fnv1a_chain(hash, &s.bit_len.to_le_bytes());
-            hash = fnv1a_chain(hash, &s.bytes);
+            hash = fnv1a_update(hash, &[s.scheme.as_byte()]);
+            hash = fnv1a_update(hash, &s.bit_len.to_le_bytes());
+            hash = fnv1a_update(hash, &s.bytes);
         }
         let decoded = pipeline.decode_batch_with(&streams).expect("decode batch");
         ok &= decoded.iter().zip(pool).all(|(back, t)| back == t);

@@ -44,6 +44,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ss_core::checksum::{fnv1a_update, FNV_OFFSET};
 use ss_serve::wire::{encode_get, encode_tensor};
 use ss_serve::{Client, Op, PendingReply, ServeConfig, ServeError, Server, Service, Status};
 use ss_store::{MemoryProvider, ModelWriter};
@@ -62,18 +63,6 @@ const FULL: (usize, u64) = (8000, 40);
 /// Smoke run: same code paths (bursts, every op, drain), sub-second.
 const SMOKE: (usize, u64) = (600, 40);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a_chain(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// splitmix64: the integer-only deterministic generator used across the
 /// ss-bench harness.
 fn next_u64(state: &mut u64) -> u64 {
@@ -90,7 +79,7 @@ fn next_u64(state: &mut u64) -> u64 {
 fn geometric_gap(state: &mut u64, mean: u64) -> u64 {
     let mut gap = 0u64;
     while gap < mean * 16 {
-        if next_u64(state) % mean == 0 {
+        if next_u64(state).is_multiple_of(mean) {
             break;
         }
         gap += 1;
@@ -116,7 +105,11 @@ fn schedule(requests: usize, mean_gap: u64) -> Vec<Arrival> {
         // One in eight arrivals is a burst: 4–19 requests on one tick —
         // the arrival pattern the bounded queue exists to absorb.
         let r = next_u64(&mut state);
-        let burst = (if r % 8 == 0 { 4 + (r >> 8) % 16 } else { 1 }) as usize;
+        let burst = (if r.is_multiple_of(8) {
+            4 + (r >> 8) % 16
+        } else {
+            1
+        }) as usize;
         for _ in 0..burst.min(requests - arrivals.len()) {
             let r = next_u64(&mut state);
             // Op mix: half encode, ~a third decode, the rest get.
@@ -195,8 +188,8 @@ fn main() -> std::io::Result<()> {
     }
     let mut schedule_hash = FNV_OFFSET;
     for a in &arrivals {
-        schedule_hash = fnv1a_chain(schedule_hash, &a.tick.to_le_bytes());
-        schedule_hash = fnv1a_chain(schedule_hash, &[a.op.to_byte()]);
+        schedule_hash = fnv1a_update(schedule_hash, &a.tick.to_le_bytes());
+        schedule_hash = fnv1a_update(schedule_hash, &[a.op.to_byte()]);
     }
     println!(
         "serve_replay ({mode}): {requests} requests over {ticks} ticks, \
@@ -251,10 +244,10 @@ fn main() -> std::io::Result<()> {
             let response = pending.wait().expect("admitted work replies");
             all_ok &= response.status == Status::Ok;
             response_bytes += response.payload.len() as u64;
-            responses_hash = fnv1a_chain(responses_hash, &[op.to_byte()]);
-            responses_hash = fnv1a_chain(responses_hash, &(i as u64).to_le_bytes());
-            responses_hash = fnv1a_chain(responses_hash, &[response.status.to_byte()]);
-            responses_hash = fnv1a_chain(responses_hash, &response.payload);
+            responses_hash = fnv1a_update(responses_hash, &[op.to_byte()]);
+            responses_hash = fnv1a_update(responses_hash, &(i as u64).to_le_bytes());
+            responses_hash = fnv1a_update(responses_hash, &[response.status.to_byte()]);
+            responses_hash = fnv1a_update(responses_hash, &response.payload);
         }
         let pending = handle
             .submit(a.op, body)
@@ -265,10 +258,10 @@ fn main() -> std::io::Result<()> {
         let response = pending.wait().expect("admitted work replies");
         all_ok &= response.status == Status::Ok;
         response_bytes += response.payload.len() as u64;
-        responses_hash = fnv1a_chain(responses_hash, &[op.to_byte()]);
-        responses_hash = fnv1a_chain(responses_hash, &(i as u64).to_le_bytes());
-        responses_hash = fnv1a_chain(responses_hash, &[response.status.to_byte()]);
-        responses_hash = fnv1a_chain(responses_hash, &response.payload);
+        responses_hash = fnv1a_update(responses_hash, &[op.to_byte()]);
+        responses_hash = fnv1a_update(responses_hash, &(i as u64).to_le_bytes());
+        responses_hash = fnv1a_update(responses_hash, &[response.status.to_byte()]);
+        responses_hash = fnv1a_update(responses_hash, &response.payload);
     }
     let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!(

@@ -35,29 +35,18 @@
 use std::io::Write;
 use std::time::Instant;
 
+use ss_core::checksum::{fnv1a_update, FNV_OFFSET};
 use ss_store::{MemoryProvider, ModelStore, ModelWriter, StorageProvider};
 use ss_tensor::Tensor;
 use ss_trace::{Counter, TraceRecorder};
 
 const GROUP_SIZE: u16 = 16;
-const MODEL_SEED: u64 = 0x5105_EED;
+const MODEL_SEED: u64 = 0x0510_5EED;
 /// Full run: AlexNet at 1/4 geometry, ~1 MiB shards.
 const FULL: (usize, u64) = (4, 1 << 20);
 /// Smoke run: AlexNet at 1/16 geometry, 32 KiB shards — same code
 /// paths (multiple shards, rotation, multi-shard lookup), sub-second.
 const SMOKE: (usize, u64) = (16, 32 << 10);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a_chain(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The pinned workload: every weight-carrying layer of the scaled
 /// AlexNet, deterministic from the model seed.
@@ -121,7 +110,7 @@ fn main() -> std::io::Result<()> {
     for name in provider.list().expect("list") {
         let a = provider.snapshot(&name).expect("shard exists");
         shards_identical &= provider_b.snapshot(&name).as_deref() == Some(a.as_slice());
-        shards_hash = fnv1a_chain(shards_hash, &a);
+        shards_hash = fnv1a_update(shards_hash, &a);
     }
     println!(
         "write: {} shards, {} records, {} bytes  ({write_ms:.2} ms)",
@@ -181,7 +170,7 @@ fn main() -> std::io::Result<()> {
     for name in &names {
         let raw = store.get_raw(name).expect("raw record");
         container_bytes += raw.len() as u64;
-        records_hash = fnv1a_chain(records_hash, &raw);
+        records_hash = fnv1a_update(records_hash, &raw);
         let back = store.get(name).expect("get");
         let source = tensors
             .iter()

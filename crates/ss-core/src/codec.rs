@@ -60,9 +60,21 @@ struct ChunkSpan {
 /// One worker's contribution to a parallel encode.
 struct ChunkStream {
     w: BitWriter,
-    groups: usize,
-    metadata_bits: u64,
-    payload_bits: u64,
+    report: MeasureReport,
+}
+
+/// Records one finished encode on the global trace recorder — the same
+/// six counters whether the one-shot or the framed path produced it.
+fn record_encode(values: usize, bits: u64, report: &MeasureReport) {
+    let rec = ss_trace::global();
+    if rec.enabled() {
+        rec.add(Counter::EncodeCalls, 1);
+        rec.add(Counter::EncodeValues, values as u64);
+        rec.add(Counter::EncodeBits, bits);
+        rec.add(Counter::EncodeMetadataBits, report.metadata_bits);
+        rec.add(Counter::EncodePayloadBits, report.payload_bits);
+        rec.add(Counter::EncodeGroups, report.groups as u64);
+    }
 }
 
 /// Lossless per-group codec for the ShapeShifter off-chip container.
@@ -259,23 +271,6 @@ impl ShapeShifterCodec {
         self.encode_resolved(tensor, threads)
     }
 
-    /// [`ShapeShifterCodec::encode`] with an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShapeShifterCodec::encode`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `with_exec(ExecPolicy::Threads(n))` (or `Sequential`) and `encode`"
-    )]
-    pub fn encode_with_threads(
-        &self,
-        tensor: &Tensor,
-        threads: usize,
-    ) -> Result<EncodedTensor, CodecError> {
-        self.encode_resolved(tensor, threads)
-    }
-
     /// The encode body, with the worker count already resolved
     /// (`threads <= 1` is the pure sequential path; any higher count
     /// parallelizes regardless of tensor size — no small-tensor
@@ -300,25 +295,16 @@ impl ShapeShifterCodec {
             ),
         };
 
-        let rec = ss_trace::global();
-        if rec.enabled() {
-            rec.add(Counter::EncodeCalls, 1);
-            rec.add(Counter::EncodeValues, tensor.len() as u64);
-            rec.add(Counter::EncodeBits, chunk.w.bit_len());
-            rec.add(Counter::EncodeMetadataBits, chunk.metadata_bits);
-            rec.add(Counter::EncodePayloadBits, chunk.payload_bits);
-            rec.add(Counter::EncodeGroups, chunk.groups as u64);
-        }
-
+        record_encode(tensor.len(), chunk.w.bit_len(), &chunk.report);
         Ok(EncodedTensor {
             bit_len: chunk.w.bit_len(),
             bytes: chunk.w.into_bytes(),
             len: tensor.len(),
             dtype,
             group_size: self.group_size,
-            groups: chunk.groups,
-            metadata_bits: chunk.metadata_bits,
-            payload_bits: chunk.payload_bits,
+            groups: chunk.report.groups,
+            metadata_bits: chunk.report.metadata_bits,
+            payload_bits: chunk.report.payload_bits,
             index,
         })
     }
@@ -345,15 +331,11 @@ impl ShapeShifterCodec {
         });
         let mut merged = ChunkStream {
             w: BitWriter::with_capacity_bits(capacity_hint),
-            groups: 0,
-            metadata_bits: 0,
-            payload_bits: 0,
+            report: MeasureReport::default(),
         };
         for part in parts {
             let part = part?;
-            merged.groups += part.groups;
-            merged.metadata_bits += part.metadata_bits;
-            merged.payload_bits += part.payload_bits;
+            merged.report.add(&part.report);
             merged.w.append_writer(part.w)?;
         }
         Ok(merged)
@@ -397,9 +379,7 @@ impl ShapeShifterCodec {
         };
         let mut merged = ChunkStream {
             w: BitWriter::with_capacity_bits(capacity_hint),
-            groups: 0,
-            metadata_bits: 0,
-            payload_bits: 0,
+            report: MeasureReport::default(),
         };
         let mut entries = Vec::with_capacity(chunks.len());
         for (chunk, part) in chunks.iter().zip(parts) {
@@ -408,9 +388,7 @@ impl ShapeShifterCodec {
                 bit_offset: merged.w.bit_len(),
                 values: chunk.len() as u64,
             });
-            merged.groups += part.groups;
-            merged.metadata_bits += part.metadata_bits;
-            merged.payload_bits += part.payload_bits;
+            merged.report.add(&part.report);
             merged.w.append_writer(part.w)?;
         }
         // `index_chunk_groups` rejects chunk sizes beyond u32, so the cast
@@ -430,21 +408,60 @@ impl ShapeShifterCodec {
         capacity_hint: u64,
     ) -> Result<ChunkStream, CodecError> {
         let mut w = BitWriter::with_capacity_bits(capacity_hint);
-        let (groups, metadata_bits, payload_bits) =
-            self.encode_groups_into(values, dtype, &mut w)?;
-        Ok(ChunkStream {
-            w,
-            groups,
-            metadata_bits,
-            payload_bits,
-        })
+        let report = self.encode_groups_into(values, dtype, &mut w)?;
+        Ok(ChunkStream { w, report })
+    }
+
+    /// The sequential framing path shared by `CodecSession::encode_into`
+    /// and the ShapeShifter registry scheme: clears `w`, encodes `tensor`
+    /// into it on the calling thread, cuts index chunks at the same
+    /// policy-determined boundaries as [`ShapeShifterCodec::encode`] (so
+    /// stream and index are bit-identical to it), and records the encode
+    /// trace counters. Returns the bit accounting and the chunk index, if
+    /// the policy wrote one.
+    ///
+    /// `entries` is the index-entry scratch: an indexed encode moves its
+    /// storage into the returned index, so a caller that refills it from
+    /// its previous output's index builds indexes without allocating.
+    pub(crate) fn encode_framed(
+        &self,
+        tensor: &Tensor,
+        w: &mut BitWriter,
+        entries: &mut Vec<ChunkEntry>,
+    ) -> Result<(MeasureReport, Option<ChunkIndex>), CodecError> {
+        let values = tensor.values();
+        let dtype = tensor.dtype();
+        w.clear();
+        let (report, index) = match self.index_chunk_groups(values.len()) {
+            Some(chunk_groups) => {
+                let mut chunk_entries = std::mem::take(entries);
+                chunk_entries.clear();
+                let mut report = MeasureReport::default();
+                for chunk in values.chunks(chunk_groups * self.group_size) {
+                    chunk_entries.push(ChunkEntry {
+                        bit_offset: w.bit_len(),
+                        values: chunk.len() as u64,
+                    });
+                    report.add(&self.encode_groups_into(chunk, dtype, w)?);
+                }
+                // `index_chunk_groups` rejects chunk sizes beyond u32, so
+                // the cast is lossless.
+                // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
+                let index = ChunkIndex::from_parts(chunk_groups as u32, chunk_entries)?;
+                checked::index_bookkeeping(&index, self.group_size, w.bit_len(), values.len());
+                (report, Some(index))
+            }
+            None => (self.encode_groups_into(values, dtype, w)?, None),
+        };
+        record_encode(values.len(), w.bit_len(), &report);
+        Ok((report, index))
     }
 
     /// Appends the group encodings of `values` to an existing writer,
-    /// returning `(groups, metadata_bits, payload_bits)` — the inner loop
-    /// shared by [`ShapeShifterCodec::encode_chunk`] and the
-    /// buffer-reusing `CodecSession`, so session output is bit-identical
-    /// to the one-shot API by construction.
+    /// returning their bit accounting — the inner loop shared by
+    /// [`ShapeShifterCodec::encode_chunk`] and
+    /// [`ShapeShifterCodec::encode_framed`], so every encode path is
+    /// bit-identical by construction.
     ///
     /// The loop runs on the word-parallel [`kernels`]: one fused
     /// [`kernels::scan_gather`] pass per group yields the zero bit-vector
@@ -459,7 +476,7 @@ impl ShapeShifterCodec {
         values: &[i32],
         dtype: FixedType,
         w: &mut BitWriter,
-    ) -> Result<(usize, u64, u64), CodecError> {
+    ) -> Result<MeasureReport, CodecError> {
         let det = WidthDetector::new(dtype.bits(), dtype.signedness());
         let prefix_bits = u32::from(det.prefix_bits());
         let signedness = dtype.signedness();
@@ -497,7 +514,11 @@ impl ShapeShifterCodec {
             rec.record_widths(WidthHist::CodecGroupWidth, &group_widths);
             rec.add(Counter::EncodeZerosElided, zeros_elided);
         }
-        Ok((groups, metadata_bits, payload_bits))
+        Ok(MeasureReport {
+            metadata_bits,
+            payload_bits,
+            groups,
+        })
     }
 
     /// Computes the exact encoded size of a tensor *without* materializing
@@ -521,45 +542,31 @@ impl ShapeShifterCodec {
         self.measure_resolved(tensor, threads)
     }
 
-    /// [`ShapeShifterCodec::measure`] with an explicit worker count,
-    /// returning the old `(metadata_bits, payload_bits, groups)` tuple.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `with_exec(ExecPolicy::Threads(n))` and `measure`, which returns a named `MeasureReport`"
-    )]
-    #[must_use]
-    pub fn measure_with_threads(&self, tensor: &Tensor, threads: usize) -> (u64, u64, usize) {
-        self.measure_resolved(tensor, threads).into()
-    }
-
     /// The measure body, with the worker count already resolved
     /// (`threads == 1` is the pure sequential scan).
     fn measure_resolved(&self, tensor: &Tensor, threads: usize) -> MeasureReport {
         let dtype = tensor.dtype();
         let values = tensor.values();
         let chunk_values = par::chunk_values(values.len(), self.group_size, threads.max(1));
-        let (meta, payload, groups) = if values.len() <= chunk_values {
+        let report = if values.len() <= chunk_values {
             self.measure_chunk(values, dtype)
         } else {
             par::scoped_map(values, chunk_values, |chunk| {
                 self.measure_chunk(chunk, dtype)
             })
             .into_iter()
-            .fold((0, 0, 0), |(m, p, g), (cm, cp, cg)| {
-                (m + cm, p + cp, g + cg)
+            .fold(MeasureReport::default(), |mut sum, part| {
+                sum.add(&part);
+                sum
             })
         };
         let rec = ss_trace::global();
         if rec.enabled() {
             rec.add(Counter::MeasureCalls, 1);
             rec.add(Counter::MeasureValues, tensor.len() as u64);
-            rec.add(Counter::MeasureBits, meta + payload);
+            rec.add(Counter::MeasureBits, report.total_bits());
         }
-        MeasureReport {
-            metadata_bits: meta,
-            payload_bits: payload,
-            groups,
-        }
+        report
     }
 
     /// Sequential measurement of one group-aligned slice, on the same
@@ -567,7 +574,7 @@ impl ShapeShifterCodec {
     /// comes from one lane fold and the non-zero count from the zero
     /// bitmap's popcount, so measuring costs one streaming read of the
     /// values — no per-value compare-and-max, no second zero-count scan.
-    fn measure_chunk(&self, values: &[i32], dtype: FixedType) -> (u64, u64, usize) {
+    fn measure_chunk(&self, values: &[i32], dtype: FixedType) -> MeasureReport {
         let signedness = dtype.signedness();
         let det = WidthDetector::new(dtype.bits(), signedness);
         let prefix_bits = u64::from(det.prefix_bits());
@@ -590,7 +597,11 @@ impl ShapeShifterCodec {
         if tracing {
             rec.record_widths(WidthHist::CodecGroupWidth, &group_widths);
         }
-        (metadata, payload, groups)
+        MeasureReport {
+            metadata_bits: metadata,
+            payload_bits: payload,
+            groups,
+        }
     }
 
     /// Decodes a ShapeShifter stream back into the original tensor.
@@ -628,23 +639,6 @@ impl ShapeShifterCodec {
     ///   but disagrees with the framing metadata or the stream.
     pub fn decode(&self, encoded: &EncodedTensor) -> Result<Tensor, CodecError> {
         let threads = self.exec.threads_for(encoded.len, PARALLEL_MIN_VALUES);
-        self.decode_resolved(encoded, threads)
-    }
-
-    /// [`ShapeShifterCodec::decode`] with an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShapeShifterCodec::decode`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `with_exec(ExecPolicy::Threads(n))` (or `Sequential`) and `decode`"
-    )]
-    pub fn decode_with_threads(
-        &self,
-        encoded: &EncodedTensor,
-        threads: usize,
-    ) -> Result<Tensor, CodecError> {
         self.decode_resolved(encoded, threads)
     }
 
@@ -706,9 +700,10 @@ impl ShapeShifterCodec {
     }
 
     /// [`ShapeShifterCodec::decode_stream`] into a caller-owned buffer —
-    /// the body behind both the one-shot path and `CodecSession`'s
-    /// allocation-free `decode_into`. `data` is cleared first; on success
-    /// it holds exactly `len` decoded values.
+    /// the body behind both the one-shot path and the ShapeShifter
+    /// registry scheme's sequential decode, which `CodecSession` runs
+    /// allocation-free. `data` is cleared first; on success it holds
+    /// exactly `len` decoded values.
     pub(crate) fn decode_stream_into(
         &self,
         bytes: &[u8],
@@ -1282,29 +1277,6 @@ mod tests {
                 codec.with_exec(ExecPolicy::Threads(8)).measure(&tensor)
             );
             assert_eq!(codec.decode(&forced).unwrap(), tensor);
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn with_threads_shims_delegate_to_exec_policy() {
-        // The deprecated `*_with_threads` names must stay exact aliases
-        // of the ExecPolicy-driven API until they are removed.
-        let vals: Vec<i32> = (0..5000).map(|i| ((i * 97) % 600) - 300).collect();
-        let tensor = t(FixedType::I16, vals);
-        let codec = ShapeShifterCodec::new(16);
-        for threads in [1usize, 4] {
-            let via_policy = codec.with_exec(ExecPolicy::Threads(threads));
-            let shim = codec.encode_with_threads(&tensor, threads).unwrap();
-            assert_eq!(shim, via_policy.encode(&tensor).unwrap());
-            assert_eq!(
-                codec.measure_with_threads(&tensor, threads),
-                via_policy.measure(&tensor).into()
-            );
-            assert_eq!(
-                codec.decode_with_threads(&shim, threads).unwrap(),
-                via_policy.decode(&shim).unwrap()
-            );
         }
     }
 

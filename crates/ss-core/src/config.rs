@@ -1,14 +1,12 @@
 //! Codec configuration: the [`CodecConfig`] builder, the [`ExecPolicy`]
 //! execution knob and the [`MeasureReport`] accounting struct.
 //!
-//! Before this module existed the public API had forked into ad-hoc
-//! `*_with_threads` variants — one extra method per operation, each taking
-//! a raw `usize` whose meaning ("exactly this many workers, no
-//! small-tensor heuristic") lived only in doc comments. [`ExecPolicy`]
-//! collapses that fork into one typed parameter carried by the codec
-//! itself, and [`CodecConfig`] is the single builder through which every
-//! knob (group size, chunk-index policy, execution policy) travels —
-//! including into `CodecSession` and the `ss-pipeline` batch engine.
+//! Scheduling is one typed parameter carried by the codec itself
+//! ([`ExecPolicy`]) rather than a raw worker count threaded through
+//! per-operation method variants, and [`CodecConfig`] is the single
+//! builder through which every knob (group size, chunk-index policy,
+//! execution policy) travels — including into `CodecSession` and the
+//! `ss-pipeline` batch engine.
 
 use crate::codec::IndexPolicy;
 use crate::{par, CodecError};
@@ -143,13 +141,10 @@ impl CodecConfig {
 
 /// The exact bit accounting of a tensor under the ShapeShifter container,
 /// as computed by `ShapeShifterCodec::measure` *without* materializing the
-/// stream.
+/// stream (and tallied the same way by every encode path).
 ///
-/// Replaces the opaque `(u64, u64, usize)` tuple the old API returned —
-/// call sites read `report.metadata_bits` instead of remembering which
-/// tuple slot held what. The accounting identity
-/// `total_bits() == metadata_bits + payload_bits` matches
-/// `EncodedTensor::bit_len()` bit-for-bit.
+/// The accounting identity `total_bits() == metadata_bits + payload_bits`
+/// matches `EncodedTensor::bit_len()` bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MeasureReport {
     /// Bits spent on `Z` vectors and `P` prefixes.
@@ -168,20 +163,12 @@ impl MeasureReport {
         self.metadata_bits + self.payload_bits
     }
 
-    /// The old tuple shape `(metadata_bits, payload_bits, groups)`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "read the named `MeasureReport` fields instead"
-    )]
-    #[must_use]
-    pub fn into_tuple(self) -> (u64, u64, usize) {
-        (self.metadata_bits, self.payload_bits, self.groups)
-    }
-}
-
-impl From<MeasureReport> for (u64, u64, usize) {
-    fn from(r: MeasureReport) -> Self {
-        (r.metadata_bits, r.payload_bits, r.groups)
+    /// Adds another slice's accounting (chunk totals sum to the
+    /// tensor's).
+    pub(crate) fn add(&mut self, other: &MeasureReport) {
+        self.metadata_bits += other.metadata_bits;
+        self.payload_bits += other.payload_bits;
+        self.groups += other.groups;
     }
 }
 
@@ -232,10 +219,15 @@ mod tests {
             groups: 1,
         };
         assert_eq!(r.total_bits(), 59);
-        let (m, p, g): (u64, u64, usize) = r.into();
-        assert_eq!((m, p, g), (20, 39, 1));
-        #[allow(deprecated)]
-        let t = r.into_tuple();
-        assert_eq!(t, (20, 39, 1));
+        let mut sum = r;
+        sum.add(&r);
+        assert_eq!(
+            sum,
+            MeasureReport {
+                metadata_bits: 40,
+                payload_bits: 78,
+                groups: 2,
+            }
+        );
     }
 }

@@ -39,6 +39,7 @@
 
 use ss_bitio::{BitReader, BitWriter};
 
+use crate::checksum::crc32;
 use crate::CodecError;
 
 /// One chunk's entry: where its first group starts and how many values it
@@ -61,21 +62,6 @@ pub struct ChunkEntry {
 pub struct ChunkIndex {
     chunk_groups: u32,
     entries: Vec<ChunkEntry>,
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise — the
-/// index is a few dozen bytes, so a lookup table would cost more cache
-/// than it saves.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Smallest field width that can hold `v` (1 for zero, so a field is
@@ -579,13 +565,6 @@ mod tests {
         ));
         // Sane sizes still agree with the serializer (see
         // `roundtrips_canonically` for the end-to-end identity).
-        assert_eq!(serialized_bits_for(1, 0, 1).unwrap(), (78 + 1 + 7) / 8 * 8 + 32);
-    }
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // The IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(serialized_bits_for(1, 0, 1).unwrap(), (78u64 + 1).div_ceil(8) * 8 + 32);
     }
 }

@@ -25,9 +25,11 @@
 //!   AdaBits bit-plane schemes from the related work. All report exact
 //!   bit counts.
 //! * [`registry`] — the container-scheme plug-in registry: the
-//!   [`ContainerScheme`] trait (stable wire ids, encode/decode over the
-//!   shared bit-stream machinery, fingerprint hook) and the
+//!   [`ContainerScheme`] wire trait (stable wire ids, encode/decode over
+//!   the shared bit-stream machinery, fingerprint hook) that the four
+//!   wire-format schemes implement beside their pricing, and the
 //!   [`SchemeRegistry`] that resolves wire ids at unpack time.
+//! * [`checksum`] — the workspace's one CRC-32 and one FNV-1a.
 //! * [`decompressor`] — the two-level (L1D/L2D) streaming decompressor of
 //!   Figure 6d as a cycle-approximate model, used to check the decoder
 //!   keeps up with the DDR4 stream.
@@ -58,6 +60,7 @@
 
 pub mod analysis;
 mod checked;
+pub mod checksum;
 mod codec;
 mod config;
 pub mod decompressor;

@@ -6,10 +6,11 @@
 //! session, the chunk index, the pipeline and the shard-store
 //! fingerprint. This module opens that set:
 //!
-//! * [`ContainerScheme`] — the trait a storage scheme implements: a
-//!   stable one-byte wire id, encode-into/decode-into over the shared
-//!   bit-stream machinery, optional chunk-index participation, and the
-//!   shard-store fingerprint hook.
+//! * [`ContainerScheme`] — the wire trait a storage scheme implements on
+//!   top of its [`CompressionScheme`] pricing: a stable one-byte wire id,
+//!   encode-into/decode-into over the shared bit-stream machinery,
+//!   optional chunk-index participation, and the shard-store fingerprint
+//!   hook. Each built-in scheme is one struct implementing both traits.
 //! * [`SchemeRegistry`] — resolves wire ids to scheme objects at unpack
 //!   time. Unregistered ids are a typed [`CodecError::UnknownScheme`],
 //!   never a panic or a misdispatch; colliding registrations are a typed
@@ -32,10 +33,11 @@ use std::sync::{Arc, OnceLock};
 use ss_bitio::BitWriter;
 use ss_tensor::{FixedType, Signedness, Tensor};
 
-use crate::codec::{IndexPolicy, ShapeShifterCodec};
+use crate::checksum::fnv1a_64;
+use crate::codec::IndexPolicy;
 use crate::index::{ChunkEntry, ChunkIndex};
-use crate::scheme::{AdaBitsScheme, DeltaShapeShifter, DpRed};
-use crate::{checked, CodecConfig, CodecError, ExecPolicy};
+use crate::scheme::{AdaBitsScheme, CompressionScheme, DeltaShapeShifter, DpRed, ShapeShifterScheme};
+use crate::CodecError;
 
 /// A container scheme's one-byte wire id.
 ///
@@ -101,10 +103,14 @@ pub struct StreamFrame {
     pub group_size: usize,
 }
 
-/// A pluggable container storage scheme.
+/// A pluggable container storage scheme: the wire half of a
+/// [`CompressionScheme`].
 ///
-/// Implementations are stateless (per-call parameters carry the group
-/// size and framing), `Send + Sync`, and registered once under a stable
+/// A scheme is one struct. Its [`CompressionScheme`] impl prices tensors
+/// (and names the scheme); this trait adds the stream it actually writes.
+/// The wire methods take the group size from the call or the frame, never
+/// from the struct, so one registered instance serves every group size.
+/// Implementations are `Send + Sync` and registered once under a stable
 /// wire id. The contract, pinned by DESIGN.md §16 and the golden-vector
 /// suite:
 ///
@@ -112,7 +118,8 @@ pub struct StreamFrame {
 ///   for a shipped scheme; the byte is persisted in headers and shards.
 /// * **Encode framing** — [`ContainerScheme::encode_into`] clears the
 ///   writer and leaves exactly the scheme's stream in it; a returned
-///   [`ChunkIndex`] uses stream-relative bit offsets.
+///   [`ChunkIndex`] uses stream-relative bit offsets and takes its entry
+///   storage from the caller's scratch.
 /// * **Decode framing** — [`ContainerScheme::decode_into`] clears `out`,
 ///   validates the frame against the stream, and fails with a typed
 ///   [`CodecError`] on any disagreement — never a panic, never a silently
@@ -120,17 +127,19 @@ pub struct StreamFrame {
 /// * **Fingerprint** — [`ContainerScheme::fingerprint`] must be a pure
 ///   function of `(wire id, group size, dtype)`; shard stores compare it
 ///   across processes and hosts.
-pub trait ContainerScheme: fmt::Debug + Send + Sync {
+pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
     /// The scheme's stable wire id (header byte 7 / shard record codec
     /// byte).
     fn wire_id(&self) -> SchemeId;
 
-    /// Display name used in figures and diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Encodes `tensor` at `group_size` into `w` (cleared first),
     /// returning the chunk index when the scheme participates in indexing
     /// and `policy` asked for one.
+    ///
+    /// `entries` is index-entry scratch: an indexed encode moves its
+    /// storage into the returned index, so a caller that refills it from
+    /// its previous index (as `CodecSession` does) encodes without
+    /// allocating. Schemes without an index ignore it.
     ///
     /// # Errors
     ///
@@ -143,6 +152,7 @@ pub trait ContainerScheme: fmt::Debug + Send + Sync {
         group_size: usize,
         policy: IndexPolicy,
         w: &mut BitWriter,
+        entries: &mut Vec<ChunkEntry>,
     ) -> Result<Option<ChunkIndex>, CodecError>;
 
     /// Decodes a raw stream into `out` (cleared first). `index` is the
@@ -184,18 +194,12 @@ pub trait ContainerScheme: fmt::Debug + Send + Sync {
 /// records whose scheme object is not at hand).
 #[must_use]
 pub fn fingerprint_bytes(id: SchemeId, group_size: u16, dtype: FixedType) -> u64 {
-    let gs = group_size.to_le_bytes();
+    let [gs_lo, gs_hi] = group_size.to_le_bytes();
     let signed = match dtype.signedness() {
         Signedness::Signed => 1u8,
         Signedness::Unsigned => 0,
     };
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    // ss-lint: allow(panic-freedom) -- gs is u16::to_le_bytes(): exactly 2 bytes
-    for b in [id.as_byte(), gs[0], gs[1], dtype.bits(), signed] {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_64(&[id.as_byte(), gs_lo, gs_hi, dtype.bits(), signed])
 }
 
 /// Resolves wire ids to registered schemes.
@@ -232,10 +236,10 @@ impl SchemeRegistry {
     pub fn builtin() -> Self {
         let mut r = Self::empty();
         for scheme in [
-            Arc::new(ShapeShifterContainer) as Arc<dyn ContainerScheme>,
-            Arc::new(DeltaContainer),
-            Arc::new(DpRedContainer),
-            Arc::new(AdaBitsContainer),
+            Arc::new(ShapeShifterScheme::default()) as Arc<dyn ContainerScheme>,
+            Arc::new(DeltaShapeShifter::default()),
+            Arc::new(DpRed::default()),
+            Arc::new(AdaBitsScheme::default()),
         ] {
             // The built-in ids are the distinct constants 0–3, so the
             // duplicate check cannot fire; `global_registry_resolves_builtin_ids`
@@ -299,9 +303,10 @@ impl SchemeRegistry {
     }
 }
 
-/// Bounds-checks a group size the way every scheme constructor does, as a
-/// typed error instead of a panic (wire input reaches this path).
-fn checked_group_size(group_size: usize) -> Result<(), CodecError> {
+/// Bounds-checks a wire call's group size the way every scheme
+/// constructor does, as a typed error instead of a panic (wire input
+/// reaches this path).
+pub(crate) fn checked_group_size(group_size: usize) -> Result<(), CodecError> {
     if (1..=256).contains(&group_size) {
         Ok(())
     } else {
@@ -309,243 +314,11 @@ fn checked_group_size(group_size: usize) -> Result<(), CodecError> {
     }
 }
 
-/// Wire id 0: the paper's `(Z, P, payload)` container, with full
-/// chunk-index participation. Byte-identical to [`ShapeShifterCodec::encode`]
-/// — both run the same sequential group loop and cut index chunks at the
-/// same policy-determined boundaries.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShapeShifterContainer;
-
-impl ContainerScheme for ShapeShifterContainer {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::SHAPESHIFTER
-    }
-
-    fn name(&self) -> &'static str {
-        "ShapeShifter"
-    }
-
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        policy: IndexPolicy,
-        w: &mut BitWriter,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        let codec = ShapeShifterCodec::from_config(
-            CodecConfig::new()
-                .with_group_size(group_size)
-                .with_index_policy(policy)
-                .with_exec(ExecPolicy::Sequential),
-        )?;
-        w.clear();
-        let values = tensor.values();
-        let dtype = tensor.dtype();
-        let (groups, metadata_bits, payload_bits, index) =
-            match codec.index_chunk_groups(values.len()) {
-                Some(chunk_groups) => {
-                    // Same chunk boundaries as the one-shot indexed encode:
-                    // the index is a pure function of (config, len).
-                    let chunk_values = chunk_groups * codec.group_size();
-                    let mut entries = Vec::new();
-                    let mut groups = 0usize;
-                    let mut metadata_bits = 0u64;
-                    let mut payload_bits = 0u64;
-                    for chunk in values.chunks(chunk_values) {
-                        entries.push(ChunkEntry {
-                            bit_offset: w.bit_len(),
-                            values: chunk.len() as u64,
-                        });
-                        let (g, m, p) = codec.encode_groups_into(chunk, dtype, w)?;
-                        groups += g;
-                        metadata_bits += m;
-                        payload_bits += p;
-                    }
-                    // `index_chunk_groups` rejects chunk sizes beyond u32.
-                    // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
-                    let index = ChunkIndex::from_parts(chunk_groups as u32, entries)?;
-                    checked::index_bookkeeping(&index, codec.group_size(), w.bit_len(), values.len());
-                    (groups, metadata_bits, payload_bits, Some(index))
-                }
-                None => {
-                    let (g, m, p) = codec.encode_groups_into(values, dtype, w)?;
-                    (g, m, p, None)
-                }
-            };
-        // Counter parity with the one-shot encode (and the session).
-        let rec = ss_trace::global();
-        if rec.enabled() {
-            rec.add(ss_trace::Counter::EncodeCalls, 1);
-            rec.add(ss_trace::Counter::EncodeValues, tensor.len() as u64);
-            rec.add(ss_trace::Counter::EncodeBits, w.bit_len());
-            rec.add(ss_trace::Counter::EncodeMetadataBits, metadata_bits);
-            rec.add(ss_trace::Counter::EncodePayloadBits, payload_bits);
-            rec.add(ss_trace::Counter::EncodeGroups, groups as u64);
-        }
-        Ok(index)
-    }
-
-    fn decode_into(
-        &self,
-        stream: &[u8],
-        frame: &StreamFrame,
-        index: Option<&ChunkIndex>,
-        threads: usize,
-        out: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        let codec = ShapeShifterCodec::from_config(
-            CodecConfig::new()
-                .with_group_size(frame.group_size)
-                .with_index_policy(IndexPolicy::None)
-                .with_exec(ExecPolicy::Sequential),
-        )?;
-        match index {
-            Some(idx) => {
-                *out =
-                    codec.decode_stream_indexed(stream, frame.bit_len, frame.dtype, frame.len, idx, threads)?;
-                Ok(())
-            }
-            None => codec.decode_stream_into(stream, frame.bit_len, frame.dtype, frame.len, out),
-        }
-    }
-
-    fn supports_index(&self) -> bool {
-        true
-    }
-}
-
-/// Wire id 1: the Diffy-style delta container (no index participation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeltaContainer;
-
-impl ContainerScheme for DeltaContainer {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::DELTA
-    }
-
-    fn name(&self) -> &'static str {
-        "Delta-ShapeShifter"
-    }
-
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        _policy: IndexPolicy,
-        w: &mut BitWriter,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        checked_group_size(group_size)?;
-        w.clear();
-        DeltaShapeShifter::new(group_size).encode_into(tensor, w)?;
-        Ok(None)
-    }
-
-    fn decode_into(
-        &self,
-        stream: &[u8],
-        frame: &StreamFrame,
-        _index: Option<&ChunkIndex>,
-        _threads: usize,
-        out: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        checked_group_size(frame.group_size)?;
-        DeltaShapeShifter::new(frame.group_size).decode_into(
-            stream,
-            frame.bit_len,
-            frame.dtype,
-            frame.len,
-            out,
-        )
-    }
-}
-
-/// Wire id 2: DPRed per-group precision storage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DpRedContainer;
-
-impl ContainerScheme for DpRedContainer {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::DPRED
-    }
-
-    fn name(&self) -> &'static str {
-        "DPRed"
-    }
-
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        _policy: IndexPolicy,
-        w: &mut BitWriter,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        checked_group_size(group_size)?;
-        w.clear();
-        DpRed::new(group_size).encode_into(tensor, w)?;
-        Ok(None)
-    }
-
-    fn decode_into(
-        &self,
-        stream: &[u8],
-        frame: &StreamFrame,
-        _index: Option<&ChunkIndex>,
-        _threads: usize,
-        out: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        checked_group_size(frame.group_size)?;
-        DpRed::new(frame.group_size).decode_into(stream, frame.bit_len, frame.dtype, frame.len, out)
-    }
-}
-
-/// Wire id 3: AdaBits MSB-first bit-plane storage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaBitsContainer;
-
-impl ContainerScheme for AdaBitsContainer {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::ADABITS
-    }
-
-    fn name(&self) -> &'static str {
-        "AdaBits"
-    }
-
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        _policy: IndexPolicy,
-        w: &mut BitWriter,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        checked_group_size(group_size)?;
-        w.clear();
-        AdaBitsScheme::new(group_size).encode_into(tensor, w)?;
-        Ok(None)
-    }
-
-    fn decode_into(
-        &self,
-        stream: &[u8],
-        frame: &StreamFrame,
-        _index: Option<&ChunkIndex>,
-        _threads: usize,
-        out: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        checked_group_size(frame.group_size)?;
-        AdaBitsScheme::new(frame.group_size).decode_into(
-            stream,
-            frame.bit_len,
-            frame.dtype,
-            frame.len,
-            out,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::SchemeCtx;
+    use crate::ShapeShifterCodec;
     use ss_tensor::Shape;
 
     fn t(vals: Vec<i32>) -> Tensor {
@@ -576,9 +349,9 @@ mod tests {
     #[test]
     fn duplicate_registration_is_typed() {
         let mut r = SchemeRegistry::empty();
-        r.register(Arc::new(DeltaContainer)).unwrap();
+        r.register(Arc::new(DeltaShapeShifter::default())).unwrap();
         assert_eq!(
-            r.register(Arc::new(DeltaContainer)).unwrap_err(),
+            r.register(Arc::new(DeltaShapeShifter::new(4))).unwrap_err(),
             CodecError::DuplicateScheme { id: 1 }
         );
     }
@@ -592,9 +365,12 @@ mod tests {
                 .with_index_policy(policy)
                 .encode(&tensor)
                 .unwrap();
-            let scheme = ShapeShifterContainer;
+            // The wire group size is the call's, not the struct's.
+            let scheme = ShapeShifterScheme::new(64);
             let mut w = BitWriter::new();
-            let index = scheme.encode_into(&tensor, 16, policy, &mut w).unwrap();
+            let index = scheme
+                .encode_into(&tensor, 16, policy, &mut w, &mut Vec::new())
+                .unwrap();
             assert_eq!(w.as_bytes(), one_shot.bytes());
             assert_eq!(w.bit_len(), one_shot.bit_len());
             assert_eq!(index.as_ref(), one_shot.index());
@@ -603,15 +379,26 @@ mod tests {
 
     #[test]
     fn registry_delta_matches_one_shot_scheme() {
+        // The registered (group-16) instance writes, at a call group size
+        // of 4, exactly the stream a group-4 struct writes and prices.
         let tensor = t(vec![1000, 1002, 1001, 999, 0, 0, 998, 30_000]);
-        let (bytes, bits) = DeltaShapeShifter::new(4).encode(&tensor).unwrap();
+        let group4 = DeltaShapeShifter::new(4);
+        let mut expected = BitWriter::new();
+        group4
+            .encode_into(&tensor, 4, IndexPolicy::None, &mut expected, &mut Vec::new())
+            .unwrap();
         let mut w = BitWriter::new();
-        let index = DeltaContainer
-            .encode_into(&tensor, 4, IndexPolicy::Auto, &mut w)
+        let index = SchemeRegistry::global()
+            .get(SchemeId::DELTA)
+            .unwrap()
+            .encode_into(&tensor, 4, IndexPolicy::Auto, &mut w, &mut Vec::new())
             .unwrap();
         assert!(index.is_none());
-        assert_eq!(w.as_bytes(), &bytes[..]);
-        assert_eq!(w.bit_len(), bits);
+        assert_eq!(w.as_bytes(), expected.as_bytes());
+        assert_eq!(
+            w.bit_len(),
+            group4.compressed_bits(&tensor, &SchemeCtx::unprofiled())
+        );
     }
 
     #[test]
@@ -624,7 +411,7 @@ mod tests {
             let scheme = SchemeRegistry::global().get(id).unwrap();
             let mut w = BitWriter::new();
             let index = scheme
-                .encode_into(&tensor, 16, IndexPolicy::None, &mut w)
+                .encode_into(&tensor, 16, IndexPolicy::None, &mut w, &mut Vec::new())
                 .unwrap();
             let frame = StreamFrame {
                 bit_len: w.bit_len(),
@@ -649,7 +436,7 @@ mod tests {
             for gs in [0usize, 257, 1 << 20] {
                 assert_eq!(
                     scheme
-                        .encode_into(&tensor, gs, IndexPolicy::None, &mut w)
+                        .encode_into(&tensor, gs, IndexPolicy::None, &mut w, &mut Vec::new())
                         .unwrap_err(),
                     CodecError::InvalidGroupSize,
                     "scheme {} gs {gs}",
@@ -667,9 +454,6 @@ mod tests {
         let d = fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, FixedType::U16);
         assert!(a != b && a != c && a != d && b != c);
         // The trait default is the shared recipe.
-        assert_eq!(
-            ShapeShifterContainer.fingerprint(16, FixedType::I16),
-            a
-        );
+        assert_eq!(ShapeShifterScheme::default().fingerprint(16, FixedType::I16), a);
     }
 }

@@ -13,13 +13,18 @@
 //! prices those variants without re-encoding.
 
 use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{FixedType, Signedness, Tensor};
+use ss_tensor::{Signedness, Tensor};
 
 use crate::detector::WidthDetector;
+use crate::registry::{checked_group_size, ContainerScheme, SchemeId, StreamFrame};
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::CodecError;
+use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
 
 /// Bit-plane (MSB-first) group container for multi-width serving.
+///
+/// Registered as wire id 3 ([`SchemeId::ADABITS`]); the wire methods take
+/// the group size from the call or frame, and the struct's own group size
+/// prices tensors (including the truncated serving variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdaBitsScheme {
     group_size: usize,
@@ -80,20 +85,57 @@ impl AdaBitsScheme {
         Ok(())
     }
 
-    /// Appends `tensor`'s bit-plane stream to an existing writer (not
-    /// cleared: the caller owns framing). Returns the bits appended.
-    ///
-    /// # Errors
-    ///
-    /// Propagates internal bit-packing failures (unreachable for valid
-    /// tensors).
-    pub fn encode_into(&self, tensor: &Tensor, w: &mut BitWriter) -> Result<u64, CodecError> {
+    /// Off-chip bits of the width-`target` serving variant: each group
+    /// keeps its prefix, sign plane, and only the first
+    /// `min(P, target)` (most-significant) planes. `target` 0 prices the
+    /// metadata-only skeleton; `target >= P` everywhere equals
+    /// [`CompressionScheme::compressed_bits`].
+    #[must_use]
+    pub fn truncated_bits(&self, tensor: &Tensor, target: u8) -> u64 {
+        let dtype = tensor.dtype();
+        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
+        let prefix_bits = u64::from(det.prefix_bits());
+        let sign_plane = match dtype.signedness() {
+            Signedness::Signed => 1u64,
+            Signedness::Unsigned => 0,
+        };
+        let mut bits = 0u64;
+        for group in tensor.values().chunks(self.group_size) {
+            let p = Self::magnitude_width(group);
+            let kept = u64::from(p.min(target));
+            bits += prefix_bits + (sign_plane + kept) * group.len() as u64;
+        }
+        bits
+    }
+}
+
+impl Default for AdaBitsScheme {
+    /// The paper's group size of 16.
+    fn default() -> Self {
+        Self::new(16)
+    }
+}
+
+impl ContainerScheme for AdaBitsScheme {
+    fn wire_id(&self) -> SchemeId {
+        SchemeId::ADABITS
+    }
+
+    fn encode_into(
+        &self,
+        tensor: &Tensor,
+        group_size: usize,
+        _policy: IndexPolicy,
+        w: &mut BitWriter,
+        _entries: &mut Vec<ChunkEntry>,
+    ) -> Result<Option<ChunkIndex>, CodecError> {
+        checked_group_size(group_size)?;
+        w.clear();
         let dtype = tensor.dtype();
         let det = WidthDetector::new(dtype.bits(), dtype.signedness());
         let prefix_bits = u32::from(det.prefix_bits());
         let signed = matches!(dtype.signedness(), Signedness::Signed);
-        let start = w.bit_len();
-        for group in tensor.groups(self.group_size)? {
+        for group in tensor.groups(group_size)? {
             let p = Self::magnitude_width(group);
             w.write_bits(u64::from(p - 1), prefix_bits)?;
             if signed {
@@ -105,11 +147,10 @@ impl AdaBitsScheme {
                 Self::write_plane(w, group, |v| v.unsigned_abs() >> k & 1 == 1)?;
             }
         }
-        Ok(w.bit_len() - start)
+        Ok(None)
     }
 
-    /// Decodes a bit-plane stream into a caller-owned buffer (cleared
-    /// first). Lossless inverse of [`AdaBitsScheme::encode_into`].
+    /// Lossless inverse of the encoder.
     ///
     /// # Errors
     ///
@@ -118,14 +159,21 @@ impl AdaBitsScheme {
     ///   planes than the container has magnitude bits.
     /// * [`CodecError::CorruptValue`] if a decoded value leaves the
     ///   container.
-    pub fn decode_into(
+    fn decode_into(
         &self,
         bytes: &[u8],
-        bit_len: u64,
-        dtype: FixedType,
-        len: usize,
+        frame: &StreamFrame,
+        _index: Option<&ChunkIndex>,
+        _threads: usize,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
+        checked_group_size(frame.group_size)?;
+        let StreamFrame {
+            bit_len,
+            dtype,
+            len,
+            group_size,
+        } = *frame;
         out.clear();
         let det = WidthDetector::new(dtype.bits(), dtype.signedness());
         let prefix_bits = u32::from(det.prefix_bits());
@@ -144,7 +192,7 @@ impl AdaBitsScheme {
         let mut mags = [0u32; MAX_GROUP];
         let mut negs = [false; MAX_GROUP];
         while out.len() < len {
-            let group_len = (len - out.len()).min(self.group_size);
+            let group_len = (len - out.len()).min(group_size);
             // ss-lint: allow(truncating-cast) -- prefix fields are at most 5 bits wide
             let p = r.read_bits(prefix_bits)? as u8 + 1;
             if p > dtype.bits() {
@@ -201,36 +249,6 @@ impl AdaBitsScheme {
         }
         Ok(())
     }
-
-    /// Off-chip bits of the width-`target` serving variant: each group
-    /// keeps its prefix, sign plane, and only the first
-    /// `min(P, target)` (most-significant) planes. `target` 0 prices the
-    /// metadata-only skeleton; `target >= P` everywhere equals
-    /// [`CompressionScheme::compressed_bits`].
-    #[must_use]
-    pub fn truncated_bits(&self, tensor: &Tensor, target: u8) -> u64 {
-        let dtype = tensor.dtype();
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let prefix_bits = u64::from(det.prefix_bits());
-        let sign_plane = match dtype.signedness() {
-            Signedness::Signed => 1u64,
-            Signedness::Unsigned => 0,
-        };
-        let mut bits = 0u64;
-        for group in tensor.values().chunks(self.group_size) {
-            let p = Self::magnitude_width(group);
-            let kept = u64::from(p.min(target));
-            bits += prefix_bits + (sign_plane + kept) * group.len() as u64;
-        }
-        bits
-    }
-}
-
-impl Default for AdaBitsScheme {
-    /// The paper's group size of 16.
-    fn default() -> Self {
-        Self::new(16)
-    }
 }
 
 impl CompressionScheme for AdaBitsScheme {
@@ -246,7 +264,8 @@ impl CompressionScheme for AdaBitsScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_tensor::Shape;
+    use crate::scheme::wire;
+    use ss_tensor::{FixedType, Shape};
 
     fn t(dtype: FixedType, vals: Vec<i32>) -> Tensor {
         Tensor::from_vec(Shape::flat(vals.len()), dtype, vals).unwrap()
@@ -270,11 +289,8 @@ mod tests {
     }
 
     fn roundtrip(d: &AdaBitsScheme, tensor: &Tensor) {
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(tensor, &mut w).unwrap();
-        let mut back = Vec::new();
-        d.decode_into(w.as_bytes(), bits, tensor.dtype(), tensor.len(), &mut back)
-            .unwrap();
+        let (bytes, bits) = wire::encode(d, tensor, d.group_size());
+        let back = wire::decode(d, &bytes, bits, tensor, d.group_size()).unwrap();
         assert_eq!(back, tensor.values());
     }
 
@@ -295,8 +311,7 @@ mod tests {
     fn accounting_matches_encoding() {
         let tensor = t(FixedType::I16, mixed(333, 5));
         let d = AdaBitsScheme::default();
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(&tensor, &mut w).unwrap();
+        let (_, bits) = wire::encode(&d, &tensor, d.group_size());
         assert_eq!(bits, d.compressed_bits(&tensor, &SchemeCtx::unprofiled()));
     }
 
@@ -334,11 +349,7 @@ mod tests {
     fn truncated_stream_errors() {
         let tensor = t(FixedType::I16, mixed(64, 1));
         let d = AdaBitsScheme::default();
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(&tensor, &mut w).unwrap();
-        let mut back = Vec::new();
-        assert!(d
-            .decode_into(w.as_bytes(), bits / 3, tensor.dtype(), tensor.len(), &mut back)
-            .is_err());
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        assert!(wire::decode(&d, &bytes, bits / 3, &tensor, d.group_size()).is_err());
     }
 }

@@ -14,8 +14,9 @@
 use ss_bitio::{BitReader, BitWriter};
 use ss_tensor::{width, Tensor};
 
+use crate::registry::{checked_group_size, ContainerScheme, SchemeId, StreamFrame};
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::CodecError;
+use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
 
 /// Delta-ShapeShifter compression.
 ///
@@ -25,6 +26,10 @@ use crate::CodecError;
 /// pays off when values actually correlate — on uncorrelated data it is
 /// slightly *worse* than [`crate::scheme::ShapeShifterScheme`], exactly
 /// the trade Diffy makes by specializing for imaging workloads.
+///
+/// Registered as wire id 1 ([`SchemeId::DELTA`]); the wire methods take
+/// the group size from the call or frame, and the struct's own group size
+/// prices tensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeltaShapeShifter {
     group_size: usize,
@@ -56,20 +61,14 @@ impl DeltaShapeShifter {
         u32::from(8 - (container_bits).leading_zeros() as u8)
     }
 
-    /// The per-group deltas for positions `1..`: `v[i] - v[i-1]`. The
-    /// absolute first value is stored separately at container width so
-    /// its magnitude does not inflate the shared delta width `P`.
-    fn deltas(group: &[i32]) -> Vec<i32> {
-        group.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
-    /// Fused accounting scan of one group's deltas: the OR-fold of their
-    /// sign-magnitude encodings (whose leading 1 gives the shared delta
-    /// width, exactly as the Figure 5c detector would) and the non-zero
-    /// delta count, in one pass with no materialized delta buffer —
-    /// [`DeltaShapeShifter::compressed_bits`] runs this over
-    /// multi-million-value layers. Zero deltas encode to 0 and so never
-    /// assert the sign wire, matching the encoder's Z elision.
+    /// Fused scan of one group's deltas `v[i] - v[i-1]`: the OR-fold of
+    /// their sign-magnitude encodings (whose leading 1 gives the shared
+    /// delta width, exactly as the Figure 5c detector would) and the
+    /// non-zero delta count, in one pass with no materialized delta
+    /// buffer. The absolute first value is stored separately at container
+    /// width so its magnitude does not inflate the shared width `P`. Zero
+    /// deltas encode to 0 and so never assert the sign wire, matching the
+    /// encoder's Z elision.
     fn delta_scan(group: &[i32]) -> (u8, u64) {
         let mut or = 0u32;
         let mut nonzero = 0u64;
@@ -83,99 +82,80 @@ impl DeltaShapeShifter {
         // ss-lint: allow(truncating-cast) -- 32 - leading_zeros of a u32 is in 0..=32
         ((32 - or.leading_zeros()) as u8, nonzero)
     }
+}
 
-    /// Encodes a tensor into a delta stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates internal bit-packing failures (unreachable for valid
-    /// tensors).
-    pub fn encode(&self, tensor: &Tensor) -> Result<(Vec<u8>, u64), CodecError> {
-        let mut w = BitWriter::new();
-        self.encode_into(tensor, &mut w)?;
-        Ok((w.as_bytes().to_vec(), w.bit_len()))
+impl Default for DeltaShapeShifter {
+    /// The paper's group size of 16.
+    fn default() -> Self {
+        Self::new(16)
+    }
+}
+
+impl ContainerScheme for DeltaShapeShifter {
+    fn wire_id(&self) -> SchemeId {
+        SchemeId::DELTA
     }
 
-    /// Appends `tensor`'s delta stream to an existing writer — the
-    /// registry/session path, bit-identical to
-    /// [`DeltaShapeShifter::encode`] (which is a thin wrapper over it).
-    ///
-    /// The writer is *not* cleared: the caller owns framing. Returns the
-    /// bits this call appended.
-    ///
-    /// # Errors
-    ///
-    /// Propagates internal bit-packing failures (unreachable for valid
-    /// tensors).
-    pub fn encode_into(&self, tensor: &Tensor, w: &mut BitWriter) -> Result<u64, CodecError> {
+    /// Per group: the Z vector (bit 0 marks a zero first value, bit `i`
+    /// a zero delta, i.e. a repeated value), the first value at container
+    /// width plus a sign bit when non-zero, the delta width prefix, then
+    /// the non-zero deltas in sign-magnitude. No chunk index.
+    fn encode_into(
+        &self,
+        tensor: &Tensor,
+        group_size: usize,
+        _policy: IndexPolicy,
+        w: &mut BitWriter,
+        _entries: &mut Vec<ChunkEntry>,
+    ) -> Result<Option<ChunkIndex>, CodecError> {
+        checked_group_size(group_size)?;
+        w.clear();
         let prefix_bits = Self::prefix_bits(tensor.dtype().bits());
         let container = u32::from(tensor.dtype().bits()) + 1; // sign-magnitude slot
-        let start = w.bit_len();
-        for group in tensor.groups(self.group_size)? {
-            let deltas = Self::deltas(group);
-            // Z: position 0 marks a zero first value, positions 1.. mark
-            // zero deltas (repeated values).
-            let mut zeros: Vec<bool> = Vec::with_capacity(group.len());
-            zeros.push(group[0] == 0);
-            zeros.extend(deltas.iter().map(|&d| d == 0));
-            for chunk in zeros.chunks(64) {
+        for group in tensor.groups(group_size)? {
+            let mut prev = None;
+            for chunk in group.chunks(64) {
                 let mut z = 0u64;
-                for (i, &is_zero) in chunk.iter().enumerate() {
-                    if is_zero {
+                for (i, &v) in chunk.iter().enumerate() {
+                    if prev.map_or(v == 0, |p| v == p) {
                         z |= 1 << i;
                     }
+                    prev = Some(v);
                 }
                 w.write_bits(z, chunk.len() as u32)?;
             }
-            // Absolute first value, full container width (if non-zero).
-            if group[0] != 0 {
-                w.write_bits(u64::from(width::to_sign_magnitude(group[0])), container)?;
+            if let Some(&first) = group.first().filter(|&&v| v != 0) {
+                w.write_bits(u64::from(width::to_sign_magnitude(first)), container)?;
             }
             // Deltas are always signed regardless of the source container.
-            let p = width::group_width(&deltas, ss_tensor::Signedness::Signed);
+            let (p, _) = Self::delta_scan(group);
             w.write_bits(u64::from(p.max(1) - 1), prefix_bits)?;
-            for &d in deltas.iter().filter(|&&d| d != 0) {
-                w.write_bits(u64::from(width::to_sign_magnitude(d)), u32::from(p))?;
+            for pair in group.windows(2) {
+                if let [a, b] = *pair {
+                    if b != a {
+                        w.write_bits(u64::from(width::to_sign_magnitude(b - a)), u32::from(p))?;
+                    }
+                }
             }
         }
-        Ok(w.bit_len() - start)
+        Ok(None)
     }
 
-    /// Decodes a delta stream produced by [`DeltaShapeShifter::encode`].
-    ///
-    /// # Errors
-    ///
-    /// * [`CodecError::Stream`] on truncation.
-    /// * [`CodecError::CorruptValue`] if a reconstructed value leaves the
-    ///   container.
-    pub fn decode(
+    fn decode_into(
         &self,
         bytes: &[u8],
-        bit_len: u64,
-        dtype: ss_tensor::FixedType,
-        len: usize,
-    ) -> Result<Vec<i32>, CodecError> {
-        let mut out: Vec<i32> = Vec::new();
-        self.decode_into(bytes, bit_len, dtype, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decodes a delta stream into a caller-owned buffer (cleared first) —
-    /// the body behind [`DeltaShapeShifter::decode`] and the
-    /// registry/session path, so scratch reuse and the one-shot API decode
-    /// identically by construction.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DeltaShapeShifter::decode`].
-    pub fn decode_into(
-        &self,
-        bytes: &[u8],
-        bit_len: u64,
-        dtype: ss_tensor::FixedType,
-        len: usize,
+        frame: &StreamFrame,
+        _index: Option<&ChunkIndex>,
+        _threads: usize,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
+        checked_group_size(frame.group_size)?;
+        let StreamFrame {
+            bit_len,
+            dtype,
+            len,
+            group_size,
+        } = *frame;
         out.clear();
         let prefix_bits = Self::prefix_bits(dtype.bits());
         let container = u32::from(dtype.bits()) + 1;
@@ -189,19 +169,16 @@ impl DeltaShapeShifter {
         }
         let mut r = BitReader::with_bit_len(bytes, bit_len);
         out.reserve(len);
+        // Z vector as packed 64-bit words (group_size <= 256 -> 4 words).
+        let mut zwords = [0u64; 4];
         while out.len() < len {
-            let group_len = (len - out.len()).min(self.group_size);
-            let mut zbits: Vec<bool> = Vec::with_capacity(group_len);
-            let mut remaining = group_len;
-            while remaining > 0 {
-                let take = remaining.min(64);
-                let z = r.read_bits(take as u32)?;
-                for i in 0..take {
-                    zbits.push(z >> i & 1 == 1);
-                }
-                remaining -= take;
+            let group_len = (len - out.len()).min(group_size);
+            for (word, start) in zwords.iter_mut().zip((0..group_len).step_by(64)) {
+                let take = (group_len - start).min(64);
+                *word = r.read_bits(take as u32)?;
             }
-            let first = if zbits[0] {
+            let [z0, ..] = zwords;
+            let first = if z0 & 1 == 1 {
                 0
             } else {
                 let raw = r.read_bits(container)?;
@@ -209,33 +186,32 @@ impl DeltaShapeShifter {
             };
             let p = r.read_bits(prefix_bits)? as u8 + 1;
             let mut prev = first;
-            for (i, &is_zero) in zbits.iter().enumerate() {
-                let v = if i == 0 {
-                    first
-                } else if is_zero {
-                    prev
-                } else {
-                    let raw = r.read_bits(u32::from(p))?;
-                    prev + width::from_sign_magnitude(raw as u32)
-                };
-                if !dtype.contains(v) {
-                    return Err(CodecError::CorruptValue {
-                        index: out.len(),
-                        value: v,
-                    });
+            for (word_idx, word) in zwords.iter().enumerate() {
+                let start = word_idx * 64;
+                if start >= group_len {
+                    break;
                 }
-                out.push(v);
-                prev = v;
+                for bit in 0..(group_len - start).min(64) {
+                    let v = if start + bit == 0 {
+                        first
+                    } else if word >> bit & 1 == 1 {
+                        prev
+                    } else {
+                        let raw = r.read_bits(u32::from(p))?;
+                        prev + width::from_sign_magnitude(raw as u32)
+                    };
+                    if !dtype.contains(v) {
+                        return Err(CodecError::CorruptValue {
+                            index: out.len(),
+                            value: v,
+                        });
+                    }
+                    out.push(v);
+                    prev = v;
+                }
             }
         }
         Ok(())
-    }
-}
-
-impl Default for DeltaShapeShifter {
-    /// The paper's group size of 16.
-    fn default() -> Self {
-        Self::new(16)
     }
 }
 
@@ -250,7 +226,8 @@ impl CompressionScheme for DeltaShapeShifter {
         let mut bits = 0u64;
         for group in tensor.values().chunks(self.group_size) {
             let (p, nonzero) = Self::delta_scan(group);
-            let first = if group[0] != 0 { container } else { 0 };
+            // The first value travels at container width unless it is zero.
+            let first = u64::from(group.first().is_some_and(|&v| v != 0)) * container;
             bits += group.len() as u64
                 + first
                 + prefix_bits
@@ -263,7 +240,7 @@ impl CompressionScheme for DeltaShapeShifter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::ShapeShifterScheme;
+    use crate::scheme::{wire, ShapeShifterScheme};
     use ss_tensor::{FixedType, Shape};
 
     fn t(dtype: FixedType, vals: Vec<i32>) -> Tensor {
@@ -289,8 +266,8 @@ mod tests {
     fn roundtrip_on_correlated_data() {
         let tensor = t(FixedType::U16, correlated(500));
         let d = DeltaShapeShifter::default();
-        let (bytes, bits) = d.encode(&tensor).unwrap();
-        let back = d.decode(&bytes, bits, tensor.dtype(), tensor.len()).unwrap();
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        let back = wire::decode(&d, &bytes, bits, &tensor, d.group_size()).unwrap();
         assert_eq!(back, tensor.values());
     }
 
@@ -299,8 +276,8 @@ mod tests {
         let vals = vec![-100, -98, -97, 0, 5, 4, 4, 4, 300, 301, -32767, -32760];
         let tensor = t(FixedType::I16, vals);
         let d = DeltaShapeShifter::new(4);
-        let (bytes, bits) = d.encode(&tensor).unwrap();
-        let back = d.decode(&bytes, bits, tensor.dtype(), tensor.len()).unwrap();
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        let back = wire::decode(&d, &bytes, bits, &tensor, d.group_size()).unwrap();
         assert_eq!(back, tensor.values());
     }
 
@@ -308,7 +285,7 @@ mod tests {
     fn accounting_matches_encoding() {
         let tensor = t(FixedType::U16, correlated(333));
         let d = DeltaShapeShifter::default();
-        let (_, bits) = d.encode(&tensor).unwrap();
+        let (_, bits) = wire::encode(&d, &tensor, d.group_size());
         assert_eq!(bits, d.compressed_bits(&tensor, &SchemeCtx::unprofiled()));
     }
 
@@ -344,8 +321,8 @@ mod tests {
     fn truncated_stream_errors() {
         let tensor = t(FixedType::U16, correlated(64));
         let d = DeltaShapeShifter::default();
-        let (bytes, bits) = d.encode(&tensor).unwrap();
-        let err = d.decode(&bytes, bits / 2, tensor.dtype(), tensor.len());
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        let err = wire::decode(&d, &bytes, bits / 2, &tensor, d.group_size());
         assert!(err.is_err());
     }
 

@@ -12,14 +12,19 @@
 //! are dense after quantization) as well as activations.
 
 use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{width, FixedType, Signedness, Tensor, TensorStats};
+use ss_tensor::{width, Signedness, Tensor, TensorStats};
 
 use crate::detector::WidthDetector;
+use crate::registry::{checked_group_size, ContainerScheme, SchemeId, StreamFrame};
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::CodecError;
+use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
 
 /// DPRed per-group precision storage: `(P, payload)` per group, every
 /// value present at the group width.
+///
+/// Registered as wire id 2 ([`SchemeId::DPRED`]); the wire methods take
+/// the group size from the call or frame, and the struct's own group size
+/// prices tensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DpRed {
     group_size: usize,
@@ -45,21 +50,35 @@ impl DpRed {
     pub fn group_size(&self) -> usize {
         self.group_size
     }
+}
 
-    /// Appends `tensor`'s DPRed stream to an existing writer (not
-    /// cleared: the caller owns framing). Returns the bits appended.
-    ///
-    /// # Errors
-    ///
-    /// Propagates internal bit-packing failures (unreachable for valid
-    /// tensors).
-    pub fn encode_into(&self, tensor: &Tensor, w: &mut BitWriter) -> Result<u64, CodecError> {
+impl Default for DpRed {
+    /// The paper's group size of 16.
+    fn default() -> Self {
+        Self::new(16)
+    }
+}
+
+impl ContainerScheme for DpRed {
+    fn wire_id(&self) -> SchemeId {
+        SchemeId::DPRED
+    }
+
+    fn encode_into(
+        &self,
+        tensor: &Tensor,
+        group_size: usize,
+        _policy: IndexPolicy,
+        w: &mut BitWriter,
+        _entries: &mut Vec<ChunkEntry>,
+    ) -> Result<Option<ChunkIndex>, CodecError> {
+        checked_group_size(group_size)?;
+        w.clear();
         let dtype = tensor.dtype();
         let det = WidthDetector::new(dtype.bits(), dtype.signedness());
         let prefix_bits = u32::from(det.prefix_bits());
         let signed = matches!(dtype.signedness(), Signedness::Signed);
-        let start = w.bit_len();
-        for group in tensor.groups(self.group_size)? {
+        for group in tensor.groups(group_size)? {
             let p = det.detect(group).max(1);
             w.write_bits(u64::from(p - 1), prefix_bits)?;
             for &v in group {
@@ -71,10 +90,10 @@ impl DpRed {
                 w.write_bits(u64::from(enc), u32::from(p))?;
             }
         }
-        Ok(w.bit_len() - start)
+        Ok(None)
     }
 
-    /// Decodes a DPRed stream into a caller-owned buffer (cleared first).
+    /// Lossless inverse of the encoder.
     ///
     /// # Errors
     ///
@@ -83,14 +102,21 @@ impl DpRed {
     ///   beyond the container.
     /// * [`CodecError::CorruptValue`] if a decoded value leaves the
     ///   container.
-    pub fn decode_into(
+    fn decode_into(
         &self,
         bytes: &[u8],
-        bit_len: u64,
-        dtype: FixedType,
-        len: usize,
+        frame: &StreamFrame,
+        _index: Option<&ChunkIndex>,
+        _threads: usize,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
+        checked_group_size(frame.group_size)?;
+        let StreamFrame {
+            bit_len,
+            dtype,
+            len,
+            group_size,
+        } = *frame;
         out.clear();
         let det = WidthDetector::new(dtype.bits(), dtype.signedness());
         let prefix_bits = u32::from(det.prefix_bits());
@@ -107,7 +133,7 @@ impl DpRed {
         out.reserve(len);
         let mut group_idx = 0usize;
         while out.len() < len {
-            let group_len = (len - out.len()).min(self.group_size);
+            let group_len = (len - out.len()).min(group_size);
             // ss-lint: allow(truncating-cast) -- prefix fields are at most 5 bits wide
             let p = r.read_bits(prefix_bits)? as u8 + 1;
             // The group width is bounded by the sign-magnitude container
@@ -139,13 +165,6 @@ impl DpRed {
             group_idx += 1;
         }
         Ok(())
-    }
-}
-
-impl Default for DpRed {
-    /// The paper's group size of 16.
-    fn default() -> Self {
-        Self::new(16)
     }
 }
 
@@ -190,7 +209,7 @@ impl CompressionScheme for DpRed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::ShapeShifterScheme;
+    use crate::scheme::{wire, ShapeShifterScheme};
     use ss_tensor::{FixedType, Shape};
 
     fn t(dtype: FixedType, vals: Vec<i32>) -> Tensor {
@@ -218,11 +237,8 @@ mod tests {
     fn roundtrip_signed() {
         let tensor = t(FixedType::I16, mixed(500, 7));
         let d = DpRed::default();
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(&tensor, &mut w).unwrap();
-        let mut back = Vec::new();
-        d.decode_into(w.as_bytes(), bits, tensor.dtype(), tensor.len(), &mut back)
-            .unwrap();
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        let back = wire::decode(&d, &bytes, bits, &tensor, d.group_size()).unwrap();
         assert_eq!(back, tensor.values());
     }
 
@@ -231,11 +247,8 @@ mod tests {
         let vals: Vec<i32> = (0..37).map(|i| (i * 97) % 256).collect();
         let tensor = t(FixedType::U8, vals);
         let d = DpRed::new(16);
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(&tensor, &mut w).unwrap();
-        let mut back = Vec::new();
-        d.decode_into(w.as_bytes(), bits, tensor.dtype(), tensor.len(), &mut back)
-            .unwrap();
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        let back = wire::decode(&d, &bytes, bits, &tensor, d.group_size()).unwrap();
         assert_eq!(back, tensor.values());
     }
 
@@ -243,8 +256,7 @@ mod tests {
     fn accounting_matches_encoding() {
         let tensor = t(FixedType::I16, mixed(333, 3));
         let d = DpRed::default();
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(&tensor, &mut w).unwrap();
+        let (_, bits) = wire::encode(&d, &tensor, d.group_size());
         assert_eq!(bits, d.compressed_bits(&tensor, &SchemeCtx::unprofiled()));
     }
 
@@ -287,11 +299,7 @@ mod tests {
     fn truncated_stream_errors() {
         let tensor = t(FixedType::I16, mixed(64, 5));
         let d = DpRed::default();
-        let mut w = BitWriter::new();
-        let bits = d.encode_into(&tensor, &mut w).unwrap();
-        let mut back = Vec::new();
-        assert!(d
-            .decode_into(w.as_bytes(), bits / 2, tensor.dtype(), tensor.len(), &mut back)
-            .is_err());
+        let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
+        assert!(wire::decode(&d, &bytes, bits / 2, &tensor, d.group_size()).is_err());
     }
 }

@@ -16,6 +16,13 @@
 //! * [`AdaBitsScheme`] — AdaBits MSB-first bit-plane storage
 //!   (arXiv:1912.09666) whose width-`w` serving variants are stream
 //!   prefixes.
+//!
+//! The four schemes with a wire format — ShapeShifter, Delta, DPRed and
+//! AdaBits — are one family of per-group precision containers that differ
+//! only in per-group metadata, and each is one struct: it prices tensors
+//! through [`CompressionScheme`] and also implements
+//! [`crate::ContainerScheme`], the registry's wire trait. Base, Profile,
+//! ZeroRle and the outlier-aware formats are priced only.
 
 mod adabits;
 mod delta;
@@ -111,6 +118,48 @@ impl CompressionScheme for Base {
 
     fn compressed_bits_from_stats(&self, stats: &TensorStats, _ctx: &SchemeCtx) -> Option<u64> {
         Some(stats.container_bits())
+    }
+}
+
+/// Test helpers that drive a scheme's wire methods directly.
+#[cfg(test)]
+pub(crate) mod wire {
+    use ss_bitio::BitWriter;
+    use ss_tensor::Tensor;
+
+    use crate::{CodecError, ContainerScheme, IndexPolicy, StreamFrame};
+
+    /// Encodes `tensor` at `group_size`, returning the stream and its
+    /// bit length.
+    pub(crate) fn encode(
+        scheme: &dyn ContainerScheme,
+        tensor: &Tensor,
+        group_size: usize,
+    ) -> (Vec<u8>, u64) {
+        let mut w = BitWriter::new();
+        scheme
+            .encode_into(tensor, group_size, IndexPolicy::None, &mut w, &mut Vec::new())
+            .unwrap();
+        (w.as_bytes().to_vec(), w.bit_len())
+    }
+
+    /// Decodes `bit_len` bits of `bytes` framed like `tensor`.
+    pub(crate) fn decode(
+        scheme: &dyn ContainerScheme,
+        bytes: &[u8],
+        bit_len: u64,
+        tensor: &Tensor,
+        group_size: usize,
+    ) -> Result<Vec<i32>, CodecError> {
+        let frame = StreamFrame {
+            bit_len,
+            dtype: tensor.dtype(),
+            len: tensor.len(),
+            group_size,
+        };
+        let mut out = Vec::new();
+        scheme.decode_into(bytes, &frame, None, 1, &mut out)?;
+        Ok(out)
     }
 }
 

@@ -1,10 +1,15 @@
 //! ShapeShifter as an off-chip compression scheme (the paper's first
 //! hardware technique, §3).
 
+use ss_bitio::BitWriter;
 use ss_tensor::{Tensor, TensorStats};
 
+use crate::registry::{ContainerScheme, SchemeId, StreamFrame};
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::{ShapeShifterCodec, WidthDetector};
+use crate::{
+    ChunkEntry, ChunkIndex, CodecConfig, CodecError, ExecPolicy, IndexPolicy, ShapeShifterCodec,
+    WidthDetector,
+};
 
 /// The ShapeShifter memory container as a traffic scheme: per-group
 /// dynamic width with zero elision, reported with exact bit accounting
@@ -23,6 +28,12 @@ use crate::{ShapeShifterCodec, WidthDetector};
 /// traffic"): when a whole array's groups resist compression — e.g. the
 /// TF-quantized models whose zero-point pins every stored value near the
 /// container middle — the array ships raw and pays only the flag.
+///
+/// The same struct is the registry's wire id 0 ([`SchemeId::SHAPESHIFTER`]):
+/// its [`ContainerScheme`] methods write and read the bare `(Z, P,
+/// payload)` stream at the group size of the call or frame, with full
+/// chunk-index participation. The flag and the raw-bypass cap are pricing
+/// only — the wire stream carries neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShapeShifterScheme {
     codec: ShapeShifterCodec,
@@ -55,6 +66,66 @@ impl Default for ShapeShifterScheme {
     /// The paper's default group size of 16.
     fn default() -> Self {
         Self::new(16)
+    }
+}
+
+/// A sequential codec at a wire call's group size and index policy.
+fn wire_codec(group_size: usize, policy: IndexPolicy) -> Result<ShapeShifterCodec, CodecError> {
+    ShapeShifterCodec::from_config(
+        CodecConfig::new()
+            .with_group_size(group_size)
+            .with_index_policy(policy)
+            .with_exec(ExecPolicy::Sequential),
+    )
+}
+
+impl ContainerScheme for ShapeShifterScheme {
+    fn wire_id(&self) -> SchemeId {
+        SchemeId::SHAPESHIFTER
+    }
+
+    /// Byte-identical to [`ShapeShifterCodec::encode`] under the same
+    /// group size and policy: both cut index chunks at the same
+    /// policy-determined boundaries.
+    fn encode_into(
+        &self,
+        tensor: &Tensor,
+        group_size: usize,
+        policy: IndexPolicy,
+        w: &mut BitWriter,
+        entries: &mut Vec<ChunkEntry>,
+    ) -> Result<Option<ChunkIndex>, CodecError> {
+        let (_, index) = wire_codec(group_size, policy)?.encode_framed(tensor, w, entries)?;
+        Ok(index)
+    }
+
+    fn decode_into(
+        &self,
+        stream: &[u8],
+        frame: &StreamFrame,
+        index: Option<&ChunkIndex>,
+        threads: usize,
+        out: &mut Vec<i32>,
+    ) -> Result<(), CodecError> {
+        let codec = wire_codec(frame.group_size, IndexPolicy::None)?;
+        match index {
+            Some(idx) => {
+                *out = codec.decode_stream_indexed(
+                    stream,
+                    frame.bit_len,
+                    frame.dtype,
+                    frame.len,
+                    idx,
+                    threads,
+                )?;
+                Ok(())
+            }
+            None => codec.decode_stream_into(stream, frame.bit_len, frame.dtype, frame.len, out),
+        }
+    }
+
+    fn supports_index(&self) -> bool {
+        true
     }
 }
 

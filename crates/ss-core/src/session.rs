@@ -16,14 +16,20 @@
 //! the calling thread (the natural fit for `ss-pipeline`, which runs one
 //! session per worker), and its output is **bit-identical** to the
 //! one-shot API under every [`crate::ExecPolicy`] — both call into the
-//! same group loop ([`ShapeShifterCodec::encode_groups_into`] /
-//! `decode_stream_into`) and cut index chunks at the same
-//! policy-determined boundaries, so identity holds by construction and is
-//! re-checked by the property suite in `tests/session_reuse.rs` and the
-//! golden-vector corpus. That shared group loop is the word-parallel
+//! same group loop and cut index chunks at the same policy-determined
+//! boundaries, so identity holds by construction and is re-checked by
+//! the property suite in `tests/session_reuse.rs` and the golden-vector
+//! corpus. That shared group loop is the word-parallel
 //! [`crate::kernels`] path — fused zero-bitmap/width scans on encode,
 //! bulk field extraction on decode — so sessions get the kernel speedups
 //! without any session-specific code.
+//!
+//! ShapeShifter encodes take one sequential framing path
+//! (`ShapeShifterCodec::encode_framed`) whether they arrive through
+//! [`CodecSession::encode_into`] or through the registry scheme behind
+//! [`CodecSession::encode_with_scheme`], and every decode — the
+//! [`EncodedTensor`] one included — runs through
+//! [`CodecSession::decode_scheme_stream_into`].
 
 use ss_bitio::BitWriter;
 use ss_tensor::{FixedType, Tensor};
@@ -31,7 +37,8 @@ use ss_tensor::{FixedType, Tensor};
 use crate::codec::{EncodedTensor, IndexPolicy, ShapeShifterCodec};
 use crate::index::{ChunkEntry, ChunkIndex};
 use crate::registry::{ContainerScheme, SchemeId, StreamFrame};
-use crate::{checked, CodecConfig, CodecError, ExecPolicy};
+use crate::scheme::ShapeShifterScheme;
+use crate::{CodecConfig, CodecError};
 
 /// A scheme-encoded stream plus its framing — the registry-era analogue
 /// of [`EncodedTensor`], produced by [`CodecSession::encode_with_scheme`]
@@ -168,79 +175,33 @@ impl CodecSession {
         tensor: &Tensor,
         out: &mut EncodedTensor,
     ) -> Result<(), CodecError> {
-        let values = tensor.values();
-        let dtype = tensor.dtype();
-        self.w.clear();
-        // Reclaim the output container's previous index entries as this
-        // call's build buffer (keep whichever buffer is larger).
-        if let Some(prev) = out.index.take() {
+        self.reclaim_entries(out.index.take());
+        let (report, index) = self
+            .codec
+            .encode_framed(tensor, &mut self.w, &mut self.entries)?;
+        out.bytes.clear();
+        out.bytes.extend_from_slice(self.w.as_bytes());
+        out.bit_len = self.w.bit_len();
+        out.len = tensor.len();
+        out.dtype = tensor.dtype();
+        out.group_size = self.codec.group_size();
+        out.groups = report.groups;
+        out.metadata_bits = report.metadata_bits;
+        out.payload_bits = report.payload_bits;
+        out.index = index;
+        Ok(())
+    }
+
+    /// Keeps the entry storage of an output's previous chunk index as the
+    /// next encode's index buffer (whichever of the two is larger), so
+    /// indexed encodes stop allocating once both have grown.
+    fn reclaim_entries(&mut self, prev: Option<ChunkIndex>) {
+        if let Some(prev) = prev {
             let prev = prev.into_entries();
             if prev.capacity() > self.entries.capacity() {
                 self.entries = prev;
             }
         }
-        self.entries.clear();
-
-        let (groups, metadata_bits, payload_bits, index) =
-            match self.codec.index_chunk_groups(values.len()) {
-                Some(chunk_groups) => {
-                    // Same chunk boundaries as the one-shot indexed encode:
-                    // the index is a pure function of (config, len), never
-                    // of the session or its history.
-                    let chunk_values = chunk_groups * self.codec.group_size();
-                    let mut entries = std::mem::take(&mut self.entries);
-                    let mut groups = 0usize;
-                    let mut metadata_bits = 0u64;
-                    let mut payload_bits = 0u64;
-                    for chunk in values.chunks(chunk_values) {
-                        entries.push(ChunkEntry {
-                            bit_offset: self.w.bit_len(),
-                            values: chunk.len() as u64,
-                        });
-                        let (g, m, p) = self.codec.encode_groups_into(chunk, dtype, &mut self.w)?;
-                        groups += g;
-                        metadata_bits += m;
-                        payload_bits += p;
-                    }
-                    // `index_chunk_groups` rejects chunk sizes beyond u32,
-                    // so the cast is lossless.
-                    // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
-                    let index = ChunkIndex::from_parts(chunk_groups as u32, entries)?;
-                    checked::index_bookkeeping(
-                        &index,
-                        self.codec.group_size(),
-                        self.w.bit_len(),
-                        values.len(),
-                    );
-                    (groups, metadata_bits, payload_bits, Some(index))
-                }
-                None => {
-                    let (g, m, p) = self.codec.encode_groups_into(values, dtype, &mut self.w)?;
-                    (g, m, p, None)
-                }
-            };
-
-        let rec = ss_trace::global();
-        if rec.enabled() {
-            rec.add(ss_trace::Counter::EncodeCalls, 1);
-            rec.add(ss_trace::Counter::EncodeValues, tensor.len() as u64);
-            rec.add(ss_trace::Counter::EncodeBits, self.w.bit_len());
-            rec.add(ss_trace::Counter::EncodeMetadataBits, metadata_bits);
-            rec.add(ss_trace::Counter::EncodePayloadBits, payload_bits);
-            rec.add(ss_trace::Counter::EncodeGroups, groups as u64);
-        }
-
-        out.bytes.clear();
-        out.bytes.extend_from_slice(self.w.as_bytes());
-        out.bit_len = self.w.bit_len();
-        out.len = tensor.len();
-        out.dtype = dtype;
-        out.group_size = self.codec.group_size();
-        out.groups = groups;
-        out.metadata_bits = metadata_bits;
-        out.payload_bits = payload_bits;
-        out.index = index;
-        Ok(())
     }
 
     /// Decodes a container into an existing tensor, reusing the session's
@@ -262,62 +223,24 @@ impl CodecSession {
     ) -> Result<(), CodecError> {
         // Decode under the *container's* group size (which may differ from
         // the session's), exactly as the one-shot decode does.
-        self.decode_stream_into(
-            &encoded.bytes,
-            encoded.bit_len,
-            encoded.dtype,
-            encoded.len,
-            encoded.group_size,
-            out,
-        )
-    }
-
-    /// Decodes a raw ShapeShifter stream (framing supplied by the caller,
-    /// e.g. parsed from an `SSPK` container header) into an existing
-    /// tensor, reusing the session's value scratch exactly like
-    /// [`CodecSession::decode_into`].
-    ///
-    /// This is the per-record decode path of the shard store (`ss-store`):
-    /// a `ModelStore::get` parses one record's container header, then
-    /// hands the stream here so thousands of lookups share one scratch
-    /// allocation. The parse is sequential — a chunk index, if the
-    /// container carried one, is side metadata this path ignores.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::InvalidGroupSize`] if `group_size` is 0 or exceeds
-    /// 256; otherwise as [`ShapeShifterCodec::decode`].
-    pub fn decode_stream_into(
-        &mut self,
-        stream: &[u8],
-        bit_len: u64,
-        dtype: ss_tensor::FixedType,
-        len: usize,
-        group_size: usize,
-        out: &mut Tensor,
-    ) -> Result<(), CodecError> {
-        let codec = ShapeShifterCodec::from_config(
-            CodecConfig::new()
-                .with_group_size(group_size)
-                .with_index_policy(IndexPolicy::None)
-                .with_exec(ExecPolicy::Sequential),
-        )?;
-        codec.decode_stream_into(stream, bit_len, dtype, len, &mut self.values)?;
-        // Swap the decoded buffer into the tensor and keep its previous
-        // storage as the next call's scratch. The range re-validation in
-        // `replace_flat` cannot fail: every decoded value passed the
-        // container check in `decode_groups`.
-        let scratch = std::mem::take(&mut self.values);
-        self.values = out.replace_flat(dtype, scratch)?;
-        Ok(())
+        let frame = StreamFrame {
+            bit_len: encoded.bit_len,
+            dtype: encoded.dtype,
+            len: encoded.len,
+            group_size: encoded.group_size,
+        };
+        self.decode_scheme_stream_into(&ShapeShifterScheme::default(), &encoded.bytes, &frame, out)
     }
 
     /// Encodes `tensor` under an arbitrary registered scheme into an
     /// existing [`SchemeStream`], reusing the session's stream scratch.
     ///
-    /// The group size is the session's; `out` is fully overwritten. The
-    /// stream bytes are bit-identical to the scheme's one-shot
-    /// `encode_into` by construction (both run on the same writer path).
+    /// The group size is the session's; `out` is fully overwritten, and
+    /// its previous chunk index (if any) is recycled as the next index's
+    /// storage exactly as [`CodecSession::encode_into`] recycles an
+    /// [`EncodedTensor`]'s. The stream bytes are bit-identical to the
+    /// scheme's own `encode_into` by construction (both run on the same
+    /// writer path).
     ///
     /// # Errors
     ///
@@ -329,7 +252,14 @@ impl CodecSession {
         policy: IndexPolicy,
         out: &mut SchemeStream,
     ) -> Result<(), CodecError> {
-        let index = scheme.encode_into(tensor, self.codec.group_size(), policy, &mut self.w)?;
+        self.reclaim_entries(out.index.take());
+        let index = scheme.encode_into(
+            tensor,
+            self.codec.group_size(),
+            policy,
+            &mut self.w,
+            &mut self.entries,
+        )?;
         out.scheme = scheme.wire_id();
         out.bytes.clear();
         out.bytes.extend_from_slice(self.w.as_bytes());
@@ -360,10 +290,13 @@ impl CodecSession {
     }
 
     /// Decodes a raw scheme stream (framing supplied by the caller, e.g.
-    /// parsed from an `SSPK` container header) into an existing tensor —
-    /// the scheme-generic sibling of [`CodecSession::decode_stream_into`],
-    /// shared by the container `unpack_with` path for **every** registered
-    /// scheme.
+    /// parsed from an `SSPK` container header) into an existing tensor,
+    /// reusing the session's value scratch (swapped, not copied) — the one
+    /// decode path behind [`CodecSession::decode_into`],
+    /// [`CodecSession::decode_with_scheme`] and the container
+    /// `unpack_with` path, which is the per-record decode of the shard
+    /// store. The parse is sequential: a chunk index, if the container
+    /// carried one, is side metadata this path ignores.
     ///
     /// # Errors
     ///
@@ -377,9 +310,9 @@ impl CodecSession {
     ) -> Result<(), CodecError> {
         scheme.decode_into(stream, frame, None, 1, &mut self.values)?;
         // Swap the decoded buffer into the tensor and keep its previous
-        // storage as the next call's scratch, exactly as
-        // `decode_stream_into` does. The range re-validation cannot fail:
-        // every scheme's decode checked each value against the container.
+        // storage as the next call's scratch. The range re-validation
+        // cannot fail: every scheme's decode checked each value against
+        // the container.
         let scratch = std::mem::take(&mut self.values);
         self.values = out.replace_flat(frame.dtype, scratch)?;
         Ok(())

@@ -8,7 +8,10 @@
 
 use proptest::prelude::*;
 use ss_core::scheme::{Base, CompressionScheme, ProfileScheme, SchemeCtx, ShapeShifterScheme, ZeroRle};
-use ss_core::{ChunkIndex, ExecPolicy, IndexPolicy, ShapeShifterCodec, WidthDetector};
+use ss_core::{
+    ChunkIndex, ContainerScheme, ExecPolicy, IndexPolicy, ShapeShifterCodec, StreamFrame,
+    WidthDetector,
+};
 use ss_tensor::{width, FixedType, Shape, Signedness, Tensor, TensorStats};
 
 /// Strategy producing a tensor with a skewed (mostly-small, some zeros,
@@ -265,10 +268,13 @@ proptest! {
         len in 0usize..600,
         group in 1usize..=64,
     ) {
-        let d = ss_core::scheme::DeltaShapeShifter::new(group);
+        let d = ss_core::scheme::DeltaShapeShifter::default();
         let bit_len = bytes.len() as u64 * 8;
-        let _ = d.decode(&bytes, bit_len, FixedType::U16, len);
-        let _ = d.decode(&bytes, bit_len, FixedType::I8, len);
+        let mut out = Vec::new();
+        for dtype in [FixedType::U16, FixedType::I8] {
+            let frame = StreamFrame { bit_len, dtype, len, group_size: group };
+            let _ = d.decode_into(&bytes, &frame, None, 1, &mut out);
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!
 //! The session contract is that a loop re-encoding and re-decoding
 //! same-shaped tensors touches the heap **zero** times per tensor once the
-//! scratch buffers have grown to their high-water mark. This file is a
+//! scratch buffers have grown to their high-water mark — through the
+//! ShapeShifter container API and through the registry path, for every
+//! registered scheme, with and without a chunk index. This file is a
 //! dedicated integration-test binary holding exactly one test: the
 //! counting allocator is process-global, so any concurrently running test
 //! would pollute the measurement.
@@ -116,6 +118,47 @@ fn steady_state_session_performs_zero_allocations_per_tensor() {
          x {} tensors (expected zero)",
         tensors.len()
     );
+
+    // The registry path — `encode_with_scheme` / `decode_with_scheme`,
+    // behind every batch-codec call and every store `get` — keeps the same
+    // promise for every registered scheme, indexed and unindexed. Schemes
+    // without an index ignore the policy.
+    let mut stream = SchemeStream::default();
+    for id in SchemeRegistry::global().ids() {
+        let scheme = SchemeRegistry::global().get(id).unwrap();
+        for policy in [IndexPolicy::EveryGroups(2), IndexPolicy::None] {
+            for _ in 0..3 {
+                for t in &tensors {
+                    session
+                        .encode_with_scheme(scheme, t, policy, &mut stream)
+                        .unwrap();
+                    session
+                        .decode_with_scheme(scheme, &stream, &mut back)
+                        .unwrap();
+                    assert_eq!(&back, t, "scheme {id} policy {policy:?}");
+                }
+            }
+            let before = allocation_count();
+            for _ in 0..ROUNDS {
+                for t in &tensors {
+                    session
+                        .encode_with_scheme(scheme, t, policy, &mut stream)
+                        .unwrap();
+                    session
+                        .decode_with_scheme(scheme, &stream, &mut back)
+                        .unwrap();
+                }
+            }
+            let delta = allocation_count() - before;
+            assert_eq!(
+                delta,
+                0,
+                "scheme {id} under {policy:?} made {delta} allocation(s) across {ROUNDS} \
+                 rounds x {} tensors (expected zero)",
+                tensors.len()
+            );
+        }
+    }
 
     // The measurement itself is live: the same traffic through the
     // one-shot API must allocate (fresh container + stream per call), or

@@ -38,12 +38,17 @@ pub const ENTRY_POINTS: &[&str] = &[
     // Reusable zero-allocation sessions.
     "CodecSession::encode_into",
     "CodecSession::decode_into",
-    // Registry-dispatched scheme sessions (plug-in codecs: DPRed,
-    // AdaBits, and every other `ContainerScheme` resolve through here).
+    // Registry-dispatched scheme sessions, and the wire methods of every
+    // built-in scheme (each scheme is one struct implementing both
+    // `CompressionScheme` and `ContainerScheme`).
     "CodecSession::encode_with_scheme",
     "CodecSession::decode_with_scheme",
     "CodecSession::decode_scheme_stream_into",
     "SchemeRegistry::get",
+    "ShapeShifterScheme::encode_into",
+    "ShapeShifterScheme::decode_into",
+    "DeltaShapeShifter::encode_into",
+    "DeltaShapeShifter::decode_into",
     "DpRed::encode_into",
     "DpRed::decode_into",
     "AdaBitsScheme::encode_into",

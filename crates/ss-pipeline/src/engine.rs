@@ -30,8 +30,8 @@ use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::Counter;
 
 use crate::queue::BoundedQueue;
-use crate::report::{fnv1a_64, BatchReport, TensorRecord};
-use crate::{PipelineConfig, PipelineError};
+use crate::report::{BatchReport, TensorRecord};
+use crate::{fnv1a_64, PipelineConfig, PipelineError};
 
 /// The batch engine: validated configuration plus the entry points that
 /// run a worker pool over a borrowed batch.

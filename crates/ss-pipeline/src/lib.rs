@@ -37,6 +37,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use ss_core::prelude::CodecConfig;
 
@@ -48,7 +49,10 @@ mod report;
 pub use engine::Pipeline;
 pub use error::PipelineError;
 pub use queue::{BoundedQueue, TryPushError};
-pub use report::{fnv1a_64, BatchReport};
+pub use report::BatchReport;
+/// 64-bit FNV-1a, the stream hash [`BatchReport`] chains — re-exported so
+/// benches hash one-shot containers with bit-for-bit the same code.
+pub use ss_core::checksum::fnv1a_64;
 
 /// How a [`Pipeline`] runs: codec settings, pool size, queue bound, and
 /// which verification stages are on.

@@ -9,35 +9,7 @@
 
 use std::time::Duration;
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// 64-bit FNV-1a over a byte stream — the workspace's standard content
-/// fingerprint (golden vectors pin the same function), exported so
-/// benches can hash one-shot containers with bit-for-bit the same code.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Folds one 64-bit word (little-endian) into a running FNV-1a state:
-/// the batch stream hash chains per-tensor hashes in submission order.
-#[must_use]
-pub(crate) fn fnv1a_fold_u64(hash: u64, word: u64) -> u64 {
-    let mut hash = hash;
-    for b in word.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+use ss_core::checksum::{fnv1a_update, FNV_OFFSET};
 
 /// Deterministic per-tensor facts a worker records after finishing one
 /// tensor; merged into the [`BatchReport`] in submission order.
@@ -134,7 +106,9 @@ impl BatchReport {
         self.metadata_bits += rec.metadata_bits;
         self.payload_bits += rec.payload_bits;
         self.groups += rec.groups;
-        self.stream_hash = fnv1a_fold_u64(self.stream_hash, rec.stream_hash);
+        // Chain the per-tensor hashes (little-endian words) in
+        // submission order.
+        self.stream_hash = fnv1a_update(self.stream_hash, &rec.stream_hash.to_le_bytes());
     }
 
     /// Batch compression ratio: stream bits over uncompressed bits,
@@ -207,20 +181,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn fold_chains_like_hashing_the_concatenated_words() {
-        let h = fnv1a_fold_u64(fnv1a_fold_u64(FNV_OFFSET, 1), 2);
+        let mut report = BatchReport::empty(1, 1);
+        for stream_hash in [1u64, 2] {
+            report.absorb(&TensorRecord {
+                values: 0,
+                uncompressed_bits: 0,
+                stream_bits: 0,
+                metadata_bits: 0,
+                payload_bits: 0,
+                groups: 0,
+                stream_hash,
+            });
+        }
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&2u64.to_le_bytes());
-        assert_eq!(h, fnv1a_64(&bytes));
+        assert_eq!(report.stream_hash, crate::fnv1a_64(&bytes));
     }
 
     #[test]

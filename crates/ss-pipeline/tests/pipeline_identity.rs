@@ -125,8 +125,10 @@ fn scheme_batch_rejects_unregistered_ids_typed() {
         other => panic!("expected UnknownScheme, got {other:?}"),
     }
     // A stream claiming an unregistered id fails per item, index-tagged.
-    let mut bogus = SchemeStream::default();
-    bogus.scheme = SchemeId::new(200);
+    let bogus = SchemeStream {
+        scheme: SchemeId::new(200),
+        ..SchemeStream::default()
+    };
     match pipeline.decode_batch_with(&[bogus]) {
         Err(PipelineError::Codec {
             index: 0,

@@ -48,7 +48,7 @@ fn run_schedule(seed: u64) -> (u64, u64, u64, u64, u64) {
     let producers = 1 + (r % 4) as usize; // 1..=4
     let consumers = 1 + ((r >> 8) % 4) as usize; // 1..=4
     let capacity = 1 + ((r >> 16) % 8) as usize; // 1..=8
-    let items_per_producer = 16 + ((r >> 24) % 48) as u64; // 16..=63
+    let items_per_producer = 16 + (r >> 24) % 48; // 16..=63
     let close_after_polls = (r >> 32) % 64; // when the closer fires
 
     let queue: BoundedQueue<u64> = BoundedQueue::new(capacity);

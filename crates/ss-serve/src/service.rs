@@ -89,7 +89,7 @@ impl ServeConfig {
     }
 
     /// Sets the container scheme for encode requests. Accepts any
-    /// [`SchemeId`] (or the legacy `ContainerCodec` via `Into`).
+    /// [`SchemeId`].
     #[must_use]
     pub fn with_container(mut self, container: impl Into<SchemeId>) -> Self {
         self.container = container.into();

@@ -139,7 +139,7 @@ fn randomized_geometries() {
         let mut in_w = kw + rng.random_below(28) as usize;
         // Force a ragged final row block: out_w ≡ 0 (mod 16) is the one
         // non-ragged case, so nudge away from it.
-        if (in_w - kw + 1) % TILE_ROWS == 0 {
+        if (in_w - kw + 1).is_multiple_of(TILE_ROWS) {
             in_w += 1;
         }
         let out_ch = 1 + rng.random_below(40) as usize;

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use shapeshifter::container::{self, ContainerCodec};
+use shapeshifter::container;
 use shapeshifter::SchemeId;
 use ss_core::IndexPolicy;
 use ss_tensor::Tensor;
@@ -204,8 +204,8 @@ impl<'a> ModelWriter<'a> {
     }
 
     /// Overrides the container scheme records are packed with. Accepts
-    /// any [`SchemeId`] (or the legacy `ContainerCodec` via `Into`);
-    /// unregistered ids surface as a typed error at append time.
+    /// any [`SchemeId`]; unregistered ids surface as a typed error at
+    /// append time.
     ///
     /// # Panics
     ///
@@ -219,20 +219,6 @@ impl<'a> ModelWriter<'a> {
         self.scheme = scheme.into();
         self.group_size = group_size;
         self
-    }
-
-    /// Overrides the codec configuration records are packed with.
-    ///
-    /// # Panics
-    ///
-    /// As [`ModelWriter::with_scheme`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `with_scheme` — schemes are addressed by `SchemeId` through the registry"
-    )]
-    #[must_use]
-    pub fn with_codec(self, codec: ContainerCodec, group_size: u16) -> Self {
-        self.with_scheme(codec, group_size)
     }
 
     /// Overrides the shard rotation budget (minimum one record per

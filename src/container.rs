@@ -57,64 +57,6 @@ use ss_core::registry::StreamFrame;
 use ss_core::{ChunkIndex, CodecError, IndexPolicy, SchemeId, SchemeRegistry};
 use ss_tensor::{FixedType, Shape, Signedness, Tensor, TensorError};
 
-/// The closed pre-registry codec set, kept for source compatibility.
-///
-/// New code addresses schemes by [`SchemeId`] — the open wire id the
-/// [`SchemeRegistry`] resolves — and this enum converts losslessly via
-/// [`ContainerCodec::scheme_id`] / `From`. It only spans the two original
-/// codecs; DPRed and AdaBits exist solely as registry schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ContainerCodec {
-    /// The paper's per-group container (zero elision + width prefix).
-    #[default]
-    ShapeShifter,
-    /// The Diffy-style delta extension — wins on spatially correlated
-    /// data such as imaging activations.
-    Delta,
-}
-
-impl ContainerCodec {
-    /// The registry wire id this legacy codec name maps to.
-    #[must_use]
-    pub fn scheme_id(self) -> SchemeId {
-        match self {
-            ContainerCodec::ShapeShifter => SchemeId::SHAPESHIFTER,
-            ContainerCodec::Delta => SchemeId::DELTA,
-        }
-    }
-
-    /// The codec's one-byte wire id (shared by the `SSPK` header and the
-    /// `ss-store` shard record metadata).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `scheme_id().as_byte()` — wire ids are `ss_core::SchemeId` now"
-    )]
-    #[must_use]
-    pub fn to_byte(self) -> u8 {
-        self.scheme_id().as_byte()
-    }
-
-    /// Inverse of `to_byte`; `None` for ids outside the legacy enum.
-    #[deprecated(
-        since = "0.3.0",
-        note = "wire ids are open — wrap with `SchemeId::new` and resolve via `SchemeRegistry`"
-    )]
-    #[must_use]
-    pub fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(ContainerCodec::ShapeShifter),
-            1 => Some(ContainerCodec::Delta),
-            _ => None,
-        }
-    }
-}
-
-impl From<ContainerCodec> for SchemeId {
-    fn from(codec: ContainerCodec) -> Self {
-        codec.scheme_id()
-    }
-}
-
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"SSPK";
 /// The v1 format version: header + stream.
@@ -224,14 +166,16 @@ pub struct ContainerInfo {
 }
 
 impl ContainerInfo {
-    /// Compression ratio vs the raw container (lower is better).
+    /// Compression ratio vs the raw container (lower is better). The
+    /// element count comes from an untrusted header, so the raw size is
+    /// computed in floating point, where a hostile count cannot overflow.
     #[must_use]
     pub fn ratio(&self) -> f64 {
-        let raw = self.len * u64::from(self.dtype.bits());
-        if raw == 0 {
+        if self.len == 0 {
             1.0
         } else {
-            self.stream_bits as f64 / raw as f64
+            // ss-lint: allow(determinism) -- a display figure (`sspack info`); no serialized byte depends on it
+            self.stream_bits as f64 / (self.len as f64 * f64::from(self.dtype.bits()))
         }
     }
 
@@ -281,23 +225,6 @@ pub fn pack_with_scheme(
     pack_with_policy(tensor, group_size, scheme, IndexPolicy::Auto)
 }
 
-/// Packs a tensor with an explicit codec choice.
-///
-/// # Errors
-///
-/// As [`pack`].
-#[deprecated(
-    since = "0.3.0",
-    note = "use `pack_with_scheme` — schemes are addressed by `SchemeId` through the registry"
-)]
-pub fn pack_with_codec(
-    tensor: &Tensor,
-    group_size: usize,
-    codec: ContainerCodec,
-) -> Result<Vec<u8>, ContainerError> {
-    pack_with_policy(tensor, group_size, codec.scheme_id(), IndexPolicy::Auto)
-}
-
 /// Packs a tensor with explicit scheme and chunk-index policy choices,
 /// resolving the scheme in the global [`SchemeRegistry`].
 ///
@@ -334,7 +261,7 @@ pub fn pack_with_policy_in(
     let id = scheme.into();
     let scheme = registry.get(id)?;
     let mut w = BitWriter::new();
-    let index = scheme.encode_into(tensor, group_size, policy, &mut w)?;
+    let index = scheme.encode_into(tensor, group_size, policy, &mut w, &mut Vec::new())?;
     let index_blob = index.as_ref().map(ChunkIndex::to_bytes).transpose()?;
     let bytes = w.as_bytes();
     let bit_len = w.bit_len();
@@ -644,18 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_codec_shims_delegate_to_the_registry() {
-        #![allow(deprecated)]
-        let tensor = t(vec![1000, 1002, 1001, 999, 0, 0, 998, 30_000]);
-        let via_shim = pack_with_codec(&tensor, 4, ContainerCodec::Delta).unwrap();
-        let via_registry = pack_with_scheme(&tensor, 4, SchemeId::DELTA).unwrap();
-        assert_eq!(via_shim, via_registry);
-        assert_eq!(ContainerCodec::ShapeShifter.to_byte(), 0);
-        assert_eq!(ContainerCodec::from_byte(1), Some(ContainerCodec::Delta));
-        assert_eq!(ContainerCodec::from_byte(2), None);
-    }
-
-    #[test]
     fn v2_packs_index_and_roundtrips() {
         let vals: Vec<i32> = (0..200).map(|i| (i * 37) % 2000 - 1000).collect();
         let tensor = t(vals);
@@ -785,7 +700,12 @@ mod tests {
             unpack(&packed),
             Err(ContainerError::LengthOverflow { .. }) | Err(ContainerError::Codec(_))
         ));
-        assert_eq!(info(&packed).unwrap().len, u64::MAX);
+        let meta = info(&packed).unwrap();
+        assert_eq!(meta.len, u64::MAX);
+        // The untrusted count must not overflow the ratio's raw-size
+        // product (`sspack info` prints it for any parseable header).
+        let ratio = meta.ratio();
+        assert!(ratio > 0.0 && ratio < 1e-15, "ratio {ratio}");
         #[cfg(not(target_pointer_width = "64"))]
         assert!(matches!(
             unpack(&packed),

@@ -38,7 +38,6 @@ use ss_pipeline::{fnv1a_64, BatchReport, Pipeline, PipelineConfig};
 use ss_tensor::{FixedType, Shape, Tensor};
 
 const GROUP_SIZE: usize = 16;
-const QUEUE_DEPTH: usize = 8;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 /// Full run: 128 tensors x 64Ki values = 8Mi values per pass.
 const FULL: (usize, usize) = (128, 1 << 16);
@@ -107,11 +106,11 @@ fn main() -> std::io::Result<()> {
     let tensors = batch(n_tensors, n_values);
     println!(
         "pipeline_throughput ({mode}): {n_tensors} tensors x {n_values} i16 values, \
-         group {GROUP_SIZE}, queue depth {QUEUE_DEPTH}"
+         group {GROUP_SIZE}"
     );
     println!("host available_parallelism: {host_threads}");
 
-    // Per-call baseline first: the number the worker pool has to beat.
+    // Per-call baseline first: the number the engine has to beat.
     let (baseline_ms, oneshot_hash) = per_call_baseline(&codec, &tensors);
     let baseline_tps = n_tensors as f64 / (baseline_ms * 1e-3);
     println!("per-call baseline: {baseline_ms:>8.2} ms  ({baseline_tps:.0} tensors/s)");
@@ -121,20 +120,17 @@ fn main() -> std::io::Result<()> {
         let pipeline = Pipeline::new(
             PipelineConfig::new()
                 .with_codec(codec_cfg)
-                .with_workers(workers)
-                .with_queue_depth(QUEUE_DEPTH),
+                .with_workers(workers),
         )
         .expect("valid pipeline config");
         let report = pipeline.process(&tensors).expect("batch processes");
         println!(
             "workers={workers}: {:>8.2} ms  ({:.0} tensors/s, {:.1} Mvalues/s, \
-             encode occupancy {:.2}, queue high water {}/{})",
+             encode occupancy {:.2})",
             report.elapsed.as_secs_f64() * 1e3,
             report.tensors_per_sec(),
             report.values_per_sec() / 1e6,
             report.encode_occupancy(),
-            report.queue_high_water,
-            report.queue_capacity,
         );
         reports.push(report);
     }
@@ -171,7 +167,6 @@ fn main() -> std::io::Result<()> {
     "values_per_tensor": {n_values},
     "dtype": "i16",
     "group_size": {GROUP_SIZE},
-    "queue_depth": {QUEUE_DEPTH},
     "workers_compared": [{w0}, {w1}, {w2}, {w3}]
   }},
   "batch": {{
@@ -221,12 +216,11 @@ fn main() -> std::io::Result<()> {
             .zip(&reports)
             .map(|(w, r)| {
                 format!(
-                    r#"    "w{w}": {{ "ms": {ms:.3}, "tensors_per_sec": {tps:.1}, "speedup_vs_per_call": {sp:.3}, "encode_occupancy": {occ:.3}, "queue_high_water": {hw} }}"#,
+                    r#"    "w{w}": {{ "ms": {ms:.3}, "tensors_per_sec": {tps:.1}, "speedup_vs_per_call": {sp:.3}, "encode_occupancy": {occ:.3} }}"#,
                     ms = r.elapsed.as_secs_f64() * 1e3,
                     tps = r.tensors_per_sec(),
                     sp = baseline_ms / (r.elapsed.as_secs_f64() * 1e3).max(1e-9),
                     occ = r.encode_occupancy(),
-                    hw = r.queue_high_water,
                 )
             })
             .collect();

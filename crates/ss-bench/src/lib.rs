@@ -57,11 +57,11 @@ pub fn scaled(net: ss_models::Network) -> ss_models::Network {
     }
 }
 
-/// Maps `f` over `items` on up to [`par_threads`] scoped threads,
-/// preserving input order. The per-model measurements of every figure are
+/// Maps `f` over `items` on up to [`par_threads`] workers, preserving
+/// input order. The per-model measurements of every figure are
 /// independent, so the harness fans them out. The implementation lives in
-/// [`ss_core::par::par_map`] — the workspace's single thread-spawning
-/// module — and this wrapper only supplies the harness's thread policy.
+/// [`ss_core::par::par_map`] — the workspace's one parallel-map
+/// primitive — and this wrapper only supplies the harness's thread policy.
 ///
 /// # Panics
 ///
@@ -72,7 +72,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    ss_core::par::par_map(items, par_threads(), f)
+    ss_core::par::par_map(&items, par_threads(), f)
 }
 
 /// Worker threads for [`par_map`]: `SS_THREADS`, else the machine's full

@@ -47,7 +47,7 @@ pub enum IndexPolicy {
 }
 
 /// One indexed chunk's bit range and value/group window, precomputed so
-/// decode workers can parse their runs without touching shared state.
+/// decode workers can parse their chunks without touching shared state.
 struct ChunkSpan {
     chunk: usize,
     start: u64,
@@ -55,12 +55,6 @@ struct ChunkSpan {
     values: usize,
     value_base: usize,
     group_base: usize,
-}
-
-/// One worker's contribution to a parallel encode.
-struct ChunkStream {
-    w: BitWriter,
-    report: MeasureReport,
 }
 
 /// Records one finished encode on the global trace recorder — the same
@@ -251,8 +245,8 @@ impl ShapeShifterCodec {
     ///
     /// Scheduling follows the codec's [`ExecPolicy`]: under the default
     /// `Auto`, large tensors are encoded in parallel — the tensor is cut
-    /// on group boundaries, each chunk is encoded by a scoped worker
-    /// thread into its own [`BitWriter`], and the chunk streams are
+    /// on group boundaries, each chunk is encoded by a [`par::par_map`]
+    /// worker into its own [`BitWriter`], and the chunk streams are
     /// spliced back in order. Because groups are self-contained (paper §3)
     /// and splicing preserves every bit phase, the output is
     /// **bit-identical** to a sequential encode — the sequential path
@@ -272,10 +266,18 @@ impl ShapeShifterCodec {
     }
 
     /// The encode body, with the worker count already resolved
-    /// (`threads <= 1` is the pure sequential path; any higher count
+    /// (`threads <= 1` encodes on the calling thread; any higher count
     /// parallelizes regardless of tensor size — no small-tensor
     /// heuristic — which is what the bit-identity tests and the perf
     /// baseline need).
+    ///
+    /// The tensor is cut into group-aligned chunks, the chunks are encoded
+    /// on [`par::par_map`] workers, and the chunk streams are spliced back
+    /// in order. With a chunk index the cut follows the *index* policy,
+    /// deliberately independent of the worker count so the container is
+    /// deterministic, and each chunk's bit offset and value count are
+    /// recorded while splicing; without one the cut follows the worker
+    /// count.
     fn encode_resolved(
         &self,
         tensor: &Tensor,
@@ -283,133 +285,58 @@ impl ShapeShifterCodec {
     ) -> Result<EncodedTensor, CodecError> {
         let dtype = tensor.dtype();
         let values = tensor.values();
-        let capacity_hint = tensor.container_bits() / 2;
-
-        let (chunk, index) = match self.index_chunk_groups(values.len()) {
-            Some(chunk_groups) => {
-                self.encode_indexed(values, dtype, capacity_hint, chunk_groups, threads)?
+        let chunk_groups = self.index_chunk_groups(values.len());
+        // `index_chunk_groups` only returns sizes strictly below the tensor
+        // length, so the product cannot overflow.
+        let chunk_values = match chunk_groups {
+            Some(groups) => groups * self.group_size,
+            None => par::chunk_values(values.len(), self.group_size, threads),
+        };
+        let chunks: Vec<&[i32]> = values.chunks(chunk_values).collect();
+        let chunk_hint = tensor.container_bits() / 2 / chunks.len().max(1) as u64;
+        let parts = par::par_map(&chunks, threads, |chunk| {
+            let mut w = BitWriter::with_capacity_bits(chunk_hint);
+            let report = self.encode_groups_into(chunk, dtype, &mut w)?;
+            Ok::<_, CodecError>((w, report))
+        });
+        // An empty writer takes the first chunk's buffer over, so a
+        // one-chunk encode copies nothing.
+        let mut w = BitWriter::new();
+        let mut report = MeasureReport::default();
+        let mut entries = Vec::with_capacity(chunks.len());
+        for (chunk, part) in chunks.iter().zip(parts) {
+            let (part_w, part_report) = part?;
+            entries.push(ChunkEntry {
+                bit_offset: w.bit_len(),
+                values: chunk.len() as u64,
+            });
+            report.add(&part_report);
+            w.append_writer(part_w)?;
+        }
+        let index = match chunk_groups {
+            Some(groups) => {
+                // `index_chunk_groups` rejects chunk sizes beyond u32, so
+                // the cast is lossless.
+                // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
+                let index = ChunkIndex::from_parts(groups as u32, entries)?;
+                checked::index_bookkeeping(&index, self.group_size, w.bit_len(), values.len());
+                Some(index)
             }
-            None => (
-                self.encode_unindexed(values, dtype, capacity_hint, threads)?,
-                None,
-            ),
+            None => None,
         };
 
-        record_encode(tensor.len(), chunk.w.bit_len(), &chunk.report);
+        record_encode(tensor.len(), w.bit_len(), &report);
         Ok(EncodedTensor {
-            bit_len: chunk.w.bit_len(),
-            bytes: chunk.w.into_bytes(),
+            bit_len: w.bit_len(),
+            bytes: w.into_bytes(),
             len: tensor.len(),
             dtype,
             group_size: self.group_size,
-            groups: chunk.report.groups,
-            metadata_bits: chunk.report.metadata_bits,
-            payload_bits: chunk.report.payload_bits,
+            groups: report.groups,
+            metadata_bits: report.metadata_bits,
+            payload_bits: report.payload_bits,
             index,
         })
-    }
-
-    /// The v1 encode body: cut at thread-count-derived group boundaries,
-    /// encode the chunks on scoped workers, splice in order. No index is
-    /// recorded, so chunking is free to follow the worker count.
-    fn encode_unindexed(
-        &self,
-        values: &[i32],
-        dtype: FixedType,
-        capacity_hint: u64,
-        threads: usize,
-    ) -> Result<ChunkStream, CodecError> {
-        let chunk_values = par::chunk_values(values.len(), self.group_size, threads.max(1));
-        if values.len() <= chunk_values {
-            // One worker would get everything: skip the workers entirely.
-            return self.encode_chunk(values, dtype, capacity_hint);
-        }
-        let chunk_count = values.len().div_ceil(chunk_values);
-        let per_chunk_hint = capacity_hint / chunk_count as u64;
-        let parts = par::scoped_map(values, chunk_values, |chunk| {
-            self.encode_chunk(chunk, dtype, per_chunk_hint)
-        });
-        let mut merged = ChunkStream {
-            w: BitWriter::with_capacity_bits(capacity_hint),
-            report: MeasureReport::default(),
-        };
-        for part in parts {
-            let part = part?;
-            merged.report.add(&part.report);
-            merged.w.append_writer(part.w)?;
-        }
-        Ok(merged)
-    }
-
-    /// The v2 encode body: cut at the *index* chunk boundaries (a policy
-    /// decision, deliberately independent of the worker count so the
-    /// resulting container is deterministic), encode each chunk, and
-    /// record its bit offset and value count while splicing. Workers each
-    /// take a contiguous run of chunks, so `threads` stays the number of
-    /// OS threads spawned however many chunks the index has.
-    fn encode_indexed(
-        &self,
-        values: &[i32],
-        dtype: FixedType,
-        capacity_hint: u64,
-        chunk_groups: usize,
-        threads: usize,
-    ) -> Result<(ChunkStream, Option<ChunkIndex>), CodecError> {
-        // `index_chunk_groups` only returns sizes strictly below the
-        // tensor length, so the product cannot overflow and there are at
-        // least two chunks.
-        let chunk_values = chunk_groups * self.group_size;
-        let chunks: Vec<&[i32]> = values.chunks(chunk_values).collect();
-        let per_chunk_hint = capacity_hint / chunks.len() as u64;
-        let parts: Vec<Result<ChunkStream, CodecError>> = if threads.max(1) <= 1 {
-            chunks
-                .iter()
-                .map(|c| self.encode_chunk(c, dtype, per_chunk_hint))
-                .collect()
-        } else {
-            let per_worker = chunks.len().div_ceil(threads).max(1);
-            par::scoped_map(&chunks, per_worker, |run| {
-                run.iter()
-                    .map(|c| self.encode_chunk(c, dtype, per_chunk_hint))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        let mut merged = ChunkStream {
-            w: BitWriter::with_capacity_bits(capacity_hint),
-            report: MeasureReport::default(),
-        };
-        let mut entries = Vec::with_capacity(chunks.len());
-        for (chunk, part) in chunks.iter().zip(parts) {
-            let part = part?;
-            entries.push(ChunkEntry {
-                bit_offset: merged.w.bit_len(),
-                values: chunk.len() as u64,
-            });
-            merged.report.add(&part.report);
-            merged.w.append_writer(part.w)?;
-        }
-        // `index_chunk_groups` rejects chunk sizes beyond u32, so the cast
-        // is lossless.
-        // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
-        let index = ChunkIndex::from_parts(chunk_groups as u32, entries)?;
-        checked::index_bookkeeping(&index, self.group_size, merged.w.bit_len(), values.len());
-        Ok((merged, Some(index)))
-    }
-
-    /// Sequentially encodes one group-aligned slice of values — the body
-    /// shared by the sequential path and every parallel worker.
-    fn encode_chunk(
-        &self,
-        values: &[i32],
-        dtype: FixedType,
-        capacity_hint: u64,
-    ) -> Result<ChunkStream, CodecError> {
-        let mut w = BitWriter::with_capacity_bits(capacity_hint);
-        let report = self.encode_groups_into(values, dtype, &mut w)?;
-        Ok(ChunkStream { w, report })
     }
 
     /// The sequential framing path shared by `CodecSession::encode_into`
@@ -458,8 +385,8 @@ impl ShapeShifterCodec {
     }
 
     /// Appends the group encodings of `values` to an existing writer,
-    /// returning their bit accounting — the inner loop shared by
-    /// [`ShapeShifterCodec::encode_chunk`] and
+    /// returning their bit accounting — the inner loop shared by the
+    /// one-shot [`ShapeShifterCodec::encode`] and
     /// [`ShapeShifterCodec::encode_framed`], so every encode path is
     /// bit-identical by construction.
     ///
@@ -542,23 +469,26 @@ impl ShapeShifterCodec {
         self.measure_resolved(tensor, threads)
     }
 
-    /// The measure body, with the worker count already resolved
-    /// (`threads == 1` is the pure sequential scan).
+    /// The measure body, with the worker count already resolved: the
+    /// chunks are measured on [`par::par_map`] workers and their sums
+    /// added.
     fn measure_resolved(&self, tensor: &Tensor, threads: usize) -> MeasureReport {
         let dtype = tensor.dtype();
         let values = tensor.values();
-        let chunk_values = par::chunk_values(values.len(), self.group_size, threads.max(1));
+        let chunk_values = par::chunk_values(values.len(), self.group_size, threads);
         let report = if values.len() <= chunk_values {
+            // One chunk: measured in place with no chunk list, so the
+            // sequential measure — which the batch engine runs once per
+            // tensor — never touches the heap.
             self.measure_chunk(values, dtype)
         } else {
-            par::scoped_map(values, chunk_values, |chunk| {
-                self.measure_chunk(chunk, dtype)
-            })
-            .into_iter()
-            .fold(MeasureReport::default(), |mut sum, part| {
-                sum.add(&part);
-                sum
-            })
+            let chunks: Vec<&[i32]> = values.chunks(chunk_values).collect();
+            par::par_map(&chunks, threads, |chunk| self.measure_chunk(chunk, dtype))
+                .iter()
+                .fold(MeasureReport::default(), |mut sum, part| {
+                    sum.add(part);
+                    sum
+                })
         };
         let rec = ss_trace::global();
         if rec.enabled() {
@@ -616,7 +546,7 @@ impl ShapeShifterCodec {
     ///   as every earlier release decoded them.
     /// * **v2 (chunk index present)** — the container's optional index
     ///   records each chunk's absolute bit offset and value count, so
-    ///   decode fans chunks out across [`par::scoped_map`] workers, each
+    ///   decode fans chunks out across [`par::par_map`] workers, each
     ///   parsing its own range-confined reader, and splices the results
     ///   back in order. The stream bytes are identical to v1 — the index
     ///   is side metadata — so the output is **bit-identical** to the
@@ -754,8 +684,8 @@ impl ShapeShifterCodec {
     }
 
     /// Decodes a raw stream *with* its container-v2 chunk index: validates
-    /// the index against the framing metadata, then fans contiguous runs
-    /// of chunks out across scoped workers, each parsing its own
+    /// the index against the framing metadata, then fans the chunks out
+    /// across [`par::par_map`] workers, each parsing its own
     /// range-confined [`BitReader`]. Bit-identical to
     /// [`ShapeShifterCodec::decode_stream`] on well-formed input.
     ///
@@ -804,22 +734,14 @@ impl ShapeShifterCodec {
             });
             value_base += e.values as usize;
         }
-        let per_worker = spans.len().div_ceil(threads.max(1)).max(1);
-        let parts: Vec<Result<Vec<i32>, CodecError>> = if spans.len() <= per_worker {
-            // One worker would get everything: parse on the calling thread.
-            vec![self.decode_span_run(bytes, dtype, &spans)]
-        } else {
-            par::scoped_map(&spans, per_worker, |run| {
-                self.decode_span_run(bytes, dtype, run)
-            })
-        };
+        let parts = par::par_map(&spans, threads, |span| self.decode_span(bytes, dtype, span));
         let mut data: Vec<i32> = Vec::with_capacity(len);
         for part in parts {
             data.append(&mut part?);
         }
         // No trailing-bits check is needed here: validate() pins the last
-        // span's end to `bit_len` and decode_span_run demands every span
-        // be consumed exactly.
+        // span's end to `bit_len` and decode_span demands every span be
+        // consumed exactly.
         let rec = ss_trace::global();
         if rec.enabled() {
             rec.add(Counter::DecodeCalls, 1);
@@ -830,40 +752,36 @@ impl ShapeShifterCodec {
         Ok(data)
     }
 
-    /// Parses one worker's contiguous run of indexed chunks, confining
-    /// each chunk to its own bit range so a corrupt chunk can never read
-    /// its neighbour's bits (or starve them).
-    fn decode_span_run(
+    /// Parses one indexed chunk, confined to its own bit range so a
+    /// corrupt chunk can never read its neighbour's bits (or starve them).
+    fn decode_span(
         &self,
         bytes: &[u8],
         dtype: FixedType,
-        spans: &[ChunkSpan],
+        span: &ChunkSpan,
     ) -> Result<Vec<i32>, CodecError> {
         let det = WidthDetector::new(dtype.bits(), dtype.signedness());
         let signed = matches!(dtype.signedness(), Signedness::Signed);
-        let total = spans.iter().map(|s| s.values).sum();
-        let mut data: Vec<i32> = Vec::with_capacity(total);
-        for span in spans {
-            let mut r = BitReader::with_bit_range(bytes, span.start, span.end)?;
-            self.decode_groups(
-                &mut r,
-                &det,
-                dtype,
-                signed,
-                span.values,
-                span.group_base,
-                span.value_base,
-                &mut data,
-            )?;
-            // The chunk must consume its allotted span exactly, for the
-            // same reason the sequential parse rejects trailing bits.
-            if !r.is_at_end() {
-                return Err(CodecError::IndexChunkMismatch {
-                    chunk: span.chunk,
-                    expected_bits: span.end - span.start,
-                    consumed_bits: r.consumed_bits(),
-                });
-            }
+        let mut data: Vec<i32> = Vec::with_capacity(span.values);
+        let mut r = BitReader::with_bit_range(bytes, span.start, span.end)?;
+        self.decode_groups(
+            &mut r,
+            &det,
+            dtype,
+            signed,
+            span.values,
+            span.group_base,
+            span.value_base,
+            &mut data,
+        )?;
+        // The chunk must consume its allotted span exactly, for the same
+        // reason the sequential parse rejects trailing bits.
+        if !r.is_at_end() {
+            return Err(CodecError::IndexChunkMismatch {
+                chunk: span.chunk,
+                expected_bits: span.end - span.start,
+                consumed_bits: r.consumed_bits(),
+            });
         }
         Ok(data)
     }

@@ -1,25 +1,32 @@
 //! Thread-count selection, group-aligned chunking and the workspace's
-//! only thread-spawning primitives.
+//! one parallel-map primitive.
 //!
 //! ShapeShifter groups (paper §3) are encoded independently of one another:
 //! each group's `Z`/`P`/payload fields depend only on its own values. Any
 //! split of a tensor on a group boundary can therefore be encoded by
 //! independent workers and spliced back in order into the canonical stream
-//! (see [`ss_bitio::BitWriter::append_writer`]). This module holds the
-//! policy decisions that parallel path needs — how many workers to use and
-//! where to cut — and, by workspace rule (`ss-lint`'s
-//! `concurrency-containment`), it is the **only** module allowed to spawn
-//! threads or take locks. The splice-ordering argument that keeps parallel
-//! output bit-identical to the sequential oracle is made once, here:
+//! (see [`ss_bitio::BitWriter::append_writer`]); a batch's tensors are
+//! independent in the same way. Both are order-free maps merged by index,
+//! so one primitive, [`par_map_with`], runs them all: the codec's chunk
+//! fan-outs, the `ss-pipeline` batch engine and the experiment harness.
+//! By workspace rule (`ss-lint`'s `concurrency-containment`) this module
+//! is the only place in `ss-core` and `ss-pipeline` that spawns threads.
+//! The ordering argument that keeps parallel output bit-identical to the
+//! sequential oracle is made once, here:
 //!
-//! * [`scoped_map`] returns chunk results **in input order** because each
-//!   worker writes to its own pre-allocated slot and the scope joins every
-//!   worker before the results are read;
-//! * [`par_map`] scatters work-stolen results back by index for the same
-//!   order guarantee.
+//! * workers claim item indices from one atomic counter, so every index is
+//!   claimed exactly once and each worker sees its indices in increasing
+//!   order;
+//! * each worker keeps its `(index, result)` pairs locally (no lock is
+//!   taken), and the calling thread scatters them back by index once every
+//!   worker has joined — results come back **in input order** whatever
+//!   the worker count or the claim interleaving.
 //!
-//! Worker panics propagate to the caller (via scope join /
-//! [`std::panic::resume_unwind`]); they are never swallowed.
+//! The calling thread is always one of the workers, so a one-worker run
+//! spawns nothing. Worker panics propagate to the caller (via the scope
+//! and [`std::panic::resume_unwind`]); they are never swallowed.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads the codec should use.
 ///
@@ -55,92 +62,79 @@ pub(crate) fn chunk_values(len: usize, group_size: usize, threads: usize) -> usi
     total_groups.div_ceil(threads.max(1)) * group_size
 }
 
-/// Maps `f` over `chunk_len`-sized chunks of `items` on one scoped worker
-/// thread per chunk, returning the chunk results **in input order**.
+/// Maps `f` over `items` on `min(threads, items.len())` workers, each
+/// owning one state built by `init`, and returns the results **in input
+/// order**.
 ///
-/// The order guarantee is structural: worker `i` writes only to slot `i`,
-/// and [`std::thread::scope`] joins every worker before the slots are
-/// collected. This is the primitive behind the codec's parallel
-/// encode/measure paths, whose output must be bit-identical to the
-/// sequential scan.
+/// Workers claim indices from one atomic counter, so uneven item costs
+/// balance themselves; `f` receives the worker's state, the item's index
+/// and the item. The calling thread is one of the workers (a one-worker
+/// run spawns no thread), and each worker's result buffer is sized once
+/// for its even share of the items.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker (the scope re-raises it on join).
-pub fn scoped_map<T, R, F>(items: &[T], chunk_len: usize, f: F) -> Vec<R>
+/// Propagates a panic from any worker, the calling thread's included.
+pub fn par_map_with<T, S, R, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&[T]) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let chunks: Vec<&[T]> = items.chunks(chunk_len.max(1)).collect();
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(chunks.len(), || None);
-    let f = &f;
-    std::thread::scope(|s| {
-        for (slot, chunk) in slots.iter_mut().zip(&chunks) {
-            s.spawn(move || *slot = Some(f(chunk)));
+    let workers = threads.min(items.len()).max(1);
+    let share = items.len().div_ceil(workers);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        let mut local = Vec::with_capacity(share);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            local.push((i, f(&mut state, i, item)));
         }
-    });
-    // The scope joined every worker, so every slot is filled.
-    slots.into_iter().flatten().collect()
-}
-
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// preserving input order.
-///
-/// Work-stealing over an atomic counter: each worker accumulates
-/// `(index, result)` pairs locally so no lock is ever taken on the hot
-/// path, and the caller's thread scatters them back into input order.
-/// Used by the experiment harness (via `ss-bench`) to fan out per-model
-/// measurements whose costs vary wildly.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.min(items.len()).max(1);
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
+        local
+    };
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    let mut scatter = |local: Vec<(usize, R)>| {
+        for (i, r) in local {
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(r);
+            }
+        }
+    };
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for worker in workers {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        scatter(work());
+        for worker in spawned {
             match worker.join() {
-                Ok(local) => {
-                    for (i, r) in local {
-                        if let Some(slot) = results.get_mut(i) {
-                            *slot = Some(r);
-                        }
-                    }
-                }
+                Ok(local) => scatter(local),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
     // Every index in 0..len was claimed exactly once, so every slot is
     // filled once the workers have joined.
-    results.into_iter().flatten().collect()
+    let mut results = Vec::with_capacity(items.len());
+    results.extend(slots.into_iter().flatten());
+    results
+}
+
+/// The stateless form of [`par_map_with`]: maps `f` over `items` on up to
+/// `threads` workers, preserving input order. Used by the codec's chunk
+/// fan-outs and, through `ss-bench`, by the experiment harness.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker.
+pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    par_map_with(items, threads, || (), |(), _, item| f(item))
 }
 
 #[cfg(test)]
@@ -163,36 +157,63 @@ mod tests {
     }
 
     #[test]
-    fn scoped_map_preserves_chunk_order() {
-        let items: Vec<u32> = (0..1000).collect();
-        let sums = scoped_map(&items, 64, |chunk| chunk.iter().sum::<u32>());
-        let expect: Vec<u32> = items.chunks(64).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, expect);
-        assert!(scoped_map(&Vec::<u32>::new(), 64, |c| c.len()).is_empty());
-        // chunk_len of 0 is clamped, not a panic.
-        assert_eq!(scoped_map(&[1u32, 2], 0, |c| c.len()), vec![1, 1]);
+    fn par_map_preserves_order_across_thread_counts() {
+        for len in [0u64, 1, 137] {
+            let items: Vec<u64> = (0..len).collect();
+            let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
+            for threads in [1usize, 2, 7, 64] {
+                assert_eq!(
+                    par_map(&items, threads, |&x| x * x),
+                    expect,
+                    "{len} at {threads}"
+                );
+                let indexed = par_map_with(&items, threads, || (), |(), i, &x| (i as u64, x));
+                assert!(indexed.iter().all(|&(i, x)| i == x), "{len} at {threads}");
+            }
+        }
     }
 
     #[test]
-    fn par_map_preserves_order_across_thread_counts() {
-        let items: Vec<u64> = (0..137).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
-        for threads in [1usize, 2, 7, 64] {
-            assert_eq!(par_map(items.clone(), threads, |&x| x * x), expect);
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..50).collect();
+        let ids = par_map(&items, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        // More threads than items still cap the workers at the item count.
+        let ids = par_map(&items[..1], 8, |_| std::thread::current().id());
+        assert_eq!(ids, vec![caller]);
+    }
+
+    #[test]
+    fn each_worker_state_sees_strictly_increasing_indices() {
+        let items: Vec<u32> = (0..500).collect();
+        for threads in [1usize, 2, 7] {
+            let ordered = par_map_with(
+                &items,
+                threads,
+                || None::<usize>,
+                |last, i, _| {
+                    let increasing = !matches!(*last, Some(prev) if prev >= i);
+                    *last = Some(i);
+                    increasing
+                },
+            );
+            assert!(ordered.iter().all(|&ok| ok), "threads {threads}");
         }
-        assert!(par_map(Vec::<u64>::new(), 4, |&x| x).is_empty());
-        assert_eq!(par_map(vec![9u64], 4, |&x| x + 1), vec![10]);
     }
 
     #[test]
     fn par_map_propagates_worker_panics() {
-        let result = std::panic::catch_unwind(|| {
-            par_map((0..64u32).collect::<Vec<_>>(), 4, |&x| {
-                assert!(x != 13, "boom");
-                x
-            })
-        });
-        assert!(result.is_err());
+        for threads in [1usize, 4] {
+            let items: Vec<u32> = (0..64).collect();
+            let result = std::panic::catch_unwind(|| {
+                par_map(&items, threads, |&x| {
+                    assert!(x != 13, "boom");
+                    x
+                })
+            });
+            assert!(result.is_err(), "threads {threads}");
+        }
     }
 
     #[test]

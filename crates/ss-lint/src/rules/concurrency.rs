@@ -1,17 +1,18 @@
 //! Rule `concurrency-containment`: thread and lock primitives live only
 //! in the designated containment modules.
 //!
-//! PR 1 made encode/measure multi-threaded; the splice-ordering guarantees
-//! that keep parallel output bit-identical to the sequential oracle are
-//! argued once, in `crates/ss-core/src/par.rs`. The `ss-pipeline` batch
-//! engine adds a second, equally self-contained concurrency argument: its
-//! bounded queue and worker pool. The `ss-serve` service and TCP server
-//! are the third and fourth: a worker pool draining the pipeline queue,
-//! and reader/writer thread pairs per connection, each argued once in
-//! its module docs. Scattered `thread::spawn` or ad-hoc
-//! locks elsewhere would re-open those arguments file by file — so
-//! everywhere else, spawning (`thread::spawn`, `thread::scope`) and
-//! blocking synchronization (`Mutex`, `RwLock`, `Condvar`) are forbidden.
+//! The codec's chunk fan-outs, the `ss-pipeline` batch engine and the
+//! experiment harness all map over independent items on
+//! `ss_core::par::par_map_with`, whose index-claiming and ordering
+//! argument is made once, in `crates/ss-core/src/par.rs`. The
+//! `ss-pipeline` admission queue is the second self-contained argument:
+//! its lock and condvar. The `ss-serve` service and TCP server are the
+//! third and fourth: a long-lived worker pool draining that queue, and
+//! reader/writer thread pairs per connection, each argued once in its
+//! module docs. Scattered `thread::spawn` or ad-hoc locks elsewhere would
+//! re-open those arguments file by file — so everywhere else, spawning
+//! (`thread::spawn`, `thread::scope`) and blocking synchronization
+//! (`Mutex`, `RwLock`, `Condvar`) are forbidden.
 //! Test code is exempt, and deliberate exceptions (a process-wide cache)
 //! carry a file-scoped allow-annotation with their safety argument.
 
@@ -20,16 +21,14 @@ use crate::callgraph::Analysis;
 use crate::diag::Diagnostic;
 use crate::workspace::{FileKind, Workspace};
 
-/// The modules allowed to spawn threads and take locks: the chunk-level
-/// parallelism substrate, the `ss-pipeline` queue + worker pool (whose
-/// blocking backpressure is the crate's whole point), and the two
-/// `ss-serve` layers — the worker-pool service and the per-connection
-/// reader/writer threads of the TCP server — whose spawn/join
-/// lifecycles are argued in their module docs.
+/// The modules allowed to spawn threads and take locks: the one
+/// in-process worker primitive, the admission queue `ss-serve` builds
+/// on, and the two `ss-serve` layers — the worker-pool service and the
+/// per-connection reader/writer threads of the TCP server — whose
+/// spawn/join lifecycles are argued in their module docs.
 pub const CONTAINMENT: &[&str] = &[
     "crates/ss-core/src/par.rs",
     "crates/ss-pipeline/src/queue.rs",
-    "crates/ss-pipeline/src/engine.rs",
     "crates/ss-serve/src/service.rs",
     "crates/ss-serve/src/server.rs",
 ];
@@ -73,8 +72,8 @@ impl Rule for Concurrency {
                             message: format!(
                                 "`{pat}` outside the containment modules {CONTAINMENT:?}: \
                                  route parallelism through `ss_core::par` \
-                                 (scoped_map/par_map) or the `ss-pipeline` engine, or \
-                                 annotate the containment exception"
+                                 (par_map_with/par_map), or annotate the containment \
+                                 exception"
                             ),
                             snippet: file.snippet(lineno),
                         });
@@ -119,11 +118,19 @@ mod tests {
                 "{module}"
             );
         }
-        // Non-containment ss-pipeline files stay covered.
-        assert_eq!(
-            run_at("crates/ss-pipeline/src/lib.rs", "let m = Mutex::new(0);").len(),
-            1
-        );
+        // Non-containment ss-pipeline files stay covered, the engine
+        // included: it maps batches over `ss_core::par`.
+        for file in [
+            "crates/ss-pipeline/src/lib.rs",
+            "crates/ss-pipeline/src/engine.rs",
+        ] {
+            assert_eq!(run_at(file, "let m = Mutex::new(0);").len(), 1, "{file}");
+            assert_eq!(
+                run_at(file, "std::thread::scope(|s| {});").len(),
+                1,
+                "{file}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! because the closure *is* the re-checked predicate.
 //!
 //! **Guards don't cross a send/recv boundary.** In the `ss-pipeline`
-//! queue/engine layer, holding a `Mutex` guard while performing a blocking
+//! admission queue, holding a `Mutex` guard while performing a blocking
 //! channel `send`/`recv` composes two blocking protocols and deadlocks the
 //! moment the peer needs the same lock. The rule flags a `.lock()` whose
 //! enclosing fn later performs `.send(`/`.recv(` with no intervening
@@ -23,7 +23,7 @@ use crate::callgraph::Analysis;
 use crate::diag::Diagnostic;
 use crate::workspace::{FileKind, Workspace};
 
-/// The crate whose queue/engine layer is subject to the guard-across-send
+/// The crate whose queue layer is subject to the guard-across-send
 /// check. Waits are checked workspace-wide — a naked wait is wrong
 /// anywhere.
 const QUEUE_SCOPE_PREFIX: &str = "crates/ss-pipeline/";

@@ -7,7 +7,7 @@
 //!
 //! * `Qual::name(..)` resolves to fns named `name` inside `impl Qual`
 //!   blocks; when no such impl exists the qualifier is treated as a
-//!   module path (`par::scoped_map`) and resolution falls back to name
+//!   module path (`par::par_map`) and resolution falls back to name
 //!   matching;
 //! * `.name(..)` method calls resolve to every *associated* fn named
 //!   `name` (free fns can't be called with method syntax);
@@ -94,7 +94,7 @@ impl SymbolTable {
             if let Some(ids) = self.by_qual.get(&qualified) {
                 return ids.clone();
             }
-            // Module-path qualifier (`par::scoped_map`): fall through to
+            // Module-path qualifier (`par::par_map`): fall through to
             // name resolution.
             return self.by_name.get(&call.name).cloned().unwrap_or_default();
         }
@@ -151,9 +151,9 @@ mod tests {
 
     #[test]
     fn module_path_qualifier_falls_back_to_name() {
-        let (_, t) = table(&["fn scoped_map() {}"]);
+        let (_, t) = table(&["fn par_map() {}"]);
         let call = CallSite {
-            name: "scoped_map".into(),
+            name: "par_map".into(),
             qual: Some("par".into()),
             is_method: false,
             line: 1,

@@ -1,9 +1,9 @@
 //! Typed failures for the batch engine.
 //!
 //! Every per-tensor failure carries the tensor's submission index so a
-//! caller can point at the offending input; engine-level failures
-//! (invalid configuration, a panicked worker) carry no index because no
-//! single tensor is at fault.
+//! caller can point at the offending input; an invalid configuration
+//! carries no index because no single tensor is at fault. A panicking
+//! worker is not an error value: the panic reaches the caller.
 
 use std::fmt;
 
@@ -37,14 +37,6 @@ pub enum PipelineError {
         /// Submission index of the offending tensor.
         index: usize,
     },
-    /// A worker thread panicked; its share of the batch is lost.
-    WorkerPanicked,
-    /// No worker produced a result for the tensor at `index` (internal
-    /// invariant breach — every submitted tensor must be claimed once).
-    MissingResult {
-        /// Submission index of the unclaimed tensor.
-        index: usize,
-    },
 }
 
 impl fmt::Display for PipelineError {
@@ -65,10 +57,6 @@ impl fmt::Display for PipelineError {
                     "measure/encode accounting mismatch on tensor {index}: measured bits \
                      disagree with the written container"
                 )
-            }
-            PipelineError::WorkerPanicked => write!(f, "a pipeline worker thread panicked"),
-            PipelineError::MissingResult { index } => {
-                write!(f, "no worker produced a result for tensor {index}")
             }
         }
     }

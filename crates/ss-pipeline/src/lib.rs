@@ -1,23 +1,28 @@
-//! Bounded-memory batch throughput engine for the ShapeShifter codec.
+//! Batch throughput engine for the ShapeShifter codec.
 //!
-//! One [`Pipeline`] drives many tensors through **encode → (optional
-//! measure cross-check) → (optional decode round-trip)** on a fixed pool
-//! of worker threads. Three properties define the design:
+//! One [`Pipeline`] drives many tensors through **encode → measure
+//! cross-check → decode round-trip** on a fixed number of workers. Three
+//! properties define the design:
 //!
-//! - **Bounded memory.** Submission goes through a bounded queue
-//!   ([`queue::BoundedQueue`]); when workers fall behind, the producer
-//!   blocks. In-flight state is `queue_depth` borrowed tensors plus one
-//!   scratch set per worker — independent of batch size.
-//! - **Zero steady-state allocation.** Each worker owns one long-lived
-//!   [`ss_core::CodecSession`] plus a recycled container and tensor, so
-//!   after warm-up the hot loop of [`Pipeline::process`] does not touch
-//!   the heap (the session contract is pinned by a counting-allocator
-//!   test in ss-core).
+//! - **One worker primitive.** A batch is one
+//!   [`ss_core::par::par_map_with`] call: workers claim tensors by index
+//!   from one atomic counter, the calling thread is one of them, and the
+//!   engine itself owns no threads — a one-worker run spawns nothing.
+//! - **Zero steady-state allocation.** Each worker owns a clone of the
+//!   engine's [`ss_core::CodecSession`] plus a recycled container and
+//!   tensor, so after warm-up the hot loop of [`Pipeline::process`] does
+//!   not touch the heap (pinned by the counting-allocator test
+//!   `tests/pipeline_alloc.rs`; the session contract itself by one in
+//!   ss-core).
 //! - **Deterministic results.** Work distribution races; results do not.
-//!   Every result carries its submission index and is merged back into
-//!   submission order, and each container is a pure function of
-//!   (config, tensor) — so [`BatchReport`]'s accounting fields and its
-//!   chained `stream_hash` are identical across runs and worker counts.
+//!   Results come back in submission order, every tensor is attempted
+//!   (so the lowest-indexed failure is the one returned), and each
+//!   container is a pure function of (config, tensor) — so
+//!   [`BatchReport`]'s accounting fields and its chained `stream_hash`
+//!   are identical across runs and worker counts.
+//!
+//! [`BoundedQueue`] lives here too: it is `ss-serve`'s admission queue,
+//! not part of the engine.
 //!
 //! ```
 //! use ss_pipeline::{Pipeline, PipelineConfig};
@@ -54,8 +59,7 @@ pub use report::BatchReport;
 /// benches hash one-shot containers with bit-for-bit the same code.
 pub use ss_core::checksum::fnv1a_64;
 
-/// How a [`Pipeline`] runs: codec settings, pool size, queue bound, and
-/// which verification stages are on.
+/// How a [`Pipeline`] runs: codec settings and worker count.
 ///
 /// `#[non_exhaustive]`: build with [`PipelineConfig::new`] + `with_*`
 /// so added knobs are not breaking changes.
@@ -64,28 +68,17 @@ pub use ss_core::checksum::fnv1a_64;
 pub struct PipelineConfig {
     /// Codec configuration every worker session is built from.
     pub codec: CodecConfig,
-    /// Worker threads (0 is treated as 1).
+    /// Workers (0 is treated as 1; the calling thread is one of them).
     pub workers: usize,
-    /// Bounded submission-queue capacity (0 is treated as 1). This plus
-    /// one scratch set per worker bounds in-flight memory.
-    pub queue_depth: usize,
-    /// Cross-check `measure`'s accounting against each written container.
-    pub measure: bool,
-    /// Decode each container and verify the round trip losslessly.
-    pub decode: bool,
 }
 
 impl PipelineConfig {
-    /// Defaults: default codec, 1 worker, queue depth 4, both
-    /// verification stages on — the full encode/measure/decode pipeline.
+    /// Defaults: default codec, 1 worker.
     #[must_use]
     pub fn new() -> Self {
         Self {
             codec: CodecConfig::new(),
             workers: 1,
-            queue_depth: 4,
-            measure: true,
-            decode: true,
         }
     }
 
@@ -96,31 +89,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the worker-pool size.
+    /// Sets the number of workers.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the bounded submission-queue capacity.
-    #[must_use]
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Enables/disables the measure cross-check stage.
-    #[must_use]
-    pub fn with_measure(mut self, measure: bool) -> Self {
-        self.measure = measure;
-        self
-    }
-
-    /// Enables/disables the decode round-trip stage.
-    #[must_use]
-    pub fn with_decode(mut self, decode: bool) -> Self {
-        self.decode = decode;
         self
     }
 }
@@ -139,22 +111,15 @@ mod tests {
     fn builder_sets_every_knob() {
         let cfg = PipelineConfig::new()
             .with_codec(CodecConfig::new().with_group_size(8))
-            .with_workers(4)
-            .with_queue_depth(16)
-            .with_measure(false)
-            .with_decode(false);
+            .with_workers(4);
         assert_eq!(cfg.codec.group_size, 8);
         assert_eq!(cfg.workers, 4);
-        assert_eq!(cfg.queue_depth, 16);
-        assert!(!cfg.measure);
-        assert!(!cfg.decode);
     }
 
     #[test]
     fn defaults_run_the_full_pipeline() {
         let cfg = PipelineConfig::default();
         assert_eq!(cfg.workers, 1);
-        assert!(cfg.measure);
-        assert!(cfg.decode);
+        assert_eq!(cfg.codec, CodecConfig::new());
     }
 }

@@ -1,31 +1,30 @@
-//! Bounded blocking queue: the engine's backpressure primitive.
+//! Bounded admission queue: `ss-serve`'s backpressure primitive.
 //!
-//! The submission side blocks in [`BoundedQueue::push`] whenever the queue
-//! is at capacity, so the number of tensors in flight — and therefore the
-//! engine's memory footprint — is bounded by `capacity` plus one scratch
-//! set per worker, independent of batch size. Workers block in
-//! [`BoundedQueue::pop`] when the queue is empty and drain remaining items
-//! after [`BoundedQueue::close`], which is also the shutdown signal: a
-//! closed *and* empty queue returns `None` and the worker exits.
+//! Admission never blocks. [`BoundedQueue::try_push`] enqueues only while
+//! the queue holds fewer than `capacity` items and otherwise hands the
+//! item back as a typed refusal, so a service answers `Overloaded`
+//! instead of hanging a client. Workers block in [`BoundedQueue::pop`]
+//! when the queue is empty and drain remaining items after
+//! [`BoundedQueue::close`], which is also the shutdown signal: a closed
+//! *and* empty queue returns `None` and the worker exits.
 //!
-//! This is one of the two concurrency containment modules of the crate
-//! (see ss-lint's `concurrency-containment` rule): all blocking
-//! synchronization is argued here, once. Locking is poison-safe — a
-//! panicked peer must not cascade into a panic on this path, so every
-//! acquisition recovers the guard with [`PoisonError::into_inner`]; the
-//! protected state (a `VecDeque` plus two flags) is valid after any
-//! partial mutation.
+//! This is the crate's concurrency containment module (see ss-lint's
+//! `concurrency-containment` rule): all blocking synchronization is
+//! argued here, once. Locking is poison-safe — a panicked peer must not
+//! cascade into a panic on this path, so every acquisition recovers the
+//! guard with [`PoisonError::into_inner`]; the protected state (a
+//! `VecDeque`, a flag and a gauge) is valid after any partial mutation.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Multi-producer multi-consumer FIFO with a hard capacity bound,
-/// blocking push/pop, close semantics, and a high-water-mark gauge.
+/// non-blocking admission, blocking pop, close semantics, and a
+/// high-water-mark gauge.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
     capacity: usize,
 }
 
@@ -35,19 +34,10 @@ pub struct BoundedQueue<T> {
 /// `Overloaded` rejection on.
 #[derive(Debug)]
 pub enum TryPushError<T> {
-    /// The queue is at capacity; admitting the item would have blocked.
+    /// The queue is at capacity.
     Full(T),
     /// The queue is closed; the item can never be admitted.
     Closed(T),
-}
-
-impl<T> TryPushError<T> {
-    /// The refused item, regardless of the reason.
-    pub fn into_item(self) -> T {
-        match self {
-            TryPushError::Full(item) | TryPushError::Closed(item) => item,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -59,7 +49,7 @@ struct Inner<T> {
 
 impl<T> BoundedQueue<T> {
     /// Creates a queue holding at most `capacity` items (clamped to at
-    /// least 1 so a push can always eventually succeed).
+    /// least 1 so an empty queue always admits).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
@@ -70,7 +60,6 @@ impl<T> BoundedQueue<T> {
                 high_water: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             capacity,
         }
     }
@@ -80,31 +69,8 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until there is room, then enqueues `item`. Returns `false`
-    /// (dropping the item) if the queue was closed before room appeared —
-    /// the producer's signal to stop submitting.
-    pub fn push(&self, item: T) -> bool {
-        let mut inner = self.lock();
-        while !inner.closed && inner.items.len() >= self.capacity {
-            inner = self
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if inner.closed {
-            return false;
-        }
-        inner.items.push_back(item);
-        inner.high_water = inner.high_water.max(inner.items.len());
-        drop(inner);
-        self.not_empty.notify_one();
-        true
-    }
-
     /// Non-blocking admission: enqueues `item` only if there is room
-    /// right now. This is the backpressure *rejection* hook — where
-    /// [`BoundedQueue::push`] converts overload into producer blocking,
-    /// `try_push` converts it into a typed [`TryPushError::Full`] that
+    /// right now. Overload becomes a typed [`TryPushError::Full`] that
     /// hands the item back, so a service can answer `Overloaded` instead
     /// of hanging a client.
     ///
@@ -134,8 +100,6 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
                 return Some(item);
             }
             if inner.closed {
@@ -149,15 +113,13 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: pending items remain poppable, further pushes
-    /// fail, and every blocked thread wakes. Idempotent; called by the
-    /// producer when the batch is fully submitted and by any worker that
-    /// hits an error (so the rest of the pool winds down promptly).
+    /// fail, and every blocked consumer wakes. Idempotent; `ss-serve`
+    /// calls it to begin a drain's final flush.
     pub fn close(&self) {
         let mut inner = self.lock();
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// Items currently queued (a point-in-time gauge; another thread may
@@ -181,8 +143,8 @@ impl<T> BoundedQueue<T> {
         self.lock().closed
     }
 
-    /// Deepest occupancy ever observed — the backpressure gauge reported
-    /// in [`crate::BatchReport::queue_high_water`].
+    /// Deepest occupancy ever observed — the backpressure gauge `ss-serve`
+    /// reports in its drain summary and stats.
     #[must_use]
     pub fn high_water(&self) -> usize {
         self.lock().high_water
@@ -198,14 +160,13 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fifo_within_capacity() {
         let q = BoundedQueue::new(4);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert!(q.push(3));
+        assert!(q.try_push(1).is_ok());
+        assert!(q.try_push(2).is_ok());
+        assert!(q.try_push(3).is_ok());
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
@@ -215,9 +176,9 @@ mod tests {
     #[test]
     fn close_drains_then_stops() {
         let q = BoundedQueue::new(4);
-        assert!(q.push(7));
+        assert!(q.try_push(7).is_ok());
         q.close();
-        assert!(!q.push(8), "push after close must fail");
+        assert!(q.try_push(8).is_err(), "push after close must fail");
         assert_eq!(q.pop(), Some(7), "pending items survive close");
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None, "closed+empty stays terminal");
@@ -252,41 +213,8 @@ mod tests {
     fn capacity_is_clamped_to_one() {
         let q = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        assert!(q.push(1));
-    }
-
-    #[test]
-    fn push_blocks_at_capacity_until_a_pop() {
-        let q = BoundedQueue::new(1);
-        assert!(q.push(10));
-        let submitted = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                // Blocks: the queue is full.
-                assert!(q.push(20));
-                submitted.store(1, Ordering::SeqCst);
-            });
-            // Give the producer a chance to reach the blocking push; it
-            // cannot have completed while the queue held item 10.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert_eq!(submitted.load(Ordering::SeqCst), 0, "push overran capacity");
-            assert_eq!(q.pop(), Some(10));
-            assert_eq!(q.pop(), Some(20));
-        });
-        assert_eq!(submitted.load(Ordering::SeqCst), 1);
-        assert_eq!(q.high_water(), 1, "occupancy never exceeded capacity");
-    }
-
-    #[test]
-    fn close_wakes_a_blocked_producer() {
-        let q = BoundedQueue::new(1);
-        assert!(q.push(1));
-        std::thread::scope(|s| {
-            let t = s.spawn(|| q.push(2));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            q.close();
-            assert!(!t.join().expect("producer thread"), "woken push reports closed");
-        });
+        assert!(q.try_push(1).is_ok());
+        assert!(matches!(q.try_push(2), Err(TryPushError::Full(2))));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The report separates **deterministic** fields (value counts, bit
 //! accounting, the batch stream hash — identical across runs, worker
 //! counts and hosts for the same inputs) from **timing** fields (elapsed
-//! wall clock, per-stage busy time, queue high-water mark — machine
-//! facts). Downstream gates pin the former and only sanity-check the
+//! wall clock, per-stage busy time — machine facts). Downstream gates pin the former and only sanity-check the
 //! latter, mirroring the `BENCH_*.json` / `BENCH_*_timings.json` split.
 
 use std::time::Duration;
@@ -57,26 +56,24 @@ pub struct BatchReport {
     /// order — equal across runs and worker counts iff every container
     /// is bit-identical.
     pub stream_hash: u64,
-    /// Worker threads the run used.
+    /// Workers the run was configured with.
     pub workers: usize,
-    /// Capacity of the bounded submission queue.
-    pub queue_capacity: usize,
-    /// Deepest submission-queue occupancy observed (backpressure gauge;
-    /// never exceeds `queue_capacity`).
+    /// Always 0: workers claim tensors by index, so no submission queue
+    /// exists. Kept only because `perfbench` reads it.
     pub queue_high_water: usize,
     /// Wall-clock duration of the batch run.
     pub elapsed: Duration,
     /// Total worker time spent inside encode.
     pub encode_busy: Duration,
-    /// Total worker time spent inside measure (zero when disabled).
+    /// Total worker time spent inside measure.
     pub measure_busy: Duration,
-    /// Total worker time spent inside decode (zero when disabled).
+    /// Total worker time spent inside decode.
     pub decode_busy: Duration,
 }
 
 impl BatchReport {
     /// An empty report for `workers` workers — the fold's identity.
-    pub(crate) fn empty(workers: usize, queue_capacity: usize) -> Self {
+    pub(crate) fn empty(workers: usize) -> Self {
         Self {
             tensors: 0,
             values: 0,
@@ -87,7 +84,6 @@ impl BatchReport {
             groups: 0,
             stream_hash: FNV_OFFSET,
             workers,
-            queue_capacity,
             queue_high_water: 0,
             elapsed: Duration::ZERO,
             encode_busy: Duration::ZERO,
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn fold_chains_like_hashing_the_concatenated_words() {
-        let mut report = BatchReport::empty(1, 1);
+        let mut report = BatchReport::empty(1);
         for stream_hash in [1u64, 2] {
             report.absorb(&TensorRecord {
                 values: 0,
@@ -215,10 +211,10 @@ mod tests {
             stream_hash: 0x2222,
             ..rec_a
         };
-        let mut ab = BatchReport::empty(2, 4);
+        let mut ab = BatchReport::empty(2);
         ab.absorb(&rec_a);
         ab.absorb(&rec_b);
-        let mut ba = BatchReport::empty(2, 4);
+        let mut ba = BatchReport::empty(2);
         ba.absorb(&rec_b);
         ba.absorb(&rec_a);
         assert_eq!(ab.tensors, 2);
@@ -230,7 +226,7 @@ mod tests {
 
     #[test]
     fn rates_and_occupancy_handle_zero_elapsed() {
-        let report = BatchReport::empty(4, 8);
+        let report = BatchReport::empty(4);
         assert_eq!(report.tensors_per_sec(), 0.0);
         assert_eq!(report.encode_occupancy(), 0.0);
         assert_eq!(report.ratio(), 1.0, "empty batch is the identity ratio");
@@ -238,7 +234,7 @@ mod tests {
 
     #[test]
     fn occupancy_is_a_fraction_of_worker_time() {
-        let mut report = BatchReport::empty(2, 4);
+        let mut report = BatchReport::empty(2);
         report.elapsed = Duration::from_secs(1);
         report.encode_busy = Duration::from_secs(1);
         // 1s busy over 2 worker-seconds = 0.5.

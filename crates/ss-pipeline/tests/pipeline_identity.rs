@@ -7,10 +7,10 @@
 //! 1. **Bit-identity** — containers out of the pool equal one-shot
 //!    `ShapeShifterCodec::encode` for every tensor, at every worker count.
 //! 2. **Determinism** — `BatchReport`'s accounting fields and chained
-//!    `stream_hash` are identical across runs and worker counts, even
-//!    with a queue small enough to exercise real backpressure.
+//!    `stream_hash` are identical across runs and worker counts.
 //! 3. **Error routing** — per-tensor failures surface with the right
-//!    submission index; the pool winds down instead of hanging.
+//!    submission index, and with several failures the lowest index wins
+//!    at every worker count.
 
 use ss_core::prelude::*;
 use ss_pipeline::{fnv1a_64, BatchReport, Pipeline, PipelineConfig, PipelineError};
@@ -60,8 +60,7 @@ fn encode_batch_is_bit_identical_to_one_shot_at_every_worker_count() {
     let batch = mixed_batch();
     let codec = config().codec.build().unwrap();
     for workers in [1, 2, 4, 8] {
-        let pipeline =
-            Pipeline::new(config().with_workers(workers).with_queue_depth(2)).unwrap();
+        let pipeline = Pipeline::new(config().with_workers(workers)).unwrap();
         let containers = pipeline.encode_batch(&batch).unwrap();
         assert_eq!(containers.len(), batch.len());
         for (i, (enc, t)) in containers.iter().zip(&batch).enumerate() {
@@ -99,8 +98,7 @@ fn scheme_batches_are_bit_identical_at_every_worker_count() {
             reference.push(s);
         }
         for workers in [1, 2, 4, 8] {
-            let pipeline =
-                Pipeline::new(config().with_workers(workers).with_queue_depth(2)).unwrap();
+            let pipeline = Pipeline::new(config().with_workers(workers)).unwrap();
             let streams = pipeline.encode_batch_with(id, &batch).unwrap();
             assert_eq!(streams.len(), batch.len());
             for (i, (s, r)) in streams.iter().zip(&reference).enumerate() {
@@ -139,12 +137,34 @@ fn scheme_batch_rejects_unregistered_ids_typed() {
 }
 
 #[test]
+fn lowest_indexed_failure_wins_at_every_worker_count() {
+    // Two bad streams among good ones: whichever a worker reaches first,
+    // every stream is attempted and the error names index 3.
+    let batch = mixed_batch();
+    let pipeline = Pipeline::new(config()).unwrap();
+    let mut streams = pipeline.encode_batch_with(SchemeId::DPRED, &batch).unwrap();
+    for bad in [3, 9] {
+        streams[bad].scheme = SchemeId::new(200);
+    }
+    for workers in [1, 2, 4, 8] {
+        let pipeline = Pipeline::new(config().with_workers(workers)).unwrap();
+        match pipeline.decode_batch_with(&streams) {
+            Err(PipelineError::Codec {
+                index: 3,
+                source: CodecError::UnknownScheme { id: 200 },
+            }) => {}
+            other => panic!("{workers} workers: expected the failure at index 3, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn report_deterministic_fields_agree_across_runs_and_worker_counts() {
     let batch = mixed_batch();
     let reports: Vec<BatchReport> = [1, 2, 4, 8, 2]
         .iter()
         .map(|&workers| {
-            Pipeline::new(config().with_workers(workers).with_queue_depth(3))
+            Pipeline::new(config().with_workers(workers))
                 .unwrap()
                 .process(&batch)
                 .unwrap()
@@ -163,7 +183,7 @@ fn report_deterministic_fields_agree_across_runs_and_worker_counts() {
         assert_eq!(r.payload_bits, first.payload_bits, "run {i}");
         assert_eq!(r.groups, first.groups, "run {i}");
         assert_eq!(r.stream_hash, first.stream_hash, "run {i}");
-        assert!(r.queue_high_water <= r.queue_capacity, "run {i}");
+        assert_eq!(r.queue_high_water, 0, "run {i}: no submission queue exists");
     }
 }
 
@@ -188,16 +208,6 @@ fn report_hash_matches_hand_chained_one_shot_hashes() {
         .process(&batch)
         .unwrap();
     assert_eq!(report.stream_hash, expected);
-}
-
-#[test]
-fn stage_toggles_zero_their_busy_time() {
-    let batch = mixed_batch();
-    let pipeline = Pipeline::new(config().with_measure(false).with_decode(false)).unwrap();
-    let report = pipeline.process(&batch).unwrap();
-    assert_eq!(report.measure_busy, std::time::Duration::ZERO);
-    assert_eq!(report.decode_busy, std::time::Duration::ZERO);
-    assert_eq!(report.measure_occupancy(), 0.0);
 }
 
 #[test]

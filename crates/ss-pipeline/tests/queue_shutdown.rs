@@ -3,14 +3,14 @@
 //! `ss-serve`'s graceful drain is built on:
 //!
 //! 1. **No silent loss** — every item a producer successfully pushed
-//!    (blocking `push` returned `true`, or `try_push` returned `Ok`) is
-//!    popped by exactly one consumer before the drained queue goes
-//!    terminal, no matter when `close` lands relative to the producers
-//!    and consumers.
+//!    (`try_push` returned `Ok`) is popped by exactly one consumer before
+//!    the drained queue goes terminal, no matter when `close` lands
+//!    relative to the producers and consumers.
 //! 2. **No invention** — nothing is popped twice and nothing is popped
 //!    that was never admitted (checked by summing a per-item tag).
-//! 3. **Typed refusal** — a push racing with close is *refused*
-//!    (`false` / `TryPushError`), never half-admitted.
+//! 3. **Typed refusal** — a push racing with close or a full queue is
+//!    *refused* with the item handed back (`TryPushError`), never
+//!    half-admitted.
 //!
 //! True loom-style model checking would need a pluggable scheduler; this
 //! suite approximates it the way the rest of the workspace does — many
@@ -71,31 +71,19 @@ fn run_schedule(seed: u64) -> (u64, u64, u64, u64, u64) {
                     // duplication and substitution.
                     let tag = ((p as u64) << 32) | i;
                     jitter(mix(seed ^ tag) % 64);
-                    // Alternate blocking and non-blocking admission so
-                    // both shutdown paths are raced.
-                    if i % 2 == 0 {
-                        if queue.push(tag) {
+                    match queue.try_push(tag) {
+                        Ok(()) => {
                             pushed_count.fetch_add(1, Ordering::SeqCst);
                             pushed_sum.fetch_add(tag, Ordering::SeqCst);
-                        } else {
+                        }
+                        Err(TryPushError::Full(t)) => {
+                            assert_eq!(t, tag, "refused item handed back intact");
+                            refused.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Err(TryPushError::Closed(t)) => {
+                            assert_eq!(t, tag, "refused item handed back intact");
                             refused.fetch_add(1, Ordering::SeqCst);
                             break; // closed: stop submitting
-                        }
-                    } else {
-                        match queue.try_push(tag) {
-                            Ok(()) => {
-                                pushed_count.fetch_add(1, Ordering::SeqCst);
-                                pushed_sum.fetch_add(tag, Ordering::SeqCst);
-                            }
-                            Err(TryPushError::Full(t)) => {
-                                assert_eq!(t, tag, "refused item handed back intact");
-                                refused.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(TryPushError::Closed(t)) => {
-                                assert_eq!(t, tag, "refused item handed back intact");
-                                refused.fetch_add(1, Ordering::SeqCst);
-                                break;
-                            }
                         }
                     }
                 }
@@ -169,7 +157,7 @@ fn drain_after_close_delivers_exactly_the_queued_backlog() {
     // then drain — the service-shutdown fast path.
     let q: BoundedQueue<u64> = BoundedQueue::new(16);
     for i in 0..10 {
-        assert!(q.push(i));
+        assert!(q.try_push(i).is_ok());
     }
     q.close();
     assert!(matches!(q.try_push(99), Err(TryPushError::Closed(99))));

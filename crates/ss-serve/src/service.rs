@@ -361,16 +361,20 @@ impl ServeHandle {
                     // ss-lint: allow(determinism) -- queue-entry timestamp for the latency histogram; never serialized deterministically
                     enqueued: Instant::now(),
                 };
-                match core.queue.try_push(job) {
-                    Ok(()) => {
-                        core.in_flight.fetch_add(1, Ordering::SeqCst);
-                        Ok(PendingReply { rx })
-                    }
-                    Err(TryPushError::Full(_)) => {
+                // Count the job before a worker can see it: a worker may
+                // pop, answer and decrement before `try_push` returns.
+                core.in_flight.fetch_add(1, Ordering::SeqCst);
+                let refused = match core.queue.try_push(job) {
+                    Ok(()) => return Ok(PendingReply { rx }),
+                    Err(refused) => refused,
+                };
+                core.in_flight.fetch_sub(1, Ordering::SeqCst);
+                match refused {
+                    TryPushError::Full(_) => {
                         core.trace.add(Counter::ServeOverloaded, 1);
                         Err(ServeError::Overloaded)
                     }
-                    Err(TryPushError::Closed(_)) => {
+                    TryPushError::Closed(_) => {
                         core.trace.add(Counter::ServeRejectedDraining, 1);
                         Err(ServeError::Closed)
                     }

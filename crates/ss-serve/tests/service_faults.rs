@@ -362,3 +362,59 @@ fn decode_of_a_corrupt_container_is_a_typed_remote_error_over_tcp() {
     server.stop();
     let _ = service.shutdown();
 }
+
+#[test]
+fn in_flight_gauge_never_wraps_under_fast_replies() {
+    // Requests answered at once (a one-byte decode body is a bad
+    // request) race the admission-side accounting: a worker can pop,
+    // answer and uncount a job before its submitter returns. The gauge
+    // must never read above the number of requests ever sent.
+    const SUBMITTERS: u64 = 3;
+    const CALLS: u64 = 5_000;
+    let mut service = Service::new(ServeConfig::new().with_workers(2)).expect("service");
+    service.start();
+    let handle = service.handle();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let mut reads = Vec::new();
+    std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                let handle = handle.clone();
+                s.spawn(move || {
+                    for _ in 0..CALLS {
+                        // Overloaded refusals are fine; only the gauge
+                        // is under test.
+                        let _ = handle.call(Op::Decode, b"x".to_vec());
+                    }
+                })
+            })
+            .collect();
+        let poller = s.spawn(|| {
+            let mut seen = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let health = handle.health().expect("health");
+                let field = health
+                    .split("\"in_flight\":")
+                    .nth(1)
+                    .and_then(|rest| rest.split([',', '}']).next())
+                    .expect("in_flight field");
+                seen.push(field.parse::<u64>().expect("in_flight is a u64"));
+            }
+            seen
+        });
+        for submitter in submitters {
+            submitter.join().expect("submitter");
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        reads = poller.join().expect("poller");
+    });
+    assert!(!reads.is_empty(), "the poller never read the gauge");
+    let max = reads.iter().copied().max().unwrap_or(0);
+    assert!(
+        max <= SUBMITTERS * CALLS,
+        "in_flight read {max} (above the {} requests sent) in {} reads",
+        SUBMITTERS * CALLS,
+        reads.len()
+    );
+    service.shutdown();
+}

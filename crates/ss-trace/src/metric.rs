@@ -113,9 +113,6 @@ metric_enum! {
         PipelineBatches => "pipeline_batches",
         /// Tensors completed by `ss-pipeline` workers.
         PipelineTensors => "pipeline_tensors",
-        /// Peak submission-queue depth observed, summed over batches
-        /// (divide by `pipeline_batches` for the mean high-water mark).
-        PipelineQueueHighWater => "pipeline_queue_high_water",
         /// Nanoseconds `ss-pipeline` workers spent inside encode.
         PipelineEncodeBusyNanos => "pipeline_encode_busy_nanos",
         /// Nanoseconds `ss-pipeline` workers spent inside measure.

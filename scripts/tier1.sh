@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The frozen repository benchmark builds against the workspace crates
+# with its own lockfile; building it here catches an API or dependency
+# change that would break it. Its build output goes under target/, so
+# nothing is written inside perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo run --release -q -p ss-lint
 cargo run --release -q -p ss-lint -- --self-test

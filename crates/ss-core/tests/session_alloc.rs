@@ -12,35 +12,54 @@
 //! registered scheme, with and without a chunk index. This file is a
 //! dedicated integration-test binary holding exactly one test: the
 //! counting allocator is process-global, so any concurrently running test
-//! would pollute the measurement.
+//! would pollute the measurement. It counts only on threads that opt in,
+//! so libtest's own threads do not either; the test thread opts in, and
+//! these tensors are small enough that the codec runs on it alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ss_core::prelude::*;
 use ss_tensor::{FixedType, Shape, Tensor};
 
-/// Counts every allocation and reallocation (frees are irrelevant to the
-/// steady-state claim) and forwards to the system allocator.
+/// Counts every allocation and reallocation made on an opted-in thread
+/// (frees are irrelevant to the steady-state claim) and forwards to the
+/// system allocator.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations are counted. Only the test thread
+    /// opts in: libtest's main thread can allocate while the test thread
+    /// measures, and those allocations are not the code under test.
+    /// `const`-initialised and drop-free, so reading it from inside the
+    /// allocator never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if COUNTED.get() {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // Unsafe is confined to forwarding the GlobalAlloc contract verbatim to
 // the system allocator; the counter itself is a relaxed atomic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -77,6 +96,7 @@ fn tensor(len: usize, seed: u64) -> Tensor {
 
 #[test]
 fn steady_state_session_performs_zero_allocations_per_tensor() {
+    COUNTED.set(true);
     // EveryGroups(2) keeps the chunk index in play (with group 16 any
     // tensor over 32 values is indexed), so the index-entry recycling path
     // is part of the measurement, not just the plain stream path.

@@ -9,35 +9,54 @@
 //!
 //! A dedicated integration-test binary holding exactly one test: the
 //! counting allocator is process-global, so any concurrently running test
-//! would pollute the measurement.
+//! would pollute the measurement. It counts only on threads that opt in,
+//! so libtest's own threads do not either; the test thread opts in, and
+//! at one worker `Pipeline::process` runs every tensor on it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ss_pipeline::{Pipeline, PipelineConfig};
 use ss_tensor::{FixedType, Shape, Tensor};
 
-/// Counts every allocation and reallocation (frees are irrelevant to the
-/// claim) and forwards to the system allocator.
+/// Counts every allocation and reallocation made on an opted-in thread
+/// (frees are irrelevant to the claim) and forwards to the system
+/// allocator.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations are counted. Only the test thread
+    /// opts in: libtest's main thread can allocate while the test thread
+    /// measures, and those allocations are not the code under test.
+    /// `const`-initialised and drop-free, so reading it from inside the
+    /// allocator never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if COUNTED.get() {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // Unsafe is confined to forwarding the GlobalAlloc contract verbatim to
 // the system allocator; the counter itself is a relaxed atomic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -80,6 +99,7 @@ fn process_allocations_do_not_grow_with_the_batch() {
     let distinct: Vec<Tensor> = (1..=4).map(|seed| tensor(4096, seed)).collect();
     let batch = |n: usize| -> Vec<Tensor> { distinct.iter().cycle().take(n).cloned().collect() };
     let (short, long) = (batch(8), batch(64));
+    COUNTED.set(true);
     let pipeline = Pipeline::new(PipelineConfig::new().with_workers(1)).unwrap();
 
     // Warm-up: one-time process-wide initialization (registry, trace

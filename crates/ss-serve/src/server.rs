@@ -151,6 +151,10 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = incoming else { continue };
+        // Responses go out as one write each; without this a small one
+        // waits in Nagle's buffer for the client's next ACK. A failure
+        // only costs latency, as in `Client::connect`.
+        let _ = stream.set_nodelay(true);
         let Ok(tracked) = stream.try_clone() else {
             continue;
         };
@@ -426,5 +430,37 @@ impl Client {
     /// disappearing mid-request).
     pub fn abandon(self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{ServeConfig, Service};
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let mut service = Service::new(ServeConfig::new().with_workers(1)).expect("service");
+        service.start();
+        let server = Server::start(service.handle(), "127.0.0.1:0").expect("bind");
+        // The accept loop tracks a connection only after spawning its
+        // reader, and takes connections one at a time in arrival order.
+        // So once the second client has been answered, the first one's
+        // stream is tracked.
+        let first = Client::connect(server.addr()).expect("connect");
+        let mut second = Client::connect(server.addr()).expect("connect");
+        second.health().expect("health");
+        let nodelay = lock(&server.conns)
+            .first()
+            .map(|conn| conn.stream.nodelay().expect("nodelay"));
+        assert_eq!(
+            nodelay,
+            Some(true),
+            "accepted stream still batches small writes"
+        );
+        first.abandon();
+        second.abandon();
+        server.stop();
+        service.shutdown();
     }
 }

@@ -1,12 +1,14 @@
 //! The ShapeShifter memory container codec (paper §3, Figure 6).
 
-use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{width, FixedType, Shape, Signedness, Tensor};
+use ss_bitio::BitWriter;
+use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::{Counter, WidthCounts, WidthHist};
 
-use crate::index::{ChunkEntry, ChunkIndex};
+use crate::index::ChunkIndex;
+use crate::registry::StreamFrame;
+use crate::scheme::ShapeShifterScheme;
 use crate::{
-    checked, kernels, par, CodecConfig, CodecError, ExecPolicy, MeasureReport, WidthDetector,
+    framing, kernels, par, CodecConfig, CodecError, ExecPolicy, MeasureReport, WidthDetector,
 };
 
 /// Below this many values the automatic paths stay sequential: spawning and
@@ -46,28 +48,27 @@ pub enum IndexPolicy {
     Auto,
 }
 
-/// One indexed chunk's bit range and value/group window, precomputed so
-/// decode workers can parse their chunks without touching shared state.
-struct ChunkSpan {
-    chunk: usize,
-    start: u64,
-    end: u64,
-    values: usize,
-    value_base: usize,
-    group_base: usize,
-}
-
-/// Records one finished encode on the global trace recorder — the same
-/// six counters whether the one-shot or the framed path produced it.
-fn record_encode(values: usize, bits: u64, report: &MeasureReport) {
-    let rec = ss_trace::global();
-    if rec.enabled() {
-        rec.add(Counter::EncodeCalls, 1);
-        rec.add(Counter::EncodeValues, values as u64);
-        rec.add(Counter::EncodeBits, bits);
-        rec.add(Counter::EncodeMetadataBits, report.metadata_bits);
-        rec.add(Counter::EncodePayloadBits, report.payload_bits);
-        rec.add(Counter::EncodeGroups, report.groups as u64);
+impl IndexPolicy {
+    /// Resolves the policy for a tensor of `len` values at `group_size`:
+    /// `Some` groups-per-chunk when an index is worth writing (the tensor
+    /// spans more than one chunk), `None` for a v1 stream.
+    pub(crate) fn chunk_groups(self, group_size: usize, len: usize) -> Option<usize> {
+        let chunk_groups = match self {
+            IndexPolicy::None => return None,
+            IndexPolicy::EveryGroups(n) => n.max(1),
+            IndexPolicy::Auto => {
+                let per_chunk = AUTO_CHUNK_MIN_VALUES.max(len.div_ceil(AUTO_MAX_CHUNKS));
+                per_chunk.div_ceil(group_size)
+            }
+        };
+        // The serialized index stores groups-per-chunk in a u32; a policy
+        // that somehow exceeds it falls back to an unindexed stream rather
+        // than truncating.
+        if chunk_groups > u32::MAX as usize {
+            return None;
+        }
+        let chunk_values = chunk_groups.saturating_mul(group_size);
+        (len > chunk_values).then_some(chunk_groups)
     }
 }
 
@@ -219,41 +220,21 @@ impl ShapeShifterCodec {
         self.index_policy
     }
 
-    /// Resolves the index policy for a tensor of `len` values: `Some`
-    /// groups-per-chunk when an index is worth writing (the tensor spans
-    /// more than one chunk), `None` for a v1 stream.
-    pub(crate) fn index_chunk_groups(&self, len: usize) -> Option<usize> {
-        let chunk_groups = match self.index_policy {
-            IndexPolicy::None => return None,
-            IndexPolicy::EveryGroups(n) => n.max(1),
-            IndexPolicy::Auto => {
-                let per_chunk = AUTO_CHUNK_MIN_VALUES.max(len.div_ceil(AUTO_MAX_CHUNKS));
-                per_chunk.div_ceil(self.group_size)
-            }
-        };
-        // The serialized index stores groups-per-chunk in a u32; a policy
-        // that somehow exceeds it falls back to an unindexed stream rather
-        // than truncating.
-        if chunk_groups > u32::MAX as usize {
-            return None;
-        }
-        let chunk_values = chunk_groups.saturating_mul(self.group_size);
-        (len > chunk_values).then_some(chunk_groups)
-    }
-
     /// Encodes a tensor into a ShapeShifter stream.
     ///
-    /// Scheduling follows the codec's [`ExecPolicy`]: under the default
-    /// `Auto`, large tensors are encoded in parallel — the tensor is cut
-    /// on group boundaries, each chunk is encoded by a [`par::par_map`]
+    /// The encode runs the one framing path every wire scheme shares, with
+    /// the ShapeShifter group layout. Scheduling follows the codec's
+    /// [`ExecPolicy`]: under the default `Auto`, large tensors are cut on
+    /// group boundaries, each chunk is encoded by a [`par::par_map_with`]
     /// worker into its own [`BitWriter`], and the chunk streams are
     /// spliced back in order. Because groups are self-contained (paper §3)
     /// and splicing preserves every bit phase, the output is
-    /// **bit-identical** to a sequential encode — the sequential path
-    /// remains both the small-tensor fast path and the oracle the
-    /// property tests compare against. The `Auto` worker count comes from
-    /// [`par::thread_count`] (`SS_THREADS` or the machine's available
-    /// parallelism).
+    /// **bit-identical** to a sequential encode, which remains both the
+    /// small-tensor path and the oracle the property tests compare
+    /// against. The `Auto` worker count comes from [`par::thread_count`]
+    /// (`SS_THREADS` or the machine's available parallelism). The chunk
+    /// index, if the policy writes one, is cut by the policy alone, so the
+    /// container is the same at every worker count.
     ///
     /// # Errors
     ///
@@ -262,189 +243,25 @@ impl ShapeShifterCodec {
     /// invariant).
     pub fn encode(&self, tensor: &Tensor) -> Result<EncodedTensor, CodecError> {
         let threads = self.exec.threads_for(tensor.len(), PARALLEL_MIN_VALUES);
-        self.encode_resolved(tensor, threads)
-    }
-
-    /// The encode body, with the worker count already resolved
-    /// (`threads <= 1` encodes on the calling thread; any higher count
-    /// parallelizes regardless of tensor size — no small-tensor
-    /// heuristic — which is what the bit-identity tests and the perf
-    /// baseline need).
-    ///
-    /// The tensor is cut into group-aligned chunks, the chunks are encoded
-    /// on [`par::par_map`] workers, and the chunk streams are spliced back
-    /// in order. With a chunk index the cut follows the *index* policy,
-    /// deliberately independent of the worker count so the container is
-    /// deterministic, and each chunk's bit offset and value count are
-    /// recorded while splicing; without one the cut follows the worker
-    /// count.
-    fn encode_resolved(
-        &self,
-        tensor: &Tensor,
-        threads: usize,
-    ) -> Result<EncodedTensor, CodecError> {
-        let dtype = tensor.dtype();
-        let values = tensor.values();
-        let chunk_groups = self.index_chunk_groups(values.len());
-        // `index_chunk_groups` only returns sizes strictly below the tensor
-        // length, so the product cannot overflow.
-        let chunk_values = match chunk_groups {
-            Some(groups) => groups * self.group_size,
-            None => par::chunk_values(values.len(), self.group_size, threads),
-        };
-        let chunks: Vec<&[i32]> = values.chunks(chunk_values).collect();
-        let chunk_hint = tensor.container_bits() / 2 / chunks.len().max(1) as u64;
-        let parts = par::par_map(&chunks, threads, |chunk| {
-            let mut w = BitWriter::with_capacity_bits(chunk_hint);
-            let report = self.encode_groups_into(chunk, dtype, &mut w)?;
-            Ok::<_, CodecError>((w, report))
-        });
-        // An empty writer takes the first chunk's buffer over, so a
-        // one-chunk encode copies nothing.
-        let mut w = BitWriter::new();
-        let mut report = MeasureReport::default();
-        let mut entries = Vec::with_capacity(chunks.len());
-        for (chunk, part) in chunks.iter().zip(parts) {
-            let (part_w, part_report) = part?;
-            entries.push(ChunkEntry {
-                bit_offset: w.bit_len(),
-                values: chunk.len() as u64,
-            });
-            report.add(&part_report);
-            w.append_writer(part_w)?;
-        }
-        let index = match chunk_groups {
-            Some(groups) => {
-                // `index_chunk_groups` rejects chunk sizes beyond u32, so
-                // the cast is lossless.
-                // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
-                let index = ChunkIndex::from_parts(groups as u32, entries)?;
-                checked::index_bookkeeping(&index, self.group_size, w.bit_len(), values.len());
-                Some(index)
-            }
-            None => None,
-        };
-
-        record_encode(tensor.len(), w.bit_len(), &report);
+        let mut w = BitWriter::with_capacity_bits(tensor.container_bits() / 2);
+        let (report, index) = framing::write_stream::<ShapeShifterScheme>(
+            tensor,
+            self.group_size,
+            self.index_policy,
+            threads,
+            &mut w,
+            &mut Vec::new(),
+        )?;
         Ok(EncodedTensor {
             bit_len: w.bit_len(),
             bytes: w.into_bytes(),
             len: tensor.len(),
-            dtype,
+            dtype: tensor.dtype(),
             group_size: self.group_size,
             groups: report.groups,
             metadata_bits: report.metadata_bits,
             payload_bits: report.payload_bits,
             index,
-        })
-    }
-
-    /// The sequential framing path shared by `CodecSession::encode_into`
-    /// and the ShapeShifter registry scheme: clears `w`, encodes `tensor`
-    /// into it on the calling thread, cuts index chunks at the same
-    /// policy-determined boundaries as [`ShapeShifterCodec::encode`] (so
-    /// stream and index are bit-identical to it), and records the encode
-    /// trace counters. Returns the bit accounting and the chunk index, if
-    /// the policy wrote one.
-    ///
-    /// `entries` is the index-entry scratch: an indexed encode moves its
-    /// storage into the returned index, so a caller that refills it from
-    /// its previous output's index builds indexes without allocating.
-    pub(crate) fn encode_framed(
-        &self,
-        tensor: &Tensor,
-        w: &mut BitWriter,
-        entries: &mut Vec<ChunkEntry>,
-    ) -> Result<(MeasureReport, Option<ChunkIndex>), CodecError> {
-        let values = tensor.values();
-        let dtype = tensor.dtype();
-        w.clear();
-        let (report, index) = match self.index_chunk_groups(values.len()) {
-            Some(chunk_groups) => {
-                let mut chunk_entries = std::mem::take(entries);
-                chunk_entries.clear();
-                let mut report = MeasureReport::default();
-                for chunk in values.chunks(chunk_groups * self.group_size) {
-                    chunk_entries.push(ChunkEntry {
-                        bit_offset: w.bit_len(),
-                        values: chunk.len() as u64,
-                    });
-                    report.add(&self.encode_groups_into(chunk, dtype, w)?);
-                }
-                // `index_chunk_groups` rejects chunk sizes beyond u32, so
-                // the cast is lossless.
-                // ss-lint: allow(truncating-cast) -- bounded by index_chunk_groups' u32 guard
-                let index = ChunkIndex::from_parts(chunk_groups as u32, chunk_entries)?;
-                checked::index_bookkeeping(&index, self.group_size, w.bit_len(), values.len());
-                (report, Some(index))
-            }
-            None => (self.encode_groups_into(values, dtype, w)?, None),
-        };
-        record_encode(values.len(), w.bit_len(), &report);
-        Ok((report, index))
-    }
-
-    /// Appends the group encodings of `values` to an existing writer,
-    /// returning their bit accounting — the inner loop shared by the
-    /// one-shot [`ShapeShifterCodec::encode`] and
-    /// [`ShapeShifterCodec::encode_framed`], so every encode path is
-    /// bit-identical by construction.
-    ///
-    /// The loop runs on the word-parallel [`kernels`]: one fused
-    /// [`kernels::scan_gather`] pass per group yields the zero bit-vector
-    /// as whole `u64` words (streamed out via `BitWriter::write_words`),
-    /// the OR-folded group width, *and* the compacted non-zero payloads,
-    /// which are packed as an equal-width field run via
-    /// `BitWriter::pack_fields` — each value is loaded once and no bit is
-    /// pushed individually. The retired per-value loop survives as the
-    /// differential oracle in the `kernel_differential` suite.
-    pub(crate) fn encode_groups_into(
-        &self,
-        values: &[i32],
-        dtype: FixedType,
-        w: &mut BitWriter,
-    ) -> Result<MeasureReport, CodecError> {
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let prefix_bits = u32::from(det.prefix_bits());
-        let signedness = dtype.signedness();
-        let mut groups = 0usize;
-        let mut metadata_bits = 0u64;
-        let mut payload_bits = 0u64;
-        // Tracing state is accumulated locally and submitted once per chunk
-        // so the untraced path pays one branch per group, not an atomic op.
-        let rec = ss_trace::global();
-        let tracing = rec.enabled();
-        let mut group_widths = WidthCounts::new();
-        let mut zeros_elided = 0u64;
-        let mut fields = [0u64; kernels::MAX_GROUP];
-
-        for group in values.chunks(self.group_size) {
-            groups += 1;
-            let (scan, n) = kernels::scan_gather(group, signedness, &mut fields);
-            // Z vector: 1 marks a zero value, emitted as whole 64-bit
-            // words (group sizes up to 256 are supported).
-            w.write_words(&scan.z, group.len() as u64)?;
-            let p = scan.width();
-            if tracing {
-                zeros_elided += u64::from(scan.zero_count());
-                group_widths.observe(p, 1);
-            }
-            w.write_bits(u64::from(scan.encoded_width()), prefix_bits)?;
-            metadata_bits += group.len() as u64 + u64::from(prefix_bits);
-            // `n <= group.len() <= MAX_GROUP` by construction, so the
-            // slice always exists; the fallback is unreachable.
-            let run = fields.get(..n).unwrap_or(&[]);
-            w.pack_fields(run, u32::from(p))?;
-            payload_bits += u64::from(p) * run.len() as u64;
-        }
-        if tracing {
-            rec.record_widths(WidthHist::CodecGroupWidth, &group_widths);
-            rec.add(Counter::EncodeZerosElided, zeros_elided);
-        }
-        Ok(MeasureReport {
-            metadata_bits,
-            payload_bits,
-            groups,
         })
     }
 
@@ -542,19 +359,20 @@ impl ShapeShifterCodec {
     ///   design: a group's start position is only known after the previous
     ///   group's `Z` vector and `P` prefix have been parsed (groups are
     ///   packed back-to-back with no alignment — paper §3: "the incoming
-    ///   stream will be decoded sequentially"). v1 streams decode exactly
-    ///   as every earlier release decoded them.
+    ///   stream will be decoded sequentially").
     /// * **v2 (chunk index present)** — the container's optional index
     ///   records each chunk's absolute bit offset and value count, so
-    ///   decode fans chunks out across [`par::par_map`] workers, each
+    ///   decode fans chunks out across [`par::par_map_with`] workers, each
     ///   parsing its own range-confined reader, and splices the results
     ///   back in order. The stream bytes are identical to v1 — the index
     ///   is side metadata — so the output is **bit-identical** to the
-    ///   sequential parse (property-tested), and the sequential path
-    ///   remains the oracle.
+    ///   sequential parse (property-tested). The index drives the decode
+    ///   only when it can fan out: above one worker and with more than
+    ///   one chunk.
     ///
     /// The worker count follows [`par::thread_count`] (`SS_THREADS` or the
     /// machine's available parallelism); small tensors stay sequential.
+    /// The stream is decoded under the *container's* group size.
     ///
     /// # Errors
     ///
@@ -569,325 +387,26 @@ impl ShapeShifterCodec {
     ///   but disagrees with the framing metadata or the stream.
     pub fn decode(&self, encoded: &EncodedTensor) -> Result<Tensor, CodecError> {
         let threads = self.exec.threads_for(encoded.len, PARALLEL_MIN_VALUES);
-        self.decode_resolved(encoded, threads)
-    }
-
-    /// The decode body, with the worker count already resolved.
-    ///
-    /// `threads <= 1` always takes the sequential parse (an index, if
-    /// present, is ignored — the stream is self-contained); higher counts
-    /// fan indexed containers out regardless of tensor size, which is what
-    /// the differential tests and the perf baseline need. Unindexed (v1)
-    /// containers decode sequentially whatever `threads` says.
-    fn decode_resolved(
-        &self,
-        encoded: &EncodedTensor,
-        threads: usize,
-    ) -> Result<Tensor, CodecError> {
-        let codec = ShapeShifterCodec::new(encoded.group_size);
-        let data = match encoded.index.as_ref() {
-            Some(index) if threads > 1 && index.chunk_count() > 1 => codec
-                .decode_stream_indexed(
-                    &encoded.bytes,
-                    encoded.bit_len,
-                    encoded.dtype,
-                    encoded.len,
-                    index,
-                    threads,
-                )?,
-            _ => {
-                codec.decode_stream(&encoded.bytes, encoded.bit_len, encoded.dtype, encoded.len)?
-            }
-        };
+        let index = encoded
+            .index
+            .as_ref()
+            .filter(|index| threads > 1 && index.chunk_count() > 1);
+        // No preallocation from `len` here: it is untrusted framing
+        // metadata until the framing path has bounded it against the
+        // stream length (a hostile header must not OOM the process).
+        let mut values = Vec::new();
+        framing::read_stream::<ShapeShifterScheme>(
+            &encoded.bytes,
+            &encoded.frame(),
+            index,
+            threads,
+            &mut values,
+        )?;
         Ok(Tensor::from_vec(
             Shape::flat(encoded.len),
             encoded.dtype,
-            data,
+            values,
         )?)
-    }
-
-    /// Decodes a raw ShapeShifter stream given its framing metadata
-    /// (stream length in bits, container type, element count) — the form
-    /// the metadata takes when it travels separately from the stream, as
-    /// in the paper's per-layer descriptors or the `SSPK` file container.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShapeShifterCodec::decode`].
-    pub fn decode_stream(
-        &self,
-        bytes: &[u8],
-        bit_len: u64,
-        dtype: FixedType,
-        len: usize,
-    ) -> Result<Vec<i32>, CodecError> {
-        // No preallocation from `len` here: it is untrusted framing
-        // metadata until `decode_stream_into` has bounded it against the
-        // stream length (a hostile header must not OOM the process).
-        let mut data: Vec<i32> = Vec::new();
-        self.decode_stream_into(bytes, bit_len, dtype, len, &mut data)?;
-        Ok(data)
-    }
-
-    /// [`ShapeShifterCodec::decode_stream`] into a caller-owned buffer —
-    /// the body behind both the one-shot path and the ShapeShifter
-    /// registry scheme's sequential decode, which `CodecSession` runs
-    /// allocation-free. `data` is cleared first; on success it holds
-    /// exactly `len` decoded values.
-    pub(crate) fn decode_stream_into(
-        &self,
-        bytes: &[u8],
-        bit_len: u64,
-        dtype: FixedType,
-        len: usize,
-        data: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        data.clear();
-        if bit_len > bytes.len() as u64 * 8 {
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bytes.len() as u64 * 8,
-            }));
-        }
-        // Every encoded value costs at least its Z bit, so a stream of
-        // `bit_len` bits cannot hold more than `bit_len` values. Rejecting
-        // inflated (possibly hostile) length metadata here keeps the
-        // preallocation bounded by the input size.
-        if len as u64 > bit_len {
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bit_len,
-            }));
-        }
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        // Hoisted out of the per-value loop: the signedness of the stream
-        // is a property of the container, not of any value.
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
-        let mut r = BitReader::with_bit_len(bytes, bit_len);
-        data.reserve(len);
-        self.decode_groups(&mut r, &det, dtype, signed, len, 0, 0, data)?;
-        // A well-formed container is consumed exactly: its framing metadata
-        // (bit length + element count) and its group contents agree. This is
-        // a hard typed error, not a debug assertion, because hostile streams
-        // can reach it and the decoder must never panic on input.
-        if !r.is_at_end() {
-            return Err(CodecError::TrailingBits {
-                remaining: r.remaining_bits(),
-            });
-        }
-        let rec = ss_trace::global();
-        if rec.enabled() {
-            rec.add(Counter::DecodeCalls, 1);
-            rec.add(Counter::DecodeValues, data.len() as u64);
-        }
-        Ok(())
-    }
-
-    /// Decodes a raw stream *with* its container-v2 chunk index: validates
-    /// the index against the framing metadata, then fans the chunks out
-    /// across [`par::par_map`] workers, each parsing its own
-    /// range-confined [`BitReader`]. Bit-identical to
-    /// [`ShapeShifterCodec::decode_stream`] on well-formed input.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShapeShifterCodec::decode`]; every index/stream
-    /// disagreement surfaces as a typed error before or during the parse —
-    /// never a panic, never a silently wrong tensor.
-    pub fn decode_stream_indexed(
-        &self,
-        bytes: &[u8],
-        bit_len: u64,
-        dtype: FixedType,
-        len: usize,
-        index: &ChunkIndex,
-        threads: usize,
-    ) -> Result<Vec<i32>, CodecError> {
-        if bit_len > bytes.len() as u64 * 8 {
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bytes.len() as u64 * 8,
-            }));
-        }
-        if len as u64 > bit_len {
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bit_len,
-            }));
-        }
-        index.validate(self.group_size, bit_len, len)?;
-        let entries = index.entries();
-        let chunk_groups = index.chunk_groups();
-        let mut spans = Vec::with_capacity(entries.len());
-        let mut value_base = 0usize;
-        for (i, e) in entries.iter().enumerate() {
-            let end = entries.get(i + 1).map_or(bit_len, |next| next.bit_offset);
-            spans.push(ChunkSpan {
-                chunk: i,
-                start: e.bit_offset,
-                end,
-                // validate() proved the per-chunk counts sum to `len`.
-                // ss-lint: allow(truncating-cast) -- validate() bounds each count by len: usize
-                values: e.values as usize,
-                value_base,
-                group_base: i * chunk_groups,
-            });
-            value_base += e.values as usize;
-        }
-        let parts = par::par_map(&spans, threads, |span| self.decode_span(bytes, dtype, span));
-        let mut data: Vec<i32> = Vec::with_capacity(len);
-        for part in parts {
-            data.append(&mut part?);
-        }
-        // No trailing-bits check is needed here: validate() pins the last
-        // span's end to `bit_len` and decode_span demands every span be
-        // consumed exactly.
-        let rec = ss_trace::global();
-        if rec.enabled() {
-            rec.add(Counter::DecodeCalls, 1);
-            rec.add(Counter::DecodeValues, data.len() as u64);
-            rec.add(Counter::DecodeIndexHits, 1);
-            rec.add(Counter::DecodeChunksFanned, entries.len() as u64);
-        }
-        Ok(data)
-    }
-
-    /// Parses one indexed chunk, confined to its own bit range so a
-    /// corrupt chunk can never read its neighbour's bits (or starve them).
-    fn decode_span(
-        &self,
-        bytes: &[u8],
-        dtype: FixedType,
-        span: &ChunkSpan,
-    ) -> Result<Vec<i32>, CodecError> {
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
-        let mut data: Vec<i32> = Vec::with_capacity(span.values);
-        let mut r = BitReader::with_bit_range(bytes, span.start, span.end)?;
-        self.decode_groups(
-            &mut r,
-            &det,
-            dtype,
-            signed,
-            span.values,
-            span.group_base,
-            span.value_base,
-            &mut data,
-        )?;
-        // The chunk must consume its allotted span exactly, for the same
-        // reason the sequential parse rejects trailing bits.
-        if !r.is_at_end() {
-            return Err(CodecError::IndexChunkMismatch {
-                chunk: span.chunk,
-                expected_bits: span.end - span.start,
-                consumed_bits: r.consumed_bits(),
-            });
-        }
-        Ok(data)
-    }
-
-    /// Parses `count` values' worth of groups from `r`, appending to
-    /// `data` — the group-parse body shared by the sequential parse and
-    /// every indexed-chunk worker. `group_base` / `value_base` seed error
-    /// positions so chunk-local parses report stream-global indices.
-    ///
-    /// Payloads are read in bulk: the zero bitmap's popcount gives the
-    /// exact number of equal-width fields in the group, which
-    /// `BitReader::read_fields` extracts with one unaligned load each
-    /// instead of a per-field byte loop; the scatter pass then interleaves
-    /// them with the elided zeros, validating each value in stream order
-    /// so error indices are unchanged from the scalar parse.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_groups(
-        &self,
-        r: &mut BitReader<'_>,
-        det: &WidthDetector,
-        dtype: FixedType,
-        signed: bool,
-        count: usize,
-        group_base: usize,
-        value_base: usize,
-        data: &mut Vec<i32>,
-    ) -> Result<(), CodecError> {
-        let prefix_bits = u32::from(det.prefix_bits());
-        let start_len = data.len();
-        let mut group_idx = group_base;
-
-        // Z vector as packed 64-bit words (group_size <= 256 -> 4 words),
-        // read straight off the stream with no per-bit buffer traffic.
-        let mut zwords = [0u64; 4];
-        let mut fields = [0u64; kernels::MAX_GROUP];
-        while data.len() - start_len < count {
-            let group_len = (count - (data.len() - start_len)).min(self.group_size);
-            // Only the words covering `group_len` are overwritten; zero
-            // counting below must therefore walk the same active range
-            // (stale words from a longer previous group may follow).
-            let mut zeros = 0usize;
-            for (word, start) in zwords.iter_mut().zip((0..group_len).step_by(64)) {
-                let take = (group_len - start).min(64);
-                *word = r.read_bits(take as u32)?;
-                // read_bits returns clean high bits, so whole-word
-                // popcounts only ever see in-range zero markers.
-                zeros += word.count_ones() as usize;
-            }
-            // The P field stores width-1 in at most 5 bits.
-            // ss-lint: allow(truncating-cast) -- prefix field is <= 5 bits wide, value <= 31
-            let p = r.read_bits(prefix_bits)? as u8 + 1;
-            if p > dtype.bits() {
-                return Err(CodecError::WidthExceedsContainer {
-                    group: group_idx,
-                    width: p,
-                    container: dtype.bits(),
-                });
-            }
-            // Bulk-extract every payload field in the group at once; the
-            // per-value work below is only scatter + validation.
-            let payloads = group_len - zeros.min(group_len);
-            let slots = fields.get_mut(..payloads).unwrap_or(&mut []);
-            r.read_fields(u32::from(p), slots)?;
-            let mut next = slots.iter();
-            for (word_idx, word) in zwords.iter().enumerate() {
-                let start = word_idx * 64;
-                if start >= group_len {
-                    break;
-                }
-                let take = (group_len - start).min(64);
-                for bit in 0..take {
-                    if word >> bit & 1 == 1 {
-                        data.push(0);
-                    } else {
-                        // The popcount above sized `slots` to the exact
-                        // number of clear bits, so the iterator cannot
-                        // run dry.
-                        let raw = next.next().copied().unwrap_or(0);
-                        let v = if signed {
-                            width::from_sign_magnitude(raw as u32)
-                        } else {
-                            raw as i32
-                        };
-                        if !dtype.contains(v) || v == 0 {
-                            // A payload slot decoding to zero is corrupt:
-                            // zeros travel in Z, never in the payload.
-                            return Err(CodecError::CorruptValue {
-                                index: value_base + (data.len() - start_len),
-                                value: v,
-                            });
-                        }
-                        checked::canonical_payload(
-                            raw,
-                            v,
-                            p,
-                            signed,
-                            value_base + (data.len() - start_len),
-                        );
-                        data.push(v);
-                    }
-                }
-            }
-            checked::group_invariants(&zwords, group_len, payloads, p, dtype.bits(), group_idx);
-            group_idx += 1;
-        }
-        Ok(())
     }
 }
 
@@ -952,6 +471,16 @@ impl EncodedTensor {
     #[must_use]
     pub fn payload_bits(&self) -> u64 {
         self.payload_bits
+    }
+
+    /// The framing metadata the stream decodes under.
+    pub(crate) fn frame(&self) -> StreamFrame {
+        StreamFrame {
+            bit_len: self.bit_len,
+            dtype: self.dtype,
+            len: self.len,
+            group_size: self.group_size,
+        }
     }
 
     /// The container-v2 chunk index, if the codec's policy wrote one

@@ -78,13 +78,6 @@ pub enum CodecError {
         /// The unrecognized wire id byte.
         id: u8,
     },
-    /// Two schemes were registered under the same wire id. Wire ids are
-    /// forever (they are written into container headers), so a collision
-    /// is a configuration bug surfaced at registration, never at decode.
-    DuplicateScheme {
-        /// The contested wire id byte.
-        id: u8,
-    },
 }
 
 impl fmt::Display for CodecError {
@@ -130,9 +123,6 @@ impl fmt::Display for CodecError {
             CodecError::UnknownScheme { id } => {
                 write!(f, "unknown container scheme wire id {id}")
             }
-            CodecError::DuplicateScheme { id } => {
-                write!(f, "scheme wire id {id} registered twice")
-            }
         }
     }
 }
@@ -173,7 +163,6 @@ mod tests {
     #[test]
     fn scheme_errors_carry_the_id() {
         assert!(CodecError::UnknownScheme { id: 7 }.to_string().contains('7'));
-        assert!(CodecError::DuplicateScheme { id: 1 }.to_string().contains('1'));
         assert!(CodecError::UnknownScheme { id: 7 }.source().is_none());
     }
 }

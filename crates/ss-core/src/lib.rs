@@ -24,11 +24,13 @@
 //!   storage formats of Figure 16, plus the DPRed per-group precision and
 //!   AdaBits bit-plane schemes from the related work. All report exact
 //!   bit counts.
-//! * [`registry`] — the container-scheme plug-in registry: the
-//!   [`ContainerScheme`] wire trait (stable wire ids, encode/decode over
-//!   the shared bit-stream machinery, fingerprint hook) that the four
-//!   wire-format schemes implement beside their pricing, and the
-//!   [`SchemeRegistry`] that resolves wire ids at unpack time.
+//! * [`registry`] — the container-scheme registry: the
+//!   [`ContainerScheme`] wire trait (stable wire ids, encode/decode,
+//!   chunk-index participation) that the four wire-format schemes get
+//!   from their per-group layouts, and the [`SchemeRegistry`] that
+//!   resolves wire ids at unpack time. All four share one framing path
+//!   (group-size and frame checks, group loops, chunk index, fan-out,
+//!   exact consumption); a scheme supplies only its per-group layout.
 //! * [`checksum`] — the workspace's one CRC-32 and one FNV-1a.
 //! * [`decompressor`] — the two-level (L1D/L2D) streaming decompressor of
 //!   Figure 6d as a cycle-approximate model, used to check the decoder
@@ -66,6 +68,7 @@ mod config;
 pub mod decompressor;
 mod detector;
 mod error;
+mod framing;
 pub mod index;
 pub mod kernels;
 pub mod par;

@@ -1,20 +1,19 @@
-//! The container-scheme plug-in registry: an open set of storage schemes
-//! behind one stable wire protocol.
+//! The container-scheme registry: the storage schemes behind one stable
+//! wire protocol.
 //!
-//! Containers used to name their codec through a closed enum, so every
-//! new storage scheme had to be hand-threaded through pack/unpack, the
-//! session, the chunk index, the pipeline and the shard-store
-//! fingerprint. This module opens that set:
+//! Containers name their scheme by a one-byte wire id, so pack/unpack,
+//! the session, the pipeline, the shard store and the SSRP wire dispatch
+//! through one table instead of each matching on a closed enum:
 //!
-//! * [`ContainerScheme`] — the wire trait a storage scheme implements on
-//!   top of its [`CompressionScheme`] pricing: a stable one-byte wire id,
-//!   encode-into/decode-into over the shared bit-stream machinery,
-//!   optional chunk-index participation, and the shard-store fingerprint
-//!   hook. Each built-in scheme is one struct implementing both traits.
+//! * [`ContainerScheme`] — the wire half of a storage scheme, beside its
+//!   [`CompressionScheme`] pricing: a stable one-byte wire id,
+//!   encode-into/decode-into, and optional chunk-index participation.
+//!   Each built-in scheme is one struct whose per-group layout runs
+//!   through the one framing path (`crate::framing`), which gives it
+//!   this trait.
 //! * [`SchemeRegistry`] — resolves wire ids to scheme objects at unpack
 //!   time. Unregistered ids are a typed [`CodecError::UnknownScheme`],
-//!   never a panic or a misdispatch; colliding registrations are a typed
-//!   [`CodecError::DuplicateScheme`] at registration time.
+//!   never a panic or a misdispatch.
 //! * [`SchemeId`] — the wire id newtype shared by the `SSPK` header
 //!   (byte 7), the `ss-store` record metadata and the SSRP serve config.
 //!
@@ -25,7 +24,7 @@
 //! misdispatches old data. The four built-in ids are pinned by
 //! [`SchemeId::SHAPESHIFTER`] (0), [`SchemeId::DELTA`] (1),
 //! [`SchemeId::DPRED`] (2) and [`SchemeId::ADABITS`] (3) and by the
-//! golden-vector suite; third-party schemes should claim ids from 128 up.
+//! golden-vector suite.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -35,6 +34,7 @@ use ss_tensor::{FixedType, Signedness, Tensor};
 
 use crate::checksum::fnv1a_64;
 use crate::codec::IndexPolicy;
+use crate::framing::{self, GroupLayout};
 use crate::index::{ChunkEntry, ChunkIndex};
 use crate::scheme::{AdaBitsScheme, CompressionScheme, DeltaShapeShifter, DpRed, ShapeShifterScheme};
 use crate::CodecError;
@@ -103,16 +103,15 @@ pub struct StreamFrame {
     pub group_size: usize,
 }
 
-/// A pluggable container storage scheme: the wire half of a
-/// [`CompressionScheme`].
+/// A container storage scheme: the wire half of a [`CompressionScheme`].
 ///
 /// A scheme is one struct. Its [`CompressionScheme`] impl prices tensors
 /// (and names the scheme); this trait adds the stream it actually writes.
 /// The wire methods take the group size from the call or the frame, never
 /// from the struct, so one registered instance serves every group size.
-/// Implementations are `Send + Sync` and registered once under a stable
-/// wire id. The contract, pinned by DESIGN.md §16 and the golden-vector
-/// suite:
+/// Every built-in scheme gets this trait from its per-group layout, so
+/// all of them share one framing path. The contract, pinned by DESIGN.md
+/// §16 and the golden-vector suite:
 ///
 /// * **Wire-id stability** — [`ContainerScheme::wire_id`] never changes
 ///   for a shipped scheme; the byte is persisted in headers and shards.
@@ -121,12 +120,9 @@ pub struct StreamFrame {
 ///   [`ChunkIndex`] uses stream-relative bit offsets and takes its entry
 ///   storage from the caller's scratch.
 /// * **Decode framing** — [`ContainerScheme::decode_into`] clears `out`,
-///   validates the frame against the stream, and fails with a typed
-///   [`CodecError`] on any disagreement — never a panic, never a silently
-///   wrong tensor.
-/// * **Fingerprint** — [`ContainerScheme::fingerprint`] must be a pure
-///   function of `(wire id, group size, dtype)`; shard stores compare it
-///   across processes and hosts.
+///   validates the frame against the stream, consumes the stream exactly,
+///   and fails with a typed [`CodecError`] on any disagreement — never a
+///   panic, never a silently wrong tensor.
 pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
     /// The scheme's stable wire id (header byte 7 / shard record codec
     /// byte).
@@ -139,7 +135,7 @@ pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
     /// `entries` is index-entry scratch: an indexed encode moves its
     /// storage into the returned index, so a caller that refills it from
     /// its previous index (as `CodecSession` does) encodes without
-    /// allocating. Schemes without an index ignore it.
+    /// allocating.
     ///
     /// # Errors
     ///
@@ -157,13 +153,14 @@ pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
 
     /// Decodes a raw stream into `out` (cleared first). `index` is the
     /// container's chunk index when one travelled with the stream; a
-    /// scheme that does not participate in indexing ignores it. `threads`
-    /// caps decode fan-out (1 = sequential, the session path).
+    /// scheme that participates in indexing fans its spans out over up to
+    /// `threads` workers, and any other scheme ignores it.
     ///
     /// # Errors
     ///
     /// Typed [`CodecError`] variants for truncation, framing
-    /// disagreements, or corrupt payloads.
+    /// disagreements (including [`CodecError::TrailingBits`]), or corrupt
+    /// payloads.
     fn decode_into(
         &self,
         stream: &[u8],
@@ -172,26 +169,41 @@ pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
         threads: usize,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError>;
+}
 
-    /// Whether the scheme emits and honors container-v2 chunk indexes.
-    /// Schemes answering `false` always encode to a v1 (index-free)
-    /// container, whatever the policy.
-    fn supports_index(&self) -> bool {
-        false
+impl<L: GroupLayout> ContainerScheme for L {
+    fn wire_id(&self) -> SchemeId {
+        L::WIRE_ID
     }
 
-    /// The shard-store configuration fingerprint for a record stored
-    /// under this scheme: FNV-1a over the wire id, group size, container
-    /// bits and signedness. The default is the historic `ss-store` recipe
-    /// — override only for schemes whose decode depends on more
-    /// configuration than `(id, group size, dtype)`.
-    fn fingerprint(&self, group_size: u16, dtype: FixedType) -> u64 {
-        fingerprint_bytes(self.wire_id(), group_size, dtype)
+    fn encode_into(
+        &self,
+        tensor: &Tensor,
+        group_size: usize,
+        policy: IndexPolicy,
+        w: &mut BitWriter,
+        entries: &mut Vec<ChunkEntry>,
+    ) -> Result<Option<ChunkIndex>, CodecError> {
+        let (_, index) = framing::write_stream::<L>(tensor, group_size, policy, 1, w, entries)?;
+        Ok(index)
+    }
+
+    fn decode_into(
+        &self,
+        stream: &[u8],
+        frame: &StreamFrame,
+        index: Option<&ChunkIndex>,
+        threads: usize,
+        out: &mut Vec<i32>,
+    ) -> Result<(), CodecError> {
+        framing::read_stream::<L>(stream, frame, index, threads, out)
     }
 }
 
-/// The shared FNV-1a fingerprint recipe (also used by `ss-store` for
-/// records whose scheme object is not at hand).
+/// The shard-store configuration fingerprint of a record: FNV-1a over the
+/// wire id, group size, container bits and signedness. `ss-store` records
+/// it per tensor and compares it across processes and hosts, so the
+/// recipe is frozen.
 #[must_use]
 pub fn fingerprint_bytes(id: SchemeId, group_size: u16, dtype: FixedType) -> u64 {
     let [gs_lo, gs_hi] = group_size.to_le_bytes();
@@ -202,12 +214,8 @@ pub fn fingerprint_bytes(id: SchemeId, group_size: u16, dtype: FixedType) -> u64
     fnv1a_64(&[id.as_byte(), gs_lo, gs_hi, dtype.bits(), signed])
 }
 
-/// Resolves wire ids to registered schemes.
-///
-/// The blessed instance is [`SchemeRegistry::global`] (the four built-in
-/// schemes); custom registries compose via [`SchemeRegistry::empty`] +
-/// [`SchemeRegistry::register`] for tests and embedders that restrict or
-/// extend the scheme set.
+/// Resolves wire ids to registered schemes: [`SchemeRegistry::global`]
+/// holds the four built-in schemes.
 pub struct SchemeRegistry {
     slots: Vec<Option<Arc<dyn ContainerScheme>>>,
 }
@@ -223,56 +231,29 @@ impl fmt::Debug for SchemeRegistry {
 }
 
 impl SchemeRegistry {
-    /// A registry with no schemes.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            slots: vec![None; 256],
-        }
-    }
-
     /// A registry holding the four built-in schemes (ids 0–3).
     #[must_use]
     pub fn builtin() -> Self {
-        let mut r = Self::empty();
+        let mut slots: Vec<Option<Arc<dyn ContainerScheme>>> = vec![None; 256];
         for scheme in [
             Arc::new(ShapeShifterScheme::default()) as Arc<dyn ContainerScheme>,
             Arc::new(DeltaShapeShifter::default()),
             Arc::new(DpRed::default()),
             Arc::new(AdaBitsScheme::default()),
         ] {
-            // The built-in ids are the distinct constants 0–3, so the
-            // duplicate check cannot fire; `global_registry_resolves_builtin_ids`
-            // pins that.
-            let id = scheme.wire_id();
-            debug_assert!(r.lookup(id).is_none());
+            // The built-in ids are the distinct constants 0–3;
+            // `global_registry_resolves_builtin_ids` pins that.
+            let id = usize::from(scheme.wire_id().as_byte());
             // ss-lint: allow(panic-freedom) -- slots has 256 entries; a u8 index is always in bounds
-            r.slots[usize::from(id.as_byte())] = Some(scheme);
+            slots[id] = Some(scheme);
         }
-        r
+        Self { slots }
     }
 
     /// The process-wide registry of built-in schemes.
     pub fn global() -> &'static SchemeRegistry {
         static GLOBAL: OnceLock<SchemeRegistry> = OnceLock::new();
         GLOBAL.get_or_init(SchemeRegistry::builtin)
-    }
-
-    /// Registers a scheme under its wire id.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::DuplicateScheme`] if the id is already claimed —
-    /// wire ids are persisted in containers, so collisions are refused at
-    /// registration rather than discovered at decode.
-    pub fn register(&mut self, scheme: Arc<dyn ContainerScheme>) -> Result<(), CodecError> {
-        let id = scheme.wire_id();
-        let slot = &mut self.slots[usize::from(id.as_byte())];
-        if slot.is_some() {
-            return Err(CodecError::DuplicateScheme { id: id.as_byte() });
-        }
-        *slot = Some(scheme);
-        Ok(())
     }
 
     /// Resolves a wire id, or `None` if nothing is registered under it.
@@ -300,17 +281,6 @@ impl SchemeRegistry {
             .enumerate()
             .filter(|(_, s)| s.is_some())
             .map(|(i, _)| SchemeId::new(i as u8))
-    }
-}
-
-/// Bounds-checks a wire call's group size the way every scheme
-/// constructor does, as a typed error instead of a panic (wire input
-/// reaches this path).
-pub(crate) fn checked_group_size(group_size: usize) -> Result<(), CodecError> {
-    if (1..=256).contains(&group_size) {
-        Ok(())
-    } else {
-        Err(CodecError::InvalidGroupSize)
     }
 }
 
@@ -344,16 +314,6 @@ mod tests {
                 other => panic!("id {id}: expected UnknownScheme, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn duplicate_registration_is_typed() {
-        let mut r = SchemeRegistry::empty();
-        r.register(Arc::new(DeltaShapeShifter::default())).unwrap();
-        assert_eq!(
-            r.register(Arc::new(DeltaShapeShifter::new(4))).unwrap_err(),
-            CodecError::DuplicateScheme { id: 1 }
-        );
     }
 
     #[test]
@@ -428,6 +388,35 @@ mod tests {
     }
 
     #[test]
+    fn every_scheme_consumes_its_frame_exactly() {
+        // A frame that declares more bits than its groups consume is a
+        // disagreement between framing and stream, under every scheme.
+        let vals: Vec<i32> = (0..40).map(|i| (i * 37) % 2000 - 1000).collect();
+        let tensor = t(vals);
+        for id in SchemeRegistry::global().ids() {
+            let scheme = SchemeRegistry::global().get(id).unwrap();
+            let mut w = BitWriter::new();
+            scheme
+                .encode_into(&tensor, 16, IndexPolicy::None, &mut w, &mut Vec::new())
+                .unwrap();
+            let bit_len = w.bit_len();
+            w.write_bits(0xBEEF, 16).unwrap();
+            let frame = StreamFrame {
+                bit_len: bit_len + 16,
+                dtype: tensor.dtype(),
+                len: tensor.len(),
+                group_size: 16,
+            };
+            assert_eq!(
+                scheme.decode_into(w.as_bytes(), &frame, None, 1, &mut Vec::new()),
+                Err(CodecError::TrailingBits { remaining: 16 }),
+                "scheme {}",
+                scheme.name()
+            );
+        }
+    }
+
+    #[test]
     fn invalid_group_size_is_typed_not_a_panic() {
         let tensor = t(vec![1, 2, 3]);
         for id in SchemeRegistry::global().ids() {
@@ -453,7 +442,5 @@ mod tests {
         let c = fingerprint_bytes(SchemeId::SHAPESHIFTER, 64, FixedType::I16);
         let d = fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, FixedType::U16);
         assert!(a != b && a != c && a != d && b != c);
-        // The trait default is the shared recipe.
-        assert_eq!(ShapeShifterScheme::default().fingerprint(16, FixedType::I16), a);
     }
 }

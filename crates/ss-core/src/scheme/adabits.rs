@@ -13,25 +13,25 @@
 //! prices those variants without re-encoding.
 
 use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{Signedness, Tensor};
+use ss_tensor::{FixedType, Signedness, Tensor};
 
 use crate::detector::WidthDetector;
-use crate::registry::{checked_group_size, ContainerScheme, SchemeId, StreamFrame};
+use crate::framing::{
+    bitvec, read_bitvec, write_bitvec, GroupAt, GroupCost, GroupLayout, Scratch,
+};
+use crate::registry::SchemeId;
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
+use crate::CodecError;
 
 /// Bit-plane (MSB-first) group container for multi-width serving.
 ///
-/// Registered as wire id 3 ([`SchemeId::ADABITS`]); the wire methods take
+/// Registered as wire id 3 ([`SchemeId::ADABITS`]); the wire stream takes
 /// the group size from the call or frame, and the struct's own group size
 /// prices tensors (including the truncated serving variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdaBitsScheme {
     group_size: usize,
 }
-
-/// Widest group the plane buffer accommodates (matches the codec's cap).
-const MAX_GROUP: usize = 256;
 
 impl AdaBitsScheme {
     /// Creates the scheme at the given group size.
@@ -42,7 +42,7 @@ impl AdaBitsScheme {
     #[must_use]
     pub fn new(group_size: usize) -> Self {
         assert!(
-            (1..=MAX_GROUP).contains(&group_size),
+            (1..=256).contains(&group_size),
             "group size {group_size} outside 1..=256"
         );
         Self { group_size }
@@ -64,25 +64,6 @@ impl AdaBitsScheme {
         }
         // ss-lint: allow(truncating-cast) -- 32 - leading_zeros of a u32 is in 0..=32
         ((32 - or.leading_zeros()) as u8).max(1)
-    }
-
-    /// Writes one plane of `group`: bit `i` of the plane is
-    /// `extract(group[i])`, packed LSB-first into 64-bit words.
-    fn write_plane(
-        w: &mut BitWriter,
-        group: &[i32],
-        extract: impl Fn(i32) -> bool,
-    ) -> Result<(), CodecError> {
-        for chunk in group.chunks(64) {
-            let mut word = 0u64;
-            for (i, &v) in chunk.iter().enumerate() {
-                if extract(v) {
-                    word |= 1 << i;
-                }
-            }
-            w.write_bits(word, chunk.len() as u32)?;
-        }
-        Ok(())
     }
 
     /// Off-chip bits of the width-`target` serving variant: each group
@@ -116,136 +97,80 @@ impl Default for AdaBitsScheme {
     }
 }
 
-impl ContainerScheme for AdaBitsScheme {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::ADABITS
+/// Per group: the `P` width field, the sign plane (signed containers
+/// only), then `P` magnitude planes, most significant first — plane `k`
+/// holds bit `k` of every member's magnitude.
+impl GroupLayout for AdaBitsScheme {
+    const WIRE_ID: SchemeId = SchemeId::ADABITS;
+
+    /// Planes cover magnitudes, which fit the container's bits.
+    fn max_width(dtype: FixedType) -> u8 {
+        dtype.bits()
     }
 
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        _policy: IndexPolicy,
+    #[inline]
+    fn write_group(
+        s: &mut Scratch,
+        group: &[i32],
         w: &mut BitWriter,
-        _entries: &mut Vec<ChunkEntry>,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        checked_group_size(group_size)?;
-        w.clear();
-        let dtype = tensor.dtype();
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let prefix_bits = u32::from(det.prefix_bits());
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
-        for group in tensor.groups(group_size)? {
-            let p = Self::magnitude_width(group);
-            w.write_bits(u64::from(p - 1), prefix_bits)?;
-            if signed {
-                Self::write_plane(w, group, |v| v < 0)?;
-            }
-            // MSB-first: plane p-1 down to plane 0, so dropping the tail
-            // of the group payload drops least-significant planes.
-            for k in (0..p).rev() {
-                Self::write_plane(w, group, |v| v.unsigned_abs() >> k & 1 == 1)?;
-            }
+    ) -> Result<GroupCost, CodecError> {
+        let p = Self::magnitude_width(group);
+        s.write_width(w, p)?;
+        if s.signed {
+            write_bitvec(w, &bitvec(group, |v| v < 0), group.len())?;
         }
-        Ok(None)
+        for (mag, &v) in s.mags.iter_mut().zip(group) {
+            *mag = v.unsigned_abs();
+        }
+        let mags = s.mags.get(..group.len()).unwrap_or(&[]);
+        // MSB-first: plane p-1 down to plane 0, so dropping the tail of the
+        // group payload drops least-significant planes.
+        for k in (0..p).rev() {
+            write_bitvec(w, &bitvec(mags, |mag| mag >> k & 1 == 1), group.len())?;
+        }
+        Ok(GroupCost {
+            width: p,
+            elided: 0,
+            payload_bits: (u64::from(s.signed) + u64::from(p)) * group.len() as u64,
+        })
     }
 
-    /// Lossless inverse of the encoder.
-    ///
-    /// # Errors
-    ///
-    /// * [`CodecError::Stream`] on truncation or inconsistent framing.
-    /// * [`CodecError::WidthExceedsContainer`] if a group declares more
-    ///   planes than the container has magnitude bits.
-    /// * [`CodecError::CorruptValue`] if a decoded value leaves the
-    ///   container.
-    fn decode_into(
-        &self,
-        bytes: &[u8],
-        frame: &StreamFrame,
-        _index: Option<&ChunkIndex>,
-        _threads: usize,
+    #[inline]
+    fn read_group(
+        s: &mut Scratch,
+        r: &mut BitReader<'_>,
+        at: GroupAt,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
-        checked_group_size(frame.group_size)?;
-        let StreamFrame {
-            bit_len,
-            dtype,
-            len,
-            group_size,
-        } = *frame;
-        out.clear();
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let prefix_bits = u32::from(det.prefix_bits());
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
-        if bit_len > bytes.len() as u64 * 8 || len as u64 > bit_len {
-            // Inconsistent framing metadata: every value costs at least
-            // one plane bit, so `len` values cannot fit in fewer bits.
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bit_len.min(bytes.len() as u64 * 8),
-            }));
+        let (dtype, signed) = (s.dtype, s.signed);
+        let p = s.read_width(r, at.index)?;
+        if signed {
+            read_bitvec(r, at.len, &mut s.bits)?;
         }
-        let mut r = BitReader::with_bit_len(bytes, bit_len);
-        out.reserve(len);
-        let mut group_idx = 0usize;
-        let mut mags = [0u32; MAX_GROUP];
-        let mut negs = [false; MAX_GROUP];
-        while out.len() < len {
-            let group_len = (len - out.len()).min(group_size);
-            // ss-lint: allow(truncating-cast) -- prefix fields are at most 5 bits wide
-            let p = r.read_bits(prefix_bits)? as u8 + 1;
-            if p > dtype.bits() {
-                return Err(CodecError::WidthExceedsContainer {
-                    group: group_idx,
-                    width: p,
-                    container: dtype.bits(),
-                });
-            }
-            // ss-lint: allow(panic-freedom) -- mags/negs are sized group_size and group_len <= group_size
-            mags[..group_len].fill(0);
-            if signed {
-                let mut at = 0usize;
-                while at < group_len {
-                    let take = (group_len - at).min(64);
-                    let word = r.read_bits(take as u32)?;
-                    for i in 0..take {
-                        // ss-lint: allow(panic-freedom) -- at + i < at + take <= group_len <= negs.len()
-                        negs[at + i] = word >> i & 1 == 1;
-                    }
-                    at += take;
-                }
-            } else {
-                // ss-lint: allow(panic-freedom) -- negs is sized group_size and group_len <= group_size
-                negs[..group_len].fill(false);
-            }
-            for k in (0..p).rev() {
-                let mut at = 0usize;
-                while at < group_len {
-                    let take = (group_len - at).min(64);
-                    let word = r.read_bits(take as u32)?;
-                    for i in 0..take {
-                        // ss-lint: allow(panic-freedom) -- at + i < at + take <= group_len <= mags.len()
-                        mags[at + i] |= u32::from(word >> i & 1 == 1) << k;
-                    }
-                    at += take;
+        let mags = s.mags.get_mut(..at.len).unwrap_or(&mut []);
+        mags.fill(0);
+        for k in (0..p).rev() {
+            read_bitvec(r, at.len, &mut s.plane)?;
+            for (chunk, &word) in mags.chunks_mut(64).zip(&s.plane) {
+                for (i, mag) in chunk.iter_mut().enumerate() {
+                    // ss-lint: allow(truncating-cast) -- masked to one bit
+                    *mag |= ((word >> i) as u32 & 1) << k;
                 }
             }
-            for i in 0..group_len {
+        }
+        for ((c, chunk), &negs) in mags.chunks(64).enumerate().zip(&s.bits) {
+            for (i, &mag) in chunk.iter().enumerate() {
                 // ss-lint: allow(truncating-cast) -- magnitudes are at most dtype.bits() <= 16 bits
-                // ss-lint: allow(panic-freedom) -- i < group_len <= mags.len() == negs.len()
-                let mag = mags[i] as i32;
-                // ss-lint: allow(panic-freedom) -- i < group_len <= negs.len()
-                let v = if negs[i] { -mag } else { mag };
+                let mag = mag as i32;
+                let v = if signed && negs >> i & 1 == 1 { -mag } else { mag };
                 if !dtype.contains(v) {
                     return Err(CodecError::CorruptValue {
-                        index: out.len(),
+                        index: at.first_value + c * 64 + i,
                         value: v,
                     });
                 }
                 out.push(v);
             }
-            group_idx += 1;
         }
         Ok(())
     }

@@ -12,11 +12,15 @@
 //! per-group random-access properties.
 
 use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{width, Tensor};
+use ss_tensor::{width, FixedType, Tensor};
 
-use crate::registry::{checked_group_size, ContainerScheme, SchemeId, StreamFrame};
+use crate::framing::{
+    bit, bitvec, decode_field, read_bitvec, write_bitvec, GroupAt, GroupCost, GroupLayout,
+    Scratch,
+};
+use crate::registry::SchemeId;
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
+use crate::CodecError;
 
 /// Delta-ShapeShifter compression.
 ///
@@ -27,9 +31,10 @@ use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
 /// slightly *worse* than [`crate::scheme::ShapeShifterScheme`], exactly
 /// the trade Diffy makes by specializing for imaging workloads.
 ///
-/// Registered as wire id 1 ([`SchemeId::DELTA`]); the wire methods take
+/// Registered as wire id 1 ([`SchemeId::DELTA`]); the wire stream takes
 /// the group size from the call or frame, and the struct's own group size
-/// prices tensors.
+/// prices tensors. The predictor restarts at every group, so groups are
+/// self-delimiting like ShapeShifter's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeltaShapeShifter {
     group_size: usize,
@@ -54,11 +59,6 @@ impl DeltaShapeShifter {
     #[must_use]
     pub fn group_size(&self) -> usize {
         self.group_size
-    }
-
-    /// Width-prefix bits: group widths range over `0..=container+1`.
-    fn prefix_bits(container_bits: u8) -> u32 {
-        u32::from(8 - (container_bits).leading_zeros() as u8)
     }
 
     /// Fused scan of one group's deltas `v[i] - v[i-1]`: the OR-fold of
@@ -91,125 +91,105 @@ impl Default for DeltaShapeShifter {
     }
 }
 
-impl ContainerScheme for DeltaShapeShifter {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::DELTA
+/// Per group: the `Z` vector (bit 0 marks a zero first value, bit `i` a
+/// zero delta, i.e. a repeated value), the first value at container width
+/// plus a sign bit when non-zero, the delta width `P`, then the non-zero
+/// deltas in sign-magnitude at `P` bits each.
+impl GroupLayout for DeltaShapeShifter {
+    const WIRE_ID: SchemeId = SchemeId::DELTA;
+
+    /// Delta widths range over `0..=container + 1`, one bit wider than
+    /// plain ShapeShifter's.
+    fn prefix_bits(dtype: FixedType) -> u32 {
+        32 - u32::from(dtype.bits()).leading_zeros()
     }
 
-    /// Per group: the Z vector (bit 0 marks a zero first value, bit `i`
-    /// a zero delta, i.e. a repeated value), the first value at container
-    /// width plus a sign bit when non-zero, the delta width prefix, then
-    /// the non-zero deltas in sign-magnitude. No chunk index.
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        _policy: IndexPolicy,
+    /// A delta of two `b`-bit values needs up to `b + 1` bits of
+    /// sign-magnitude. Bounding `P` there also keeps every decoded sum of
+    /// an in-range value and a delta within ±2^17.
+    fn max_width(dtype: FixedType) -> u8 {
+        dtype.bits() + 1
+    }
+
+    #[inline]
+    fn write_group(
+        s: &mut Scratch,
+        group: &[i32],
         w: &mut BitWriter,
-        _entries: &mut Vec<ChunkEntry>,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        checked_group_size(group_size)?;
-        w.clear();
-        let prefix_bits = Self::prefix_bits(tensor.dtype().bits());
-        let container = u32::from(tensor.dtype().bits()) + 1; // sign-magnitude slot
-        for group in tensor.groups(group_size)? {
-            let mut prev = None;
-            for chunk in group.chunks(64) {
-                let mut z = 0u64;
-                for (i, &v) in chunk.iter().enumerate() {
-                    if prev.map_or(v == 0, |p| v == p) {
-                        z |= 1 << i;
-                    }
-                    prev = Some(v);
-                }
-                w.write_bits(z, chunk.len() as u32)?;
-            }
-            if let Some(&first) = group.first().filter(|&&v| v != 0) {
-                w.write_bits(u64::from(width::to_sign_magnitude(first)), container)?;
-            }
-            // Deltas are always signed regardless of the source container.
-            let (p, _) = Self::delta_scan(group);
-            w.write_bits(u64::from(p.max(1) - 1), prefix_bits)?;
-            for pair in group.windows(2) {
-                if let [a, b] = *pair {
-                    if b != a {
-                        w.write_bits(u64::from(width::to_sign_magnitude(b - a)), u32::from(p))?;
-                    }
-                }
-            }
+    ) -> Result<GroupCost, CodecError> {
+        let mut prev = 0;
+        let z = bitvec(group, |v| {
+            let repeat = v == prev;
+            prev = v;
+            repeat
+        });
+        write_bitvec(w, &z, group.len())?;
+        let first_bits = u32::from(s.dtype.bits()) + 1;
+        let mut payload_bits = 0;
+        if let Some(&first) = group.first().filter(|&&v| v != 0) {
+            w.write_bits(u64::from(width::to_sign_magnitude(first)), first_bits)?;
+            payload_bits = u64::from(first_bits);
         }
-        Ok(None)
+        // Deltas are always signed regardless of the source container.
+        let (p, nonzero) = Self::delta_scan(group);
+        s.write_width(w, p)?;
+        let deltas = group.windows(2).filter_map(|pair| match *pair {
+            [a, b] if b != a => Some(u64::from(width::to_sign_magnitude(b - a))),
+            _ => None,
+        });
+        for (slot, delta) in s.fields.iter_mut().zip(deltas) {
+            *slot = delta;
+        }
+        // ss-lint: allow(truncating-cast) -- nonzero < group.len() <= MAX_GROUP
+        let run = s.fields.get(..nonzero as usize).unwrap_or(&[]);
+        w.pack_fields(run, u32::from(p))?;
+        Ok(GroupCost {
+            width: p,
+            elided: z.iter().map(|word| word.count_ones()).sum(),
+            payload_bits: payload_bits + u64::from(p) * nonzero,
+        })
     }
 
-    fn decode_into(
-        &self,
-        bytes: &[u8],
-        frame: &StreamFrame,
-        _index: Option<&ChunkIndex>,
-        _threads: usize,
+    #[inline]
+    fn read_group(
+        s: &mut Scratch,
+        r: &mut BitReader<'_>,
+        at: GroupAt,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
-        checked_group_size(frame.group_size)?;
-        let StreamFrame {
-            bit_len,
-            dtype,
-            len,
-            group_size,
-        } = *frame;
-        out.clear();
-        let prefix_bits = Self::prefix_bits(dtype.bits());
-        let container = u32::from(dtype.bits()) + 1;
-        if bit_len > bytes.len() as u64 * 8 || len as u64 > bit_len {
-            // Inconsistent framing metadata: the stream cannot hold `len`
-            // values (every value costs at least its Z bit).
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bit_len.min(bytes.len() as u64 * 8),
-            }));
-        }
-        let mut r = BitReader::with_bit_len(bytes, bit_len);
-        out.reserve(len);
-        // Z vector as packed 64-bit words (group_size <= 256 -> 4 words).
-        let mut zwords = [0u64; 4];
-        while out.len() < len {
-            let group_len = (len - out.len()).min(group_size);
-            for (word, start) in zwords.iter_mut().zip((0..group_len).step_by(64)) {
-                let take = (group_len - start).min(64);
-                *word = r.read_bits(take as u32)?;
-            }
-            let [z0, ..] = zwords;
-            let first = if z0 & 1 == 1 {
-                0
+        let repeats = read_bitvec(r, at.len, &mut s.bits)?;
+        let first_zero = bit(&s.bits, 0);
+        // The first value and the deltas are sign-magnitude whatever the
+        // container.
+        let first = if first_zero {
+            0
+        } else {
+            decode_field(true, r.read_bits(u32::from(s.dtype.bits()) + 1)?)
+        };
+        let p = s.read_width(r, at.index)?;
+        // Every value after the first whose Z bit is clear carries a delta.
+        let deltas = at.len - repeats - usize::from(!first_zero);
+        r.read_fields(u32::from(p), s.fields.get_mut(..deltas).unwrap_or(&mut []))?;
+        let mut next = s.fields.iter().take(deltas);
+        let mut prev = first;
+        for i in 0..at.len {
+            let v = if i == 0 {
+                first
+            } else if bit(&s.bits, i) {
+                prev
             } else {
-                let raw = r.read_bits(container)?;
-                width::from_sign_magnitude(raw as u32)
+                // read_width bounds P, so an in-range value plus a delta
+                // cannot overflow.
+                prev + decode_field(true, next.next().copied().unwrap_or(0))
             };
-            let p = r.read_bits(prefix_bits)? as u8 + 1;
-            let mut prev = first;
-            for (word_idx, word) in zwords.iter().enumerate() {
-                let start = word_idx * 64;
-                if start >= group_len {
-                    break;
-                }
-                for bit in 0..(group_len - start).min(64) {
-                    let v = if start + bit == 0 {
-                        first
-                    } else if word >> bit & 1 == 1 {
-                        prev
-                    } else {
-                        let raw = r.read_bits(u32::from(p))?;
-                        prev + width::from_sign_magnitude(raw as u32)
-                    };
-                    if !dtype.contains(v) {
-                        return Err(CodecError::CorruptValue {
-                            index: out.len(),
-                            value: v,
-                        });
-                    }
-                    out.push(v);
-                    prev = v;
-                }
+            if !s.dtype.contains(v) {
+                return Err(CodecError::CorruptValue {
+                    index: at.first_value + i,
+                    value: v,
+                });
             }
+            out.push(v);
+            prev = v;
         }
         Ok(())
     }
@@ -221,7 +201,7 @@ impl CompressionScheme for DeltaShapeShifter {
     }
 
     fn compressed_bits(&self, tensor: &Tensor, _ctx: &SchemeCtx) -> u64 {
-        let prefix_bits = u64::from(Self::prefix_bits(tensor.dtype().bits()));
+        let prefix_bits = u64::from(Self::prefix_bits(tensor.dtype()));
         let container = u64::from(tensor.dtype().bits()) + 1;
         let mut bits = 0u64;
         for group in tensor.values().chunks(self.group_size) {
@@ -324,6 +304,28 @@ mod tests {
         let (bytes, bits) = wire::encode(&d, &tensor, d.group_size());
         let err = wire::decode(&d, &bytes, bits / 2, &tensor, d.group_size());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn hostile_width_prefix_is_typed_not_an_overflow() {
+        // A 16-bit stream's 5-bit P field can claim width 32; with the
+        // first value at -32767, a 32-bit delta would overflow the sum.
+        let mut w = BitWriter::new();
+        w.write_bits(0b00, 2).unwrap(); // Z: neither value repeats
+        w.write_bits(65_535, 17).unwrap(); // first value: -32767
+        w.write_bits(31, 5).unwrap(); // P - 1: width 32
+        w.write_bits(0xFFFF_FFFF, 32).unwrap(); // delta
+        assert_eq!(w.bit_len(), 56);
+        let tensor = t(FixedType::I16, vec![0, 0]);
+        let err = wire::decode(&DeltaShapeShifter::default(), w.as_bytes(), 56, &tensor, 16);
+        assert_eq!(
+            err,
+            Err(CodecError::WidthExceedsContainer {
+                group: 0,
+                width: 32,
+                container: 17
+            })
+        );
     }
 
     #[test]

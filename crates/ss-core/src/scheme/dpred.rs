@@ -12,17 +12,18 @@
 //! are dense after quantization) as well as activations.
 
 use ss_bitio::{BitReader, BitWriter};
-use ss_tensor::{width, Signedness, Tensor, TensorStats};
+use ss_tensor::{width, FixedType, Tensor, TensorStats};
 
 use crate::detector::WidthDetector;
-use crate::registry::{checked_group_size, ContainerScheme, SchemeId, StreamFrame};
+use crate::framing::{decode_field, encode_field, GroupAt, GroupCost, GroupLayout, Scratch};
+use crate::registry::SchemeId;
 use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::{ChunkEntry, ChunkIndex, CodecError, IndexPolicy};
+use crate::CodecError;
 
 /// DPRed per-group precision storage: `(P, payload)` per group, every
 /// value present at the group width.
 ///
-/// Registered as wire id 2 ([`SchemeId::DPRED`]); the wire methods take
+/// Registered as wire id 2 ([`SchemeId::DPRED`]); the wire stream takes
 /// the group size from the call or frame, and the struct's own group size
 /// prices tensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,110 +60,58 @@ impl Default for DpRed {
     }
 }
 
-impl ContainerScheme for DpRed {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::DPRED
+/// Per group: the `P` width field, then every value at `P` bits
+/// (sign-magnitude in signed containers).
+impl GroupLayout for DpRed {
+    const WIRE_ID: SchemeId = SchemeId::DPRED;
+
+    /// The sign-magnitude field: one wider than the magnitude for signed
+    /// data.
+    fn max_width(dtype: FixedType) -> u8 {
+        dtype.bits() + u8::from(dtype.signedness().is_signed())
     }
 
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        _policy: IndexPolicy,
+    #[inline]
+    fn write_group(
+        s: &mut Scratch,
+        group: &[i32],
         w: &mut BitWriter,
-        _entries: &mut Vec<ChunkEntry>,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        checked_group_size(group_size)?;
-        w.clear();
-        let dtype = tensor.dtype();
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let prefix_bits = u32::from(det.prefix_bits());
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
-        for group in tensor.groups(group_size)? {
-            let p = det.detect(group).max(1);
-            w.write_bits(u64::from(p - 1), prefix_bits)?;
-            for &v in group {
-                let enc = if signed {
-                    width::to_sign_magnitude(v)
-                } else {
-                    v.unsigned_abs()
-                };
-                w.write_bits(u64::from(enc), u32::from(p))?;
-            }
+    ) -> Result<GroupCost, CodecError> {
+        let mut or = 0u32;
+        for (slot, &v) in s.fields.iter_mut().zip(group) {
+            let field = encode_field(s.signed, v);
+            or |= field;
+            *slot = u64::from(field);
         }
-        Ok(None)
+        // ss-lint: allow(truncating-cast) -- 32 - leading_zeros of a u32 is in 0..=32
+        let width = ((32 - or.leading_zeros()) as u8).max(1);
+        s.write_width(w, width)?;
+        w.pack_fields(s.fields.get(..group.len()).unwrap_or(&[]), u32::from(width))?;
+        Ok(GroupCost {
+            width,
+            elided: 0,
+            payload_bits: u64::from(width) * group.len() as u64,
+        })
     }
 
-    /// Lossless inverse of the encoder.
-    ///
-    /// # Errors
-    ///
-    /// * [`CodecError::Stream`] on truncation or inconsistent framing.
-    /// * [`CodecError::WidthExceedsContainer`] if a group declares a width
-    ///   beyond the container.
-    /// * [`CodecError::CorruptValue`] if a decoded value leaves the
-    ///   container.
-    fn decode_into(
-        &self,
-        bytes: &[u8],
-        frame: &StreamFrame,
-        _index: Option<&ChunkIndex>,
-        _threads: usize,
+    #[inline]
+    fn read_group(
+        s: &mut Scratch,
+        r: &mut BitReader<'_>,
+        at: GroupAt,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
-        checked_group_size(frame.group_size)?;
-        let StreamFrame {
-            bit_len,
-            dtype,
-            len,
-            group_size,
-        } = *frame;
-        out.clear();
-        let det = WidthDetector::new(dtype.bits(), dtype.signedness());
-        let prefix_bits = u32::from(det.prefix_bits());
-        let signed = matches!(dtype.signedness(), Signedness::Signed);
-        if bit_len > bytes.len() as u64 * 8 || len as u64 > bit_len {
-            // Inconsistent framing metadata: every value costs at least
-            // one payload bit, so `len` values cannot fit in fewer bits.
-            return Err(CodecError::Stream(ss_bitio::BitIoError::UnexpectedEnd {
-                requested: u32::MAX,
-                available: bit_len.min(bytes.len() as u64 * 8),
-            }));
-        }
-        let mut r = BitReader::with_bit_len(bytes, bit_len);
-        out.reserve(len);
-        let mut group_idx = 0usize;
-        while out.len() < len {
-            let group_len = (len - out.len()).min(group_size);
-            // ss-lint: allow(truncating-cast) -- prefix fields are at most 5 bits wide
-            let p = r.read_bits(prefix_bits)? as u8 + 1;
-            // The group width is bounded by the sign-magnitude container
-            // (one wider than the magnitude for signed data).
-            let container = dtype.bits() + u8::from(signed);
-            if p > container {
-                return Err(CodecError::WidthExceedsContainer {
-                    group: group_idx,
-                    width: p,
-                    container,
+        let p = s.read_width(r, at.index)?;
+        r.read_fields(u32::from(p), s.fields.get_mut(..at.len).unwrap_or(&mut []))?;
+        for (i, &raw) in s.fields.iter().take(at.len).enumerate() {
+            let v = decode_field(s.signed, raw);
+            if !s.dtype.contains(v) {
+                return Err(CodecError::CorruptValue {
+                    index: at.first_value + i,
+                    value: v,
                 });
             }
-            for _ in 0..group_len {
-                let raw = r.read_bits(u32::from(p))?;
-                // ss-lint: allow(truncating-cast) -- fields are at most `container` <= 17 bits
-                let v = if signed {
-                    width::from_sign_magnitude(raw as u32)
-                } else {
-                    raw as i32
-                };
-                if !dtype.contains(v) {
-                    return Err(CodecError::CorruptValue {
-                        index: out.len(),
-                        value: v,
-                    });
-                }
-                out.push(v);
-            }
-            group_idx += 1;
+            out.push(v);
         }
         Ok(())
     }

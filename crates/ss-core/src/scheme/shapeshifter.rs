@@ -1,15 +1,15 @@
 //! ShapeShifter as an off-chip compression scheme (the paper's first
 //! hardware technique, §3).
 
-use ss_bitio::BitWriter;
-use ss_tensor::{Tensor, TensorStats};
+use ss_bitio::{BitReader, BitWriter};
+use ss_tensor::{FixedType, Tensor, TensorStats};
 
-use crate::registry::{ContainerScheme, SchemeId, StreamFrame};
-use crate::scheme::{CompressionScheme, SchemeCtx};
-use crate::{
-    ChunkEntry, ChunkIndex, CodecConfig, CodecError, ExecPolicy, IndexPolicy, ShapeShifterCodec,
-    WidthDetector,
+use crate::framing::{
+    decode_field, read_bitvec, write_bitvec, GroupAt, GroupCost, GroupLayout, Scratch,
 };
+use crate::registry::SchemeId;
+use crate::scheme::{CompressionScheme, SchemeCtx};
+use crate::{checked, kernels, CodecError, ShapeShifterCodec, WidthDetector};
 
 /// The ShapeShifter memory container as a traffic scheme: per-group
 /// dynamic width with zero elision, reported with exact bit accounting
@@ -30,10 +30,10 @@ use crate::{
 /// container middle — the array ships raw and pays only the flag.
 ///
 /// The same struct is the registry's wire id 0 ([`SchemeId::SHAPESHIFTER`]):
-/// its [`ContainerScheme`] methods write and read the bare `(Z, P,
-/// payload)` stream at the group size of the call or frame, with full
-/// chunk-index participation. The flag and the raw-bypass cap are pricing
-/// only — the wire stream carries neither.
+/// its group layout is the bare `(Z, P, payload)` group, written and read
+/// at the group size of the call or frame, and it is the one scheme that
+/// writes and honours a chunk index. The flag and the raw-bypass cap are
+/// pricing only — the wire stream carries neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShapeShifterScheme {
     codec: ShapeShifterCodec,
@@ -69,63 +69,90 @@ impl Default for ShapeShifterScheme {
     }
 }
 
-/// A sequential codec at a wire call's group size and index policy.
-fn wire_codec(group_size: usize, policy: IndexPolicy) -> Result<ShapeShifterCodec, CodecError> {
-    ShapeShifterCodec::from_config(
-        CodecConfig::new()
-            .with_group_size(group_size)
-            .with_index_policy(policy)
-            .with_exec(ExecPolicy::Sequential),
-    )
-}
+/// Per group: the `Z` vector (1 marks a zero value, which carries no
+/// payload), the `P` width field, then the non-zero values at `P` bits
+/// each — sign-magnitude with the sign at the least-significant bit in
+/// signed containers.
+impl GroupLayout for ShapeShifterScheme {
+    const WIRE_ID: SchemeId = SchemeId::SHAPESHIFTER;
+    const INDEXED: bool = true;
+    const TRACED: bool = true;
 
-impl ContainerScheme for ShapeShifterScheme {
-    fn wire_id(&self) -> SchemeId {
-        SchemeId::SHAPESHIFTER
+    fn max_width(dtype: FixedType) -> u8 {
+        dtype.bits()
     }
 
-    /// Byte-identical to [`ShapeShifterCodec::encode`] under the same
-    /// group size and policy: both cut index chunks at the same
-    /// policy-determined boundaries.
-    fn encode_into(
-        &self,
-        tensor: &Tensor,
-        group_size: usize,
-        policy: IndexPolicy,
+    /// One fused [`kernels::scan_gather`] pass yields the `Z` words, the
+    /// OR-folded group width and the compacted non-zero payloads, which
+    /// are packed as one equal-width field run: each value is loaded once
+    /// and no bit is pushed individually. The retired per-value loop
+    /// survives as the differential oracle in the `kernel_differential`
+    /// suite.
+    #[inline]
+    fn write_group(
+        s: &mut Scratch,
+        group: &[i32],
         w: &mut BitWriter,
-        entries: &mut Vec<ChunkEntry>,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        let (_, index) = wire_codec(group_size, policy)?.encode_framed(tensor, w, entries)?;
-        Ok(index)
+    ) -> Result<GroupCost, CodecError> {
+        let (scan, n) = kernels::scan_gather(group, s.dtype.signedness(), &mut s.fields);
+        write_bitvec(w, &scan.z, group.len())?;
+        let width = scan.width();
+        s.write_width(w, width)?;
+        // `n <= group.len() <= MAX_GROUP` by construction, so the slice
+        // always exists; the fallback is unreachable.
+        let run = s.fields.get(..n).unwrap_or(&[]);
+        w.pack_fields(run, u32::from(width))?;
+        Ok(GroupCost {
+            width,
+            elided: scan.zero_count(),
+            payload_bits: u64::from(width) * n as u64,
+        })
     }
 
-    fn decode_into(
-        &self,
-        stream: &[u8],
-        frame: &StreamFrame,
-        index: Option<&ChunkIndex>,
-        threads: usize,
+    /// Payloads are read in bulk: the `Z` popcount gives the exact number
+    /// of equal-width fields in the group, which `BitReader::read_fields`
+    /// extracts with one unaligned load each; the scatter pass then
+    /// interleaves them with the elided zeros, validating each value in
+    /// stream order.
+    #[inline]
+    fn read_group(
+        s: &mut Scratch,
+        r: &mut BitReader<'_>,
+        at: GroupAt,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
-        let codec = wire_codec(frame.group_size, IndexPolicy::None)?;
-        match index {
-            Some(idx) => {
-                *out = codec.decode_stream_indexed(
-                    stream,
-                    frame.bit_len,
-                    frame.dtype,
-                    frame.len,
-                    idx,
-                    threads,
-                )?;
-                Ok(())
+        let (dtype, signed) = (s.dtype, s.signed);
+        let zeros = read_bitvec(r, at.len, &mut s.bits)?;
+        let p = s.read_width(r, at.index)?;
+        let payloads = at.len - zeros.min(at.len);
+        let slots = s.fields.get_mut(..payloads).unwrap_or(&mut []);
+        r.read_fields(u32::from(p), slots)?;
+        let mut next = slots.iter();
+        // Zeros are written up front; the loop fills in the payloads.
+        let first = out.len();
+        out.resize(first + at.len, 0);
+        let group = out.get_mut(first..).unwrap_or(&mut []);
+        for (c, (chunk, &word)) in group.chunks_mut(64).zip(&s.bits).enumerate() {
+            for (bit, slot) in chunk.iter_mut().enumerate() {
+                if word >> bit & 1 == 1 {
+                    continue;
+                }
+                // The popcount above sized the run to the exact number of
+                // clear bits, so the iterator cannot run dry.
+                let raw = next.next().copied().unwrap_or(0);
+                let v = decode_field(signed, raw);
+                let index = at.first_value + c * 64 + bit;
+                if !dtype.contains(v) || v == 0 {
+                    // A payload slot decoding to zero is corrupt: zeros
+                    // travel in Z, never in the payload.
+                    return Err(CodecError::CorruptValue { index, value: v });
+                }
+                checked::canonical_payload(raw, v, p, signed, index);
+                *slot = v;
             }
-            None => codec.decode_stream_into(stream, frame.bit_len, frame.dtype, frame.len, out),
         }
-    }
-
-    fn supports_index(&self) -> bool {
-        true
+        checked::group_invariants(&s.bits, at.len, payloads, p, dtype.bits(), at.index);
+        Ok(())
     }
 }
 

@@ -24,11 +24,11 @@
 //! bulk field extraction on decode — so sessions get the kernel speedups
 //! without any session-specific code.
 //!
-//! ShapeShifter encodes take one sequential framing path
-//! (`ShapeShifterCodec::encode_framed`) whether they arrive through
-//! [`CodecSession::encode_into`] or through the registry scheme behind
-//! [`CodecSession::encode_with_scheme`], and every decode — the
-//! [`EncodedTensor`] one included — runs through
+//! Every session encode and decode runs the one framing path all wire
+//! schemes share, on the calling thread: [`CodecSession::encode_into`]
+//! with the ShapeShifter group layout, [`CodecSession::encode_with_scheme`]
+//! through the scheme's own layout, and every decode — the
+//! [`EncodedTensor`] one included — through
 //! [`CodecSession::decode_scheme_stream_into`].
 
 use ss_bitio::BitWriter;
@@ -38,7 +38,7 @@ use crate::codec::{EncodedTensor, IndexPolicy, ShapeShifterCodec};
 use crate::index::{ChunkEntry, ChunkIndex};
 use crate::registry::{ContainerScheme, SchemeId, StreamFrame};
 use crate::scheme::ShapeShifterScheme;
-use crate::{CodecConfig, CodecError};
+use crate::{framing, CodecConfig, CodecError};
 
 /// A scheme-encoded stream plus its framing — the registry-era analogue
 /// of [`EncodedTensor`], produced by [`CodecSession::encode_with_scheme`]
@@ -176,9 +176,14 @@ impl CodecSession {
         out: &mut EncodedTensor,
     ) -> Result<(), CodecError> {
         self.reclaim_entries(out.index.take());
-        let (report, index) = self
-            .codec
-            .encode_framed(tensor, &mut self.w, &mut self.entries)?;
+        let (report, index) = framing::write_stream::<ShapeShifterScheme>(
+            tensor,
+            self.codec.group_size(),
+            self.codec.index_policy(),
+            1,
+            &mut self.w,
+            &mut self.entries,
+        )?;
         out.bytes.clear();
         out.bytes.extend_from_slice(self.w.as_bytes());
         out.bit_len = self.w.bit_len();
@@ -223,13 +228,12 @@ impl CodecSession {
     ) -> Result<(), CodecError> {
         // Decode under the *container's* group size (which may differ from
         // the session's), exactly as the one-shot decode does.
-        let frame = StreamFrame {
-            bit_len: encoded.bit_len,
-            dtype: encoded.dtype,
-            len: encoded.len,
-            group_size: encoded.group_size,
-        };
-        self.decode_scheme_stream_into(&ShapeShifterScheme::default(), &encoded.bytes, &frame, out)
+        self.decode_scheme_stream_into(
+            &ShapeShifterScheme::default(),
+            &encoded.bytes,
+            &encoded.frame(),
+            out,
+        )
     }
 
     /// Encodes `tensor` under an arbitrary registered scheme into an
@@ -238,9 +242,8 @@ impl CodecSession {
     /// The group size is the session's; `out` is fully overwritten, and
     /// its previous chunk index (if any) is recycled as the next index's
     /// storage exactly as [`CodecSession::encode_into`] recycles an
-    /// [`EncodedTensor`]'s. The stream bytes are bit-identical to the
-    /// scheme's own `encode_into` by construction (both run on the same
-    /// writer path).
+    /// [`EncodedTensor`]'s. The stream bytes are the scheme's own
+    /// `encode_into` output: the session only lends it its scratch.
     ///
     /// # Errors
     ///

@@ -21,8 +21,33 @@
 //!   fail here.
 
 use proptest::prelude::*;
-use ss_core::{ChunkIndex, IndexPolicy, ShapeShifterCodec};
+use ss_core::scheme::ShapeShifterScheme;
+use ss_core::{
+    ChunkIndex, CodecError, ContainerScheme, EncodedTensor, IndexPolicy, ShapeShifterCodec,
+    StreamFrame,
+};
 use ss_tensor::{FixedType, Shape, Signedness, Tensor};
+
+/// Decodes `bit_len` bits of `bytes` under `enc`'s framing through the
+/// ShapeShifter scheme's `decode_into`, fanning `index` out over
+/// `threads` workers when one is given.
+fn decode_raw(
+    bytes: &[u8],
+    bit_len: u64,
+    enc: &EncodedTensor,
+    index: Option<&ChunkIndex>,
+    threads: usize,
+) -> Result<Vec<i32>, CodecError> {
+    let frame = StreamFrame {
+        bit_len,
+        dtype: enc.dtype(),
+        len: enc.len(),
+        group_size: enc.group_size(),
+    };
+    let mut out = Vec::new();
+    ShapeShifterScheme::default().decode_into(bytes, &frame, index, threads, &mut out)?;
+    Ok(out)
+}
 
 /// Skewed tensor strategy (mostly small values, plenty of zeros) so the
 /// encoded stream exercises short and long payload fields alike.
@@ -67,7 +92,7 @@ proptest! {
             let cut_bits = ((bit_len as f64) * cut) as u64;
             let cut_bytes = (cut_bits as usize).div_ceil(8);
             let truncated = &enc.bytes()[..cut_bytes.min(enc.bytes().len())];
-            let r = codec.decode_stream(truncated, cut_bits, enc.dtype(), enc.len());
+            let r = decode_raw(truncated, cut_bits, &enc, None, 1);
             prop_assert!(
                 r.is_err(),
                 "group {}: decode of {}-of-{} bits succeeded",
@@ -90,7 +115,7 @@ proptest! {
             bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
             // Must not panic; on success the declared element count holds
             // and every value fits the container.
-            if let Ok(values) = codec.decode_stream(&bytes, bit_len, enc.dtype(), enc.len()) {
+            if let Ok(values) = decode_raw(&bytes, bit_len, &enc, None, 1) {
                 prop_assert_eq!(values.len(), enc.len());
                 prop_assert!(values.iter().all(|&v| enc.dtype().contains(v)));
             }
@@ -140,9 +165,7 @@ proptest! {
         let last = entries.len() - 1;
         entries[last].bit_offset += shift;
         let tampered = ChunkIndex::from_parts(index.chunk_groups() as u32, entries).unwrap();
-        let r = codec.decode_stream_indexed(
-            enc.bytes(), enc.bit_len(), enc.dtype(), enc.len(), &tampered, threads,
-        );
+        let r = decode_raw(enc.bytes(), enc.bit_len(), &enc, Some(&tampered), threads);
         prop_assert!(r.is_err(), "shift {} survived decode", shift);
     }
 
@@ -164,9 +187,7 @@ proptest! {
         let flip = ((bit_len as f64) * pick) as u64;
         let mut bytes = enc.bytes().to_vec();
         bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
-        if let Ok(values) =
-            codec.decode_stream_indexed(&bytes, bit_len, enc.dtype(), enc.len(), index, threads)
-        {
+        if let Ok(values) = decode_raw(&bytes, bit_len, &enc, Some(index), threads) {
             prop_assert_eq!(values.len(), enc.len());
             prop_assert!(values.iter().all(|&v| enc.dtype().contains(v)));
         }
@@ -182,7 +203,7 @@ proptest! {
         let bytes = enc.bytes();
         for keep in 0..bytes.len() {
             let short_bits = (keep as u64 * 8).min(enc.bit_len().saturating_sub(1));
-            let r = codec.decode_stream(&bytes[..keep], short_bits, enc.dtype(), enc.len());
+            let r = decode_raw(&bytes[..keep], short_bits, &enc, None, 1);
             prop_assert!(r.is_err(), "kept {} of {} bytes", keep, bytes.len());
         }
     }

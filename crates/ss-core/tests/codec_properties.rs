@@ -9,10 +9,23 @@
 use proptest::prelude::*;
 use ss_core::scheme::{Base, CompressionScheme, ProfileScheme, SchemeCtx, ShapeShifterScheme, ZeroRle};
 use ss_core::{
-    ChunkIndex, ContainerScheme, ExecPolicy, IndexPolicy, ShapeShifterCodec, StreamFrame,
-    WidthDetector,
+    ChunkIndex, CodecError, ContainerScheme, ExecPolicy, IndexPolicy, ShapeShifterCodec,
+    StreamFrame, WidthDetector,
 };
 use ss_tensor::{width, FixedType, Shape, Signedness, Tensor, TensorStats};
+
+/// Decodes a raw ShapeShifter stream through the scheme's `decode_into`,
+/// fanning `index` out over `threads` workers when one is given.
+fn decode_raw(
+    bytes: &[u8],
+    frame: StreamFrame,
+    index: Option<&ChunkIndex>,
+    threads: usize,
+) -> Result<Vec<i32>, CodecError> {
+    let mut out = Vec::new();
+    ShapeShifterScheme::default().decode_into(bytes, &frame, index, threads, &mut out)?;
+    Ok(out)
+}
 
 /// Strategy producing a tensor with a skewed (mostly-small, some zeros,
 /// rare large) value distribution over an arbitrary container.
@@ -109,11 +122,13 @@ proptest! {
                 let back = ChunkIndex::from_bytes(&index.to_bytes().unwrap()).unwrap();
                 prop_assert_eq!(&back, index);
                 prop_assert_eq!(enc.index_bits(), back.serialized_bits().unwrap());
-                let via = codec
-                    .decode_stream_indexed(
-                        enc.bytes(), enc.bit_len(), enc.dtype(), enc.len(), &back, 4,
-                    )
-                    .unwrap();
+                let frame = StreamFrame {
+                    bit_len: enc.bit_len(),
+                    dtype: enc.dtype(),
+                    len: enc.len(),
+                    group_size: group,
+                };
+                let via = decode_raw(enc.bytes(), frame, Some(&back), 4).unwrap();
                 prop_assert_eq!(&via[..], t.values());
             } else {
                 prop_assert!(t.len() <= chunk_groups * group);
@@ -257,9 +272,9 @@ proptest! {
         } else {
             FixedType::unsigned(bits).unwrap()
         };
-        let codec = ShapeShifterCodec::new(group);
         let bit_len = (bytes.len() as u64 * 8).min(4096);
-        let _ = codec.decode_stream(&bytes, bit_len, dtype, len);
+        let frame = StreamFrame { bit_len, dtype, len, group_size: group };
+        let _ = decode_raw(&bytes, frame, None, 1);
     }
 
     #[test]
@@ -291,7 +306,13 @@ proptest! {
         // A single bit flip either decodes to some tensor (possibly wrong
         // values — the stream carries no checksum, as in the paper) or
         // errors cleanly; it must never panic.
-        let _ = codec.decode_stream(&bytes, enc.bit_len(), t.dtype(), t.len());
+        let frame = StreamFrame {
+            bit_len: enc.bit_len(),
+            dtype: t.dtype(),
+            len: t.len(),
+            group_size: 16,
+        };
+        let _ = decode_raw(&bytes, frame, None, 1);
     }
 
     #[test]

@@ -30,9 +30,10 @@
 
 use std::path::PathBuf;
 
+use ss_core::scheme::ShapeShifterScheme;
 use ss_core::{
-    ChunkIndex, CodecSession, IndexPolicy, SchemeId, SchemeRegistry, SchemeStream,
-    ShapeShifterCodec,
+    ChunkIndex, CodecError, CodecSession, ContainerScheme, IndexPolicy, SchemeId, SchemeRegistry,
+    SchemeStream, ShapeShifterCodec, StreamFrame,
 };
 use ss_tensor::{FixedType, Shape, Signedness, Tensor};
 
@@ -239,6 +240,26 @@ fn values_from_le_bytes(bytes: &[u8]) -> Vec<i32> {
         .collect()
 }
 
+/// Decodes a raw golden stream under `case`'s framing through the
+/// ShapeShifter scheme's `decode_into`, fanning an index out over
+/// `threads` workers when one is given.
+fn decode_raw(
+    stream: &[u8],
+    case: &GoldenCase,
+    index: Option<&ChunkIndex>,
+    threads: usize,
+) -> Result<Vec<i32>, CodecError> {
+    let frame = StreamFrame {
+        bit_len: case.bit_len,
+        dtype: case.dtype,
+        len: case.len,
+        group_size: case.group,
+    };
+    let mut out = Vec::new();
+    ShapeShifterScheme::default().decode_into(stream, &frame, index, threads, &mut out)?;
+    Ok(out)
+}
+
 #[test]
 fn golden_vectors_conform() {
     let dir = golden_dir();
@@ -302,9 +323,7 @@ fn golden_vectors_conform() {
                 .unwrap_or_else(|e| panic!("{}: missing golden values ({e})", case.name)),
         );
         assert_eq!(golden_values_file, values, "{}: value corpus drifted", case.name);
-        let decoded = codec
-            .decode_stream(&golden_stream, case.bit_len, case.dtype, case.len)
-            .unwrap();
+        let decoded = decode_raw(&golden_stream, case, None, 1).unwrap();
         assert_eq!(decoded, golden_values_file, "{}: sequential decode", case.name);
 
         // v2 cases: the index file deserializes, validates against the
@@ -327,16 +346,7 @@ fn golden_vectors_conform() {
                 );
                 let index = ChunkIndex::from_bytes(&golden_index).unwrap();
                 for threads in [1usize, 2, 4, 8] {
-                    let par = codec
-                        .decode_stream_indexed(
-                            &golden_stream,
-                            case.bit_len,
-                            case.dtype,
-                            case.len,
-                            &index,
-                            threads,
-                        )
-                        .unwrap();
+                    let par = decode_raw(&golden_stream, case, Some(&index), threads).unwrap();
                     assert_eq!(
                         par, golden_values_file,
                         "{}: indexed decode at {} thread(s)",

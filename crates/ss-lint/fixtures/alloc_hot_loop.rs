@@ -3,7 +3,7 @@
 //! buffer above the loop is the sanctioned pattern and must stay quiet.
 //! Never compiled.
 
-pub fn decode_groups(n: usize) -> usize {
+pub fn read_groups(n: usize) -> usize {
     let mut scratch = Vec::with_capacity(64);
     let mut total = 0;
     for chunk in 0..n {

@@ -3,7 +3,7 @@
 //! hot entry-point name so the reachability closure marks it hot, and the
 //! self-test expects one diagnostic per construct below.
 
-pub fn encode_groups_into(values: &[u64]) -> u64 {
+pub fn write_groups(values: &[u64]) -> u64 {
     let first = values.first().unwrap();
     let second = values.get(1).expect("second value");
     if *first > 64 {

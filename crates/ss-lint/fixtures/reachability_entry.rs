@@ -4,6 +4,6 @@
 //! self-test asserts the `panic-freedom` diagnostic lands in the helper's
 //! file — the closure, not a list, decides what is hot. Never compiled.
 
-pub fn encode_groups_into(values: &[u64]) -> u64 {
+pub fn write_groups(values: &[u64]) -> u64 {
     helper_pack(values)
 }

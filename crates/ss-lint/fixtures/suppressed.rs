@@ -16,12 +16,12 @@ pub fn scan_group(raw: u64) -> u8 {
     (raw & 0x3F) as u8
 }
 
-pub fn decode_groups(values: &[u64]) -> u64 {
+pub fn read_groups(values: &[u64]) -> u64 {
     // ss-lint: allow(panic-freedom) -- caller guarantees non-empty per the codec contract
     values[0]
 }
 
-pub fn encode_groups_into(n: usize) -> usize {
+pub fn write_groups(n: usize) -> usize {
     let mut total = 0;
     for group in 0..n {
         // ss-lint: allow(alloc-in-hot-loop) -- error-path label, built at most once per batch

@@ -16,16 +16,28 @@ use crate::symbols::{FnId, SymbolTable};
 use crate::workspace::{FileKind, Workspace};
 
 /// Hot entry points, as `name` or `Type::name` specs. These are the
-/// serving-path roots: the codec's group kernels and public API, the
-/// reusable session, the batch engine, the word-parallel scan kernels,
-/// and the accelerator simulator's top-level loop. Everything they
-/// transitively call inherits panic-freedom, determinism and
-/// allocation discipline — including helpers in modules no list ever
+/// serving-path roots: the codec's framing path and group layouts, its
+/// public API, the reusable session, the batch engine, the word-parallel
+/// scan kernels, and the accelerator simulator's top-level loop.
+/// Everything they transitively call inherits panic-freedom, determinism
+/// and allocation discipline — including helpers in modules no list ever
 /// named.
 pub const ENTRY_POINTS: &[&str] = &[
-    // Group codec kernels (the Section 3 container encode/decode loops).
-    "encode_groups_into",
-    "decode_groups",
+    // The one framing path every wire scheme runs through: stream-level
+    // framing and the Section 3 container's encode/decode group loops.
+    "write_stream",
+    "read_stream",
+    "write_groups",
+    "read_groups",
+    // Each built-in scheme's per-group layout.
+    "ShapeShifterScheme::write_group",
+    "ShapeShifterScheme::read_group",
+    "DeltaShapeShifter::write_group",
+    "DeltaShapeShifter::read_group",
+    "DpRed::write_group",
+    "DpRed::read_group",
+    "AdaBitsScheme::write_group",
+    "AdaBitsScheme::read_group",
     // Word-parallel scan kernels (the Fig. 5(c) OR-tree analogue).
     "scan_group",
     "scan_gather",
@@ -33,26 +45,15 @@ pub const ENTRY_POINTS: &[&str] = &[
     "ShapeShifterCodec::encode",
     "ShapeShifterCodec::decode",
     "ShapeShifterCodec::measure",
-    "ShapeShifterCodec::decode_stream",
-    "ShapeShifterCodec::decode_stream_indexed",
     // Reusable zero-allocation sessions.
     "CodecSession::encode_into",
     "CodecSession::decode_into",
-    // Registry-dispatched scheme sessions, and the wire methods of every
-    // built-in scheme (each scheme is one struct implementing both
-    // `CompressionScheme` and `ContainerScheme`).
+    // Registry-dispatched scheme sessions (each built-in scheme gets
+    // `ContainerScheme` from its group layout).
     "CodecSession::encode_with_scheme",
     "CodecSession::decode_with_scheme",
     "CodecSession::decode_scheme_stream_into",
     "SchemeRegistry::get",
-    "ShapeShifterScheme::encode_into",
-    "ShapeShifterScheme::decode_into",
-    "DeltaShapeShifter::encode_into",
-    "DeltaShapeShifter::decode_into",
-    "DpRed::encode_into",
-    "DpRed::decode_into",
-    "AdaBitsScheme::encode_into",
-    "AdaBitsScheme::decode_into",
     // Batch engine.
     "Pipeline::process",
     "Pipeline::encode_batch",
@@ -218,7 +219,7 @@ mod tests {
         let ws = ws(vec![
             (
                 "crates/ss-core/src/codec.rs",
-                "pub fn encode_groups_into(v: &[u32]) -> u32 {\n  helper_pack(v)\n}\n",
+                "pub fn write_groups(v: &[u32]) -> u32 {\n  helper_pack(v)\n}\n",
             ),
             (
                 "crates/ss-models/src/packer.rs",

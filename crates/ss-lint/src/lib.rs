@@ -180,7 +180,7 @@ mod tests {
         let file = ScannedFile::rust(
             "crates/ss-core/src/codec.rs",
             FileKind::Source,
-            "#![forbid(unsafe_code)]\npub fn decode_groups(v: u64) -> u64 { widen(v) }\nfn widen(v: u64) -> u64 { v }\n",
+            "#![forbid(unsafe_code)]\npub fn read_groups(v: u64) -> u64 { widen(v) }\nfn widen(v: u64) -> u64 { v }\n",
             &known,
         );
         let report = lint(&Workspace::from_parts(vec![file], vec![]));

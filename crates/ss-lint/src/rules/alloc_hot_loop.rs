@@ -103,13 +103,13 @@ mod tests {
 
     #[test]
     fn allocation_inside_hot_loop_fires() {
-        let src = "pub fn decode_groups(n: usize) {\n  for _ in 0..n {\n    let buf = Vec::with_capacity(64);\n    drop(buf);\n  }\n}\n";
+        let src = "pub fn read_groups(n: usize) {\n  for _ in 0..n {\n    let buf = Vec::with_capacity(64);\n    drop(buf);\n  }\n}\n";
         assert_eq!(run(src).len(), 1);
     }
 
     #[test]
     fn hoisted_allocation_is_fine() {
-        let src = "pub fn decode_groups(n: usize) {\n  let mut buf = Vec::with_capacity(64);\n  for _ in 0..n {\n    buf.clear();\n  }\n}\n";
+        let src = "pub fn read_groups(n: usize) {\n  let mut buf = Vec::with_capacity(64);\n  for _ in 0..n {\n    buf.clear();\n  }\n}\n";
         assert!(run(src).is_empty());
     }
 
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn annotation_documents_a_deliberate_allocation() {
-        let src = "pub fn decode_groups(n: usize) -> Vec<Vec<u8>> {\n  let mut out = Vec::new();\n  for _ in 0..n {\n    out.push(Vec::with_capacity(8)); // ss-lint: allow(alloc-in-hot-loop) -- caller keeps each chunk\n  }\n  out\n}\n";
+        let src = "pub fn read_groups(n: usize) -> Vec<Vec<u8>> {\n  let mut out = Vec::new();\n  for _ in 0..n {\n    out.push(Vec::with_capacity(8)); // ss-lint: allow(alloc-in-hot-loop) -- caller keeps each chunk\n  }\n  out\n}\n";
         assert!(run(src).is_empty());
     }
 

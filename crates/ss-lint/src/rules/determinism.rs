@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn hot_reachable_code_is_covered_anywhere() {
-        let src = "pub fn decode_groups(n: u64) -> u64 {\n  let t = SystemTime::now();\n  n\n}\n";
+        let src = "pub fn read_groups(n: u64) -> u64 {\n  let t = SystemTime::now();\n  n\n}\n";
         assert_eq!(run_at("crates/ss-models/src/zoo.rs", src).len(), 1);
     }
 

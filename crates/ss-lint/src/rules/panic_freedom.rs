@@ -121,7 +121,7 @@ mod tests {
 
     /// Lints `body` inside a hot entry-point fn.
     fn run_hot(body: &str) -> Vec<Diagnostic> {
-        let src = format!("pub fn encode_groups_into(v: u32) -> u32 {{\n{body}\nv\n}}\n");
+        let src = format!("pub fn write_groups(v: u32) -> u32 {{\n{body}\nv\n}}\n");
         let ws = ws_with(&src);
         let cx = Analysis::build(&ws);
         let mut out = Vec::new();
@@ -167,9 +167,9 @@ mod tests {
 
     #[test]
     fn test_regions_are_exempt() {
-        let src = "pub fn decode_groups(v: u32) -> u32 { v }\n\
+        let src = "pub fn read_groups(v: u32) -> u32 { v }\n\
                    #[cfg(test)]\n\
-                   mod tests {\n  fn decode_groups_t() { v.unwrap(); }\n}\n";
+                   mod tests {\n  fn read_groups_t() { v.unwrap(); }\n}\n";
         let ws = ws_with(src);
         let cx = Analysis::build(&ws);
         let mut out = Vec::new();
@@ -192,7 +192,7 @@ mod tests {
         let hot = ScannedFile::rust(
             "crates/ss-core/src/codec.rs",
             FileKind::Source,
-            "pub fn encode_groups_into(v: u32) -> u32 {\n  helper_pack(v)\n}\n",
+            "pub fn write_groups(v: u32) -> u32 {\n  helper_pack(v)\n}\n",
             &["panic-freedom"],
         );
         let helper = ScannedFile::rust(

@@ -216,17 +216,12 @@ impl RecordMeta {
 /// size, container type). Two records with equal fingerprints were packed
 /// compatibly; the store's `verify()` flags mixtures.
 ///
-/// Delegates to the registry's canonical recipe
-/// ([`ss_core::registry::fingerprint_bytes`] via each scheme's
-/// `fingerprint` hook when registered), so shard fingerprints written
-/// before the registry existed hash byte-identically.
+/// The registry's canonical recipe
+/// ([`ss_core::registry::fingerprint_bytes`]), so shard fingerprints
+/// written before the registry existed hash byte-identically.
 #[must_use]
 pub fn codec_fingerprint(scheme: impl Into<SchemeId>, group_size: u16, dtype: FixedType) -> u64 {
-    let id = scheme.into();
-    match shapeshifter::SchemeRegistry::global().lookup(id) {
-        Some(s) => s.fingerprint(group_size, dtype),
-        None => ss_core::registry::fingerprint_bytes(id, group_size, dtype),
-    }
+    ss_core::registry::fingerprint_bytes(scheme.into(), group_size, dtype)
 }
 
 /// One index entry: a record's metadata plus where its block sits in the

@@ -242,24 +242,8 @@ pub fn pack_with_policy(
     scheme: impl Into<SchemeId>,
     policy: IndexPolicy,
 ) -> Result<Vec<u8>, ContainerError> {
-    pack_with_policy_in(SchemeRegistry::global(), tensor, group_size, scheme, policy)
-}
-
-/// [`pack_with_policy`] against an explicit registry — the general form
-/// for embedders that restrict or extend the scheme set.
-///
-/// # Errors
-///
-/// As [`pack_with_scheme`].
-pub fn pack_with_policy_in(
-    registry: &SchemeRegistry,
-    tensor: &Tensor,
-    group_size: usize,
-    scheme: impl Into<SchemeId>,
-    policy: IndexPolicy,
-) -> Result<Vec<u8>, ContainerError> {
     let id = scheme.into();
-    let scheme = registry.get(id)?;
+    let scheme = SchemeRegistry::global().get(id)?;
     let mut w = BitWriter::new();
     let index = scheme.encode_into(tensor, group_size, policy, &mut w, &mut Vec::new())?;
     let index_blob = index.as_ref().map(ChunkIndex::to_bytes).transpose()?;
@@ -397,18 +381,8 @@ pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
 /// scheme id ([`CodecError::UnknownScheme`]), a corrupt index or a
 /// corrupt stream.
 pub fn unpack(bytes: &[u8]) -> Result<Tensor, ContainerError> {
-    unpack_in(SchemeRegistry::global(), bytes)
-}
-
-/// [`unpack`] against an explicit registry — the general form for
-/// embedders that restrict or extend the scheme set.
-///
-/// # Errors
-///
-/// As [`unpack`].
-pub fn unpack_in(registry: &SchemeRegistry, bytes: &[u8]) -> Result<Tensor, ContainerError> {
     let meta = info(bytes)?;
-    let scheme = registry.get(meta.scheme)?;
+    let scheme = SchemeRegistry::global().get(meta.scheme)?;
     // Checked before any use as a count: the 8-byte field wraps under
     // `as usize` on a 32-bit target, turning a hostile length into a
     // small-but-wrong allocation and a bogus decode.

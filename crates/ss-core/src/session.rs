@@ -29,7 +29,9 @@
 //! with the ShapeShifter group layout, [`CodecSession::encode_with_scheme`]
 //! through the scheme's own layout, and every decode — the
 //! [`EncodedTensor`] one included — through
-//! [`CodecSession::decode_scheme_stream_into`].
+//! [`CodecSession::decode_scheme_stream`], which leaves the values in
+//! the session's scratch and lends them out. The tensor-filling decodes
+//! swap that scratch into their output.
 
 use ss_bitio::BitWriter;
 use ss_tensor::{FixedType, Tensor};
@@ -293,13 +295,33 @@ impl CodecSession {
     }
 
     /// Decodes a raw scheme stream (framing supplied by the caller, e.g.
-    /// parsed from an `SSPK` container header) into an existing tensor,
-    /// reusing the session's value scratch (swapped, not copied) — the one
-    /// decode path behind [`CodecSession::decode_into`],
-    /// [`CodecSession::decode_with_scheme`] and the container
-    /// `unpack_with` path, which is the per-record decode of the shard
-    /// store. The parse is sequential: a chunk index, if the container
-    /// carried one, is side metadata this path ignores.
+    /// parsed from an `SSPK` container header) into the session's value
+    /// scratch and lends it out — the one decode path behind every
+    /// session decode, the container `unpack_values`/`unpack_with` paths
+    /// and the shard store's per-record decode. No tensor is built and
+    /// nothing is copied: the values stay in the scratch until the next
+    /// decode overwrites them. Every value fits `frame.dtype`, because
+    /// each scheme's group reader refuses one that does not
+    /// ([`CodecError::CorruptValue`]). The parse is sequential: a chunk
+    /// index, if the container carried one, is side metadata this path
+    /// ignores.
+    ///
+    /// # Errors
+    ///
+    /// As [`ContainerScheme::decode_into`].
+    pub fn decode_scheme_stream(
+        &mut self,
+        scheme: &dyn ContainerScheme,
+        stream: &[u8],
+        frame: &StreamFrame,
+    ) -> Result<&[i32], CodecError> {
+        scheme.decode_into(stream, frame, None, 1, &mut self.values)?;
+        Ok(&self.values)
+    }
+
+    /// [`CodecSession::decode_scheme_stream`] into an existing tensor:
+    /// the decoded scratch is swapped into `out` (not copied) and the
+    /// tensor's previous storage becomes the next call's scratch.
     ///
     /// # Errors
     ///
@@ -311,11 +333,9 @@ impl CodecSession {
         frame: &StreamFrame,
         out: &mut Tensor,
     ) -> Result<(), CodecError> {
-        scheme.decode_into(stream, frame, None, 1, &mut self.values)?;
-        // Swap the decoded buffer into the tensor and keep its previous
-        // storage as the next call's scratch. The range re-validation
-        // cannot fail: every scheme's decode checked each value against
-        // the container.
+        self.decode_scheme_stream(scheme, stream, frame)?;
+        // The range re-validation cannot fail: every scheme's decode
+        // checked each value against the container.
         let scratch = std::mem::take(&mut self.values);
         self.values = out.replace_flat(frame.dtype, scratch)?;
         Ok(())

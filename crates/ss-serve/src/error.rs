@@ -22,6 +22,10 @@ pub enum ServeError {
     WorkerLost,
     /// SSRP framing failed.
     Protocol(ProtocolError),
+    /// A [`Client`](crate::Client) whose connection an earlier framing
+    /// failure (carried here) ended: the stream is shut down and no call
+    /// can use it again.
+    Disconnected(ProtocolError),
     /// An op body failed to encode or decode.
     Wire(WireError),
     /// The server answered with an error status.
@@ -52,6 +56,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Closed => write!(f, "service closed"),
             ServeError::WorkerLost => write!(f, "worker disappeared before replying"),
             ServeError::Protocol(e) => write!(f, "protocol failure: {e}"),
+            ServeError::Disconnected(e) => {
+                write!(f, "connection closed after an earlier protocol failure: {e}")
+            }
             ServeError::Wire(e) => write!(f, "body codec failure: {e}"),
             ServeError::Remote { status, message } => {
                 write!(f, "server answered {status:?}: {message}")
@@ -68,7 +75,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Protocol(e) => Some(e),
+            ServeError::Protocol(e) | ServeError::Disconnected(e) => Some(e),
             ServeError::Wire(e) => Some(e),
             ServeError::Codec(e) => Some(e),
             _ => None,

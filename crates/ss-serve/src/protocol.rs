@@ -26,11 +26,12 @@
 
 // ss-lint: allow-file(panic-freedom) -- every slice index below is
 // preceded by an explicit length check (`bytes.len() < HEADER_LEN` /
-// `< total`) or reads a fixed-size array filled by `read_exact`; the
+// `< total`), reads a fixed-size array filled by `read_exact`, or fills
+// the writer's fixed-size header array at constant offsets; the
 // protocol fuzz suite proves every truncation at every byte is a typed
 // refusal, never a panic.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use ss_store::format::Crc32;
 
@@ -322,23 +323,41 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame (header + body + CRC trailer).
+    /// Serializes the frame (header + body + CRC trailer) through the
+    /// frame writer.
+    ///
+    /// A body longer than `u32::MAX` bytes has no length field; the
+    /// writer refuses it before writing anything, so such a frame
+    /// encodes to an empty vector, which every parser refuses as
+    /// [`ProtocolError::Truncated`].
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.body.len() + TRAILER_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.kind.to_byte());
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        // Body length fits u32 by construction: encode() is only
-        // reachable for bodies the service built or admitted under
-        // max_body, which is itself bounded well below u32::MAX.
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.body);
-        let mut crc = Crc32::new();
-        crc.update(&out);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
+        // Writing into a Vec cannot fail; only the length check can.
+        let _ = write_frame(&mut out, self.kind, self.request_id, None, &self.body);
         out
+    }
+
+    /// Writes a response frame straight from its parts and flushes: the
+    /// same bytes as `Frame::response(op, request_id, status,
+    /// payload).write_to(w)`, without building the frame. The payload
+    /// goes out as is — it is never copied into a frame buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Io`] on any write failure;
+    /// [`ProtocolError::BodyTooLarge`] if the body does not fit the
+    /// `u32` length field.
+    pub fn write_response(
+        w: &mut dyn Write,
+        op: Op,
+        request_id: u64,
+        status: Status,
+        payload: &[u8],
+    ) -> Result<(), ProtocolError> {
+        write_frame(w, Kind::Response(op), request_id, Some(status), payload)?;
+        w.flush()?;
+        Ok(())
     }
 
     /// Parses one frame from the front of `bytes`, returning it plus the
@@ -463,33 +482,187 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Io`] on any write failure.
+    /// [`ProtocolError::Io`] on any write failure;
+    /// [`ProtocolError::BodyTooLarge`] if the body does not fit the
+    /// `u32` length field.
     pub fn write_to(&self, w: &mut dyn Write) -> Result<(), ProtocolError> {
-        w.write_all(&self.encode())?;
+        write_frame(w, self.kind, self.request_id, None, &self.body)?;
         w.flush()?;
         Ok(())
     }
+}
+
+/// The one frame writer: the header (and `status`, which opens a
+/// response body built from a payload), then `payload` as is, then the
+/// CRC trailer, sent with vectored writes. A partial write continues
+/// where it stopped, [`ErrorKind::Interrupted`] is retried, and a writer
+/// that accepts nothing ends in [`ErrorKind::WriteZero`] rather than a
+/// spin.
+fn write_frame(
+    w: &mut dyn Write,
+    kind: Kind,
+    request_id: u64,
+    status: Option<Status>,
+    payload: &[u8],
+) -> Result<(), ProtocolError> {
+    let status = status.map(Status::to_byte);
+    let body_len = usize::from(status.is_some()) + payload.len();
+    let Ok(len) = u32::try_from(body_len) else {
+        return Err(ProtocolError::BodyTooLarge {
+            len: body_len as u64,
+            max: u32::MAX as usize,
+        });
+    };
+    let mut head = [0u8; HEADER_LEN + 1];
+    head[0..4].copy_from_slice(&MAGIC);
+    head[4] = VERSION;
+    head[5] = kind.to_byte();
+    head[6..14].copy_from_slice(&request_id.to_le_bytes());
+    head[14..18].copy_from_slice(&len.to_le_bytes());
+    let head = match status {
+        Some(byte) => {
+            head[HEADER_LEN] = byte;
+            &head[..]
+        }
+        None => &head[..HEADER_LEN],
+    };
+    let mut crc = Crc32::new();
+    crc.update(head);
+    crc.update(payload);
+    let trailer = crc.finish().to_le_bytes();
+    let mut slices = [IoSlice::new(head), IoSlice::new(payload), IoSlice::new(&trailer)];
+    let mut bufs = &mut slices[..];
+    let mut left = head.len() + payload.len() + trailer.len();
+    while left > 0 {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ProtocolError::Io(ErrorKind::WriteZero)),
+            Ok(n) => {
+                // A writer claiming more than it was given breaks the
+                // `Write` contract; clamp rather than advance past the end.
+                let n = n.min(left);
+                left -= n;
+                IoSlice::advance_slices(&mut bufs, n);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A sink that takes at most 7 bytes per call.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sink whose first write is interrupted.
+    struct InterruptedOnce {
+        out: Vec<u8>,
+        interrupted: bool,
+    }
+
+    impl Write for InterruptedOnce {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sink that accepts nothing.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Ok(0)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every byte `write` sends, through each sink in turn.
+    fn through_every_sink(mut write: impl FnMut(&mut dyn Write)) -> [Vec<u8>; 3] {
+        let mut vec = Vec::new();
+        write(&mut vec);
+        let mut trickle = Trickle(Vec::new());
+        write(&mut trickle);
+        let mut interrupted = InterruptedOnce {
+            out: Vec::new(),
+            interrupted: false,
+        };
+        write(&mut interrupted);
+        assert!(interrupted.interrupted);
+        [vec, trickle.0, interrupted.out]
+    }
+
     #[test]
     fn round_trip_every_op_both_kinds() {
+        let body = vec![0x5A; 40];
         for &op in Op::ALL {
-            for frame in [
+            let responses: [(u64, Status, &[u8]); 3] = [
+                (7, Status::Ok, &[9, 8]),
+                (u64::MAX, Status::Overloaded, b"queue full"),
+                (3, Status::Ok, &[]),
+            ];
+            let mut frames = vec![
                 Frame::request(op, 0xDEAD_BEEF_0042, vec![1, 2, 3]),
-                Frame::response(op, 7, Status::Ok, &[9, 8]),
-                Frame::response(op, u64::MAX, Status::Overloaded, b"queue full"),
-            ] {
+                Frame::request(op, 1, body.clone()),
+                Frame::request(op, 2, Vec::new()),
+            ];
+            frames.extend(responses.iter().map(|&(id, status, payload)| {
+                Frame::response(op, id, status, payload)
+            }));
+            for frame in &frames {
                 let bytes = frame.encode();
                 let (back, used) = Frame::decode(&bytes, DEFAULT_MAX_BODY).expect("round trip");
-                assert_eq!(back, frame);
+                assert_eq!(&back, frame);
                 assert_eq!(used, bytes.len());
-                let mut cursor = std::io::Cursor::new(bytes);
+                let mut cursor = std::io::Cursor::new(bytes.clone());
                 let back = Frame::read_from(&mut cursor, DEFAULT_MAX_BODY).expect("stream");
-                assert_eq!(back, frame);
+                assert_eq!(&back, frame);
+                // The writer is byte-identical to `encode` on every sink.
+                for written in through_every_sink(|w| frame.write_to(w).expect("write_to")) {
+                    assert_eq!(written, bytes);
+                }
+                assert_eq!(
+                    frame.write_to(&mut Full),
+                    Err(ProtocolError::Io(ErrorKind::WriteZero))
+                );
+            }
+            for (id, status, payload) in responses {
+                let bytes = Frame::response(op, id, status, payload).encode();
+                let sinks = through_every_sink(|w| {
+                    Frame::write_response(w, op, id, status, payload).expect("write_response");
+                });
+                for written in sinks {
+                    assert_eq!(written, bytes);
+                }
+                assert_eq!(
+                    Frame::write_response(&mut Full, op, id, status, payload),
+                    Err(ProtocolError::Io(ErrorKind::WriteZero))
+                );
             }
         }
     }

@@ -151,9 +151,9 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = incoming else { continue };
-        // Responses go out as one write each; without this a small one
-        // waits in Nagle's buffer for the client's next ACK. A failure
-        // only costs latency, as in `Client::connect`.
+        // Responses go out as one vectored write each; without this a
+        // small one waits in Nagle's buffer for the client's next ACK. A
+        // failure only costs latency, as in `Client::connect`.
         let _ = stream.set_nodelay(true);
         let Ok(tracked) = stream.try_clone() else {
             continue;
@@ -240,9 +240,11 @@ fn run_connection(stream: TcpStream, handle: &ServeHandle) {
     let _ = read_stream.shutdown(Shutdown::Both);
 }
 
-/// The writer half: responses go out in submission order.
+/// The writer half: responses go out in submission order, each frame
+/// written straight from the response's payload.
 fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<ConnItem>, handle: &ServeHandle) {
     let trace = handle.trace();
+    let max_body = handle.max_body();
     for item in rx.iter() {
         let response = match item {
             ConnItem::Ready(response) => response,
@@ -254,14 +256,41 @@ fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<ConnItem>, handle: &Ser
                 Err(_) => break,
             },
         };
-        let frame = Frame::response(response.op, response.request_id, response.status, &response.payload);
-        let encoded = frame.encode();
-        trace.add(Counter::ServeBytesOut, encoded.len() as u64);
-        if std::io::Write::write_all(&mut stream, &encoded).is_err() {
+        let response = within_body_cap(response, max_body);
+        let frame_len = HEADER_LEN + 1 + response.payload.len() + TRAILER_LEN;
+        trace.add(Counter::ServeBytesOut, frame_len as u64);
+        if Frame::write_response(
+            &mut stream,
+            response.op,
+            response.request_id,
+            response.status,
+            &response.payload,
+        )
+        .is_err()
+        {
             break;
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The response itself if its frame body (status byte + payload) fits
+/// `max_body`; otherwise a `BadRequest` that gives both sizes, cut to
+/// fit. Get and decode refuse an oversized answer before decoding; this
+/// covers every other response the writer sends.
+fn within_body_cap(response: Response, max_body: usize) -> Response {
+    let body = 1 + response.payload.len();
+    if body <= max_body {
+        return response;
+    }
+    let mut payload =
+        format!("response body of {body} bytes exceeds the {max_body}-byte cap").into_bytes();
+    payload.truncate(max_body.saturating_sub(1));
+    Response {
+        status: Status::BadRequest,
+        payload,
+        ..response
+    }
 }
 
 /// A blocking SSRP client.
@@ -270,11 +299,18 @@ fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<ConnItem>, handle: &Ser
 /// [`Client::recv`] expose the pipelined form (the server answers FIFO
 /// per connection). Every received frame is checked for id/op pairing
 /// before its payload is trusted.
+///
+/// A framing failure ends the connection: after a frame is refused (or
+/// a write tears one), the bytes that follow cannot be trusted to start
+/// a new frame, so the client shuts the stream down and answers every
+/// later call with [`ServeError::Disconnected`].
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     max_body: usize,
     next_id: u64,
+    /// The framing failure that ended this connection, if one has.
+    broken: Option<ProtocolError>,
 }
 
 impl Client {
@@ -290,6 +326,7 @@ impl Client {
             stream,
             max_body: crate::protocol::DEFAULT_MAX_BODY,
             next_id: 0,
+            broken: None,
         })
     }
 
@@ -304,11 +341,15 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Protocol`] on write failure.
+    /// [`ServeError::Protocol`] on write failure (which ends the
+    /// connection), [`ServeError::Disconnected`] once it has ended.
     pub fn send(&mut self, op: Op, body: Vec<u8>) -> Result<u64, ServeError> {
+        self.check_open()?;
         self.next_id += 1;
         let id = self.next_id;
-        Frame::request(op, id, body).write_to(&mut self.stream)?;
+        if let Err(e) = Frame::request(op, id, body).write_to(&mut self.stream) {
+            return Err(self.disconnect(e));
+        }
         Ok(id)
     }
 
@@ -316,11 +357,16 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Protocol`] on framing/IO failure,
+    /// [`ServeError::Protocol`] on framing/IO failure (which ends the
+    /// connection), [`ServeError::Disconnected`] once it has ended,
     /// [`ServeError::ResponseMismatch`] if a request frame or a
     /// status-less body arrives.
     pub fn recv(&mut self) -> Result<Response, ServeError> {
-        let frame = Frame::read_from(&mut self.stream, self.max_body)?;
+        self.check_open()?;
+        let frame = match Frame::read_from(&mut self.stream, self.max_body) {
+            Ok(frame) => frame,
+            Err(e) => return Err(self.disconnect(e)),
+        };
         let Kind::Response(op) = frame.kind else {
             return Err(ServeError::ResponseMismatch {
                 detail: "server sent a request frame".to_string(),
@@ -342,6 +388,23 @@ impl Client {
             status,
             payload: payload.to_vec(),
         })
+    }
+
+    /// [`ServeError::Disconnected`] once a framing failure has ended the
+    /// connection.
+    fn check_open(&self) -> Result<(), ServeError> {
+        match &self.broken {
+            Some(cause) => Err(ServeError::Disconnected(cause.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Ends the connection on framing failure `e`: shuts the stream down
+    /// so no leftover byte is ever parsed, and remembers why.
+    fn disconnect(&mut self, e: ProtocolError) -> ServeError {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.broken = Some(e.clone());
+        ServeError::Protocol(e)
     }
 
     /// One strict round trip: send, receive, verify the response pairs

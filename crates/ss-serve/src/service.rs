@@ -32,8 +32,8 @@ use shapeshifter::container::{self, ContainerError};
 use shapeshifter::SchemeId;
 use ss_core::{CodecConfig, CodecSession};
 use ss_pipeline::{BoundedQueue, TryPushError};
-use ss_store::{ModelStore, StorageProvider, StoreError};
-use ss_tensor::{FixedType, Shape, Tensor};
+use ss_store::{ModelStore, StorageProvider};
+use ss_tensor::Tensor;
 use ss_trace::{Counter, LatencyHist, Recorder, TraceRecorder};
 
 use crate::error::ServeError;
@@ -63,7 +63,10 @@ pub struct ServeConfig {
     /// Bounded submission-queue capacity (0 is treated as 1). Admission
     /// beyond this answers `Overloaded`.
     pub queue_depth: usize,
-    /// Maximum SSRP frame body length accepted or produced.
+    /// Maximum SSRP frame body length accepted or produced. A get or
+    /// decode whose answer would exceed it is refused with `BadRequest`
+    /// before anything is decoded; the TCP writer refuses any other
+    /// over-cap response the same way.
     pub max_body: usize,
 }
 
@@ -594,9 +597,10 @@ fn nanos_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One worker: a reusable codec session, a scratch tensor, and one open
-/// [`ModelStore`] per registered model; loops until the queue closes
-/// and drains.
+/// One worker: a reusable codec session and one open [`ModelStore`] per
+/// registered model; loops until the queue closes and drains. Decoded
+/// values never leave the scratch they were decoded into: the session's
+/// for decode, each store's for get.
 fn worker_main(core: &ServeCore, config: &ServeConfig, models: &[ModelSource]) {
     let Ok(mut session) = CodecSession::new(config.codec) else {
         // The config was validated in Service::new; if construction
@@ -605,7 +609,6 @@ fn worker_main(core: &ServeCore, config: &ServeConfig, models: &[ModelSource]) {
         core.queue.close();
         return;
     };
-    let mut scratch = Tensor::zeros(Shape::flat(0), FixedType::I16);
     // Stores borrow their providers; both live on this worker's stack
     // for its whole life. A failed open is remembered and answered as
     // StoreFailure per request rather than killing the worker.
@@ -620,7 +623,7 @@ fn worker_main(core: &ServeCore, config: &ServeConfig, models: &[ModelSource]) {
         })
         .collect();
     while let Some(job) = core.queue.pop() {
-        let response = handle_job(&job, config, &mut session, &mut scratch, &mut stores);
+        let response = handle_job(&job, config, &mut session, &mut stores);
         let ok = response.status == Status::Ok;
         let hist = hist_for(job.op);
         let nanos = nanos_since(job.enqueued);
@@ -641,94 +644,111 @@ fn worker_main(core: &ServeCore, config: &ServeConfig, models: &[ModelSource]) {
     }
 }
 
+/// A work op's outcome: the `Ok` payload, or an error status and its
+/// message.
+type Outcome = Result<Vec<u8>, (Status, String)>;
+
 /// Dispatches one work op to a status + payload.
 fn handle_job(
     job: &Job,
     config: &ServeConfig,
     session: &mut CodecSession,
-    scratch: &mut Tensor,
     stores: &mut [(String, Result<ModelStore<'_>, String>)],
 ) -> Response {
-    match job.op {
-        Op::Encode => match wire::decode_tensor(&job.body) {
-            Ok(tensor) => {
-                match container::pack_with_scheme(&tensor, config.codec.group_size, config.container)
-                {
-                    Ok(packed) => Response::new(job.op, job.request_id, Status::Ok, packed),
-                    Err(e) => Response::err(job.op, job.request_id, Status::CodecFailure, e.to_string()),
-                }
-            }
-            Err(e) => Response::err(job.op, job.request_id, Status::BadRequest, e.to_string()),
-        },
-        Op::Decode => match container::unpack_with(&job.body, session, scratch) {
-            Ok(()) => Response::new(
-                job.op,
-                job.request_id,
-                Status::Ok,
-                wire::encode_tensor(scratch),
-            ),
-            Err(e) => {
-                // Framing problems are the client's fault; stream/tensor
-                // failures are the codec refusing corrupt payload.
-                let status = match e {
-                    ContainerError::BadMagic
-                    | ContainerError::UnsupportedVersion(_)
-                    | ContainerError::Malformed(_)
-                    | ContainerError::LengthOverflow { .. } => Status::BadRequest,
-                    _ => Status::CodecFailure,
-                };
-                Response::err(job.op, job.request_id, status, e.to_string())
-            }
-        },
-        Op::Get => match wire::decode_get(&job.body) {
-            Ok((model, record)) => {
-                // Linear search: the registry is tiny and ordered, and a
-                // map here would put hash iteration in hot code.
-                match stores.iter_mut().find(|(name, _)| *name == model) {
-                    None => Response::err(
-                        job.op,
-                        job.request_id,
-                        Status::NotFound,
-                        format!("model {model:?} is not registered"),
-                    ),
-                    Some((_, Err(why))) => Response::err(
-                        job.op,
-                        job.request_id,
-                        Status::StoreFailure,
-                        format!("model {model:?} failed to open: {why}"),
-                    ),
-                    Some((_, Ok(store))) => match store.get(&record) {
-                        Ok(tensor) => Response::new(
-                            job.op,
-                            job.request_id,
-                            Status::Ok,
-                            wire::encode_tensor(&tensor),
-                        ),
-                        Err(StoreError::RecordNotFound { .. }) => Response::err(
-                            job.op,
-                            job.request_id,
-                            Status::NotFound,
-                            format!("record {record:?} not found in model {model:?}"),
-                        ),
-                        Err(e) => Response::err(
-                            job.op,
-                            job.request_id,
-                            Status::StoreFailure,
-                            e.to_string(),
-                        ),
-                    },
-                }
-            }
-            Err(e) => Response::err(job.op, job.request_id, Status::BadRequest, e.to_string()),
-        },
+    let outcome = match job.op {
+        Op::Encode => encode_op(&job.body, config),
+        Op::Decode => decode_op(&job.body, session, config.max_body),
+        Op::Get => get_op(&job.body, stores, config.max_body),
         // Control ops are answered inline at admission and never queued.
-        Op::Stats | Op::Health | Op::Drain => Response::err(
-            job.op,
-            job.request_id,
+        Op::Stats | Op::Health | Op::Drain => Err((
             Status::Internal,
             "control op routed to a worker".to_string(),
-        ),
+        )),
+    };
+    match outcome {
+        Ok(payload) => Response::new(job.op, job.request_id, Status::Ok, payload),
+        Err((status, message)) => Response::err(job.op, job.request_id, status, message),
     }
+}
+
+/// Packs a wire tensor into an SSPK container.
+fn encode_op(body: &[u8], config: &ServeConfig) -> Outcome {
+    let tensor = wire::decode_tensor(body).map_err(|e| (Status::BadRequest, e.to_string()))?;
+    container::pack_with_scheme(&tensor, config.codec.group_size, config.container)
+        .map_err(|e| (Status::CodecFailure, e.to_string()))
+}
+
+/// Decodes an SSPK container into the worker session's scratch and
+/// answers the wire tensor, after checking its size against the cap.
+fn decode_op(body: &[u8], session: &mut CodecSession, max_body: usize) -> Outcome {
+    // Framing problems are the client's fault; stream/tensor failures are
+    // the codec refusing corrupt payload.
+    let refused = |e: ContainerError| {
+        let status = match e {
+            ContainerError::BadMagic
+            | ContainerError::UnsupportedVersion(_)
+            | ContainerError::Malformed(_)
+            | ContainerError::LengthOverflow { .. } => Status::BadRequest,
+            _ => Status::CodecFailure,
+        };
+        (status, e.to_string())
+    };
+    let declared = container::info(body).map_err(refused)?.len;
+    check_body_cap(declared, max_body)?;
+    let (dtype, values) = container::unpack_values(body, session).map_err(refused)?;
+    Ok(wire::encode_values(dtype, &[values.len()], values))
+}
+
+/// Decodes a stored record into its store's scratch and answers the
+/// wire tensor, after checking its size against the cap.
+fn get_op(
+    body: &[u8],
+    stores: &mut [(String, Result<ModelStore<'_>, String>)],
+    max_body: usize,
+) -> Outcome {
+    let (model, record) = wire::decode_get(body).map_err(|e| (Status::BadRequest, e.to_string()))?;
+    // Linear search: the registry is tiny and ordered, and a map here
+    // would put hash iteration in hot code.
+    let store = match stores.iter_mut().find(|(name, _)| *name == model) {
+        None => {
+            return Err((
+                Status::NotFound,
+                format!("model {model:?} is not registered"),
+            ))
+        }
+        Some((_, Err(why))) => {
+            return Err((
+                Status::StoreFailure,
+                format!("model {model:?} failed to open: {why}"),
+            ))
+        }
+        Some((_, Ok(store))) => store,
+    };
+    let Some(entry) = store.entry(&record) else {
+        return Err((
+            Status::NotFound,
+            format!("record {record:?} not found in model {model:?}"),
+        ));
+    };
+    check_body_cap(entry.meta.values, max_body)?;
+    let (dtype, values) = store
+        .get_values(&record)
+        .map_err(|e| (Status::StoreFailure, e.to_string()))?;
+    Ok(wire::encode_values(dtype, &[values.len()], values))
+}
+
+/// Refuses, before anything is decoded, an `Ok` answer whose frame body
+/// — the status byte and a flat wire tensor of `values` elements —
+/// would exceed the body cap.
+fn check_body_cap(values: u64, max_body: usize) -> Result<(), (Status, String)> {
+    let body = wire::tensor_body_len(1, values).saturating_add(1);
+    if body > u64::try_from(max_body).unwrap_or(u64::MAX) {
+        return Err((
+            Status::BadRequest,
+            format!("response body of {body} bytes would exceed the {max_body}-byte cap"),
+        ));
+    }
+    Ok(())
 }
 
 /// The stats op body: service gauges, every `serve_*` counter, and the
@@ -801,6 +821,7 @@ fn health_json(core: &ServeCore) -> String {
 mod tests {
     use super::*;
     use ss_store::{MemoryProvider, ModelWriter};
+    use ss_tensor::{FixedType, Shape};
 
     fn tensor(seed: i32) -> Tensor {
         let vals = (0..96).map(|v| ((v * 7 + seed) % 19) - 9).collect();

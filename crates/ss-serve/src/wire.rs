@@ -105,10 +105,19 @@ impl From<TensorError> for WireError {
 /// Serializes a tensor into the wire body form.
 #[must_use]
 pub fn encode_tensor(tensor: &Tensor) -> Vec<u8> {
-    let dims = tensor.shape().dims();
-    let mut out = Vec::with_capacity(3 + 4 * dims.len() + 4 * tensor.len());
-    out.push(tensor.dtype().bits());
-    out.push(u8::from(tensor.signedness().is_signed()));
+    encode_values(tensor.dtype(), tensor.shape().dims(), tensor.values())
+}
+
+/// Serializes a tensor given by its parts — container type, `dims`
+/// (whose product must be `values.len()`) and values — into the wire
+/// body form. The body is written once into a buffer of exactly its
+/// length, `3 + 4·dims.len() + 4·values.len()` bytes.
+#[must_use]
+pub fn encode_values(dtype: FixedType, dims: &[usize], values: &[i32]) -> Vec<u8> {
+    let head = 3 + 4 * dims.len();
+    let mut out = Vec::with_capacity(head + 4 * values.len());
+    out.push(dtype.bits());
+    out.push(u8::from(dtype.signedness().is_signed()));
     // Rank fits u8: Shape ranks in this workspace are tiny, and the
     // decoder enforces MAX_RANK on the way back in.
     // ss-lint: allow(truncating-cast) -- workspace Shape ranks are <= 8; the decoder refuses anything past MAX_RANK
@@ -116,10 +125,22 @@ pub fn encode_tensor(tensor: &Tensor) -> Vec<u8> {
     for &d in dims {
         out.extend_from_slice(&(d as u32).to_le_bytes());
     }
-    for &v in tensor.values() {
-        out.extend_from_slice(&v.to_le_bytes());
+    out.resize(head + 4 * values.len(), 0);
+    for (slot, v) in out[head..].chunks_exact_mut(4).zip(values) {
+        slot.copy_from_slice(&v.to_le_bytes());
     }
     out
+}
+
+/// Length in bytes of the wire body for a tensor of `rank` dimensions
+/// and `values` elements: `3 + 4·rank + 4·values`, saturating at
+/// `u64::MAX` for a hostile count.
+#[must_use]
+pub(crate) fn tensor_body_len(rank: usize, values: u64) -> u64 {
+    (rank as u64)
+        .saturating_add(values)
+        .saturating_mul(4)
+        .saturating_add(3)
 }
 
 /// Parses a tensor from the wire body form.

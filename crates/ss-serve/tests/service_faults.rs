@@ -1,7 +1,8 @@
 //! Fault injection for the serve stack, end to end over TCP: clients
 //! that vanish mid-request, drains racing queued work, overload under a
-//! full queue, corrupt frames on a live socket, and a multi-client soak
-//! that pins response↔request pairing across worker-pool sizes.
+//! full queue, corrupt frames on a live socket, answers over the body
+//! cap on either end, and a multi-client soak that pins
+//! response↔request pairing across worker-pool sizes.
 //!
 //! The tests exploit one deliberate seam for determinism:
 //! [`Service::start`] is separate from [`Service::new`], so a test can
@@ -15,8 +16,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ss_serve::wire::{decode_tensor, encode_tensor};
-use ss_serve::{Client, Op, ServeConfig, ServeError, Server, Service, Status};
+use ss_serve::wire::{decode_tensor, encode_get, encode_tensor};
+use ss_serve::{Client, Op, ProtocolError, ServeConfig, ServeError, Server, Service, Status};
 use ss_store::{MemoryProvider, ModelWriter};
 use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::Counter;
@@ -417,4 +418,113 @@ fn in_flight_gauge_never_wraps_under_fast_replies() {
         reads.len()
     );
     service.shutdown();
+}
+
+/// Values in the `big` record of [`capped_model`]: its `get` answer is a
+/// 1 + 3 + 4 + 4·2000 = 8008-byte body.
+const BIG: usize = 2000;
+
+/// A model with a record whose answer is 8008 bytes and one whose answer
+/// is 264.
+fn capped_model() -> Arc<MemoryProvider> {
+    let provider = Arc::new(MemoryProvider::new());
+    let mut writer = ModelWriter::new(provider.as_ref(), "m");
+    let vals = (0..BIG as i32).map(|v| v % 200 - 100).collect();
+    let big = Tensor::from_vec(Shape::flat(BIG), FixedType::I16, vals).expect("valid tensor");
+    writer.append_tensor("big", 0, &big).expect("append");
+    writer.append_tensor("small", 1, &tensor(6)).expect("append");
+    writer.finish().expect("finish");
+    provider
+}
+
+#[test]
+fn answers_over_the_body_cap_are_typed_and_the_connection_survives() {
+    const CAP: usize = 1024;
+    let mut service =
+        Service::new(ServeConfig::new().with_workers(1).with_max_body(CAP)).expect("service");
+    service.add_model("m", capped_model());
+    service.start();
+    let server = Server::start(service.handle(), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect").with_max_body(CAP);
+
+    // A 2000-value container of zeros packs far below the cap, and its
+    // answer is as large as the big record's.
+    let zeros = Tensor::zeros(Shape::flat(BIG), FixedType::I16);
+    let packed = shapeshifter::container::pack(&zeros, 16).expect("pack");
+    assert!(packed.len() < CAP, "the decode request must fit the cap");
+    let over_cap = [
+        client.call(Op::Get, encode_get("m", "big")),
+        client.call(Op::Decode, packed),
+    ];
+    for response in over_cap {
+        match response.expect("transport ok").into_ok() {
+            Err(ServeError::Remote { status, message }) => {
+                assert_eq!(status, Status::BadRequest);
+                assert!(
+                    message.contains("8008") && message.contains("1024"),
+                    "the refusal gives both sizes: {message}"
+                );
+            }
+            other => panic!("an over-cap answer must be a typed BadRequest, got {other:?}"),
+        }
+    }
+    // The same connection then serves an answer under the cap.
+    assert_eq!(client.get("m", "small").expect("small get"), tensor(6));
+    server.stop();
+    let _ = service.shutdown();
+
+    // Every other answer is held to the cap on the way out: the health
+    // JSON is over 64 bytes.
+    let mut service =
+        Service::new(ServeConfig::new().with_workers(1).with_max_body(64)).expect("service");
+    service.start();
+    let server = Server::start(service.handle(), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect").with_max_body(64);
+    for _ in 0..2 {
+        match client.health() {
+            Err(ServeError::Remote { status, message }) => {
+                assert_eq!(status, Status::BadRequest);
+                assert!(message.contains("64-byte cap"), "{message}");
+            }
+            other => panic!("an over-cap health answer must be a BadRequest, got {other:?}"),
+        }
+    }
+    server.stop();
+    let _ = service.shutdown();
+}
+
+#[test]
+fn a_client_that_refuses_a_frame_stops_reading_its_stream() {
+    // The server's cap is the default; the client's is smaller, so the
+    // big record's answer is a frame the client refuses.
+    let mut service = Service::new(ServeConfig::new().with_workers(1)).expect("service");
+    service.add_model("m", capped_model());
+    service.start();
+    let server = Server::start(service.handle(), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect").with_max_body(1024);
+
+    let refused = ProtocolError::BodyTooLarge { len: 8008, max: 1024 };
+    match client.get("m", "big") {
+        Err(ServeError::Protocol(e)) => assert_eq!(e, refused),
+        other => panic!("expected BodyTooLarge, got {other:?}"),
+    }
+    // The refused body's bytes are still in the socket; no later call
+    // may parse them as a frame.
+    for _ in 0..2 {
+        match client.get("m", "small") {
+            Err(ServeError::Disconnected(e)) => assert_eq!(e, refused),
+            other => panic!("expected Disconnected, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.send(Op::Health, Vec::new()),
+        Err(ServeError::Disconnected(_))
+    ));
+    assert!(matches!(client.recv(), Err(ServeError::Disconnected(_))));
+    // A fresh connection is served as usual.
+    let mut fresh = Client::connect(server.addr()).expect("connect");
+    assert_eq!(fresh.get("m", "small").expect("small get"), tensor(6));
+
+    server.stop();
+    let _ = service.shutdown();
 }

@@ -124,19 +124,35 @@ impl RecordMeta {
         2 + self.name.len() + 4 + 1 + 1 + 1 + 2 + 8 + 8
     }
 
+    /// Hands the serialized form to `emit`, one field at a time.
+    fn emit_fields(&self, mut emit: impl FnMut(&[u8])) {
+        // ss-lint: allow(truncating-cast) -- validate() bounds name.len() at MAX_NAME_LEN (1024) before any serialization, and index_from_bytes before any comparison
+        emit(&(self.name.len() as u16).to_le_bytes());
+        emit(self.name.as_bytes());
+        emit(&self.layer.to_le_bytes());
+        emit(&[
+            self.dtype.bits(),
+            u8::from(self.dtype.signedness().is_signed()),
+            self.scheme.as_byte(),
+        ]);
+        emit(&self.group_size.to_le_bytes());
+        emit(&self.fingerprint.to_le_bytes());
+        emit(&self.values.to_le_bytes());
+    }
+
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
-        // ss-lint: allow(truncating-cast) -- validate() bounds name.len() at MAX_NAME_LEN (1024) before any serialization
-        out.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
-        out.extend_from_slice(&self.layer.to_le_bytes());
-        out.push(self.dtype.bits());
-        out.push(u8::from(self.dtype.signedness().is_signed()));
-        out.push(self.scheme.as_byte());
-        out.extend_from_slice(&self.group_size.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.values.to_le_bytes());
+        self.emit_fields(|field| out.extend_from_slice(field));
         out
+    }
+
+    /// Whether `bytes` is exactly this metadata's serialized form. The
+    /// encoding is canonical, so this is the `==` of the parsed forms,
+    /// checked field by field without parsing or allocating.
+    fn is_encoded_by(&self, bytes: &[u8]) -> bool {
+        let mut rest = Some(bytes);
+        self.emit_fields(|field| rest = rest.and_then(|r| r.strip_prefix(field)));
+        rest.is_some_and(<[u8]>::is_empty)
     }
 
     fn from_bytes(bytes: &[u8], shard: &str) -> Result<Self, StoreError> {
@@ -359,6 +375,46 @@ pub fn parse_record_block<'a>(
     shard: &str,
     name: &str,
 ) -> Result<(RecordMeta, &'a [u8]), StoreError> {
+    let (meta, payload) = split_record_block(block, shard, name)?;
+    Ok((RecordMeta::from_bytes(meta, shard)?, payload))
+}
+
+/// Checks one record block against its index entry's metadata and
+/// returns a borrowed view of its payload, allocating nothing on
+/// success — the block parse behind a store `get`.
+///
+/// The checks are [`parse_record_block`]'s, and the block's metadata
+/// must be byte for byte the index's copy.
+///
+/// # Errors
+///
+/// As [`parse_record_block`], plus [`StoreError::CorruptShard`] when the
+/// block's metadata disagrees with `expected`.
+pub(crate) fn record_payload<'a>(
+    block: &'a [u8],
+    shard: &str,
+    expected: &RecordMeta,
+) -> Result<&'a [u8], StoreError> {
+    let (meta, payload) = split_record_block(block, shard, &expected.name)?;
+    if !expected.is_encoded_by(meta) {
+        return Err(StoreError::CorruptShard {
+            shard: shard.to_string(),
+            reason: format!(
+                "record {:?}: block metadata disagrees with the index",
+                expected.name
+            ),
+        });
+    }
+    Ok(payload)
+}
+
+/// The CRC check and length framing of a record block: returns its
+/// serialized metadata and its payload, both borrowed.
+fn split_record_block<'a>(
+    block: &'a [u8],
+    shard: &str,
+    name: &str,
+) -> Result<(&'a [u8], &'a [u8]), StoreError> {
     let corrupt = |reason: String| StoreError::CorruptShard {
         shard: shard.to_string(),
         reason,
@@ -399,7 +455,8 @@ pub fn parse_record_block<'a>(
             body.len()
         )));
     };
-    let meta = RecordMeta::from_bytes(&body[4..4 + meta_len], shard)?;
+    // ss-lint: allow(panic-freedom) -- `after_meta` above proves the body holds 4 + meta_len + 8 bytes
+    let meta = &body[4..4 + meta_len];
     let declared = u64::from_le_bytes(
         body[4 + meta_len..4 + meta_len + 8]
             .try_into()

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use shapeshifter::container;
+use shapeshifter::container::{self, ContainerError};
 use ss_core::{CodecConfig, CodecSession};
 use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::Counter;
@@ -250,36 +250,44 @@ impl<'a> ModelStore<'a> {
         Ok((s, e))
     }
 
-    /// Decodes record `name` into a fresh tensor.
+    /// Decodes record `name` into a fresh tensor: a copy of what
+    /// [`get_values`](Self::get_values) lends out.
+    ///
+    /// # Errors
+    ///
+    /// As [`get_values`](Self::get_values).
+    pub fn get(&mut self, name: &str) -> Result<Tensor, StoreError> {
+        let (dtype, values) = self.get_values(name)?;
+        Tensor::from_vec(Shape::flat(values.len()), dtype, values.to_vec())
+            .map_err(|e| ContainerError::from(e).into())
+    }
+
+    /// Decodes record `name` into the store's value scratch and lends the
+    /// values out with their container type; they form a flat tensor of
+    /// `values.len()` elements.
     ///
     /// One ranged read of the record's block; nothing else of the shard
-    /// is touched or decoded.
+    /// is touched or decoded. No tensor is built: once the scratch has
+    /// grown to the largest record decoded, a `get_values` from a
+    /// [`MemoryProvider`](crate::MemoryProvider) allocates nothing.
     ///
     /// # Errors
     ///
     /// [`StoreError::RecordNotFound`], checksum and corruption variants,
     /// or a decode failure from the payload codec.
-    pub fn get(&mut self, name: &str) -> Result<Tensor, StoreError> {
+    pub fn get_values(&mut self, name: &str) -> Result<(FixedType, &[i32]), StoreError> {
         let (s, e) = self.fetch_block(name)?;
         let shard = &self.shards[s];
         let entry = &shard.entries[e];
-        let (meta, payload) =
-            format::parse_record_block(&self.block_buf, &shard.name, name)?;
-        if meta != entry.meta {
-            return Err(StoreError::CorruptShard {
-                shard: shard.name.clone(),
-                reason: format!("record {name:?}: block metadata disagrees with the index"),
-            });
-        }
-        let mut out = Tensor::zeros(Shape::flat(0), FixedType::I16);
-        container::unpack_with(payload, &mut self.session, &mut out)?;
-        if out.len() as u64 != meta.values {
+        let payload = format::record_payload(&self.block_buf, &shard.name, &entry.meta)?;
+        let (dtype, values) = container::unpack_values(payload, &mut self.session)?;
+        if values.len() as u64 != entry.meta.values {
             return Err(StoreError::CorruptShard {
                 shard: shard.name.clone(),
                 reason: format!(
                     "record {name:?} decoded to {} values, metadata says {}",
-                    out.len(),
-                    meta.values
+                    values.len(),
+                    entry.meta.values
                 ),
             });
         }
@@ -287,7 +295,7 @@ impl<'a> ModelStore<'a> {
         if rec.enabled() {
             rec.add(Counter::StoreRecordsDecoded, 1);
         }
-        Ok(out)
+        Ok((dtype, values))
     }
 
     /// Returns record `name`'s raw SSPK container bytes without

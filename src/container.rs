@@ -54,7 +54,7 @@ use std::fmt;
 
 use ss_bitio::BitWriter;
 use ss_core::registry::StreamFrame;
-use ss_core::{ChunkIndex, CodecError, IndexPolicy, SchemeId, SchemeRegistry};
+use ss_core::{ChunkIndex, CodecError, ContainerScheme, IndexPolicy, SchemeId, SchemeRegistry};
 use ss_tensor::{FixedType, Shape, Signedness, Tensor, TensorError};
 
 /// File magic.
@@ -421,16 +421,36 @@ fn checked_len(meta: &ContainerInfo) -> Result<usize, ContainerError> {
 }
 
 /// Unpacks an `SSPK` byte vector through a reusable [`CodecSession`],
-/// decoding into an existing tensor.
+/// leaving the values in the session's scratch and lending them out with
+/// their container type. The values form a flat tensor of
+/// `values.len()` elements.
 ///
-/// This is the allocation-amortizing sibling of [`unpack`] — the record
-/// payload path of the `ss-store` shard store, where thousands of
-/// per-record decodes share one session's scratch. The stream is parsed
-/// sequentially (a v2 chunk index is validated side metadata for this
-/// path: its presence is honored in [`ContainerInfo::stream_offset`] but
-/// it does not fan the decode out). Every registered scheme decodes
-/// through the session's shared value scratch — the old Delta-only
-/// allocation fallback is gone.
+/// This is the allocation-free sibling of [`unpack`] — the record
+/// payload path of the `ss-store` shard store and of the serve `decode`
+/// op, where every decode on a worker shares one session's scratch and
+/// no tensor is built. The stream is parsed sequentially (a v2 chunk
+/// index is validated side metadata for this path: its presence is
+/// honored in [`ContainerInfo::stream_offset`] but it does not fan the
+/// decode out). Every value fits the returned type: each scheme's group
+/// reader refuses one that does not.
+///
+/// [`CodecSession`]: ss_core::CodecSession
+///
+/// # Errors
+///
+/// As [`unpack`].
+pub fn unpack_values<'s>(
+    bytes: &[u8],
+    session: &'s mut ss_core::CodecSession,
+) -> Result<(FixedType, &'s [i32]), ContainerError> {
+    let (scheme, stream, frame) = sequential_stream(bytes)?;
+    let values = session.decode_scheme_stream(scheme, stream, &frame)?;
+    Ok((frame.dtype, values))
+}
+
+/// [`unpack_values`] into an existing tensor: the session's scratch is
+/// swapped into `out` (not copied), so a loop over records touches the
+/// heap only while the buffers grow.
 ///
 /// # Errors
 ///
@@ -440,18 +460,26 @@ pub fn unpack_with(
     session: &mut ss_core::CodecSession,
     out: &mut Tensor,
 ) -> Result<(), ContainerError> {
+    let (scheme, stream, frame) = sequential_stream(bytes)?;
+    session.decode_scheme_stream_into(scheme, stream, &frame, out)?;
+    Ok(())
+}
+
+/// Parses the header and resolves the scheme for a sequential decode:
+/// the scheme, the stream bytes and their framing.
+fn sequential_stream(
+    bytes: &[u8],
+) -> Result<(&'static dyn ContainerScheme, &[u8], StreamFrame), ContainerError> {
     let meta = info(bytes)?;
     let scheme = SchemeRegistry::global().get(meta.scheme)?;
-    let len = checked_len(&meta)?;
-    let stream = &bytes[meta.stream_offset()..];
     let frame = StreamFrame {
         bit_len: meta.stream_bits,
         dtype: meta.dtype,
-        len,
+        len: checked_len(&meta)?,
         group_size: meta.group_size,
     };
-    session.decode_scheme_stream_into(scheme, stream, &frame, out)?;
-    Ok(())
+    // ss-lint: allow(panic-freedom) -- info() bounds the stream by `bytes.len() - stream_offset()`, which it computes only after checking the index fits
+    Ok((scheme, &bytes[meta.stream_offset()..], frame))
 }
 
 /// Interprets raw little-endian bytes as fixed-point values for packing.

@@ -1,10 +1,12 @@
-//! Criterion micro-benchmarks of the ss-bitio bulk kernels against the
-//! retained scalar paths: equal-width field packing (`pack_fields` vs a
-//! `write_bits` loop) and extraction (`read_fields` vs a `read_bits`
-//! loop) at payload widths 1–16 — the width range a 16-bit container's
-//! groups can declare. Emitted under the existing opt-in timings
-//! convention: criterion output goes to stdout, nothing checked in
-//! changes.
+//! Criterion micro-benchmarks of the ss-bitio run paths against
+//! per-field calls: equal-width field packing (`pack_fields`, the
+//! writer's shift-carry run store, vs a `write_bits` byte loop per
+//! field) and extraction (`read_fields` vs a `read_bits` loop — both
+//! take each field from one 8-byte window, but `read_fields` hoists the
+//! bounds check and the mask out of its loop) at payload widths 1–16 —
+//! the width range a 16-bit container's groups can declare. Emitted
+//! under the existing opt-in timings convention: criterion output goes
+//! to stdout, nothing checked in changes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ss_bitio::{BitReader, BitWriter};

@@ -29,13 +29,6 @@ pub enum BitIoError {
         /// The declared field width in bits.
         bits: u32,
     },
-    /// A seek addressed a bit position beyond the end of the stream.
-    SeekOutOfBounds {
-        /// The requested absolute bit position.
-        position: u64,
-        /// Total length of the stream in bits.
-        len: u64,
-    },
     /// A spliced stream declared more bits than its byte buffer holds.
     StreamTooShort {
         /// The declared logical length in bits.
@@ -69,9 +62,6 @@ impl fmt::Display for BitIoError {
             }
             BitIoError::ValueOutOfRange { value, bits } => {
                 write!(f, "value {value:#x} does not fit in {bits} bits")
-            }
-            BitIoError::SeekOutOfBounds { position, len } => {
-                write!(f, "seek to bit {position} is beyond stream length {len}")
             }
             BitIoError::StreamTooShort { bit_len, bytes } => {
                 write!(

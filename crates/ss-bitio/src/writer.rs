@@ -1,3 +1,4 @@
+use crate::reader::load_le8;
 use crate::{BitIoError, MAX_FIELD_BITS};
 
 /// Appends variable-width bit fields to a growing byte buffer.
@@ -79,7 +80,10 @@ impl BitWriter {
 
     /// Appends the low `bits` bits of `value`, LSB first.
     ///
-    /// A zero-width field is a no-op and requires `value == 0`.
+    /// A zero-width field is a no-op and requires `value == 0`. The field
+    /// goes through a byte loop of its own, independent of the run store
+    /// behind the bulk methods, so the writer's run tests use it as their
+    /// reference.
     ///
     /// # Errors
     ///
@@ -117,23 +121,10 @@ impl BitWriter {
         Ok(())
     }
 
-    /// Appends a single bit.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; shares `write_bits`'s signature for
-    /// uniform `?`-chaining.
-    pub fn write_bit(&mut self, bit: bool) -> Result<(), BitIoError> {
-        self.write_bits(u64::from(bit), 1)
-    }
-
     /// Appends the first `bit_len` bits of `words` (LSB-first within each
     /// word, words in order) — the bulk analogue of calling
-    /// [`BitWriter::write_bits`] once per 64-bit chunk.
-    ///
-    /// Whole words move with a single shift-carry through a 128-bit
-    /// accumulator instead of the per-byte loop, which is what the codec's
-    /// zero-bitmap words (up to 256 bits per group) want. Bits of the final
+    /// [`BitWriter::write_bits`] once per 64-bit chunk, for the codec's
+    /// zero-bitmap words (up to 256 bits per group). Bits of the final
     /// word above `bit_len` are ignored, so a packed-but-ragged buffer
     /// (e.g. a 100-bit bitmap in two words) writes exactly.
     ///
@@ -148,61 +139,15 @@ impl BitWriter {
                 bytes: words.len() * 8,
             });
         }
-        if bit_len == 0 {
-            return Ok(());
-        }
-        let full = (bit_len / 64) as usize;
-        // ss-lint: allow(truncating-cast) -- remainder of % 64 fits any width
-        let tail = (bit_len % 64) as u32;
-        self.bytes.reserve((bit_len / 8) as usize + 2);
-        // Fold the current partial byte (if any) into the carry accumulator;
-        // the spill loop below re-emits it merged with the new bits.
-        let phase = (self.bit_len % 8) as u32;
-        let mut acc: u128 = if phase == 0 {
-            0
-        } else {
-            self.bytes.pop().map_or(0, u128::from)
-        };
-        let mut acc_bits = phase;
-        for &word in words.iter().take(full) {
-            // The merged value holds 64 + acc_bits valid bits: spill
-            // exactly the low 64 and keep the carry.
-            // ss-lint: allow(shift-bound) -- acc_bits == phase <= 7 in this loop, well below the u128 width
-            acc |= u128::from(word) << acc_bits;
-            // ss-lint: allow(truncating-cast) -- spilling the low 64 bits is the point
-            self.bytes.extend_from_slice(&(acc as u64).to_le_bytes());
-            acc >>= 64;
-        }
-        if tail > 0 {
-            // `tail` is in 1..=63, so the mask shift is in range.
-            let mask = (1u64 << tail) - 1;
-            let word = words.get(full).copied().unwrap_or(0) & mask;
-            // ss-lint: allow(shift-bound) -- acc_bits == phase <= 7 here, well below the u128 width
-            acc |= u128::from(word) << acc_bits;
-            acc_bits += tail;
-        }
-        while acc_bits >= 8 {
-            // ss-lint: allow(truncating-cast) -- low-byte extraction, high bits kept in acc
-            self.bytes.push(acc as u8);
-            acc >>= 8;
-            acc_bits -= 8;
-        }
-        if acc_bits > 0 {
-            // Final partial byte: bits above `acc_bits` are zero because
-            // every merged field was masked to its width.
-            // ss-lint: allow(truncating-cast) -- fewer than 8 valid bits remain in acc
-            self.bytes.push(acc as u8);
-        }
-        self.bit_len += bit_len;
+        self.store_words(words.iter().copied(), bit_len);
         Ok(())
     }
 
     /// Appends a run of equal-width fields, LSB-first — bit-identical to
     /// calling [`BitWriter::write_bits`] once per field, but the fields are
-    /// range-checked with one OR-fold up front and packed through a 128-bit
-    /// shift-carry accumulator that spills whole words, replacing the
-    /// per-field per-byte loop. This is the encoder's payload hot path: a
-    /// group's non-zero values all share the same width `P`.
+    /// range-checked with one OR-fold up front and stored by the writer's
+    /// one run store. This is the encoder's payload hot path: a group's
+    /// non-zero values all share the same width `P`.
     ///
     /// # Errors
     ///
@@ -228,54 +173,8 @@ impl BitWriter {
                 return Err(BitIoError::ValueOutOfRange { value, bits });
             }
         }
-        if bits == 0 || fields.is_empty() {
-            return Ok(());
-        }
-        let total = u64::from(bits) * fields.len() as u64;
-        self.bytes.reserve((total / 8) as usize + 2);
-        let phase = (self.bit_len % 8) as u32;
-        let mut acc: u128 = if phase == 0 {
-            0
-        } else {
-            self.bytes.pop().map_or(0, u128::from)
-        };
-        let mut acc_bits = phase;
-        for &f in fields {
-            // ss-lint: allow(shift-bound) -- acc_bits < 64 at every loop entry (the spill below keeps it there), and the accumulator is 128 bits wide
-            acc |= u128::from(f) << acc_bits;
-            acc_bits += bits;
-            if acc_bits >= 64 {
-                // ss-lint: allow(truncating-cast) -- spilling the low 64 bits is the point
-                self.bytes.extend_from_slice(&(acc as u64).to_le_bytes());
-                acc >>= 64;
-                acc_bits -= 64;
-            }
-        }
-        while acc_bits >= 8 {
-            // ss-lint: allow(truncating-cast) -- low-byte extraction, high bits kept in acc
-            self.bytes.push(acc as u8);
-            acc >>= 8;
-            acc_bits -= 8;
-        }
-        if acc_bits > 0 {
-            // ss-lint: allow(truncating-cast) -- fewer than 8 valid bits remain in acc
-            self.bytes.push(acc as u8);
-        }
-        self.bit_len += total;
-        Ok(())
-    }
-
-    /// Appends `count` zero bits (used for container padding).
-    ///
-    /// # Errors
-    ///
-    /// Never fails; kept fallible for uniform chaining.
-    pub fn write_zero_bits(&mut self, count: u64) -> Result<(), BitIoError> {
-        let mut left = count;
-        while left > 0 {
-            let chunk = left.min(64) as u32;
-            self.write_bits(0, chunk)?;
-            left -= u64::from(chunk);
+        if bits > 0 && !fields.is_empty() {
+            self.store_run(fields.iter().copied(), bits);
         }
         Ok(())
     }
@@ -297,7 +196,7 @@ impl BitWriter {
         assert!(align > 0, "alignment must be non-zero");
         let rem = self.bit_len % align;
         let pad = if rem == 0 { 0 } else { align - rem };
-        self.write_zero_bits(pad)?;
+        self.store_words(std::iter::repeat(0), pad);
         Ok(pad)
     }
 
@@ -305,10 +204,9 @@ impl BitWriter {
     ///
     /// The first `bit_len` bits of `src` (LSB-first, the same packing this
     /// writer produces) are appended starting at the current write position,
-    /// shifting every source byte by the current sub-byte phase. Bits of
-    /// `src`'s final partial byte above `bit_len` are ignored, so a buffer
-    /// produced by another [`BitWriter`] — whose tail bits are zero by
-    /// construction — splices exactly.
+    /// whatever its sub-byte phase. Bits of `src`'s final partial byte above
+    /// `bit_len` are ignored, so a buffer produced by another [`BitWriter`]
+    /// — whose tail bits are zero by construction — splices exactly.
     ///
     /// This is the primitive that lets independently encoded chunks be
     /// stitched into one canonical stream: each worker packs its groups into
@@ -328,46 +226,8 @@ impl BitWriter {
                 bytes: src.len(),
             });
         };
-        if bit_len == 0 {
-            return Ok(());
-        }
-        let tail_bits = (bit_len % 8) as u32;
-        let tail_mask: u8 = if tail_bits == 0 {
-            0xFF
-        } else {
-            (1u8 << tail_bits) - 1
-        };
-
-        let phase = (self.bit_len % 8) as u32;
-        self.bytes.reserve(src.len() + 1);
-        if phase == 0 {
-            // Byte-aligned: a plain copy, masking the final partial byte so
-            // the above-`bit_len` invariant (tail bits are zero) holds.
-            // `src` is non-empty here (`bit_len > 0`), so the buffer is
-            // non-empty after the extend and the `if let` always runs.
-            self.bytes.extend_from_slice(src);
-            if let Some(last) = self.bytes.last_mut() {
-                *last &= tail_mask;
-            }
-        } else {
-            // Each source byte contributes its low bits to the current
-            // partial byte and its high bits to a fresh one. A non-zero
-            // phase means `bit_len % 8 != 0`, so a partial last byte
-            // exists and the `if let` always runs.
-            let carry_shift = 8 - phase;
-            for (i, &raw) in src.iter().enumerate() {
-                let b = if i + 1 == src.len() { raw & tail_mask } else { raw };
-                if let Some(last) = self.bytes.last_mut() {
-                    *last |= b << phase;
-                }
-                // ss-lint: allow(shift-bound) -- carry_shift == 8 - phase with phase in 1..=7 on this branch, so 1..=7 < 8
-                self.bytes.push(b >> carry_shift);
-            }
-        }
-        self.bit_len += bit_len;
-        // The loop above may leave one surplus byte holding only
-        // above-`bit_len` zeros; restore `bytes.len() == ceil(bit_len / 8)`.
-        self.bytes.truncate(self.bit_len.div_ceil(8) as usize);
+        let words = (0..src.len()).step_by(8).map(|at| load_le8(src, at));
+        self.store_words(words, bit_len);
         Ok(())
     }
 
@@ -386,6 +246,63 @@ impl BitWriter {
             return Ok(());
         }
         self.append_bits(&other.bytes, other.bit_len)
+    }
+
+    /// Stores the first `bit_len` bits of the LSB-first word sequence
+    /// `words` — whole words as 64-bit fields, then the ragged rest masked
+    /// to its width. `words` must yield at least `bit_len` bits.
+    fn store_words(&mut self, mut words: impl Iterator<Item = u64>, bit_len: u64) {
+        let full = (bit_len / 64) as usize;
+        if full > 0 {
+            self.store_run(words.by_ref().take(full), 64);
+        }
+        // ss-lint: allow(truncating-cast) -- remainder of % 64 fits any width
+        let tail = (bit_len % 64) as u32;
+        if tail > 0 {
+            let word = words.next().unwrap_or(0) & ((1u64 << tail) - 1);
+            self.store_run(std::iter::once(word), tail);
+        }
+    }
+
+    /// The one run store: appends each of `fields` as a `bits`-wide field
+    /// (`bits` in 1..=64, every field already below `2^bits`) through a
+    /// 128-bit shift-carry accumulator that spills whole words. The
+    /// current partial byte is folded into the accumulator first and
+    /// re-emitted merged with the new bits.
+    fn store_run(&mut self, fields: impl Iterator<Item = u64>, bits: u32) {
+        let phase = (self.bit_len % 8) as u32;
+        let mut acc: u128 = if phase == 0 {
+            0
+        } else {
+            self.bytes.pop().map_or(0, u128::from)
+        };
+        let mut acc_bits = phase;
+        let mut total = 0u64;
+        for f in fields {
+            // ss-lint: allow(shift-bound) -- acc_bits < 64 at every loop entry (the spill below keeps it there), and the accumulator is 128 bits wide
+            acc |= u128::from(f) << acc_bits;
+            acc_bits += bits;
+            total += u64::from(bits);
+            if acc_bits >= 64 {
+                // ss-lint: allow(truncating-cast) -- spilling the low 64 bits is the point
+                self.bytes.extend_from_slice(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                acc_bits -= 64;
+            }
+        }
+        while acc_bits >= 8 {
+            // ss-lint: allow(truncating-cast) -- low-byte extraction, high bits kept in acc
+            self.bytes.push(acc as u8);
+            acc >>= 8;
+            acc_bits -= 8;
+        }
+        if acc_bits > 0 {
+            // Final partial byte: bits above `acc_bits` are zero because
+            // every field is below `2^bits`.
+            // ss-lint: allow(truncating-cast) -- fewer than 8 valid bits remain in acc
+            self.bytes.push(acc as u8);
+        }
+        self.bit_len += total;
     }
 
     /// Consumes the writer and returns the packed bytes. Trailing bits of the
@@ -495,12 +412,26 @@ mod tests {
     }
 
     #[test]
-    fn write_zero_bits_long_run() {
-        let mut w = BitWriter::new();
-        w.write_zero_bits(130).unwrap();
-        assert_eq!(w.bit_len(), 130);
-        assert_eq!(w.as_bytes().len(), 17);
-        assert!(w.as_bytes().iter().all(|&b| b == 0));
+    fn align_to_matches_write_bits_at_every_phase() {
+        // Padding runs from a few bits to several words, from every
+        // sub-byte phase, against zero fields written one by one.
+        for phase in 0u32..8 {
+            for align in [1u64, 8, 13, 64, 130, 256] {
+                let mut want = BitWriter::new();
+                seed_phase(&mut want, phase);
+                let pad = (align - want.bit_len() % align) % align;
+                let mut left = pad;
+                while left > 0 {
+                    let take = left.min(64) as u32;
+                    want.write_bits(0, take).unwrap();
+                    left -= u64::from(take);
+                }
+                let mut got = BitWriter::new();
+                seed_phase(&mut got, phase);
+                assert_eq!(got.align_to(align).unwrap(), pad);
+                assert_eq!(got, want, "phase {phase}, align {align}");
+            }
+        }
     }
 
     /// Oracle for splicing: write `a_bits` then `b_bits` through one writer.
@@ -617,16 +548,6 @@ mod tests {
             got.append_writer(part).unwrap();
         }
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn write_bit_sequence() {
-        let mut w = BitWriter::new();
-        for bit in [true, false, true, true] {
-            w.write_bit(bit).unwrap();
-        }
-        assert_eq!(w.bit_len(), 4);
-        assert_eq!(w.into_bytes(), vec![0b1101]);
     }
 
     /// Seeds a writer with `phase` bits so the bulk write starts mid-byte.

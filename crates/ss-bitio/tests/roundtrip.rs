@@ -46,17 +46,18 @@ proptest! {
     #[test]
     fn roundtrip_with_interior_seeks(fields in prop::collection::vec(field(), 1..100)) {
         // Record the bit handle of every field, then read them back in
-        // reverse order via seek — the paper's "access handle" pattern.
+        // reverse order through a range reader opened at each handle —
+        // the paper's "access handle" pattern.
         let mut w = BitWriter::new();
         let mut handles = Vec::with_capacity(fields.len());
         for &(v, b) in &fields {
             handles.push(w.bit_len());
             w.write_bits(v, b).unwrap();
         }
+        let end = w.bit_len();
         let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
         for (&(v, b), &h) in fields.iter().zip(&handles).rev() {
-            r.seek(h).unwrap();
+            let mut r = BitReader::with_bit_range(&bytes, h, end).unwrap();
             prop_assert_eq!(r.read_bits(b).unwrap(), v);
         }
     }

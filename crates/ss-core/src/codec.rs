@@ -41,9 +41,9 @@ pub enum IndexPolicy {
     /// [`IndexPolicy::Auto`].
     EveryGroups(usize),
     /// Index tensors that span more than one chunk, sizing chunks to
-    /// cover at least [`AUTO_CHUNK_MIN_VALUES`] values and capping the
-    /// index at [`AUTO_MAX_CHUNKS`] entries. Small tensors stay v1 —
-    /// their index would cost more than the parallelism recovers.
+    /// cover at least `AUTO_CHUNK_MIN_VALUES` (65 536) values and capping
+    /// the index at `AUTO_MAX_CHUNKS` (64) entries. Small tensors stay
+    /// v1 — their index would cost more than the parallelism recovers.
     #[default]
     Auto,
 }

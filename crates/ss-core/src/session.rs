@@ -94,7 +94,9 @@ impl SchemeStream {
 
 /// A reusable encode/decode context: one codec configuration plus the
 /// scratch buffers that the one-shot API would otherwise allocate per
-/// call. See the [module docs](self) for the reuse contract.
+/// call. The `*_into` methods recycle their outputs' buffers too, so a
+/// steady-state loop over same-sized tensors allocates nothing per
+/// tensor, and every output is bit-identical to the one-shot API's.
 ///
 /// # Examples
 ///

@@ -8,9 +8,11 @@
 //! max-magnitude groups, and both signedness modes.
 //!
 //! The scalar paths are retained in the tree *as* oracles
-//! (`width::group_width_scalar`, `BitWriter::write_bits` /
-//! `BitReader::read_bits`, `ZeroRle::token_count_scalar`); this suite is
-//! what makes that retention load-bearing.
+//! (`width::group_width_scalar`, `BitWriter::write_bits`,
+//! `ZeroRle::token_count_scalar`); this suite is what makes that
+//! retention load-bearing. `BitReader::read_bits` and `read_fields` share
+//! their 8-byte window load, so the read side is checked against a
+//! bit-at-a-time reference that lives here.
 
 use proptest::prelude::*;
 use ss_bitio::{BitReader, BitWriter};
@@ -169,6 +171,15 @@ fn group_width_agrees_with_scalar_at_paper_group_sizes() {
     }
 }
 
+/// The `bits`-wide field at absolute bit `pos`, one bit at a time — the
+/// read-side oracle, sharing no code with `BitReader`.
+fn bit_at_a_time(bytes: &[u8], pos: u64, bits: u32) -> u64 {
+    (0..u64::from(bits)).fold(0, |acc, i| {
+        let at = pos + i;
+        acc | u64::from(bytes[(at / 8) as usize] >> (at % 8) & 1) << i
+    })
+}
+
 /// Packs `fields` at `bits` wide via the retained scalar path, starting
 /// from the same writer phase — the oracle for `pack_fields`.
 fn scalar_pack(seed_bits: u32, fields: &[u64], bits: u32) -> (Vec<u8>, u64) {
@@ -264,26 +275,30 @@ proptest! {
     #[test]
     fn read_fields_matches_scalar_read_loop(
         seed_bits in 0u32..16,
-        bits in 1u32..=16,
+        bits in 0u32..=64,
         raw in prop::collection::vec(any::<u64>(), 0..=300),
     ) {
-        let mask = (1u64 << bits) - 1;
+        // Field runs at every width 0..=64 from every reader phase: both
+        // read paths against the bit-at-a-time oracle.
+        let mask = if bits == 0 { 0 } else { u64::MAX >> (64 - bits) };
         let fields: Vec<u64> = raw.into_iter().map(|f| f & mask).collect();
         let (bytes, bit_len) = scalar_pack(seed_bits, &fields, bits);
-
-        // Scalar oracle: skip the seed, read per field.
-        let mut oracle = BitReader::with_bit_len(&bytes, bit_len);
-        if seed_bits > 0 { oracle.read_bits(seed_bits).unwrap(); }
+        let at = |i: usize| u64::from(seed_bits) + i as u64 * u64::from(bits);
         let expect: Vec<u64> =
-            (0..fields.len()).map(|_| oracle.read_bits(bits).unwrap()).collect();
+            (0..fields.len()).map(|i| bit_at_a_time(&bytes, at(i), bits)).collect();
         prop_assert_eq!(expect.as_slice(), fields.as_slice());
 
-        // Bulk path under test.
-        let mut r = BitReader::with_bit_len(&bytes, bit_len);
-        if seed_bits > 0 { r.read_bits(seed_bits).unwrap(); }
-        let mut out = vec![0u64; fields.len()];
+        // One field per call.
+        let mut r = BitReader::with_bit_range(&bytes, u64::from(seed_bits), bit_len).unwrap();
+        let single: Vec<u64> = (0..fields.len()).map(|_| r.read_bits(bits).unwrap()).collect();
+        prop_assert_eq!(single.as_slice(), expect.as_slice());
+        prop_assert!(r.is_at_end());
+
+        // The bulk path.
+        let mut r = BitReader::with_bit_range(&bytes, u64::from(seed_bits), bit_len).unwrap();
+        let mut out = vec![u64::MAX; fields.len()];
         r.read_fields(bits, &mut out).unwrap();
-        prop_assert_eq!(out.as_slice(), fields.as_slice());
+        prop_assert_eq!(out.as_slice(), expect.as_slice());
         prop_assert!(r.is_at_end());
     }
 

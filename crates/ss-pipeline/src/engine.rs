@@ -26,7 +26,6 @@ use ss_core::prelude::{
     CodecSession, EncodedTensor, ExecPolicy, SchemeId, SchemeRegistry, SchemeStream,
     ShapeShifterCodec,
 };
-use ss_core::IndexPolicy;
 use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::Counter;
 
@@ -212,7 +211,8 @@ impl Pipeline {
 
     /// Encodes the batch under an arbitrary registered container scheme
     /// (DPRed, AdaBits, or any plug-in), returning one [`SchemeStream`]
-    /// per tensor in submission order. Each stream is bit-identical to a
+    /// per tensor in submission order, indexed under the configured
+    /// `codec.index_policy`. Each stream is bit-identical to a
     /// single-session `CodecSession::encode_with_scheme` under the same
     /// configuration, for every worker count.
     ///
@@ -229,12 +229,13 @@ impl Pipeline {
         let scheme = SchemeRegistry::global()
             .get(scheme.into())
             .map_err(PipelineError::InvalidConfig)?;
+        let policy = self.config.codec.index_policy;
         let run = self.run_batch(tensors, |ctx: &mut WorkerCtx, index, tensor: &Tensor| {
             // ss-lint: allow(determinism) -- timing half of BatchReport
             let t0 = Instant::now();
             let mut out = SchemeStream::default();
             ctx.session
-                .encode_with_scheme(scheme, tensor, IndexPolicy::Auto, &mut out)
+                .encode_with_scheme(scheme, tensor, policy, &mut out)
                 .map_err(|source| PipelineError::Codec { index, source })?;
             ctx.busy.encode += t0.elapsed();
             Ok(out)

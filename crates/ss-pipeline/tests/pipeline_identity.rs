@@ -93,7 +93,7 @@ fn scheme_batches_are_bit_identical_at_every_worker_count() {
         for t in &batch {
             let mut s = SchemeStream::default();
             session
-                .encode_with_scheme(scheme, t, IndexPolicy::Auto, &mut s)
+                .encode_with_scheme(scheme, t, config().codec.index_policy, &mut s)
                 .unwrap();
             reference.push(s);
         }
@@ -112,6 +112,29 @@ fn scheme_batches_are_bit_identical_at_every_worker_count() {
                 assert_eq!(back, t, "{id} tensor {i} at {workers} workers round-trip");
             }
         }
+    }
+}
+
+#[test]
+fn scheme_batches_honour_an_unindexed_policy() {
+    // 100 000 values span two `Auto` chunks, so an `Auto` batch would
+    // index this tensor; under `None` no scheme's stream carries an index.
+    let big = [tensor(100_000, 7, FixedType::I16)];
+    let unindexed = PipelineConfig::new().with_codec(
+        CodecConfig::new()
+            .with_group_size(16)
+            .with_index_policy(IndexPolicy::None),
+    );
+    let pipeline = Pipeline::new(unindexed).unwrap();
+    for id in [
+        SchemeId::SHAPESHIFTER,
+        SchemeId::DELTA,
+        SchemeId::DPRED,
+        SchemeId::ADABITS,
+    ] {
+        let streams = pipeline.encode_batch_with(id, &big).unwrap();
+        assert_eq!(streams[0].index, None, "{id} wrote an index");
+        assert_eq!(pipeline.decode_batch_with(&streams).unwrap()[..], big[..]);
     }
 }
 

@@ -25,11 +25,11 @@
 //! balloon memory (the PR 5 decode-OOM lesson applied at the wire).
 
 // ss-lint: allow-file(panic-freedom) -- every slice index below is
-// preceded by an explicit length check (`bytes.len() < HEADER_LEN` /
-// `< total`), reads a fixed-size array filled by `read_exact`, or fills
-// the writer's fixed-size header array at constant offsets; the
-// protocol fuzz suite proves every truncation at every byte is a typed
-// refusal, never a panic.
+// preceded by an explicit length check (`bytes.len() < total`), reads a
+// fixed-size header array (taken with `first_chunk` or filled by
+// `read_exact`), or fills the writer's fixed-size header array at
+// constant offsets; the protocol fuzz suite proves every truncation at
+// every byte is a typed refusal, never a panic.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
@@ -368,35 +368,13 @@ impl Frame {
     /// Any [`ProtocolError`]; [`ProtocolError::Truncated`] when `bytes`
     /// is a proper prefix of a frame.
     pub fn decode(bytes: &[u8], max_body: usize) -> Result<(Frame, usize), ProtocolError> {
-        if bytes.len() < HEADER_LEN {
+        let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
             return Err(ProtocolError::Truncated {
                 needed: HEADER_LEN,
                 have: bytes.len(),
             });
-        }
-        let header = &bytes[..HEADER_LEN];
-        // Header fields, validated in offset order.
-        if header[0..4] != MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&header[0..4]);
-            return Err(ProtocolError::BadMagic(m));
-        }
-        if header[4] != VERSION {
-            return Err(ProtocolError::UnsupportedVersion(header[4]));
-        }
-        let kind = Kind::from_byte(header[5]).ok_or(ProtocolError::UnknownOp(header[5]))?;
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&header[6..14]);
-        let request_id = u64::from_le_bytes(id);
-        let mut len = [0u8; 4];
-        len.copy_from_slice(&header[14..18]);
-        let body_len = u32::from_le_bytes(len) as usize;
-        if body_len > max_body {
-            return Err(ProtocolError::BodyTooLarge {
-                len: body_len as u64,
-                max: max_body,
-            });
-        }
+        };
+        let (kind, request_id, body_len) = parse_header(header, max_body)?;
         let total = HEADER_LEN + body_len + TRAILER_LEN;
         if bytes.len() < total {
             return Err(ProtocolError::Truncated {
@@ -435,30 +413,7 @@ impl Frame {
     pub fn read_from(r: &mut dyn Read, max_body: usize) -> Result<Frame, ProtocolError> {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
-        if header[0..4] != MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&header[0..4]);
-            return Err(ProtocolError::BadMagic(m));
-        }
-        if header[4] != VERSION {
-            return Err(ProtocolError::UnsupportedVersion(header[4]));
-        }
-        // The kind byte is checked here for a fast refusal, and the CRC
-        // below still covers it — a byte corrupted *into* another valid
-        // op cannot sneak past.
-        let kind = Kind::from_byte(header[5]).ok_or(ProtocolError::UnknownOp(header[5]))?;
-        let mut id = [0u8; 8];
-        id.copy_from_slice(&header[6..14]);
-        let request_id = u64::from_le_bytes(id);
-        let mut len = [0u8; 4];
-        len.copy_from_slice(&header[14..18]);
-        let body_len = u32::from_le_bytes(len) as usize;
-        if body_len > max_body {
-            return Err(ProtocolError::BodyTooLarge {
-                len: body_len as u64,
-                max: max_body,
-            });
-        }
+        let (kind, request_id, body_len) = parse_header(&header, max_body)?;
         let mut body = vec![0u8; body_len];
         r.read_exact(&mut body)?;
         let mut crc_bytes = [0u8; 4];
@@ -490,6 +445,40 @@ impl Frame {
         w.flush()?;
         Ok(())
     }
+}
+
+/// The one header parser behind [`Frame::decode`] and [`Frame::read_from`]:
+/// magic, version, kind, request id and body length, validated in offset
+/// order, then the body length against `max_body` — all before any body
+/// byte is read or allocated. The kind byte is checked here for a fast
+/// refusal, and the frame CRC still covers it: a byte corrupted *into*
+/// another valid op cannot sneak past.
+fn parse_header(
+    header: &[u8; HEADER_LEN],
+    max_body: usize,
+) -> Result<(Kind, u64, usize), ProtocolError> {
+    if header[0..4] != MAGIC {
+        let mut m = [0u8; 4];
+        m.copy_from_slice(&header[0..4]);
+        return Err(ProtocolError::BadMagic(m));
+    }
+    if header[4] != VERSION {
+        return Err(ProtocolError::UnsupportedVersion(header[4]));
+    }
+    let kind = Kind::from_byte(header[5]).ok_or(ProtocolError::UnknownOp(header[5]))?;
+    let mut id = [0u8; 8];
+    id.copy_from_slice(&header[6..14]);
+    let request_id = u64::from_le_bytes(id);
+    let mut len = [0u8; 4];
+    len.copy_from_slice(&header[14..18]);
+    let body_len = u32::from_le_bytes(len) as usize;
+    if body_len > max_body {
+        return Err(ProtocolError::BodyTooLarge {
+            len: body_len as u64,
+            max: max_body,
+        });
+    }
+    Ok((kind, request_id, body_len))
 }
 
 /// The one frame writer: the header (and `status`, which opens a
@@ -731,6 +720,40 @@ mod tests {
             Frame::decode(&bad, DEFAULT_MAX_BODY),
             Err(ProtocolError::UnknownOp(0x55))
         ));
+    }
+
+    #[test]
+    fn decode_and_read_from_refuse_a_header_alike_in_offset_order() {
+        // Each damaged header carries two faults; both parsers must name
+        // the earlier one, so the check order is one and the same.
+        let good = Frame::request(Op::Get, 5, vec![1; 40]).encode();
+        let cases: [(&[(usize, u8)], ProtocolError); 4] = [
+            (&[(0, b'X'), (4, 9)], ProtocolError::BadMagic(*b"XSRP")),
+            (&[(4, 9), (5, 0x55)], ProtocolError::UnsupportedVersion(9)),
+            (&[(5, 0x55), (17, 0xFF)], ProtocolError::UnknownOp(0x55)),
+            (
+                &[(17, 0xFF)],
+                ProtocolError::BodyTooLarge {
+                    len: 0xFF00_0028,
+                    max: DEFAULT_MAX_BODY,
+                },
+            ),
+        ];
+        for (faults, want) in cases {
+            let mut bad = good.clone();
+            for &(at, byte) in faults {
+                bad[at] = byte;
+            }
+            assert_eq!(
+                Frame::decode(&bad, DEFAULT_MAX_BODY).map(|_| ()),
+                Err(want.clone())
+            );
+            let mut cursor = std::io::Cursor::new(&bad);
+            assert_eq!(
+                Frame::read_from(&mut cursor, DEFAULT_MAX_BODY).map(|_| ()),
+                Err(want)
+            );
+        }
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //! A malformed frame (bad magic, CRC mismatch, unknown op, hostile
 //! length) is counted and the connection is closed: after a framing
 //! error the byte stream can no longer be trusted to re-synchronize,
-//! so refusing further reads is the only safe answer. Server shutdown
-//! flips a stop flag, self-connects to unblock `accept`, shuts down
-//! every live connection's socket, and joins all threads.
+//! so refusing further reads is the only safe answer. Each accept joins
+//! the connections that have ended, so the server holds threads and
+//! descriptors only for live ones. Server shutdown flips a stop flag,
+//! self-connects to unblock `accept`, shuts down every live connection's
+//! socket, and joins all threads.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,6 +142,7 @@ impl Drop for Server {
 }
 
 /// Accepts until the stop flag flips; one reader thread per connection.
+/// Each accept also reaps the connections that have ended since the last.
 fn accept_loop(
     listener: &TcpListener,
     handle: &ServeHandle,
@@ -163,10 +166,22 @@ fn accept_loop(
             .name("ss-serve-conn".to_string())
             .spawn(move || run_connection(stream, &conn_handle));
         if let Ok(thread) = spawned {
-            lock(conns).push(ConnTrack {
-                stream: tracked,
-                thread,
-            });
+            let finished: Vec<ConnTrack> = {
+                let mut conns = lock(conns);
+                let finished = conns
+                    .extract_if(.., |conn| conn.thread.is_finished())
+                    .collect();
+                conns.push(ConnTrack {
+                    stream: tracked,
+                    thread,
+                });
+                finished
+            };
+            // Each of these threads has ended, so the join returns at
+            // once; dropping the entry closes the tracked stream clone.
+            for conn in finished {
+                let _ = conn.thread.join();
+            }
         }
     }
 }
@@ -523,6 +538,36 @@ mod tests {
         );
         first.abandon();
         second.abandon();
+        server.stop();
+        service.shutdown();
+    }
+
+    #[test]
+    fn ended_connections_are_reaped_on_accept() {
+        let mut service = Service::new(ServeConfig::new().with_workers(1)).expect("service");
+        service.start();
+        let server = Server::start(service.handle(), "127.0.0.1:0").expect("bind");
+        for _ in 0..200 {
+            let mut client = Client::connect(server.addr()).expect("connect");
+            client.health().expect("health");
+            client.abandon();
+        }
+        // Reaping runs on accept, so each probe is a fresh connection.
+        // Once the abandoned connections' threads have ended, the only
+        // tracked one is the live probe (or, if the probe's reply beat its
+        // tracking, the previous probe).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let tracked = loop {
+            let mut probe = Client::connect(server.addr()).expect("connect");
+            probe.health().expect("health");
+            let tracked = lock(&server.conns).len();
+            probe.abandon();
+            if tracked <= 1 || std::time::Instant::now() > deadline {
+                break tracked;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        assert!(tracked <= 1, "{tracked} connections tracked, 1 live");
         server.stop();
         service.shutdown();
     }

@@ -671,11 +671,17 @@ fn handle_job(
     }
 }
 
-/// Packs a wire tensor into an SSPK container.
+/// Packs a wire tensor into an SSPK container under the configured
+/// scheme, group size and index policy.
 fn encode_op(body: &[u8], config: &ServeConfig) -> Outcome {
     let tensor = wire::decode_tensor(body).map_err(|e| (Status::BadRequest, e.to_string()))?;
-    container::pack_with_scheme(&tensor, config.codec.group_size, config.container)
-        .map_err(|e| (Status::CodecFailure, e.to_string()))
+    container::pack_with_policy(
+        &tensor,
+        config.codec.group_size,
+        config.container,
+        config.codec.index_policy,
+    )
+    .map_err(|e| (Status::CodecFailure, e.to_string()))
 }
 
 /// Decodes an SSPK container into the worker session's scratch and
@@ -866,6 +872,33 @@ mod tests {
         assert!(stats.contains("\"serve_encode_nanos\""));
         let report = service.shutdown();
         assert!(report.completed >= 6);
+    }
+
+    #[test]
+    fn encode_packs_under_the_configured_index_policy() {
+        // 100 000 values span two 65 536-value chunks, so `Auto` would
+        // index them into a v2 container; `None` must answer v1.
+        let vals = (0..100_000).map(|v| (v % 251) - 125).collect();
+        let t = Tensor::from_vec(Shape::flat(100_000), FixedType::I16, vals).expect("tensor");
+        let codec = CodecConfig::new().with_index_policy(ss_core::IndexPolicy::None);
+        let mut service =
+            Service::new(ServeConfig::new().with_workers(1).with_codec(codec)).expect("service");
+        service.start();
+        let handle = service.handle();
+        let packed = handle.encode(&t).expect("encode");
+        assert_eq!(container::info(&packed).expect("info").version, 1);
+        assert_eq!(
+            packed,
+            container::pack_with_policy(
+                &t,
+                codec.group_size,
+                SchemeId::SHAPESHIFTER,
+                codec.index_policy
+            )
+            .expect("pack")
+        );
+        assert_eq!(handle.decode(&packed).expect("decode"), t);
+        service.shutdown();
     }
 
     #[test]

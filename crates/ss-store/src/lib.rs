@@ -11,7 +11,7 @@
 //! shards** — written in pure streaming fashion, closed with an
 //! end-of-file index — and reads them back with O(1) random access:
 //!
-//! * [`format`] — the shard byte layout: header, CRC-32-framed record
+//! * [`format`](mod@format) — the shard byte layout: header, CRC-32-framed record
 //!   blocks, a `BitWriter`-serialized index with a CRC-32 trailer (the
 //!   `ss_core::ChunkIndex` idiom), and a fixed-size locating footer.
 //! * [`StorageProvider`] — where shards live: [`LocalFsProvider`]

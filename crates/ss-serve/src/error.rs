@@ -57,7 +57,10 @@ impl std::fmt::Display for ServeError {
             ServeError::WorkerLost => write!(f, "worker disappeared before replying"),
             ServeError::Protocol(e) => write!(f, "protocol failure: {e}"),
             ServeError::Disconnected(e) => {
-                write!(f, "connection closed after an earlier protocol failure: {e}")
+                write!(
+                    f,
+                    "connection closed after an earlier protocol failure: {e}"
+                )
             }
             ServeError::Wire(e) => write!(f, "body codec failure: {e}"),
             ServeError::Remote { status, message } => {

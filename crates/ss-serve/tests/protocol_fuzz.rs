@@ -23,9 +23,16 @@ fn corpus() -> Vec<Frame> {
         frames.push(Frame::request(
             op,
             u64::MAX - i as u64,
-            (0..64u32).map(|v| (v.wrapping_mul(37) % 251) as u8).collect(),
+            (0..64u32)
+                .map(|v| (v.wrapping_mul(37) % 251) as u8)
+                .collect(),
         ));
-        frames.push(Frame::response(op, 7 * i as u64, Status::Ok, &[1, 2, 3, 4, 5]));
+        frames.push(Frame::response(
+            op,
+            7 * i as u64,
+            Status::Ok,
+            &[1, 2, 3, 4, 5],
+        ));
         frames.push(Frame::response(op, 0, Status::Overloaded, b"queue full"));
     }
     frames
@@ -140,12 +147,7 @@ fn hostile_lengths_are_refused_before_allocation() {
     let clean = frame.encode();
     // Every declared length larger than the cap dies at the length
     // check, no matter what the rest of the frame claims.
-    for hostile in [
-        DEFAULT_MAX_BODY as u32 + 1,
-        u32::MAX,
-        u32::MAX - 1,
-        1 << 30,
-    ] {
+    for hostile in [DEFAULT_MAX_BODY as u32 + 1, u32::MAX, u32::MAX - 1, 1 << 30] {
         let mut damaged = clean.clone();
         damaged[14..18].copy_from_slice(&hostile.to_le_bytes());
         assert!(matches!(

@@ -112,8 +112,10 @@ impl GroupLayout for ShapeShifterScheme {
     /// Payloads are read in bulk: the `Z` popcount gives the exact number
     /// of equal-width fields in the group, which `BitReader::read_fields`
     /// extracts with one unaligned load each; the scatter pass then
-    /// interleaves them with the elided zeros, validating each value in
-    /// stream order.
+    /// interleaves them with the elided zeros, refusing in stream order a
+    /// payload that decodes to zero. No range test is needed: `read_width`
+    /// bounds `P` by the container width, and a field of at most that many
+    /// bits always decodes inside the container's range.
     #[inline]
     fn read_group(
         s: &mut Scratch,
@@ -121,7 +123,7 @@ impl GroupLayout for ShapeShifterScheme {
         at: GroupAt,
         out: &mut Vec<i32>,
     ) -> Result<(), CodecError> {
-        let (dtype, signed) = (s.dtype, s.signed);
+        let signed = s.signed;
         let zeros = read_bitvec(r, at.len, &mut s.bits)?;
         let p = s.read_width(r, at.index)?;
         let payloads = at.len - zeros.min(at.len);
@@ -142,7 +144,7 @@ impl GroupLayout for ShapeShifterScheme {
                 let raw = next.next().copied().unwrap_or(0);
                 let v = decode_field(signed, raw);
                 let index = at.first_value + c * 64 + bit;
-                if !dtype.contains(v) || v == 0 {
+                if v == 0 {
                     // A payload slot decoding to zero is corrupt: zeros
                     // travel in Z, never in the payload.
                     return Err(CodecError::CorruptValue { index, value: v });
@@ -151,7 +153,7 @@ impl GroupLayout for ShapeShifterScheme {
                 *slot = v;
             }
         }
-        checked::group_invariants(&s.bits, at.len, payloads, p, dtype.bits(), at.index);
+        checked::group_invariants(&s.bits, at.len, payloads, p, s.dtype.bits(), at.index);
         Ok(())
     }
 }
@@ -214,6 +216,26 @@ mod tests {
             scheme.compressed_bits(&tensor, &SchemeCtx::profiled(12)),
             scheme.compressed_bits(&tensor, &SchemeCtx::unprofiled())
         );
+    }
+
+    #[test]
+    fn every_field_within_the_container_width_decodes_inside_the_container() {
+        // `read_group` leans on this instead of a per-value range test:
+        // `read_width` caps `P` at the container width, and every
+        // non-zero `P`-bit field then decodes to a value the container
+        // holds (sign-magnitude fields to the symmetric signed range).
+        for bits in 1..=16u8 {
+            for dtype in [FixedType::unsigned(bits), FixedType::signed(bits)] {
+                let dtype = dtype.unwrap();
+                let signed = dtype.signedness().is_signed();
+                for p in 1..=bits {
+                    for raw in 1..1u64 << p {
+                        let v = decode_field(signed, raw);
+                        assert!(dtype.contains(v), "{dtype}: P = {p}, field {raw:#x} -> {v}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, full test suite, lint, the deterministic
-# bench gates, and the codec performance baseline (time report only — the
-# numbers are recorded in BENCH_codec.json but never gate the run;
-# thread-scaling ratios depend on the host's core count).
+# Tier-1 verification: build, full test suite, lint, formatting, the
+# deterministic bench gates, the committed deterministic BENCH files
+# regenerated and compared byte for byte, and the codec performance
+# baseline (time report only — the numbers are recorded in
+# BENCH_codec.json but never gate the run; thread-scaling ratios depend
+# on the host's core count).
 #
 # The workspace test run covers every suite — golden vectors, the
 # differential and fuzz suites, the store corruption and serve fault
@@ -19,6 +21,9 @@ cargo test -q --workspace
 # nothing is written inside perfbench/.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
+# Formatting: ss-serve is rustfmt-clean and must stay so. The other
+# members are not formatted yet, so they are not checked here.
+cargo fmt --check -p ss-serve
 # Rustdoc with warnings denied: a deleted or private item cannot leave a
 # dangling intra-doc link behind. The vendored stand-ins are not ours.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest --exclude criterion --exclude rand
@@ -55,6 +60,26 @@ cargo run --release -q -p ss-bench --bin store_roundtrip -- --smoke
 echo
 echo "== serve (replay smoke) =="
 cargo run --release -q -p ss-bench --bin serve_replay -- --smoke
+
+# The committed deterministic BENCH files are a checked contract: each is
+# regenerated in full mode to a temporary path and must match the
+# committed file byte for byte (the timings files are not written without
+# --update-timings). BENCH_schemes.json's full mode takes minutes, so it
+# keeps only the smoke determinism gate in scripts/analysis.sh.
+echo
+echo "== committed BENCH files (full mode, byte-identical) =="
+bench_tmp="$(mktemp -d)"
+trap 'rm -rf "$bench_tmp"' EXIT
+for pair in serve:serve_replay store:store_roundtrip pipeline:pipeline_throughput; do
+    name="${pair%%:*}" bin="${pair#*:}"
+    env "SS_BENCH_${name^^}_OUT=$bench_tmp/$name.json" \
+        cargo run --release -q -p ss-bench --bin "$bin" >/dev/null
+    if ! diff -u "BENCH_$name.json" "$bench_tmp/$name.json"; then
+        echo "FAIL: BENCH_$name.json does not reproduce in full mode" >&2
+        exit 1
+    fi
+    echo "ok: BENCH_$name.json reproduces byte-for-byte"
+done
 
 echo
 echo "== perf baseline (informational) =="

@@ -55,7 +55,7 @@ use std::fmt;
 use ss_bitio::BitWriter;
 use ss_core::registry::StreamFrame;
 use ss_core::{ChunkIndex, CodecError, ContainerScheme, IndexPolicy, SchemeId, SchemeRegistry};
-use ss_tensor::{FixedType, Shape, Signedness, Tensor, TensorError};
+use ss_tensor::{FixedType, Shape, Tensor, TensorError};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"SSPK";
@@ -482,18 +482,81 @@ fn sequential_stream(
     Ok((scheme, &bytes[meta.stream_offset()..], frame))
 }
 
-/// Interprets raw little-endian bytes as fixed-point values for packing.
+/// Bytes per value in the raw layout of `dtype`: one for containers of
+/// up to 8 bits, two for wider ones.
 ///
-/// 8-bit containers consume one byte per value; wider containers two
-/// (little-endian), interpreted as two's-complement when signed and
-/// converted to the library's sign-magnitude-friendly `i32` form.
+/// The raw layout is the one definition of "values at the container's
+/// width" in the workspace: `sspack`'s raw files and the SSRP tensor
+/// bodies of `ss-serve` both use it. Each value takes [`raw_width`]
+/// bytes, little-endian, in two's complement when the container is
+/// signed ([`write_raw`], [`read_raw`]).
+#[must_use]
+pub fn raw_width(dtype: FixedType) -> usize {
+    if dtype.bits() <= 8 {
+        1
+    } else {
+        2
+    }
+}
+
+/// Appends `values` to `out` in the raw layout of `dtype` (see
+/// [`raw_width`]): the low one or two bytes of each value's two's
+/// complement, little-endian. Values that fit `dtype` (those of any
+/// [`Tensor`]) come back unchanged through [`read_raw`]. `out` grows by
+/// exactly `raw_width(dtype) · values.len()` bytes.
+pub fn write_raw(dtype: FixedType, values: &[i32], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + raw_width(dtype) * values.len(), 0);
+    let body = out.get_mut(start..).unwrap_or_default();
+    if raw_width(dtype) == 1 {
+        for (byte, &v) in body.iter_mut().zip(values) {
+            let [low, ..] = v.to_le_bytes();
+            *byte = low;
+        }
+    } else {
+        for (pair, &v) in body.as_chunks_mut::<2>().0.iter_mut().zip(values) {
+            let [low, high, ..] = v.to_le_bytes();
+            *pair = [low, high];
+        }
+    }
+}
+
+/// Appends to `out` the values `bytes` holds in the raw layout of
+/// `dtype` (see [`raw_width`]), each sign-extended from its 8 or 16 bits
+/// when `dtype` is signed and zero-extended when it is not. No range
+/// check is made: a value outside `dtype` (say `0x8000` in a signed
+/// 16-bit container, whose range is the symmetric ±32767) is appended as
+/// read, for the caller to refuse. A trailing byte that does not
+/// complete a two-byte value is not read; callers check the length
+/// first.
+pub fn read_raw(bytes: &[u8], dtype: FixedType, out: &mut Vec<i32>) {
+    let signed = dtype.signedness().is_signed();
+    if raw_width(dtype) == 1 {
+        if signed {
+            out.extend(bytes.iter().map(|&b| i32::from(i8::from_le_bytes([b]))));
+        } else {
+            out.extend(bytes.iter().map(|&b| i32::from(b)));
+        }
+    } else {
+        let pairs = bytes.as_chunks::<2>().0;
+        if signed {
+            out.extend(pairs.iter().map(|&p| i32::from(i16::from_le_bytes(p))));
+        } else {
+            out.extend(pairs.iter().map(|&p| i32::from(u16::from_le_bytes(p))));
+        }
+    }
+}
+
+/// Interprets raw bytes as fixed-point values for packing: the raw
+/// layout of [`raw_width`], read by [`read_raw`], with every value
+/// checked against the container.
 ///
 /// # Errors
 ///
 /// [`ContainerError::Malformed`] if the byte count does not divide evenly
 /// or a value does not fit the container.
 pub fn values_from_raw(bytes: &[u8], dtype: FixedType) -> Result<Vec<i32>, ContainerError> {
-    let step = if dtype.bits() <= 8 { 1 } else { 2 };
+    let step = raw_width(dtype);
     if !bytes.len().is_multiple_of(step) {
         return Err(ContainerError::Malformed(format!(
             "{} raw bytes do not divide into {step}-byte values",
@@ -501,37 +564,21 @@ pub fn values_from_raw(bytes: &[u8], dtype: FixedType) -> Result<Vec<i32>, Conta
         )));
     }
     let mut out = Vec::with_capacity(bytes.len() / step);
-    for chunk in bytes.chunks(step) {
-        let v: i32 = match (step, dtype.signedness()) {
-            (1, Signedness::Unsigned) => i32::from(chunk[0]),
-            (1, Signedness::Signed) => i32::from(chunk[0] as i8),
-            (2, Signedness::Unsigned) => i32::from(u16::from_le_bytes([chunk[0], chunk[1]])),
-            (2, Signedness::Signed) => i32::from(i16::from_le_bytes([chunk[0], chunk[1]])),
-            _ => unreachable!("step is 1 or 2"),
-        };
-        if !dtype.contains(v) {
-            return Err(ContainerError::Malformed(format!(
-                "raw value {v} does not fit container {dtype}"
-            )));
-        }
-        out.push(v);
+    read_raw(bytes, dtype, &mut out);
+    if let Some(v) = out.iter().find(|&&v| !dtype.contains(v)) {
+        return Err(ContainerError::Malformed(format!(
+            "raw value {v} does not fit container {dtype}"
+        )));
     }
     Ok(out)
 }
 
-/// Serializes values back to raw little-endian bytes (inverse of
-/// [`values_from_raw`]).
+/// Serializes a tensor's values to raw bytes (inverse of
+/// [`values_from_raw`]) with [`write_raw`].
 #[must_use]
 pub fn values_to_raw(tensor: &Tensor) -> Vec<u8> {
-    let step = if tensor.dtype().bits() <= 8 { 1 } else { 2 };
-    let mut out = Vec::with_capacity(tensor.len() * step);
-    for &v in tensor.values() {
-        if step == 1 {
-            out.push(v as u8);
-        } else {
-            out.extend_from_slice(&(v as i16).to_le_bytes());
-        }
-    }
+    let mut out = Vec::with_capacity(raw_width(tensor.dtype()) * tensor.len());
+    write_raw(tensor.dtype(), tensor.values(), &mut out);
     out
 }
 
@@ -757,6 +804,39 @@ mod tests {
         let raw8 = values_to_raw(&t8);
         assert_eq!(raw8.len(), 3);
         assert_eq!(values_from_raw(&raw8, FixedType::U8).unwrap(), t8.values());
+    }
+
+    #[test]
+    fn raw_layout_is_container_width_little_endian_twos_complement() {
+        let cases: [(FixedType, &[i32], &[u8]); 5] = [
+            (
+                FixedType::I16,
+                &[-1, 300, -32767],
+                &[0xFF, 0xFF, 0x2C, 0x01, 0x01, 0x80],
+            ),
+            (FixedType::U16, &[65535, 1], &[0xFF, 0xFF, 0x01, 0x00]),
+            (FixedType::I8, &[-5, 127], &[0xFB, 0x7F]),
+            (FixedType::U8, &[255, 0], &[0xFF, 0x00]),
+            (FixedType::signed(4).unwrap(), &[-7, 7], &[0xF9, 0x07]),
+        ];
+        for (dtype, values, bytes) in cases {
+            let mut raw = vec![0xAA];
+            write_raw(dtype, values, &mut raw);
+            assert_eq!(&raw[1..], bytes, "{dtype}");
+            let mut back = vec![9];
+            read_raw(bytes, dtype, &mut back);
+            assert_eq!(&back[1..], values, "{dtype}");
+        }
+        // Wider than 8 bits: sign-extended from 16 bits when signed,
+        // zero-extended when not; the range is the caller's to check.
+        let mut back = Vec::new();
+        read_raw(
+            &[0x00, 0x80, 0x00, 0x10],
+            FixedType::signed(12).unwrap(),
+            &mut back,
+        );
+        read_raw(&[0x00, 0x10], FixedType::unsigned(12).unwrap(), &mut back);
+        assert_eq!(back, [-32768, 4096, 4096]);
     }
 
     #[test]

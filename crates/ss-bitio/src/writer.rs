@@ -524,7 +524,10 @@ mod tests {
         let mut w = BitWriter::new();
         assert_eq!(
             w.append_bits(&[0xFF], 9),
-            Err(BitIoError::StreamTooShort { bit_len: 9, bytes: 1 })
+            Err(BitIoError::StreamTooShort {
+                bit_len: 9,
+                bytes: 1
+            })
         );
         assert!(w.is_empty(), "failed append must not corrupt the stream");
     }
@@ -608,7 +611,10 @@ mod tests {
         let mut w = BitWriter::new();
         assert_eq!(
             w.write_words(&[0], 65),
-            Err(BitIoError::StreamTooShort { bit_len: 65, bytes: 8 })
+            Err(BitIoError::StreamTooShort {
+                bit_len: 65,
+                bytes: 8
+            })
         );
         assert!(w.is_empty(), "failed write must not corrupt the stream");
     }
@@ -616,11 +622,23 @@ mod tests {
     #[test]
     fn pack_fields_matches_write_bits_at_every_phase_and_width() {
         let raw: [u64; 9] = [
-            0, 1, 0x2B, 0x1FF, 0x5A5A, 0xFFFF, 0x1_0001, 0xDEAD_BEEF, u64::MAX,
+            0,
+            1,
+            0x2B,
+            0x1FF,
+            0x5A5A,
+            0xFFFF,
+            0x1_0001,
+            0xDEAD_BEEF,
+            u64::MAX,
         ];
         for phase in 0u32..8 {
             for bits in 1u32..=17 {
-                let mask = if bits == 64 { u64::MAX } else { (1 << bits) - 1 };
+                let mask = if bits == 64 {
+                    u64::MAX
+                } else {
+                    (1 << bits) - 1
+                };
                 let fields: Vec<u64> = raw.iter().map(|&f| f & mask).collect();
                 let mut want = BitWriter::new();
                 let mut got = BitWriter::new();
@@ -638,7 +656,11 @@ mod tests {
     #[test]
     fn pack_fields_wide_widths() {
         for bits in [33u32, 57, 63, 64] {
-            let mask = if bits == 64 { u64::MAX } else { (1 << bits) - 1 };
+            let mask = if bits == 64 {
+                u64::MAX
+            } else {
+                (1 << bits) - 1
+            };
             let fields: Vec<u64> = (0..5u64)
                 .map(|i| (0x9E37_79B9_7F4A_7C15u64.rotate_left(i as u32 * 11)) & mask)
                 .collect();

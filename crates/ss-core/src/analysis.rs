@@ -82,18 +82,16 @@ impl WidthDistribution {
         if self.total_groups == 0 {
             return 1.0;
         }
-        let upto: u64 = self
-            .counts
-            .iter()
-            .take(usize::from(w) + 1)
-            .sum();
+        let upto: u64 = self.counts.iter().take(usize::from(w) + 1).sum();
         upto as f64 / self.total_groups as f64
     }
 
     /// The whole cumulative curve, index = width.
     #[must_use]
     pub fn cdf(&self) -> Vec<f64> {
-        (0..self.counts.len()).map(|w| self.cdf_at(w as u8)).collect()
+        (0..self.counts.len())
+            .map(|w| self.cdf_at(w as u8))
+            .collect()
     }
 
     /// Mean group width — the effective width of Table 1 when groups are

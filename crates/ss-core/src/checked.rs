@@ -47,7 +47,11 @@ pub(crate) fn group_invariants(
             break;
         }
         let take = remaining.min(64);
-        let mask = if take == 64 { u64::MAX } else { (1u64 << take) - 1 };
+        let mask = if take == 64 {
+            u64::MAX
+        } else {
+            (1u64 << take) - 1
+        };
         zeros += (word & mask).count_ones() as usize;
         remaining -= take;
     }
@@ -91,12 +95,7 @@ pub(crate) fn canonical_payload(raw: u64, value: i32, p: u8, signed: bool, index
 /// builds both from the same pass, so a failure here is an encoder bug,
 /// never an input property.
 #[inline]
-pub(crate) fn index_bookkeeping(
-    index: &ChunkIndex,
-    group_size: usize,
-    bit_len: u64,
-    len: usize,
-) {
+pub(crate) fn index_bookkeeping(index: &ChunkIndex, group_size: usize, bit_len: u64, len: usize) {
     if !cfg!(debug_assertions) {
         return;
     }

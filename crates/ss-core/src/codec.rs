@@ -338,8 +338,8 @@ impl ShapeShifterCodec {
             if tracing {
                 group_widths.observe(scan.width(), 1);
             }
-            payload += u64::from(scan.width())
-                * (group.len() as u64 - u64::from(scan.zero_count()));
+            payload +=
+                u64::from(scan.width()) * (group.len() as u64 - u64::from(scan.zero_count()));
         }
         if tracing {
             rec.record_widths(WidthHist::CodecGroupWidth, &group_widths);
@@ -575,7 +575,9 @@ mod tests {
     fn signed_values_roundtrip() {
         let tensor = t(
             FixedType::I16,
-            vec![-32767, 32767, 0, -1, 1, 0, 0, -255, 255, 64, -64, 0, 3, -3, 2, -2],
+            vec![
+                -32767, 32767, 0, -1, 1, 0, 0, -255, 255, 64, -64, 0, 3, -3, 2, -2,
+            ],
         );
         let codec = ShapeShifterCodec::default();
         let enc = codec.encode(&tensor).unwrap();

@@ -159,7 +159,10 @@ mod tests {
     fn prefix_bits_match_paper() {
         // 16b containers: 4-bit P field; 8b containers: 3-bit P field
         // (Figure 6's example uses 3 bits for 8b data).
-        assert_eq!(WidthDetector::new(16, Signedness::Unsigned).prefix_bits(), 4);
+        assert_eq!(
+            WidthDetector::new(16, Signedness::Unsigned).prefix_bits(),
+            4
+        );
         assert_eq!(WidthDetector::new(8, Signedness::Unsigned).prefix_bits(), 3);
         assert_eq!(WidthDetector::new(2, Signedness::Unsigned).prefix_bits(), 1);
     }

@@ -162,7 +162,9 @@ mod tests {
 
     #[test]
     fn scheme_errors_carry_the_id() {
-        assert!(CodecError::UnknownScheme { id: 7 }.to_string().contains('7'));
+        assert!(CodecError::UnknownScheme { id: 7 }
+            .to_string()
+            .contains('7'));
         assert!(CodecError::UnknownScheme { id: 7 }.source().is_none());
     }
 }

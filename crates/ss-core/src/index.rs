@@ -295,11 +295,9 @@ impl ChunkIndex {
         for i in 0..count {
             if i > 0 {
                 let delta = r.read_bits(odb)?;
-                offset = offset
-                    .checked_add(delta)
-                    .ok_or(CodecError::CorruptIndex {
-                        reason: "offset delta overflows",
-                    })?;
+                offset = offset.checked_add(delta).ok_or(CodecError::CorruptIndex {
+                    reason: "offset delta overflows",
+                })?;
             }
             entries.push(ChunkEntry {
                 bit_offset: offset,
@@ -333,12 +331,7 @@ impl ChunkIndex {
     ///   (wrong chunk count, non-monotonic offsets, value-count drift).
     /// * [`CodecError::IndexOffsetOutOfBounds`] if an entry points past
     ///   the end of the stream.
-    pub fn validate(
-        &self,
-        group_size: usize,
-        bit_len: u64,
-        len: usize,
-    ) -> Result<(), CodecError> {
+    pub fn validate(&self, group_size: usize, bit_len: u64, len: usize) -> Result<(), CodecError> {
         let chunk_values = (self.chunk_groups as u64)
             .checked_mul(group_size as u64)
             .ok_or(CodecError::CorruptIndex {
@@ -565,6 +558,9 @@ mod tests {
         ));
         // Sane sizes still agree with the serializer (see
         // `roundtrips_canonically` for the end-to-end identity).
-        assert_eq!(serialized_bits_for(1, 0, 1).unwrap(), (78u64 + 1).div_ceil(8) * 8 + 32);
+        assert_eq!(
+            serialized_bits_for(1, 0, 1).unwrap(),
+            (78u64 + 1).div_ceil(8) * 8 + 32
+        );
     }
 }

@@ -147,7 +147,11 @@ mod tests {
             for group in [1usize, 7, 16, 256] {
                 for threads in [1usize, 2, 3, 8, 64] {
                     let chunk = chunk_values(len, group, threads);
-                    assert_eq!(chunk % group, 0, "len {len} group {group} threads {threads}");
+                    assert_eq!(
+                        chunk % group,
+                        0,
+                        "len {len} group {group} threads {threads}"
+                    );
                     assert!(chunk > 0);
                     // At most `threads` chunks.
                     assert!(len.div_ceil(chunk) <= threads.max(1));

@@ -138,7 +138,13 @@ pub(crate) mod wire {
     ) -> (Vec<u8>, u64) {
         let mut w = BitWriter::new();
         scheme
-            .encode_into(tensor, group_size, IndexPolicy::None, &mut w, &mut Vec::new())
+            .encode_into(
+                tensor,
+                group_size,
+                IndexPolicy::None,
+                &mut w,
+                &mut Vec::new(),
+            )
             .unwrap();
         (w.as_bytes().to_vec(), w.bit_len())
     }

@@ -24,7 +24,8 @@ pub fn outlier_aware_zs_bits(oq: &OutlierQuantized) -> u64 {
     let non_outlier = (t.len() - oq.outlier_count()) as u64;
     let zeros = t.num_zero() as u64;
     let nonzero_common = non_outlier - zeros;
-    non_outlier + nonzero_common * u64::from(oq.common_bits())
+    non_outlier
+        + nonzero_common * u64::from(oq.common_bits())
         + oq.outlier_count() as u64 * OUTLIER_BITS
 }
 
@@ -36,7 +37,10 @@ mod tests {
 
     fn quantized(vals: Vec<i32>) -> OutlierQuantized {
         let t = Tensor::from_vec(Shape::flat(vals.len()), FixedType::I16, vals).unwrap();
-        OutlierAwareQuantizer::new(4, 0.25).unwrap().quantize(&t).unwrap()
+        OutlierAwareQuantizer::new(4, 0.25)
+            .unwrap()
+            .quantize(&t)
+            .unwrap()
     }
 
     #[test]
@@ -54,10 +58,7 @@ mod tests {
         // what actually survived.
         let zeros = oq.tensor().num_zero() as u64;
         let nonzero_common = 3 - zeros;
-        assert_eq!(
-            outlier_aware_zs_bits(&oq),
-            3 + nonzero_common * 4 + 32
-        );
+        assert_eq!(outlier_aware_zs_bits(&oq), 3 + nonzero_common * 4 + 32);
     }
 
     #[test]

@@ -60,7 +60,11 @@ impl ZeroRle {
         let mut run = 0u64;
         for chunk in values.chunks(64) {
             let used = chunk.len() as u64;
-            let mask = if used == 64 { u64::MAX } else { (1u64 << used) - 1 };
+            let mask = if used == 64 {
+                u64::MAX
+            } else {
+                (1u64 << used) - 1
+            };
             let mut nz = !kernels::zero_bitmap64(chunk) & mask;
             let mut pos = 0u64;
             while nz != 0 {
@@ -197,7 +201,7 @@ mod tests {
     #[test]
     fn long_zero_tensor() {
         let scheme = ZeroRle::new(2); // max run 3
-        // 8 zeros: (3,0) consumes 4, (3,0) consumes 4 -> 2 tokens.
+                                      // 8 zeros: (3,0) consumes 4, (3,0) consumes 4 -> 2 tokens.
         assert_eq!(scheme.token_count(&[0; 8]), 2);
         // 9 zeros: 2 full tokens + 1 trailing zero -> 3 tokens.
         assert_eq!(scheme.token_count(&[0; 9]), 3);

@@ -7,7 +7,9 @@
 //! hardware detector model and the arithmetic width definitions.
 
 use proptest::prelude::*;
-use ss_core::scheme::{Base, CompressionScheme, ProfileScheme, SchemeCtx, ShapeShifterScheme, ZeroRle};
+use ss_core::scheme::{
+    Base, CompressionScheme, ProfileScheme, SchemeCtx, ShapeShifterScheme, ZeroRle,
+};
 use ss_core::{
     ChunkIndex, CodecError, ContainerScheme, ExecPolicy, IndexPolicy, ShapeShifterCodec,
     StreamFrame, WidthDetector,

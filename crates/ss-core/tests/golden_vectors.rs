@@ -266,8 +266,7 @@ fn golden_vectors_conform() {
     let regen = std::env::var_os("SS_GOLDEN_REGEN").is_some();
     for case in CASES {
         let values = golden_values(case.seed, case.len, case.dtype);
-        let tensor =
-            Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
+        let tensor = Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
         let codec = ShapeShifterCodec::new(case.group).with_index_policy(case.policy);
         let enc = codec.encode(&tensor).unwrap();
         let index_blob = enc.index().map(|i| i.to_bytes().unwrap());
@@ -314,7 +313,12 @@ fn golden_vectors_conform() {
             "{}: golden stream file does not match its pinned hash",
             case.name
         );
-        assert_eq!(enc.bit_len(), case.bit_len, "{}: bit length drifted", case.name);
+        assert_eq!(
+            enc.bit_len(),
+            case.bit_len,
+            "{}: bit length drifted",
+            case.name
+        );
 
         // Decoder conformance: the *file* bytes decode to the *file*
         // values, sequentially.
@@ -322,9 +326,17 @@ fn golden_vectors_conform() {
             &std::fs::read(&values_path)
                 .unwrap_or_else(|e| panic!("{}: missing golden values ({e})", case.name)),
         );
-        assert_eq!(golden_values_file, values, "{}: value corpus drifted", case.name);
+        assert_eq!(
+            golden_values_file, values,
+            "{}: value corpus drifted",
+            case.name
+        );
         let decoded = decode_raw(&golden_stream, case, None, 1).unwrap();
-        assert_eq!(decoded, golden_values_file, "{}: sequential decode", case.name);
+        assert_eq!(
+            decoded, golden_values_file,
+            "{}: sequential decode",
+            case.name
+        );
 
         // v2 cases: the index file deserializes, validates against the
         // framing, matches its pinned hash, and drives a parallel decode
@@ -355,7 +367,11 @@ fn golden_vectors_conform() {
                 }
             }
             None => {
-                assert_eq!(case.index_hash, 0, "{}: v1 case pins an index hash", case.name);
+                assert_eq!(
+                    case.index_hash, 0,
+                    "{}: v1 case pins an index hash",
+                    case.name
+                );
                 assert!(
                     !index_path.exists(),
                     "{}: v1 case has a stale index file",
@@ -382,8 +398,7 @@ fn golden_vectors_round_trip_through_session() {
     let mut back = Tensor::zeros(Shape::flat(0), FixedType::U8);
     for case in CASES {
         let values = golden_values(case.seed, case.len, case.dtype);
-        let tensor =
-            Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
+        let tensor = Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
         let config = ss_core::CodecConfig::new()
             .with_group_size(case.group)
             .with_index_policy(case.policy);
@@ -433,8 +448,7 @@ fn scheme_golden_vectors_conform() {
     for case in SCHEME_CASES {
         let scheme = SchemeRegistry::global().get(case.scheme).unwrap();
         let values = golden_values(case.seed, case.len, case.dtype);
-        let tensor =
-            Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
+        let tensor = Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
         let config = ss_core::CodecConfig::new().with_group_size(case.group);
         let mut session = CodecSession::new(config).unwrap();
         session
@@ -461,8 +475,7 @@ fn scheme_golden_vectors_conform() {
         let golden_stream = std::fs::read(&stream_path)
             .unwrap_or_else(|e| panic!("{}: missing golden stream ({e})", case.name));
         assert_eq!(
-            stream.bytes,
-            golden_stream,
+            stream.bytes, golden_stream,
             "{}: encoder drifted from the golden stream",
             case.name
         );
@@ -472,14 +485,24 @@ fn scheme_golden_vectors_conform() {
             "{}: golden stream file does not match its pinned hash",
             case.name
         );
-        assert_eq!(stream.bit_len, case.bit_len, "{}: bit length drifted", case.name);
+        assert_eq!(
+            stream.bit_len, case.bit_len,
+            "{}: bit length drifted",
+            case.name
+        );
 
         let golden_values_file = values_from_le_bytes(
             &std::fs::read(&values_path)
                 .unwrap_or_else(|e| panic!("{}: missing golden values ({e})", case.name)),
         );
-        assert_eq!(golden_values_file, values, "{}: value corpus drifted", case.name);
-        session.decode_with_scheme(scheme, &stream, &mut back).unwrap();
+        assert_eq!(
+            golden_values_file, values,
+            "{}: value corpus drifted",
+            case.name
+        );
+        session
+            .decode_with_scheme(scheme, &stream, &mut back)
+            .unwrap();
         assert_eq!(back, tensor, "{}: scheme decode drifted", case.name);
     }
 }

@@ -46,19 +46,28 @@ fn codec_counters_and_width_hist() {
     let back = codec.decode(&enc).unwrap();
     assert_eq!(back, tensor);
     assert_eq!(rec.counter(Counter::DecodeCalls), 1);
-    assert_eq!(rec.counter(Counter::DecodeValues), dvals0 + tensor.len() as u64);
+    assert_eq!(
+        rec.counter(Counter::DecodeValues),
+        dvals0 + tensor.len() as u64
+    );
 
     // --- parallel encode records the same totals as sequential ---
     let big: Vec<i32> = (0..100_000).map(|i| ((i * 131) % 400) - 200).collect();
     let big = Tensor::from_vec(Shape::flat(big.len()), FixedType::I16, big).unwrap();
     let seq_bits = {
         let b0 = rec.counter(Counter::EncodeBits);
-        codec.with_exec(ExecPolicy::Sequential).encode(&big).unwrap();
+        codec
+            .with_exec(ExecPolicy::Sequential)
+            .encode(&big)
+            .unwrap();
         rec.counter(Counter::EncodeBits) - b0
     };
     let par_bits = {
         let b0 = rec.counter(Counter::EncodeBits);
-        codec.with_exec(ExecPolicy::Threads(4)).encode(&big).unwrap();
+        codec
+            .with_exec(ExecPolicy::Threads(4))
+            .encode(&big)
+            .unwrap();
         rec.counter(Counter::EncodeBits) - b0
     };
     assert_eq!(seq_bits, par_bits);

@@ -48,7 +48,10 @@ impl fmt::Display for TensorError {
                 "value {value} at flat index {index} does not fit container {dtype}"
             ),
             TensorError::InvalidWidth { bits } => {
-                write!(f, "container width {bits} is outside the supported 1..=16 range")
+                write!(
+                    f,
+                    "container width {bits} is outside the supported 1..=16 range"
+                )
             }
             TensorError::InvalidGroupSize => write!(f, "group size must be non-zero"),
         }

@@ -210,9 +210,7 @@ impl TensorStats {
     /// [`TensorStats::compute`] time.
     #[must_use]
     pub fn group(&self, group_size: usize) -> Option<&GroupStats> {
-        self.groups
-            .iter()
-            .find(|g| g.group_size == group_size)
+        self.groups.iter().find(|g| g.group_size == group_size)
     }
 
     /// Effective width at a precomputed group size (Table 1): average bits
@@ -337,7 +335,10 @@ mod tests {
     fn cdfs_are_monotone_and_end_at_one() {
         let tensor = skewed(500);
         let stats = TensorStats::compute(&tensor, &[16]);
-        for cdf in [stats.value_width_cdf(), stats.group(16).unwrap().width_cdf()] {
+        for cdf in [
+            stats.value_width_cdf(),
+            stats.group(16).unwrap().width_cdf(),
+        ] {
             for pair in cdf.windows(2) {
                 assert!(pair[0] <= pair[1] + 1e-15);
             }

@@ -270,8 +270,8 @@ mod tests {
 
     #[test]
     fn replace_flat_swaps_buffers_and_validates() {
-        let mut t = Tensor::from_vec(Shape::new(vec![2, 2]), FixedType::I16, vec![1, 2, 3, 4])
-            .unwrap();
+        let mut t =
+            Tensor::from_vec(Shape::new(vec![2, 2]), FixedType::I16, vec![1, 2, 3, 4]).unwrap();
         let old = t.replace_flat(FixedType::U8, vec![0, 200, 7]).unwrap();
         assert_eq!(old, vec![1, 2, 3, 4]);
         assert_eq!(t.shape(), &Shape::flat(3));

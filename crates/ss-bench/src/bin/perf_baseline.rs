@@ -34,7 +34,11 @@
 //!    default `NoopRecorder` and again with a collecting `TraceRecorder`
 //!    installed, and fails (exit 1) if even the *enabled* recorder costs
 //!    more than 50% (the disabled path only pays an `enabled()` branch
-//!    per chunk, so it is bounded above by the enabled cost);
+//!    per chunk, so it is bounded above by the enabled cost). The
+//!    recorder installs once per process, so each timing is a child
+//!    process of this binary (`--overhead-pass noop|enabled`); the two
+//!    sides alternate `GATE_PASSES` times and their minima are compared,
+//!    so a busy spell on a shared host lands on both sides alike;
 //! 2. the chunk-index metadata gate — the `Auto`-policy index on the
 //!    pinned tensor must cost at most 0.01 bits/value, a deterministic
 //!    bound (the index is a pure function of the configuration).
@@ -49,6 +53,7 @@
 //! will honestly report ~1x).
 
 use std::io::Write;
+use std::process::Command;
 use std::time::Instant;
 
 use ss_bench::suites::traffic_totals;
@@ -71,6 +76,9 @@ const GATE_REPS: usize = 7;
 /// The enabled recorder may cost at most this fraction extra on the
 /// measure path; the disabled (`NoopRecorder`) cost is strictly below it.
 const GATE_MAX_OVERHEAD: f64 = 0.50;
+/// Child processes per side in the trace overhead gate, alternating
+/// sides (and which side opens each pair).
+const GATE_PASSES: usize = 6;
 /// The `Auto`-policy chunk index on the pinned tensor may cost at most
 /// this many bits of metadata per encoded value. Deterministic: the
 /// index depends only on the configuration, never on the host.
@@ -161,31 +169,76 @@ fn perf_gate_passes(prev: &str, encode_t1_ms: f64, decode_t1_ms: f64, accept: bo
     false
 }
 
-/// `--overhead-gate`: NoopRecorder vs installed-recorder measure timing.
-fn overhead_gate() -> std::io::Result<()> {
+/// `--overhead-pass noop|enabled`: one side of the trace overhead gate,
+/// in a process of its own. Prints the best measure time in ms.
+fn overhead_pass(side: &str) -> std::io::Result<()> {
     let tensor = skewed_tensor();
-    let codec = ShapeShifterCodec::new(GROUP_SIZE);
-    assert!(
-        ss_trace::installed().is_none(),
-        "gate must start with the NoopRecorder"
-    );
-    let seq = codec.with_exec(ExecPolicy::Sequential);
-    // Warm up caches before either timed pass.
+    let seq = ShapeShifterCodec::new(GROUP_SIZE).with_exec(ExecPolicy::Sequential);
+    let enabled = match side {
+        "noop" => false,
+        "enabled" => true,
+        _ => {
+            eprintln!("--overhead-pass takes noop or enabled, not {side:?}");
+            std::process::exit(2);
+        }
+    };
+    if enabled {
+        assert!(ss_trace::install(TraceRecorder::new()), "first install");
+    }
+    // Warm up caches before the timed reps.
     let _ = seq.measure(&tensor);
+    let calls0 = ss_trace::installed().map(|rec| rec.counter(Counter::MeasureCalls));
+    let (ms, _) = best_of_n(GATE_REPS, || seq.measure(&tensor));
+    if let (Some(rec), Some(calls0)) = (ss_trace::installed(), calls0) {
+        assert!(
+            rec.counter(Counter::MeasureCalls) >= calls0 + GATE_REPS as u64,
+            "the enabled pass must actually hit the recorder"
+        );
+    }
+    println!("{ms}");
+    Ok(())
+}
 
-    let (noop_ms, _) = best_of_n(GATE_REPS, || seq.measure(&tensor));
+/// Runs one side of the trace overhead gate in a child process of this
+/// binary and returns its best measure time in ms.
+fn time_pass(side: &str) -> std::io::Result<f64> {
+    let out = Command::new(std::env::current_exe()?)
+        .args(["--overhead-pass", side])
+        .output()?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    match stdout.trim().parse() {
+        Ok(ms) if out.status.success() => Ok(ms),
+        _ => Err(std::io::Error::other(format!(
+            "overhead pass {side} failed ({}): {}{}",
+            out.status,
+            stdout.trim(),
+            String::from_utf8_lossy(&out.stderr).trim()
+        ))),
+    }
+}
+
+/// `--overhead-gate`: NoopRecorder vs installed-recorder measure timing,
+/// then the chunk-index metadata bound.
+fn overhead_gate() -> std::io::Result<()> {
+    let (mut noop_ms, mut enabled_ms) = (f64::INFINITY, f64::INFINITY);
+    for pass in 0..GATE_PASSES {
+        let order = if pass % 2 == 0 {
+            ["noop", "enabled"]
+        } else {
+            ["enabled", "noop"]
+        };
+        for side in order {
+            let ms = time_pass(side)?;
+            if side == "noop" {
+                noop_ms = noop_ms.min(ms);
+            } else {
+                enabled_ms = enabled_ms.min(ms);
+            }
+        }
+    }
     println!(
         "measure, NoopRecorder (default): {noop_ms:>8.2} ms  ({:.1} Mvalues/s)",
         mvalues_per_s(noop_ms)
-    );
-
-    assert!(ss_trace::install(TraceRecorder::new()), "first install");
-    let rec = ss_trace::installed().expect("just installed");
-    let calls0 = rec.counter(Counter::MeasureCalls);
-    let (enabled_ms, _) = best_of_n(GATE_REPS, || seq.measure(&tensor));
-    assert!(
-        rec.counter(Counter::MeasureCalls) >= calls0 + GATE_REPS as u64,
-        "the enabled pass must actually hit the recorder"
     );
     println!(
         "measure, TraceRecorder enabled:  {enabled_ms:>8.2} ms  ({:.1} Mvalues/s)",
@@ -194,7 +247,7 @@ fn overhead_gate() -> std::io::Result<()> {
 
     let overhead = (enabled_ms - noop_ms) / noop_ms.max(1e-9);
     println!(
-        "enabled-recorder overhead: {:+.1}% (gate: <= {:.0}%; disabled path pays one branch per chunk, bounded above by this)",
+        "enabled-recorder overhead: {:+.1}% (gate: <= {:.0}%; minima of {GATE_PASSES} alternating passes a side; disabled path pays one branch per chunk, bounded above by this)",
         overhead * 100.0,
         GATE_MAX_OVERHEAD * 100.0
     );
@@ -207,7 +260,10 @@ fn overhead_gate() -> std::io::Result<()> {
     // Chunk-index metadata gate: the default (`Auto`) policy must keep
     // the index a rounding error next to the stream. This bound is
     // deterministic — same result on every host.
-    let encoded = codec.encode(&tensor).expect("encode");
+    let tensor = skewed_tensor();
+    let encoded = ShapeShifterCodec::new(GROUP_SIZE)
+        .encode(&tensor)
+        .expect("encode");
     let index = encoded
         .index()
         .expect("the pinned tensor is large enough to earn an Auto index");
@@ -228,6 +284,13 @@ fn overhead_gate() -> std::io::Result<()> {
 
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(side) = args
+        .iter()
+        .position(|a| a == "--overhead-pass")
+        .map(|i| args.get(i + 1).map_or("", String::as_str))
+    {
+        return overhead_pass(side);
+    }
     if args.iter().any(|a| a == "--overhead-gate") {
         return overhead_gate();
     }

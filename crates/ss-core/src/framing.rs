@@ -69,12 +69,12 @@ pub(crate) trait GroupLayout: CompressionScheme + fmt::Debug + Send + Sync {
         w: &mut BitWriter,
     ) -> Result<GroupCost, CodecError>;
 
-    /// Reads one group, appending exactly `at.len` values to `out`.
+    /// Reads one group into `out`, which holds exactly `at.len` slots.
     fn read_group(
         s: &mut Scratch,
         r: &mut BitReader<'_>,
         at: GroupAt,
-        out: &mut Vec<i32>,
+        out: &mut [i32],
     ) -> Result<(), CodecError>;
 }
 
@@ -136,19 +136,40 @@ impl Scratch {
         Ok(())
     }
 
+    /// Bits of the `P` field.
+    #[inline]
+    pub(crate) fn prefix_bits(&self) -> u32 {
+        self.prefix_bits
+    }
+
     /// Reads group `group`'s `P` field and bounds the width it declares.
     #[inline]
     pub(crate) fn read_width(&self, r: &mut BitReader<'_>, group: usize) -> Result<u8, CodecError> {
+        let field = r.read_bits(self.prefix_bits)?;
+        self.check_width(field, group)
+    }
+
+    /// The width group `group`'s `P` field declares, if the layout allows
+    /// it: the one place that bounds a declared width.
+    #[inline]
+    pub(crate) fn check_width(&self, field: u64, group: usize) -> Result<u8, CodecError> {
         // ss-lint: allow(truncating-cast) -- prefix field is <= 5 bits wide, value <= 31
-        let width = r.read_bits(self.prefix_bits)? as u8 + 1;
+        let width = field as u8 + 1;
         if width > self.max_width {
-            return Err(CodecError::WidthExceedsContainer {
-                group,
-                width,
-                container: self.max_width,
-            });
+            return Err(self.width_error(group, width));
         }
         Ok(width)
+    }
+
+    /// [`CodecError::WidthExceedsContainer`] for group `group` declaring
+    /// `width`.
+    #[inline]
+    pub(crate) fn width_error(&self, group: usize, width: u8) -> CodecError {
+        CodecError::WidthExceedsContainer {
+            group,
+            width,
+            container: self.max_width,
+        }
     }
 }
 
@@ -392,7 +413,8 @@ fn write_groups<L: GroupLayout>(
     })
 }
 
-/// Decodes a stream written under layout `L` into `out` (cleared first).
+/// Decodes a stream written under layout `L` into `out`, replacing its
+/// contents (on an error they are unspecified).
 ///
 /// Without an index the stream is parsed sequentially and must be
 /// consumed exactly ([`CodecError::TrailingBits`] otherwise). With one —
@@ -401,6 +423,12 @@ fn write_groups<L: GroupLayout>(
 /// [`par::par_map_with`] workers, each confined to its own span, which it
 /// must consume exactly ([`CodecError::IndexChunkMismatch`] otherwise).
 /// Both give the same values on well-formed input.
+///
+/// The output is sized once per stream (and each span's once per span),
+/// after [`check_frame`] has bounded the element count by the stream, and
+/// the group readers fill it in place. Every reader writes each slot of
+/// its group, so slots `out` already holds are overwritten, not zeroed
+/// first: a reused scratch buffer is zero-filled only where it grows.
 pub(crate) fn read_stream<L: GroupLayout>(
     bytes: &[u8],
     frame: &StreamFrame,
@@ -408,16 +436,16 @@ pub(crate) fn read_stream<L: GroupLayout>(
     threads: usize,
     out: &mut Vec<i32>,
 ) -> Result<(), CodecError> {
-    out.clear();
     checked_group_size(frame.group_size)?;
     check_frame(bytes, frame)?;
     let index = index.filter(|_| L::INDEXED);
     match index {
         None => {
             let mut r = BitReader::with_bit_len(bytes, frame.bit_len);
-            out.reserve(frame.len);
+            out.truncate(frame.len);
+            out.resize(frame.len, 0);
             let mut s = Scratch::new::<L>(frame.dtype);
-            read_groups::<L>(&mut s, &mut r, frame.group_size, frame.len, 0, out)?;
+            read_groups::<L>(&mut s, &mut r, frame.group_size, 0, out)?;
             if !r.is_at_end() {
                 return Err(CodecError::TrailingBits {
                     remaining: r.remaining_bits(),
@@ -438,10 +466,9 @@ pub(crate) fn read_stream<L: GroupLayout>(
                         .map_or(frame.bit_len, |e| e.bit_offset);
                     let mut r = BitReader::with_bit_range(bytes, entry.bit_offset, end)?;
                     // ss-lint: allow(truncating-cast) -- validate() bounds each count by len: usize
-                    let values = entry.values as usize;
-                    let mut part = Vec::with_capacity(values);
+                    let mut part = vec![0; entry.values as usize];
                     let first_group = chunk * index.chunk_groups();
-                    read_groups::<L>(s, &mut r, frame.group_size, values, first_group, &mut part)?;
+                    read_groups::<L>(s, &mut r, frame.group_size, first_group, &mut part)?;
                     if !r.is_at_end() {
                         return Err(CodecError::IndexChunkMismatch {
                             chunk,
@@ -452,6 +479,7 @@ pub(crate) fn read_stream<L: GroupLayout>(
                     Ok(part)
                 },
             );
+            out.clear();
             out.reserve(frame.len);
             for part in parts {
                 out.append(&mut part?);
@@ -470,27 +498,25 @@ pub(crate) fn read_stream<L: GroupLayout>(
     Ok(())
 }
 
-/// The one decode group loop: reads `count` values' worth of groups,
-/// the first of them the stream's group `first_group`, appending to
-/// `out`. Every chunk before `first_group` holds full groups (validated
-/// for indexed spans), so a group's first value sits at
-/// `group * group_size` in the stream.
+/// The one decode group loop: fills `out` with groups, the first of them
+/// the stream's group `first_group`. Every chunk before `first_group`
+/// holds full groups (validated for indexed spans), so a group's first
+/// value sits at `group * group_size` in the stream.
 fn read_groups<L: GroupLayout>(
     s: &mut Scratch,
     r: &mut BitReader<'_>,
     group_size: usize,
-    count: usize,
     first_group: usize,
-    out: &mut Vec<i32>,
+    out: &mut [i32],
 ) -> Result<(), CodecError> {
-    for g in 0..count.div_ceil(group_size) {
+    for (g, group) in out.chunks_mut(group_size).enumerate() {
         let index = first_group + g;
         let at = GroupAt {
-            len: group_size.min(count - g * group_size),
+            len: group.len(),
             index,
             first_value: index * group_size,
         };
-        L::read_group(s, r, at, out)?;
+        L::read_group(s, r, at, group)?;
     }
     Ok(())
 }

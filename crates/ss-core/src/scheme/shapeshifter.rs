@@ -1,12 +1,10 @@
 //! ShapeShifter as an off-chip compression scheme (the paper's first
 //! hardware technique, §3).
 
-use ss_bitio::{BitReader, BitWriter};
+use ss_bitio::{BitIoError, BitReader, BitWriter, WINDOW_WORDS};
 use ss_tensor::{FixedType, Tensor, TensorStats};
 
-use crate::framing::{
-    decode_field, read_bitvec, write_bitvec, GroupAt, GroupCost, GroupLayout, Scratch,
-};
+use crate::framing::{write_bitvec, GroupAt, GroupCost, GroupLayout, Scratch};
 use crate::registry::SchemeId;
 use crate::scheme::{CompressionScheme, SchemeCtx};
 use crate::{checked, kernels, CodecError, ShapeShifterCodec, WidthDetector};
@@ -109,52 +107,139 @@ impl GroupLayout for ShapeShifterScheme {
         })
     }
 
-    /// Payloads are read in bulk: the `Z` popcount gives the exact number
-    /// of equal-width fields in the group, which `BitReader::read_fields`
-    /// extracts with one unaligned load each; the scatter pass then
-    /// interleaves them with the elided zeros, refusing in stream order a
-    /// payload that decodes to zero. No range test is needed: `read_width`
-    /// bounds `P` by the container width, and a field of at most that many
-    /// bits always decodes inside the container's range.
+    /// The paper's L1 dispatcher and L2 expander in software: one
+    /// [`BitReader::window`] holds the group's `Z` and `P` fields and, for
+    /// a group of up to 16 values, its whole payload, so such a group costs
+    /// one window load and two checked advances (`Z` with `P`, then the
+    /// payload run). The `Z` popcount sizes the payload run, which is
+    /// checked in full before any field is read; [`kernels::expand_block`]
+    /// then fills the slots 16 at a time. The first block's payload comes
+    /// from the first window when the header leaves room for it; any other
+    /// block takes a window of its own at its payload's start.
+    ///
+    /// The checks and errors are the per-field reader's, in its order:
+    /// `UnexpectedEnd` for `Z` (in pieces of at most 64 bits), `P` and the
+    /// payload run, `WidthExceedsContainer`, then `CorruptValue` for the
+    /// first payload in stream order that decodes to zero. No range test
+    /// is needed: a field of at most the container's width always decodes
+    /// inside the container's range.
     #[inline]
     fn read_group(
         s: &mut Scratch,
         r: &mut BitReader<'_>,
         at: GroupAt,
-        out: &mut Vec<i32>,
+        out: &mut [i32],
     ) -> Result<(), CodecError> {
-        let signed = s.signed;
-        let zeros = read_bitvec(r, at.len, &mut s.bits)?;
-        let p = s.read_width(r, at.index)?;
-        let payloads = at.len - zeros.min(at.len);
-        let slots = s.fields.get_mut(..payloads).unwrap_or(&mut []);
-        r.read_fields(u32::from(p), slots)?;
-        let mut next = slots.iter();
-        // Zeros are written up front; the loop fills in the payloads.
-        let first = out.len();
-        out.resize(first + at.len, 0);
-        let group = out.get_mut(first..).unwrap_or(&mut []);
-        for (c, (chunk, &word)) in group.chunks_mut(64).zip(&s.bits).enumerate() {
-            for (bit, slot) in chunk.iter_mut().enumerate() {
-                if word >> bit & 1 == 1 {
-                    continue;
-                }
-                // The popcount above sized the run to the exact number of
-                // clear bits, so the iterator cannot run dry.
-                let raw = next.next().copied().unwrap_or(0);
-                let v = decode_field(signed, raw);
-                let index = at.first_value + c * 64 + bit;
-                if v == 0 {
-                    // A payload slot decoding to zero is corrupt: zeros
-                    // travel in Z, never in the payload.
-                    return Err(CodecError::CorruptValue { index, value: v });
-                }
-                checked::canonical_payload(raw, v, p, signed, index);
-                *slot = v;
-            }
+        let window = r.window();
+        let prefix_bits = s.prefix_bits();
+        advance_header(r, at.len, prefix_bits)?;
+        let p = s.check_width(
+            kernels::window_field(&window, at.len, prefix_bits),
+            at.index,
+        )?;
+        let payloads = at.len - kernels::window_ones(&window, at.len);
+        let header = at.len + prefix_bits as usize;
+        // The first window holds the first block's payload whenever the
+        // header leaves a 256-bit run after it; a block that starts past
+        // it takes a window of its own from where the payload starts.
+        let from_window = header < 64;
+        let payload_start = (!from_window || at.len > kernels::BLOCK).then(|| r.clone());
+        r.advance(payloads as u64 * u64::from(p))?;
+        let (first, later) = out.split_at_mut(at.len.min(kernels::BLOCK));
+        let fields = match &payload_start {
+            Some(start) if !from_window => next_run(start),
+            _ => kernels::window_run(&window, header),
+        };
+        let consumed = read_block(s, p, &window, &fields, at, 0, first)?;
+        if let Some(mut run) = payload_start {
+            run.advance(consumed)?;
+            read_later_blocks(s, p, &window, run, at, later)?;
         }
-        checked::group_invariants(&s.bits, at.len, payloads, p, s.dtype.bits(), at.index);
+        let z = kernels::window_bitvec(&window, at.len);
+        checked::group_invariants(&z, at.len, payloads, p, s.dtype.bits(), at.index);
         Ok(())
+    }
+}
+
+/// Expands block `b` of a group (16 slots from slot `16 b`) from its
+/// payload run, returning the payload bits it consumed.
+#[inline(always)]
+fn read_block(
+    s: &Scratch,
+    p: u8,
+    window: &[u64; WINDOW_WORDS],
+    fields: &kernels::PayloadRun,
+    at: GroupAt,
+    b: usize,
+    block: &mut [i32],
+) -> Result<u64, CodecError> {
+    let first = b * kernels::BLOCK;
+    // ss-lint: allow(truncating-cast) -- a block's Z bits are 16 wide
+    let zeros = kernels::window_field(window, first, 16) as u32;
+    let expanded = kernels::expand_block(p, s.signed, zeros, fields, at.first_value + first, block)
+        .ok_or_else(|| s.width_error(at.index, p))?;
+    if expanded.zero_payload {
+        return Err(zero_payload(block, zeros, at.first_value + first));
+    }
+    Ok(expanded.payloads as u64 * u64::from(p))
+}
+
+/// Blocks 1 and up of a group of more than 16 values, each from a window
+/// at its own payload start: `run` is positioned at block 1's.
+#[inline(never)]
+fn read_later_blocks(
+    s: &Scratch,
+    p: u8,
+    window: &[u64; WINDOW_WORDS],
+    mut run: BitReader<'_>,
+    at: GroupAt,
+    blocks: &mut [i32],
+) -> Result<(), CodecError> {
+    for (b, block) in blocks.chunks_mut(kernels::BLOCK).enumerate() {
+        let consumed = read_block(s, p, window, &next_run(&run), at, b + 1, block)?;
+        run.advance(consumed)?;
+    }
+    Ok(())
+}
+
+/// The payload run at `run`'s position, from a window of its own.
+#[inline(never)]
+fn next_run(run: &BitReader<'_>) -> kernels::PayloadRun {
+    kernels::window_run(&run.window(), 0)
+}
+
+/// Moves `r` past a group's `Z` and `P` fields, `len` and `prefix_bits`
+/// bits.
+#[inline]
+fn advance_header(r: &mut BitReader<'_>, len: usize, prefix_bits: u32) -> Result<(), BitIoError> {
+    r.advance(len as u64 + u64::from(prefix_bits))
+        .or_else(|_| header_end(r, len, prefix_bits))
+}
+
+/// The error for a stream too short for a group's `Z` and `P` fields,
+/// refused as the per-field reader refused it: `Z` in pieces of at most
+/// 64 bits, then `P`.
+#[cold]
+#[inline(never)]
+fn header_end(r: &mut BitReader<'_>, len: usize, prefix_bits: u32) -> Result<(), BitIoError> {
+    for start in (0..len).step_by(64) {
+        r.advance((len - start).min(64) as u64)?;
+    }
+    r.advance(u64::from(prefix_bits))
+}
+
+/// The error for a block whose payload holds a zero: `CorruptValue` at
+/// the first payload slot, in stream order, that decoded to zero. `first`
+/// is the stream index of the block's first slot.
+#[cold]
+#[inline(never)]
+fn zero_payload(block: &[i32], zeros: u32, first: usize) -> CodecError {
+    let slot = (0..block.len())
+        .position(|j| zeros >> j & 1 == 0 && block.get(j) == Some(&0))
+        .unwrap_or(0);
+    CodecError::CorruptValue {
+        index: first + slot,
+        value: 0,
     }
 }
 
@@ -181,6 +266,7 @@ impl CompressionScheme for ShapeShifterScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::decode_field;
     use ss_tensor::{FixedType, Shape};
 
     fn t(vals: Vec<i32>) -> Tensor {

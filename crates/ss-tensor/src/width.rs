@@ -173,6 +173,10 @@ pub fn to_sign_magnitude(value: i32) -> u32 {
 /// `0`, so encoding is not injective at zero — the codec never emits it
 /// because zeros are elided.
 ///
+/// Branch-free: the sign bit becomes a mask `s` of all ones or all zeros,
+/// and `(mag ^ s) - s` negates under the mask, so a loop over fields can
+/// run in vector lanes.
+///
 /// # Examples
 ///
 /// ```
@@ -181,14 +185,13 @@ pub fn to_sign_magnitude(value: i32) -> u32 {
 /// assert_eq!(from_sign_magnitude(0b1010), 5);
 /// assert_eq!(from_sign_magnitude(0b1011), -5);
 /// ```
+#[inline]
 #[must_use]
 pub fn from_sign_magnitude(encoded: u32) -> i32 {
+    // The magnitude has 31 bits, so neither it nor its negation overflows.
     let mag = (encoded >> 1) as i32;
-    if encoded & 1 == 1 {
-        -mag
-    } else {
-        mag
-    }
+    let s = -((encoded & 1) as i32);
+    (mag ^ s) - s
 }
 
 /// Average effective width over `values` when grouped in `group_size`
@@ -310,6 +313,25 @@ mod tests {
     fn sign_magnitude_roundtrip() {
         for v in [-32767, -128, -1, 0, 1, 7, 127, 32767] {
             assert_eq!(from_sign_magnitude(to_sign_magnitude(v)), v, "value {v}");
+        }
+    }
+
+    #[test]
+    fn from_sign_magnitude_matches_the_branching_form() {
+        fn branching(encoded: u32) -> i32 {
+            let mag = (encoded >> 1) as i32;
+            if encoded & 1 == 1 {
+                -mag
+            } else {
+                mag
+            }
+        }
+        for encoded in (0..1u32 << 18).chain(u32::MAX - (1 << 10)..=u32::MAX) {
+            assert_eq!(
+                from_sign_magnitude(encoded),
+                branching(encoded),
+                "{encoded:#x}"
+            );
         }
     }
 

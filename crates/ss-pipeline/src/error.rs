@@ -49,7 +49,10 @@ impl fmt::Display for PipelineError {
                 write!(f, "codec failure on tensor {index}: {source}")
             }
             PipelineError::RoundTripMismatch { index } => {
-                write!(f, "round-trip mismatch on tensor {index}: decode(encode(t)) != t")
+                write!(
+                    f,
+                    "round-trip mismatch on tensor {index}: decode(encode(t)) != t"
+                )
             }
             PipelineError::MeasureMismatch { index } => {
                 write!(

@@ -221,7 +221,10 @@ mod tests {
         assert_eq!(ab.values, 20);
         assert_eq!(ab.stream_bits, 120);
         assert_eq!(ab.metadata_bits + ab.payload_bits, ab.stream_bits);
-        assert_ne!(ab.stream_hash, ba.stream_hash, "hash must be order-sensitive");
+        assert_ne!(
+            ab.stream_hash, ba.stream_hash,
+            "hash must be order-sensitive"
+        );
     }
 
     #[test]

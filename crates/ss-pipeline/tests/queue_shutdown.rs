@@ -103,7 +103,10 @@ fn run_schedule(seed: u64) -> (u64, u64, u64, u64, u64) {
                 // pop() returned None: the queue must be closed AND
                 // empty — a consumer exiting with items still queued
                 // would be exactly the silent drop this suite hunts.
-                assert!(queue.is_closed(), "seed {seed}: consumer exited before close");
+                assert!(
+                    queue.is_closed(),
+                    "seed {seed}: consumer exited before close"
+                );
                 live_consumers.fetch_sub(1, Ordering::SeqCst);
             });
         }
@@ -115,7 +118,10 @@ fn run_schedule(seed: u64) -> (u64, u64, u64, u64, u64) {
         });
     });
 
-    assert!(queue.is_empty(), "seed {seed}: items left behind after drain");
+    assert!(
+        queue.is_empty(),
+        "seed {seed}: items left behind after drain"
+    );
     assert_eq!(live_consumers.load(Ordering::SeqCst), 0);
     (
         pushed_count.load(Ordering::SeqCst),

@@ -105,12 +105,7 @@ mod tests {
         // lanes keep SStripes at or ahead of Stripes on every layer shape.
         let ss = SStripes::new();
         let st = Stripes::new();
-        for (eff, prof, wprof) in [
-            (5.0, 10u8, 9u8),
-            (1.0, 16, 12),
-            (7.9, 8, 8),
-            (15.9, 16, 8),
-        ] {
+        for (eff, prof, wprof) in [(5.0, 10u8, 9u8), (1.0, 16, 12), (7.9, 8, 8), (15.9, 16, 8)] {
             let mut sig = conv16();
             sig.act_eff_sync = eff;
             sig.act_profiled = prof;
@@ -161,12 +156,8 @@ mod tests {
         let sig = conv16(); // wgt_profiled 9 > 8 -> halved
         let mut narrow = sig;
         narrow.wgt_profiled = 7;
-        assert_eq!(
-            SStripes::new().effective_lanes(&narrow),
-            16 * 16 * 28 * 16
-        );
-        let ratio = SStripes::new().effective_lanes(&narrow) as f64
-            / Stripes::new().lanes() as f64;
+        assert_eq!(SStripes::new().effective_lanes(&narrow), 16 * 16 * 28 * 16);
+        let ratio = SStripes::new().effective_lanes(&narrow) as f64 / Stripes::new().lanes() as f64;
         assert!((ratio - 1.75).abs() < 1e-12);
     }
 
@@ -196,6 +187,9 @@ mod tests {
         let stripes_cycles = st.compute_cycles(&sig); // 8 cycles/group
         let sstripes_cycles = ss.compute_cycles(&sig); // 5 cycles/group, more lanes
         let speedup = stripes_cycles as f64 / sstripes_cycles as f64;
-        assert!((speedup - (8.0 / 5.0) * 1.75).abs() < 0.05, "speedup {speedup}");
+        assert!(
+            (speedup - (8.0 / 5.0) * 1.75).abs() < 0.05,
+            "speedup {speedup}"
+        );
     }
 }

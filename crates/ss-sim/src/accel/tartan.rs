@@ -129,7 +129,9 @@ mod tests {
         sig.wgt_eff_sync = 4.0;
         let base = Tartan::new();
         let ss = Tartan::with_shapeshifter();
-        assert!((base.compute_cycles(&sig) as f64 / ss.compute_cycles(&sig) as f64 - 2.0).abs() < 0.01);
+        assert!(
+            (base.compute_cycles(&sig) as f64 / ss.compute_cycles(&sig) as f64 - 2.0).abs() < 0.01
+        );
         assert_eq!(ss.name(), "SS-Tartan");
     }
 }

@@ -38,7 +38,7 @@ pub fn fused_traffic_bits(
     let mut start = 0usize;
     while start < num_layers {
         let end = (start + fuse_depth).min(num_layers); // exclusive
-        // Chain input.
+                                                        // Chain input.
         let act_in = model.input_tensor(start, input_seed);
         traffic += scheme.compressed_bits(
             &act_in,
@@ -47,8 +47,8 @@ pub fn fused_traffic_bits(
         // All weights of the chain.
         for i in start..end {
             let w = model.weight_tensor(i, MODEL_SEED);
-            traffic += scheme
-                .compressed_bits(&w, &SchemeCtx::profiled(model.profiled_wgt_width(i)));
+            traffic +=
+                scheme.compressed_bits(&w, &SchemeCtx::profiled(model.profiled_wgt_width(i)));
         }
         // Chain output.
         let last = end - 1;
@@ -133,8 +133,8 @@ mod tests {
         // per layer.
         let direct: u64 = (0..net.layers().len())
             .map(|i| {
-                use ss_core::scheme::CompressionScheme as _;
                 use crate::workload::TensorSource as _;
+                use ss_core::scheme::CompressionScheme as _;
                 let ctx_a = SchemeCtx::profiled(net.profiled_act_width(i));
                 let ctx_w = SchemeCtx::profiled(net.profiled_wgt_width(i));
                 let ctx_o = SchemeCtx::profiled(

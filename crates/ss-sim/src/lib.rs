@@ -36,9 +36,9 @@ pub mod energy;
 mod error;
 pub mod fusion;
 pub mod mem;
+pub mod sim;
 pub mod sip;
 pub mod tile;
-pub mod sim;
 pub mod workload;
 
 pub use accel::Accelerator;

@@ -251,9 +251,7 @@ mod tests {
             DramConfig::DDR4_2400.bandwidth_bytes_per_sec(),
             38_400_000_000
         );
-        assert!(
-            DramConfig::DDR4_3200.bits_per_cycle(1_000_000_000) > 400.0
-        );
+        assert!(DramConfig::DDR4_3200.bits_per_cycle(1_000_000_000) > 400.0);
     }
 
     #[test]
@@ -293,17 +291,23 @@ mod tests {
     #[test]
     fn one_resident_operand_means_single_pass() {
         let b = BufferConfig::symmetric(1024); // 8192 bits each
-        // Weights oversized but activations resident: weights stream once.
-        assert_eq!(LayerPasses::for_layer(&b, 100, 32_768), LayerPasses::single());
+                                               // Weights oversized but activations resident: weights stream once.
+        assert_eq!(
+            LayerPasses::for_layer(&b, 100, 32_768),
+            LayerPasses::single()
+        );
         // Mirror case.
-        assert_eq!(LayerPasses::for_layer(&b, 32_768, 100), LayerPasses::single());
+        assert_eq!(
+            LayerPasses::for_layer(&b, 32_768, 100),
+            LayerPasses::single()
+        );
     }
 
     #[test]
     fn neither_fits_forces_rereads_of_the_smaller() {
         let b = BufferConfig::symmetric(1024); // 8192-bit caps
-        // acts 16384, wgts 32768: WS re-reads acts x4 (traffic 98304);
-        // AS re-reads wgts x2 (traffic 81920) -> AS wins.
+                                               // acts 16384, wgts 32768: WS re-reads acts x4 (traffic 98304);
+                                               // AS re-reads wgts x2 (traffic 81920) -> AS wins.
         let p = LayerPasses::for_layer(&b, 16_384, 32_768);
         assert_eq!(p.act_reads, 1);
         assert_eq!(p.wgt_reads, 2);
@@ -312,9 +316,9 @@ mod tests {
     #[test]
     fn picks_the_cheaper_orientation() {
         let b = BufferConfig::symmetric(1024); // 8192-bit caps
-        // Both oversized: acts 16384 bits, weights 81920 bits.
-        // WS: acts x10 + weights x1 = 245760; AS: acts x1 + weights x2 =
-        // 180224 -> activation-stationary wins.
+                                               // Both oversized: acts 16384 bits, weights 81920 bits.
+                                               // WS: acts x10 + weights x1 = 245760; AS: acts x1 + weights x2 =
+                                               // 180224 -> activation-stationary wins.
         let p = LayerPasses::for_layer(&b, 16_384, 81_920);
         assert_eq!(p.act_reads, 1);
         assert_eq!(p.wgt_reads, 2);
@@ -323,8 +327,8 @@ mod tests {
     #[test]
     fn onchip_compression_defers_the_tiling_cliff() {
         let b = BufferConfig::symmetric(1024); // 8192-bit caps
-        // Both operands at 12288 bits: raw storage tiles, 0.6-ratio
-        // compressed storage fits both.
+                                               // Both operands at 12288 bits: raw storage tiles, 0.6-ratio
+                                               // compressed storage fits both.
         let raw = LayerPasses::for_layer(&b, 12_288, 12_288);
         assert_ne!(raw, LayerPasses::single());
         let packed = LayerPasses::for_layer_with_onchip_ratio(&b, 12_288, 12_288, 0.6, 0.6);

@@ -213,10 +213,7 @@ mod tests {
             let spent = early.process_group_dynamic(a.values());
             assert_eq!(full.accumulator(), early.accumulator(), "seed {seed}");
             assert!(spent <= 16);
-            assert_eq!(
-                spent,
-                width::group_width(a.values(), Signedness::Unsigned)
-            );
+            assert_eq!(spent, width::group_width(a.values(), Signedness::Unsigned));
         }
     }
 

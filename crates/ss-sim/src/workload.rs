@@ -158,18 +158,14 @@ impl TensorSource for QuantizedNetwork {
             ss_quant::QuantMethod::Tensorflow => 8,
             // RA shifts so the profile just fits: narrow layers keep their
             // narrow profile.
-            ss_quant::QuantMethod::RangeAware => {
-                self.profile().act_widths()[layer].min(8)
-            }
+            ss_quant::QuantMethod::RangeAware => self.profile().act_widths()[layer].min(8),
         }
     }
 
     fn profiled_wgt_width(&self, layer: usize) -> u8 {
         match self.method() {
             ss_quant::QuantMethod::Tensorflow => 8,
-            ss_quant::QuantMethod::RangeAware => {
-                self.profile().wgt_widths()[layer].min(8)
-            }
+            ss_quant::QuantMethod::RangeAware => self.profile().wgt_widths()[layer].min(8),
         }
     }
 }

@@ -107,13 +107,9 @@ impl ConvProblem {
                 for x in 0..o {
                     let window = self.window(y, x);
                     let mut acc = 0i64;
-                    for (wchunk, achunk) in
-                        filter.chunks(SIP_LANES).zip(window.chunks(SIP_LANES))
-                    {
-                        let bits = ss_tensor::width::group_width(
-                            achunk,
-                            ss_tensor::Signedness::Unsigned,
-                        );
+                    for (wchunk, achunk) in filter.chunks(SIP_LANES).zip(window.chunks(SIP_LANES)) {
+                        let bits =
+                            ss_tensor::width::group_width(achunk, ss_tensor::Signedness::Unsigned);
                         cycles += u64::from(bits);
                         if use_composer {
                             acc += compose(wchunk, achunk, bits);

@@ -64,22 +64,18 @@ fn sstripes_dominates_stripes_and_sstartan_dominates_tartan() {
         let cached = Cached::new(&net);
         let stripes = simulate(&cached, &Stripes::new(), &ProfileScheme, &cfg, 1);
         let sstripes = simulate(&cached, &SStripes::new(), &scheme, &cfg, 1);
-        assert!(
-            sstripes.speedup_over(&stripes) >= 1.0,
-            "{}",
-            net.name()
-        );
+        assert!(sstripes.speedup_over(&stripes) >= 1.0, "{}", net.name());
         let tartan = simulate(&cached, &Tartan::new(), &ProfileScheme, &cfg, 1);
         let sstartan = simulate(&cached, &Tartan::with_shapeshifter(), &scheme, &cfg, 1);
-        assert!(
-            sstartan.speedup_over(&tartan) >= 1.0,
-            "{}",
-            net.name()
-        );
+        assert!(sstartan.speedup_over(&tartan) >= 1.0, "{}", net.name());
         // Tartan never loses to Stripes (it only changes FC behaviour,
         // always for the better when weight profiles are narrower than
         // the full container).
-        assert!(tartan.total_cycles() <= stripes.total_cycles(), "{}", net.name());
+        assert!(
+            tartan.total_cycles() <= stripes.total_cycles(),
+            "{}",
+            net.name()
+        );
     }
 }
 
@@ -90,9 +86,8 @@ fn scnn_gains_track_sparsity() {
     let cfg = SimConfig::with_dram(DramConfig::new(100_000, 8));
     let dense = zoo::alexnet().scaled_down(8);
     let sparse = zoo::alexnet_s().scaled_down(8);
-    let cycles = |net: &ss_models::Network| {
-        simulate(net, &Scnn::new(), &Base, &cfg, 1).total_cycles()
-    };
+    let cycles =
+        |net: &ss_models::Network| simulate(net, &Scnn::new(), &Base, &cfg, 1).total_cycles();
     assert!(cycles(&sparse) < cycles(&dense));
 }
 
@@ -132,16 +127,18 @@ fn bitfusion_prefers_low_precision_profiles() {
 fn energy_components_are_all_accounted() {
     let net = zoo::vgg_s().scaled_down(8);
     let cfg = SimConfig::default();
-    let run = simulate(&net, &SStripes::new(), &ShapeShifterScheme::default(), &cfg, 1);
+    let run = simulate(
+        &net,
+        &SStripes::new(),
+        &ShapeShifterScheme::default(),
+        &cfg,
+        1,
+    );
     let e = run.total_energy();
     assert!(e.dram_pj > 0.0);
     assert!(e.sram_pj > 0.0);
     assert!(e.compute_pj > 0.0);
-    let sum = run
-        .layers
-        .iter()
-        .map(|l| l.energy.total_pj())
-        .sum::<f64>();
+    let sum = run.layers.iter().map(|l| l.energy.total_pj()).sum::<f64>();
     assert!((sum - e.total_pj()).abs() < 1e-6 * sum.max(1.0));
 }
 
@@ -151,7 +148,13 @@ fn traffic_is_scheme_dependent_but_compute_is_not() {
     let cfg = SimConfig::default();
     let cached = Cached::new(&net);
     let a = simulate(&cached, &Stripes::new(), &Base, &cfg, 1);
-    let b = simulate(&cached, &Stripes::new(), &ShapeShifterScheme::default(), &cfg, 1);
+    let b = simulate(
+        &cached,
+        &Stripes::new(),
+        &ShapeShifterScheme::default(),
+        &cfg,
+        1,
+    );
     for (x, y) in a.layers.iter().zip(&b.layers) {
         assert_eq!(x.compute_cycles, y.compute_cycles);
         assert!(y.traffic_bits <= x.traffic_bits);

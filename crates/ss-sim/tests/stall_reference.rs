@@ -11,10 +11,10 @@
 //! all call.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use ss_core::scheme::{Base, ShapeShifterScheme};
 use ss_sim::accel::{DaDianNao, SStripes};
 use ss_sim::sim::simulate;
 use ss_sim::{stall_cycles, DramConfig, LayerResult, RunResult, SimConfig};
-use ss_core::scheme::{Base, ShapeShifterScheme};
 use ss_trace::{Counter, TraceRecorder};
 
 /// The naive reference: walk the layers once, recomputing every stall
@@ -78,7 +78,10 @@ fn check_against_reference(run: &RunResult, cfg: &SimConfig) {
     assert_eq!(run.total_cycles(), r.total_compute + r.total_stall);
     assert_eq!(
         r.total_stall,
-        run.layers.iter().map(LayerResult::stall_cycles).sum::<u64>()
+        run.layers
+            .iter()
+            .map(LayerResult::stall_cycles)
+            .sum::<u64>()
     );
 }
 
@@ -96,13 +99,22 @@ fn stall_accounting_matches_naive_reference_model() {
 
     // Default DRAM: a mix of compute- and memory-bound layers.
     let cfg = SimConfig::default();
-    let mixed = simulate(&net, &SStripes::new(), &ShapeShifterScheme::default(), &cfg, 1);
+    let mixed = simulate(
+        &net,
+        &SStripes::new(),
+        &ShapeShifterScheme::default(),
+        &cfg,
+        1,
+    );
     check_against_reference(&mixed, &cfg);
 
     // Repricing under a different DRAM uses the same stall definition:
     // the repriced run must satisfy the reference too, and match a fresh
     // simulation exactly.
-    let repriced = mixed.with_dram(DramConfig::DDR4_2133, &SimConfig::with_dram(DramConfig::DDR4_2133));
+    let repriced = mixed.with_dram(
+        DramConfig::DDR4_2133,
+        &SimConfig::with_dram(DramConfig::DDR4_2133),
+    );
     check_against_reference(&repriced, &SimConfig::with_dram(DramConfig::DDR4_2133));
     let direct = simulate(
         &net,

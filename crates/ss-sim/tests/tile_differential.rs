@@ -10,7 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ss_models::ValueGen;
-use ss_sim::tile::{sstripes_step, stripes_step, tile_cycles, ConvGeometry, SIP_CHANNELS, TILE_ROWS};
+use ss_sim::tile::{
+    sstripes_step, stripes_step, tile_cycles, ConvGeometry, SIP_CHANNELS, TILE_ROWS,
+};
 use ss_tensor::{FixedType, Tensor};
 
 /// Per-step width paid by the brute-force walk: `None` = SStripes (worst

@@ -129,7 +129,10 @@ impl fmt::Display for StoreError {
                 write!(f, "model {model:?} has no shards in the storage backend")
             }
             StoreError::LengthOverflow { field, value } => {
-                write!(f, "{field} declares {value}, which overflows this target's usize")
+                write!(
+                    f,
+                    "{field} declares {value}, which overflows this target's usize"
+                )
             }
             StoreError::Container(e) => write!(f, "record payload: {e}"),
             StoreError::Codec(e) => write!(f, "codec: {e}"),

@@ -161,7 +161,9 @@ impl RecordMeta {
             reason,
         };
         if bytes.len() < 2 {
-            return Err(corrupt("record metadata shorter than its name length".into()));
+            return Err(corrupt(
+                "record metadata shorter than its name length".into(),
+            ));
         }
         let name_len = usize::from(u16::from_le_bytes([bytes[0], bytes[1]]));
         if name_len == 0 || name_len > MAX_NAME_LEN {
@@ -182,7 +184,9 @@ impl RecordMeta {
             .to_string();
         let mut at = 2 + name_len;
         let layer = u32::from_le_bytes(
-            bytes[at..at + 4].try_into().map_err(|_| corrupt("short layer field".into()))?,
+            bytes[at..at + 4]
+                .try_into()
+                .map_err(|_| corrupt("short layer field".into()))?,
         );
         at += 4;
         let bits = bytes[at];
@@ -191,7 +195,9 @@ impl RecordMeta {
             0 => FixedType::unsigned(bits),
             1 => FixedType::signed(bits),
             s => {
-                return Err(corrupt(format!("record signedness byte {s} is neither 0 nor 1")));
+                return Err(corrupt(format!(
+                    "record signedness byte {s} is neither 0 nor 1"
+                )));
             }
         }
         .map_err(|e| corrupt(format!("record container type: {e}")))?;
@@ -261,7 +267,9 @@ pub struct RecordEntry {
 #[must_use]
 pub fn header(shard_no: u16) -> [u8; HEADER_LEN] {
     let n = shard_no.to_le_bytes();
-    [MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], VERSION, 0, n[0], n[1]]
+    [
+        MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], VERSION, 0, n[0], n[1],
+    ]
 }
 
 /// Parses and validates a shard header, returning the shard number.
@@ -319,13 +327,19 @@ pub fn parse_footer(tail: &[u8], shard: &str) -> Result<(u64, u32), StoreError> 
         )));
     }
     if tail[12..16] != TAIL_MAGIC {
-        return Err(corrupt("tail magic missing — shard truncated or overwritten".into()));
+        return Err(corrupt(
+            "tail magic missing — shard truncated or overwritten".into(),
+        ));
     }
     let index_len = u64::from_le_bytes(
-        tail[0..8].try_into().map_err(|_| corrupt("short index-length field".into()))?,
+        tail[0..8]
+            .try_into()
+            .map_err(|_| corrupt("short index-length field".into()))?,
     );
     let shard_crc = u32::from_le_bytes(
-        tail[8..12].try_into().map_err(|_| corrupt("short shard-CRC field".into()))?,
+        tail[8..12]
+            .try_into()
+            .map_err(|_| corrupt("short shard-CRC field".into()))?,
     );
     Ok((index_len, shard_crc))
 }
@@ -438,7 +452,9 @@ fn split_record_block<'a>(
         });
     }
     let meta_len = usize::try_from(u32::from_le_bytes(
-        block[0..4].try_into().map_err(|_| corrupt("short metadata length".into()))?,
+        block[0..4]
+            .try_into()
+            .map_err(|_| corrupt("short metadata length".into()))?,
     ))
     .map_err(|_| StoreError::LengthOverflow {
         field: "record metadata length",
@@ -486,7 +502,15 @@ const BYTE_BITS: u32 = 8;
 /// Smallest possible serialized entry (1-byte name), used to bound a
 /// hostile entry count before allocating.
 const MIN_ENTRY_BYTES: u64 = (OFFSET_BITS as u64 * 2 + CRC_BITS as u64 + NAME_LEN_BITS as u64) / 8
-    + 2 + 1 + 4 + 1 + 1 + 1 + 2 + 8 + 8; // placement fields + metadata with a 1-byte name
+    + 2
+    + 1
+    + 4
+    + 1
+    + 1
+    + 1
+    + 2
+    + 8
+    + 8; // placement fields + metadata with a 1-byte name
 
 /// Serializes the end-of-file record index.
 ///
@@ -501,16 +525,22 @@ pub fn index_to_bytes(entries: &[RecordEntry]) -> Result<Vec<u8>, StoreError> {
         reason: "index serialization overflowed the bit writer".to_string(),
     };
     let mut w = BitWriter::new();
-    w.write_bits(entries.len() as u64, COUNT_BITS).map_err(encode_failed)?;
+    w.write_bits(entries.len() as u64, COUNT_BITS)
+        .map_err(encode_failed)?;
     for e in entries {
         e.meta.validate()?;
-        w.write_bits(e.block_offset, OFFSET_BITS).map_err(encode_failed)?;
-        w.write_bits(e.block_len, OFFSET_BITS).map_err(encode_failed)?;
-        w.write_bits(u64::from(e.record_crc), CRC_BITS).map_err(encode_failed)?;
+        w.write_bits(e.block_offset, OFFSET_BITS)
+            .map_err(encode_failed)?;
+        w.write_bits(e.block_len, OFFSET_BITS)
+            .map_err(encode_failed)?;
+        w.write_bits(u64::from(e.record_crc), CRC_BITS)
+            .map_err(encode_failed)?;
         let meta = e.meta.to_bytes();
-        w.write_bits(meta.len() as u64, NAME_LEN_BITS).map_err(encode_failed)?;
+        w.write_bits(meta.len() as u64, NAME_LEN_BITS)
+            .map_err(encode_failed)?;
         for &b in &meta {
-            w.write_bits(u64::from(b), BYTE_BITS).map_err(encode_failed)?;
+            w.write_bits(u64::from(b), BYTE_BITS)
+                .map_err(encode_failed)?;
         }
     }
     // Every field above is a whole number of bytes, so the writer is
@@ -542,7 +572,9 @@ pub fn index_from_bytes(bytes: &[u8], shard: &str) -> Result<Vec<RecordEntry>, S
     }
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
     let stored = u32::from_le_bytes(
-        crc_bytes.try_into().map_err(|_| corrupt("short index CRC field".into()))?,
+        crc_bytes
+            .try_into()
+            .map_err(|_| corrupt("short index CRC field".into()))?,
     );
     if crc32(body) != stored {
         return Err(corrupt("index CRC-32 mismatch".into()));
@@ -748,7 +780,13 @@ mod tests {
         assert_eq!(shard_file_name("alexnet", 3), "alexnet.00003.ssrd");
         assert_eq!(parse_shard_name("alexnet.00003.ssrd"), Some(("alexnet", 3)));
         assert_eq!(parse_shard_name("a.b.00021.ssrd"), Some(("a.b", 21)));
-        for bad in ["alexnet.ssrd", "alexnet.3.ssrd", ".00003.ssrd", "alexnet.00003", "x.0000a.ssrd"] {
+        for bad in [
+            "alexnet.ssrd",
+            "alexnet.3.ssrd",
+            ".00003.ssrd",
+            "alexnet.00003",
+            "x.0000a.ssrd",
+        ] {
             assert_eq!(parse_shard_name(bad), None, "{bad} should not parse");
         }
     }
@@ -756,10 +794,19 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_configs() {
         let a = codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16);
-        assert_eq!(a, codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16));
+        assert_eq!(
+            a,
+            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16)
+        );
         assert_ne!(a, codec_fingerprint(SchemeId::DELTA, 16, FixedType::I16));
-        assert_ne!(a, codec_fingerprint(SchemeId::SHAPESHIFTER, 32, FixedType::I16));
-        assert_ne!(a, codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::U16));
+        assert_ne!(
+            a,
+            codec_fingerprint(SchemeId::SHAPESHIFTER, 32, FixedType::I16)
+        );
+        assert_ne!(
+            a,
+            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::U16)
+        );
         // New registry schemes fingerprint through the same recipe.
         assert_ne!(
             codec_fingerprint(SchemeId::DPRED, 16, FixedType::I16),
@@ -780,6 +827,9 @@ mod tests {
         for b in [0u8, 16, 0, 16, 1] {
             h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
-        assert_eq!(h, codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16));
+        assert_eq!(
+            h,
+            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16)
+        );
     }
 }

@@ -205,7 +205,11 @@ impl StorageProvider for LocalFsProvider {
         let mut names = Vec::new();
         for entry in entries {
             let entry = entry.map_err(|e| StoreError::io("list", "<root>", &e))?;
-            if entry.file_type().map_err(|e| StoreError::io("stat", "<root>", &e))?.is_file() {
+            if entry
+                .file_type()
+                .map_err(|e| StoreError::io("stat", "<root>", &e))?
+                .is_file()
+            {
                 if let Some(name) = entry.file_name().to_str() {
                     names.push(name.to_string());
                 }
@@ -254,7 +258,10 @@ impl MemoryProvider {
     /// A copy of an object's bytes, if present.
     #[must_use]
     pub fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
-        self.objects.lock().ok().and_then(|map| map.get(name).cloned())
+        self.objects
+            .lock()
+            .ok()
+            .and_then(|map| map.get(name).cloned())
     }
 
     fn poisoned(name: &str) -> StoreError {
@@ -326,12 +333,13 @@ impl StorageProvider for MemoryProvider {
             field: "read offset",
             value: offset,
         })?;
-        let end = start.checked_add(len).filter(|&e| e <= obj.len()).ok_or_else(|| {
-            StoreError::CorruptShard {
+        let end = start
+            .checked_add(len)
+            .filter(|&e| e <= obj.len())
+            .ok_or_else(|| StoreError::CorruptShard {
                 shard: name.to_string(),
                 reason: format!("range {offset}+{len} runs past the end of the object"),
-            }
-        })?;
+            })?;
         out.clear();
         out.extend_from_slice(&obj[start..end]);
         Ok(())

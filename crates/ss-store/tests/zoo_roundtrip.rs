@@ -19,7 +19,12 @@ fn zoo_weights() -> (String, Vec<(String, Tensor)>) {
         .iter()
         .enumerate()
         .filter(|(_, l)| l.weight_count() > 0)
-        .map(|(i, l)| (format!("{}.weight", l.name()), net.weight_tensor(i, MODEL_SEED)))
+        .map(|(i, l)| {
+            (
+                format!("{}.weight", l.name()),
+                net.weight_tensor(i, MODEL_SEED),
+            )
+        })
         .collect();
     // The zoo name ("AlexNet@1/8") contains a path separator, which
     // providers rightly reject as an object name; store under a slug.
@@ -97,10 +102,7 @@ fn plugin_schemes_roundtrip_through_the_store() {
         for (name, t) in &tensors {
             let e = store.entry(name).unwrap();
             assert_eq!(e.meta.scheme, scheme);
-            assert_eq!(
-                e.meta.fingerprint,
-                codec_fingerprint(scheme, 16, t.dtype())
-            );
+            assert_eq!(e.meta.fingerprint, codec_fingerprint(scheme, 16, t.dtype()));
             assert_eq!(&store.get(name).unwrap(), t, "{name:?} under {scheme}");
         }
         store.verify().unwrap();

@@ -23,7 +23,8 @@ CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --man
 cargo clippy --all-targets -- -D warnings
 # Formatting: these members are rustfmt-clean and must stay so. The
 # other members are not formatted yet, so they are not checked here.
-cargo fmt --check -p ss-serve -p ss-core -p ss-bitio -p ss-tensor
+cargo fmt --check -p ss-serve -p ss-core -p ss-bitio -p ss-tensor \
+    -p ss-trace -p ss-store -p ss-pipeline -p ss-sim
 # Rustdoc with warnings denied: a deleted or private item cannot leave a
 # dangling intra-doc link behind. The vendored stand-ins are not ours.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest --exclude criterion --exclude rand

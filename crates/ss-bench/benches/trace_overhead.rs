@@ -6,8 +6,8 @@
 //! * `untraced-reference` — a straight width scan with no trace hooks at
 //!   all, the shape of the inner loop before instrumentation;
 //! * `gated-noop` — the same scan plus the exact gating pattern the codec
-//!   uses (`enabled()` checked once, per-group work skipped), against the
-//!   default `NoopRecorder`;
+//!   uses (`installed()` checked once, per-group work skipped), with no
+//!   recorder installed;
 //! * `measure/noop` — the real `measure` path end to end with nothing
 //!   installed.
 //!
@@ -43,11 +43,11 @@ fn width_scan(t: &Tensor) -> u64 {
     total
 }
 
-/// The same loop with the codec's gating pattern: one `enabled()` check,
-/// local accumulation, one batched submit — all skipped under the Noop.
+/// The same loop with the codec's gating pattern: one `installed()`
+/// check, local accumulation, one batched submit — all skipped when no
+/// recorder is installed.
 fn width_scan_gated(t: &Tensor) -> u64 {
-    let rec = ss_trace::global();
-    let tracing = rec.enabled();
+    let rec = ss_trace::installed();
     let mut hist = WidthCounts::new();
     let mut total = 0u64;
     for group in t.values().chunks(GROUP) {
@@ -56,12 +56,12 @@ fn width_scan_gated(t: &Tensor) -> u64 {
             worst = worst.max(32 - (v as u32).leading_zeros());
         }
         total += u64::from(worst);
-        if tracing {
+        if rec.is_some() {
             // ss-lint: allow(truncating-cast) -- width <= 32
             hist.observe(worst as u8, 1);
         }
     }
-    if tracing {
+    if let Some(rec) = rec {
         rec.record_widths(WidthHist::CodecGroupWidth, &hist);
         rec.add(Counter::MeasureCalls, 1);
     }

@@ -94,7 +94,7 @@ fn main() -> io::Result<()> {
         let t = Instant::now();
         let mut buf = Vec::new();
         {
-            let _span = Span::enter(ss_trace::global(), "experiment", slug);
+            let _span = Span::enter(ss_trace::installed(), "experiment", slug);
             run(&mut buf)?;
         }
         out.write_all(&buf)?;

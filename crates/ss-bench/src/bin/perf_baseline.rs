@@ -30,10 +30,10 @@
 //!
 //! `--overhead-gate` runs two checks instead of the baseline:
 //!
-//! 1. the ss-trace overhead check — it times the measure path with the
-//!    default `NoopRecorder` and again with a collecting `TraceRecorder`
+//! 1. the ss-trace overhead check — it times the measure path with no
+//!    recorder installed and again with a collecting `TraceRecorder`
 //!    installed, and fails (exit 1) if even the *enabled* recorder costs
-//!    more than 50% (the disabled path only pays an `enabled()` branch
+//!    more than 50% (the disabled path only pays an `installed()` branch
 //!    per chunk, so it is bounded above by the enabled cost). The
 //!    recorder installs once per process, so each timing is a child
 //!    process of this binary (`--overhead-pass noop|enabled`); the two
@@ -74,7 +74,7 @@ const REPS: usize = 3;
 /// converge on the unloaded cost even on a contended host.
 const GATE_REPS: usize = 7;
 /// The enabled recorder may cost at most this fraction extra on the
-/// measure path; the disabled (`NoopRecorder`) cost is strictly below it.
+/// measure path; the cost with no recorder installed is strictly below it.
 const GATE_MAX_OVERHEAD: f64 = 0.50;
 /// Child processes per side in the trace overhead gate, alternating
 /// sides (and which side opens each pair).
@@ -217,7 +217,7 @@ fn time_pass(side: &str) -> std::io::Result<f64> {
     }
 }
 
-/// `--overhead-gate`: NoopRecorder vs installed-recorder measure timing,
+/// `--overhead-gate`: measure timing with no recorder vs an installed one,
 /// then the chunk-index metadata bound.
 fn overhead_gate() -> std::io::Result<()> {
     let (mut noop_ms, mut enabled_ms) = (f64::INFINITY, f64::INFINITY);
@@ -237,7 +237,7 @@ fn overhead_gate() -> std::io::Result<()> {
         }
     }
     println!(
-        "measure, NoopRecorder (default): {noop_ms:>8.2} ms  ({:.1} Mvalues/s)",
+        "measure, no recorder installed:  {noop_ms:>8.2} ms  ({:.1} Mvalues/s)",
         mvalues_per_s(noop_ms)
     );
     println!(

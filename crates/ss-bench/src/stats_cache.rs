@@ -77,16 +77,20 @@ impl<'a> SharedStats<'a> {
         len: usize,
         compute: impl FnOnce() -> Arc<TensorStats>,
     ) -> Arc<TensorStats> {
-        let rec = ss_trace::global();
+        let rec = ss_trace::installed();
         let key = (self.inner.name().to_string(), operand, layer, seed, len);
         // ss-lint: allow(panic-freedom) -- a poisoned lock means another thread panicked mid-insert; propagating is the only sound option for a shared cache
         if let Some(hit) = cache().lock().expect("stats cache poisoned").get(&key) {
-            rec.add(ss_trace::Counter::StatsCacheHits, 1);
+            if let Some(rec) = rec {
+                rec.add(ss_trace::Counter::StatsCacheHits, 1);
+            }
             return hit.clone();
         }
         // Compute outside the lock: a concurrent miss on the same key does
         // redundant work at worst, but distinct layers never serialize.
-        rec.add(ss_trace::Counter::StatsCacheMisses, 1);
+        if let Some(rec) = rec {
+            rec.add(ss_trace::Counter::StatsCacheMisses, 1);
+        }
         let stats = compute();
         cache()
             .lock()

@@ -11,8 +11,8 @@
 //! * `--trace-chrome <path>` — additionally (or instead) write a Chrome
 //!   trace-event file loadable in `chrome://tracing` / Perfetto.
 //!
-//! Without either flag nothing is installed: the hot layers see the
-//! default [`NoopRecorder`](ss_trace::NoopRecorder) and pay one branch.
+//! Without either flag nothing is installed: the hot layers find no
+//! recorder through [`ss_trace::installed`] and pay one branch.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -104,7 +104,7 @@ pub fn main_with_trace(
     let args = TraceArgs::from_env();
     args.install();
     let result = {
-        let _span = Span::enter(ss_trace::global(), "experiment", slug);
+        let _span = Span::enter(ss_trace::installed(), "experiment", slug);
         let mut out = io::stdout().lock();
         run(&mut out)
     };

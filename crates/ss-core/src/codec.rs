@@ -140,10 +140,10 @@ impl ShapeShifterCodec {
     /// Panics if `group_size` is 0 or exceeds 256 (the paper's largest
     /// evaluated group).
     #[must_use]
-    pub fn new(group_size: usize) -> Self {
+    pub const fn new(group_size: usize) -> Self {
         assert!(
-            (1..=256).contains(&group_size),
-            "group size {group_size} outside 1..=256"
+            group_size >= 1 && group_size <= 256,
+            "group size outside 1..=256"
         );
         Self {
             group_size,
@@ -307,8 +307,7 @@ impl ShapeShifterCodec {
                     sum
                 })
         };
-        let rec = ss_trace::global();
-        if rec.enabled() {
+        if let Some(rec) = ss_trace::installed() {
             rec.add(Counter::MeasureCalls, 1);
             rec.add(Counter::MeasureValues, tensor.len() as u64);
             rec.add(Counter::MeasureBits, report.total_bits());
@@ -328,20 +327,19 @@ impl ShapeShifterCodec {
         let mut metadata = 0u64;
         let mut payload = 0u64;
         let mut groups = 0usize;
-        let rec = ss_trace::global();
-        let tracing = rec.enabled();
+        let rec = ss_trace::installed();
         let mut group_widths = WidthCounts::new();
         for group in values.chunks(self.group_size) {
             groups += 1;
             metadata += group.len() as u64 + prefix_bits;
             let scan = kernels::scan_group(group, signedness);
-            if tracing {
+            if rec.is_some() {
                 group_widths.observe(scan.width(), 1);
             }
             payload +=
                 u64::from(scan.width()) * (group.len() as u64 - u64::from(scan.zero_count()));
         }
-        if tracing {
+        if let Some(rec) = rec {
             rec.record_widths(WidthHist::CodecGroupWidth, &group_widths);
         }
         MeasureReport {

@@ -365,8 +365,7 @@ pub(crate) fn write_stream<L: GroupLayout>(
             None
         }
     };
-    let rec = ss_trace::global();
-    if L::TRACED && rec.enabled() {
+    if let Some(rec) = ss_trace::installed().filter(|_| L::TRACED) {
         rec.add(Counter::EncodeCalls, 1);
         rec.add(Counter::EncodeValues, values.len() as u64);
         rec.add(Counter::EncodeBits, w.bit_len());
@@ -386,8 +385,7 @@ fn write_groups<L: GroupLayout>(
     group_size: usize,
     w: &mut BitWriter,
 ) -> Result<MeasureReport, CodecError> {
-    let rec = ss_trace::global();
-    let tracing = L::TRACED && rec.enabled();
+    let rec = ss_trace::installed().filter(|_| L::TRACED);
     let mut widths = WidthCounts::new();
     let mut elided = 0u64;
     let start = w.bit_len();
@@ -397,12 +395,12 @@ fn write_groups<L: GroupLayout>(
         let cost = L::write_group(s, group, w)?;
         groups += 1;
         payload_bits += cost.payload_bits;
-        if tracing {
+        if rec.is_some() {
             elided += u64::from(cost.elided);
             widths.observe(cost.width, 1);
         }
     }
-    if tracing {
+    if let Some(rec) = rec {
         rec.record_widths(WidthHist::CodecGroupWidth, &widths);
         rec.add(Counter::EncodeZerosElided, elided);
     }
@@ -486,8 +484,7 @@ pub(crate) fn read_stream<L: GroupLayout>(
             }
         }
     }
-    let rec = ss_trace::global();
-    if L::TRACED && rec.enabled() {
+    if let Some(rec) = ss_trace::installed().filter(|_| L::TRACED) {
         rec.add(Counter::DecodeCalls, 1);
         rec.add(Counter::DecodeValues, out.len() as u64);
         if let Some(index) = index {

@@ -3,7 +3,7 @@
 //!
 //! Containers name their scheme by a one-byte wire id, so pack/unpack,
 //! the session, the pipeline, the shard store and the SSRP wire dispatch
-//! through one table instead of each matching on a closed enum:
+//! through one registry instead of each matching on a closed enum:
 //!
 //! * [`ContainerScheme`] — the wire half of a storage scheme, beside its
 //!   [`CompressionScheme`] pricing: a stable one-byte wire id,
@@ -27,7 +27,6 @@
 //! golden-vector suite.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 use ss_bitio::BitWriter;
 use ss_tensor::{FixedType, Signedness, Tensor};
@@ -218,53 +217,43 @@ pub fn fingerprint_bytes(id: SchemeId, group_size: u16, dtype: FixedType) -> u64
     fnv1a_64(&[id.as_byte(), gs_lo, gs_hi, dtype.bits(), signed])
 }
 
-/// Resolves wire ids to registered schemes: [`SchemeRegistry::global`]
-/// holds the four built-in schemes.
-pub struct SchemeRegistry {
-    slots: Vec<Option<Arc<dyn ContainerScheme>>>,
-}
+/// The four built-in schemes. The wire methods take the group size from
+/// the call or frame; the paper's group of 16 only prices.
+static SHAPESHIFTER: ShapeShifterScheme = ShapeShifterScheme::new(16);
+static DELTA: DeltaShapeShifter = DeltaShapeShifter::new(16);
+static DPRED: DpRed = DpRed::new(16);
+static ADABITS: AdaBitsScheme = AdaBitsScheme::new(16);
+
+/// Resolves wire ids to the four built-in schemes:
+/// [`SchemeRegistry::global`] is the one instance.
+pub struct SchemeRegistry(());
 
 impl fmt::Debug for SchemeRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_map();
-        for s in self.slots.iter().flatten() {
-            d.entry(&s.wire_id().as_byte(), &s.name());
-        }
-        d.finish()
+        let schemes = self.ids().filter_map(|id| self.lookup(id));
+        f.debug_map()
+            .entries(schemes.map(|s| (s.wire_id().as_byte(), s.name())))
+            .finish()
     }
 }
 
 impl SchemeRegistry {
-    /// A registry holding the four built-in schemes (ids 0–3).
-    #[must_use]
-    pub fn builtin() -> Self {
-        let mut slots: Vec<Option<Arc<dyn ContainerScheme>>> = vec![None; 256];
-        for scheme in [
-            Arc::new(ShapeShifterScheme::default()) as Arc<dyn ContainerScheme>,
-            Arc::new(DeltaShapeShifter::default()),
-            Arc::new(DpRed::default()),
-            Arc::new(AdaBitsScheme::default()),
-        ] {
-            // The built-in ids are the distinct constants 0–3;
-            // `global_registry_resolves_builtin_ids` pins that.
-            let id = usize::from(scheme.wire_id().as_byte());
-            // ss-lint: allow(panic-freedom) -- slots has 256 entries; a u8 index is always in bounds
-            slots[id] = Some(scheme);
-        }
-        Self { slots }
-    }
-
     /// The process-wide registry of built-in schemes.
     pub fn global() -> &'static SchemeRegistry {
-        static GLOBAL: OnceLock<SchemeRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(SchemeRegistry::builtin)
+        static GLOBAL: SchemeRegistry = SchemeRegistry(());
+        &GLOBAL
     }
 
     /// Resolves a wire id, or `None` if nothing is registered under it.
     #[must_use]
     pub fn lookup(&self, id: SchemeId) -> Option<&dyn ContainerScheme> {
-        // ss-lint: allow(panic-freedom) -- slots has 256 entries; a u8 index is always in bounds
-        self.slots[usize::from(id.as_byte())].as_deref()
+        match id {
+            SchemeId::SHAPESHIFTER => Some(&SHAPESHIFTER),
+            SchemeId::DELTA => Some(&DELTA),
+            SchemeId::DPRED => Some(&DPRED),
+            SchemeId::ADABITS => Some(&ADABITS),
+            _ => None,
+        }
     }
 
     /// Resolves a wire id.
@@ -280,11 +269,9 @@ impl SchemeRegistry {
 
     /// The registered wire ids, ascending.
     pub fn ids(&self) -> impl Iterator<Item = SchemeId> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| SchemeId::new(i as u8))
+        (0..=u8::MAX)
+            .map(SchemeId::new)
+            .filter(|&id| self.lookup(id).is_some())
     }
 }
 

@@ -38,10 +38,10 @@ impl AdaBitsScheme {
     ///
     /// Panics if `group_size` is 0 or exceeds 256.
     #[must_use]
-    pub fn new(group_size: usize) -> Self {
+    pub const fn new(group_size: usize) -> Self {
         assert!(
-            (1..=256).contains(&group_size),
-            "group size {group_size} outside 1..=256"
+            group_size >= 1 && group_size <= 256,
+            "group size outside 1..=256"
         );
         Self { group_size }
     }

@@ -47,7 +47,7 @@ impl ShapeShifterScheme {
     ///
     /// Panics if `group_size` is 0 or exceeds 256 (as the codec does).
     #[must_use]
-    pub fn new(group_size: usize) -> Self {
+    pub const fn new(group_size: usize) -> Self {
         Self {
             codec: ShapeShifterCodec::new(group_size),
         }

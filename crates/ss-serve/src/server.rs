@@ -34,7 +34,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 
-use ss_trace::{Counter, Recorder};
+use ss_trace::Counter;
 
 use crate::error::ServeError;
 use crate::protocol::{Frame, Kind, Op, ProtocolError, Status, HEADER_LEN, TRAILER_LEN};

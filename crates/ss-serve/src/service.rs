@@ -34,7 +34,7 @@ use ss_core::{CodecConfig, CodecSession};
 use ss_pipeline::{BoundedQueue, TryPushError};
 use ss_store::{ModelStore, StorageProvider};
 use ss_tensor::{FixedType, Tensor};
-use ss_trace::{Counter, LatencyHist, Recorder, TraceRecorder};
+use ss_trace::{Counter, LatencyHist, TraceRecorder};
 
 use crate::error::ServeError;
 use crate::protocol::{Op, Status, DEFAULT_MAX_BODY};

@@ -88,8 +88,7 @@ pub fn tile_cycles(
             actual: acts.len(),
         });
     }
-    let rec = ss_trace::global();
-    let tracing = rec.enabled();
+    let rec = ss_trace::installed();
     let mut steps = 0u64;
     let mut step_widths = WidthCounts::new();
     let filter_blocks = geom.out_ch.div_ceil(geom.concurrent_filters) as u64;
@@ -116,7 +115,7 @@ pub fn tile_cycles(
                             let live = &group[..c1 - c0];
                             widths.push(width::group_width(live, Signedness::Unsigned));
                         }
-                        if tracing {
+                        if rec.is_some() {
                             steps += 1;
                             let worst = widths.iter().copied().max().unwrap_or(0);
                             step_widths.observe(worst, 1);
@@ -128,7 +127,7 @@ pub fn tile_cycles(
         }
     }
     let total = cycles * filter_blocks;
-    if tracing {
+    if let Some(rec) = rec {
         rec.add(Counter::TileSteps, steps);
         rec.add(Counter::TileCycles, total);
         rec.record_widths(WidthHist::TileStepWidth, &step_widths);

@@ -1,5 +1,5 @@
-//! The collecting recorder: lock-free, bounded, shareable across the
-//! scoped worker threads `ss_core::par` spawns.
+//! The trace recorder: lock-free, bounded, shareable across the scoped
+//! worker threads `ss_core::par` spawns.
 //!
 //! Counters and histograms are flat arrays of `AtomicU64` (the schema is
 //! closed, so no map is needed). Layer records and spans — which carry
@@ -15,7 +15,7 @@ use std::time::Instant;
 use crate::metric::{
     Counter, LatencyCounts, LatencyHist, WidthCounts, WidthHist, LATENCY_BUCKETS, WIDTH_BUCKETS,
 };
-use crate::recorder::{LayerRecord, Recorder, SpanEvent};
+use crate::recorder::{LayerRecord, SpanEvent};
 
 /// Default capacity of the layer-record buffer (25 experiments × ~100
 /// layers × a few schemes fits comfortably).
@@ -65,7 +65,8 @@ impl<T> SlotBuffer<T> {
     }
 }
 
-/// The collecting [`Recorder`]: everything atomic, nothing blocking.
+/// The one trace recorder: everything atomic, nothing blocking. All
+/// methods take `&self`, so one recorder is shared across worker threads.
 pub struct TraceRecorder {
     epoch: Instant,
     counters: [AtomicU64; Counter::COUNT],
@@ -143,26 +144,16 @@ impl TraceRecorder {
             spans: self.spans.collect(),
         }
     }
-}
 
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Recorder for TraceRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn add(&self, counter: Counter, n: u64) {
+    /// Adds `n` to a counter.
+    pub fn add(&self, counter: Counter, n: u64) {
         if let Some(c) = self.counters.get(counter.index()) {
             c.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    fn record_widths(&self, hist: WidthHist, counts: &WidthCounts) {
+    /// Merges a locally-accumulated width histogram.
+    pub fn record_widths(&self, hist: WidthHist, counts: &WidthCounts) {
         if let Some(row) = self.hists.get(hist.index()) {
             for (bucket, &n) in row.iter().zip(counts.buckets().iter()) {
                 if n != 0 {
@@ -172,7 +163,8 @@ impl Recorder for TraceRecorder {
         }
     }
 
-    fn record_latency(&self, hist: LatencyHist, nanos: u64) {
+    /// Adds one latency observation (in nanoseconds) to a histogram.
+    pub fn record_latency(&self, hist: LatencyHist, nanos: u64) {
         if let Some(bucket) = self
             .latencies
             .get(hist.index())
@@ -182,20 +174,32 @@ impl Recorder for TraceRecorder {
         }
     }
 
-    fn record_layer(&self, record: LayerRecord) {
+    /// Submits one simulated layer's record (counted in
+    /// [`Counter::TraceLayersDropped`] instead once the buffer is full).
+    pub fn record_layer(&self, record: LayerRecord) {
         if !self.layers.push(record) {
             self.add(Counter::TraceLayersDropped, 1);
         }
     }
 
-    fn record_span(&self, span: SpanEvent) {
+    /// Submits one completed span (counted in
+    /// [`Counter::TraceSpansDropped`] instead once the buffer is full).
+    pub fn record_span(&self, span: SpanEvent) {
         if !self.spans.push(span) {
             self.add(Counter::TraceSpansDropped, 1);
         }
     }
 
-    fn now_us(&self) -> u64 {
+    /// Microseconds since this recorder's epoch.
+    #[must_use]
+    pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
+    }
+}
+
+impl Default for TraceRecorder {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -242,7 +246,6 @@ mod tests {
     #[test]
     fn counters_and_hists_accumulate() {
         let rec = TraceRecorder::new();
-        assert!(rec.enabled());
         rec.add(Counter::EncodeBits, 7);
         rec.add(Counter::EncodeBits, 3);
         let mut w = WidthCounts::new();

@@ -1,35 +1,32 @@
 //! # ss-trace — observability for the ShapeShifter workspace
 //!
 //! A dependency-free, panic-free, lock-free tracing layer: atomic
-//! counters, width histograms, per-layer simulation records, and scoped
-//! span timers behind one [`Recorder`] trait.
+//! counters, width and latency histograms, per-layer simulation records,
+//! and scoped span timers, all collected by one [`TraceRecorder`].
 //!
-//! ## Zero overhead when disabled
-//!
-//! The default recorder is [`NoopRecorder`]: `enabled()` returns `false`
-//! and every submission is an empty default method. Hot paths follow one
-//! discipline — check `enabled()` once per call, accumulate into local
-//! state, submit one batch — so an untraced run pays a single predictable
-//! branch per codec/simulator invocation. `perf_baseline --overhead-gate`
-//! enforces this empirically.
-//!
-//! ## The global recorder
+//! ## The installed recorder
 //!
 //! Hot layers live several crates below the binaries that decide whether
-//! to trace, so plumbing a `&dyn Recorder` through every signature would
+//! to trace, so plumbing a recorder through every signature would
 //! contaminate the whole workspace API. Instead there is one process-wide
-//! slot: [`global()`] returns the installed [`TraceRecorder`] or, before
-//! [`install()`] is called, a static [`NoopRecorder`]. Installation is
-//! once-per-process (first caller wins) — the intended user is a binary's
-//! `--trace` flag, not library code.
+//! slot: [`install()`] puts a [`TraceRecorder`] in it (first caller wins;
+//! the intended user is a binary's `--trace` flag, not library code) and
+//! [`installed()`] returns it, or `None` before anything is installed.
+//!
+//! ## One branch when nothing is installed
+//!
+//! Hot paths follow one discipline — call [`installed()`] once per call,
+//! accumulate into local state only when it returns a recorder, submit
+//! one batch — so an untraced run pays a single predictable branch per
+//! codec/simulator invocation. `perf_baseline --overhead-gate` enforces
+//! this empirically.
 //!
 //! ```
-//! use ss_trace::{global, Counter};
+//! use ss_trace::Counter;
 //!
 //! // Library code: free to call anywhere, a no-op unless a binary
-//! // installed a collector.
-//! let rec = global();
-//! if rec.enabled() {
+//! // installed a recorder.
+//! if let Some(rec) = ss_trace::installed() {
 //!     rec.add(Counter::EncodeCalls, 1);
 //! }
 //! ```
@@ -51,32 +48,21 @@ pub use json::{escape, SCHEMA};
 pub use metric::{
     Counter, LatencyCounts, LatencyHist, WidthCounts, WidthHist, LATENCY_BUCKETS, WIDTH_BUCKETS,
 };
-pub use recorder::{LayerRecord, NoopRecorder, Recorder, Span, SpanEvent};
+pub use recorder::{LayerRecord, Span, SpanEvent};
 
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<TraceRecorder> = OnceLock::new();
-static NOOP: NoopRecorder = NoopRecorder;
 
-/// The process-wide recorder: the installed collector, or a no-op before
-/// [`install()`] has been called.
-#[must_use]
-pub fn global() -> &'static dyn Recorder {
-    match GLOBAL.get() {
-        Some(rec) => rec,
-        None => &NOOP,
-    }
-}
-
-/// Installs `recorder` as the process-wide collector. The first call
-/// wins; returns `false` (discarding `recorder`) if one is already
-/// installed.
+/// Installs `recorder` as the process-wide recorder. The first call wins;
+/// returns `false` (discarding `recorder`) if one is already installed.
 pub fn install(recorder: TraceRecorder) -> bool {
     GLOBAL.set(recorder).is_ok()
 }
 
-/// The installed collector, if any — binaries use this at exit to
-/// snapshot and export what [`global()`] collected.
+/// The process-wide recorder, or `None` before [`install()`] has been
+/// called. Instrumented code checks it once per call; binaries use it at
+/// exit to snapshot and export what was collected.
 #[must_use]
 pub fn installed() -> Option<&'static TraceRecorder> {
     GLOBAL.get()
@@ -87,20 +73,18 @@ mod tests {
     use super::*;
 
     // NOTE: the global slot is process-wide and tests share a process, so
-    // everything about install()/global() lives in this one test.
+    // everything about install()/installed() lives in this one test.
     #[test]
-    fn global_starts_noop_then_installs_once() {
-        assert!(!global().enabled());
+    fn installed_starts_empty_then_installs_once() {
         assert!(installed().is_none());
 
         assert!(install(TraceRecorder::with_capacity(4, 4)));
-        assert!(global().enabled());
         let rec = installed().expect("just installed");
-        global().add(Counter::SimLayers, 2);
+        rec.add(Counter::SimLayers, 2);
         assert_eq!(rec.counter(Counter::SimLayers), 2);
 
         // Second install is rejected, first recorder stays.
         assert!(!install(TraceRecorder::new()));
-        assert_eq!(rec.counter(Counter::SimLayers), 2);
+        assert_eq!(installed().map(|r| r.counter(Counter::SimLayers)), Some(2));
     }
 }

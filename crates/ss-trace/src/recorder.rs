@@ -1,16 +1,15 @@
-//! The [`Recorder`] trait, the zero-overhead [`NoopRecorder`], and the
-//! event payloads hot layers submit.
+//! The event payloads hot layers submit and the scoped [`Span`] timer.
 //!
-//! Design rule: a hot loop asks `recorder.enabled()` **once**, accumulates
-//! into plain local state ([`crate::WidthCounts`], integers) only when
-//! tracing, and submits one merged batch per call — so the disabled path
-//! costs a single predictable branch per codec/simulator invocation, not
-//! per value. The `Noop` default makes every submission a no-op that the
-//! optimizer deletes outright.
+//! Design rule: a hot loop asks [`crate::installed()`] **once**,
+//! accumulates into plain local state ([`crate::WidthCounts`], integers)
+//! only when a recorder is installed, and submits one merged batch per
+//! call — so the untraced path costs a single predictable branch per
+//! codec/simulator invocation, not per value.
 
 use std::time::Instant;
 
-use crate::metric::{Counter, LatencyHist, WidthCounts, WidthHist};
+use crate::collect::TraceRecorder;
+use crate::metric::WidthCounts;
 
 /// Per-layer simulation record: everything the paper's evaluation figures
 /// derive from one layer, captured at simulation time.
@@ -62,87 +61,41 @@ pub struct SpanEvent {
     pub tid: u64,
 }
 
-/// An observability sink. All methods default to no-ops so implementors
-/// opt into exactly the streams they collect; all take `&self` so one
-/// recorder can be shared across scoped worker threads.
-pub trait Recorder: Sync {
-    /// `true` when events are actually collected. Hot paths gate **all**
-    /// per-value work behind this so the disabled cost is one branch.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `n` to a counter.
-    fn add(&self, counter: Counter, n: u64) {
-        let _ = (counter, n);
-    }
-
-    /// Merges a locally-accumulated width histogram.
-    fn record_widths(&self, hist: WidthHist, counts: &WidthCounts) {
-        let _ = (hist, counts);
-    }
-
-    /// Adds one latency observation (in nanoseconds) to a histogram.
-    fn record_latency(&self, hist: LatencyHist, nanos: u64) {
-        let _ = (hist, nanos);
-    }
-
-    /// Submits one simulated layer's record.
-    fn record_layer(&self, record: LayerRecord) {
-        let _ = record;
-    }
-
-    /// Submits one completed span.
-    fn record_span(&self, span: SpanEvent) {
-        let _ = span;
-    }
-
-    /// Microseconds since this recorder's epoch (0 when disabled).
-    fn now_us(&self) -> u64 {
-        0
-    }
-}
-
-/// The default recorder: collects nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
 /// A scoped wall-clock timer: records a [`SpanEvent`] on drop.
 ///
-/// When the recorder is disabled the constructor does not even read the
-/// clock, so an un-traced span costs one branch and no syscalls.
+/// Without a recorder the constructor does not even read the clock, so an
+/// un-traced span costs one branch and no syscalls.
 pub struct Span<'a> {
-    rec: &'a dyn Recorder,
+    /// The recorder, the start offset from its epoch and the start
+    /// instant; `None` when the span was entered without a recorder.
+    started: Option<(&'a TraceRecorder, u64, Instant)>,
     name: String,
     cat: &'static str,
-    start_us: u64,
-    started: Option<Instant>,
 }
 
 impl<'a> Span<'a> {
-    /// Opens a span against `rec`.
+    /// Opens a span against `rec` (usually [`crate::installed()`]).
     #[must_use]
-    pub fn enter(rec: &'a dyn Recorder, cat: &'static str, name: impl Into<String>) -> Self {
-        let started = rec.enabled().then(Instant::now);
+    pub fn enter(
+        rec: Option<&'a TraceRecorder>,
+        cat: &'static str,
+        name: impl Into<String>,
+    ) -> Self {
         Self {
-            rec,
+            started: rec.map(|rec| (rec, rec.now_us(), Instant::now())),
             name: name.into(),
             cat,
-            start_us: if started.is_some() { rec.now_us() } else { 0 },
-            started,
         }
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(t0) = self.started {
-            self.rec.record_span(SpanEvent {
+        if let Some((rec, start_us, t0)) = self.started {
+            rec.record_span(SpanEvent {
                 name: std::mem::take(&mut self.name),
                 cat: self.cat,
-                start_us: self.start_us,
+                start_us,
                 dur_us: t0.elapsed().as_micros() as u64,
                 tid: thread_tid(),
             });
@@ -164,46 +117,25 @@ fn thread_tid() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn noop_is_disabled_and_inert() {
-        let rec = NoopRecorder;
-        assert!(!rec.enabled());
-        rec.add(Counter::EncodeBits, 5);
-        rec.record_widths(WidthHist::CodecGroupWidth, &WidthCounts::new());
-        assert_eq!(rec.now_us(), 0);
-        // A span against a disabled recorder never reads the clock.
-        let span = Span::enter(&rec, "test", "nothing");
+    fn span_records_one_event_on_drop() {
+        let rec = TraceRecorder::with_capacity(1, 4);
+        {
+            let _span = Span::enter(Some(&rec), "unit", "work");
+            assert!(rec.snapshot().spans.is_empty());
+        }
+        let spans = rec.snapshot().spans;
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "work");
+        assert_eq!(spans[0].cat, "unit");
+    }
+
+    #[test]
+    fn span_without_recorder_reads_no_clock() {
+        let span = Span::enter(None, "unit", "nothing");
         assert!(span.started.is_none());
         drop(span);
-    }
-
-    struct CountingRecorder {
-        spans: AtomicU64,
-    }
-
-    impl Recorder for CountingRecorder {
-        fn enabled(&self) -> bool {
-            true
-        }
-        fn record_span(&self, span: SpanEvent) {
-            assert_eq!(span.name, "work");
-            assert_eq!(span.cat, "unit");
-            self.spans.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn span_records_on_drop_when_enabled() {
-        let rec = CountingRecorder {
-            spans: AtomicU64::new(0),
-        };
-        {
-            let _span = Span::enter(&rec, "unit", "work");
-            assert_eq!(rec.spans.load(Ordering::Relaxed), 0);
-        }
-        assert_eq!(rec.spans.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -67,7 +67,7 @@ cargo test -q -p ss-core --test codec_properties
 cargo test -q -p ss-bitio --test roundtrip
 
 echo
-echo "== ss-trace overhead gate (NoopRecorder must be free) =="
+echo "== ss-trace overhead gate (no recorder installed must be free) =="
 cargo run --release -q -p ss-bench --bin perf_baseline -- --overhead-gate
 
 echo

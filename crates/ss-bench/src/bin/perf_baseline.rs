@@ -265,14 +265,15 @@ fn overhead_gate() -> std::io::Result<()> {
         .encode(&tensor)
         .expect("encode");
     let index = encoded
-        .index()
+        .index
+        .as_ref()
         .expect("the pinned tensor is large enough to earn an Auto index");
-    let per_value = encoded.index_bits() as f64 / VALUES as f64;
+    let index_bits = index.serialized_bits().expect("index size");
+    let per_value = index_bits as f64 / VALUES as f64;
     println!(
-        "chunk index: {} chunks of {} groups, {} bits ({per_value:.6} bits/value; gate: <= {GATE_MAX_INDEX_BITS_PER_VALUE})",
+        "chunk index: {} chunks of {} groups, {index_bits} bits ({per_value:.6} bits/value; gate: <= {GATE_MAX_INDEX_BITS_PER_VALUE})",
         index.chunk_count(),
         index.chunk_groups(),
-        encoded.index_bits()
     );
     if per_value > GATE_MAX_INDEX_BITS_PER_VALUE {
         eprintln!("index overhead gate: FAIL");
@@ -344,10 +345,11 @@ fn main() -> std::io::Result<()> {
         );
         decode_ms.push(ms);
     }
-    let index_bits = encoded.index_bits();
     let index = encoded
-        .index()
+        .index
+        .as_ref()
         .expect("the pinned tensor is large enough to earn an Auto index");
+    let index_bits = index.serialized_bits().expect("index size");
     println!(
         "chunk index: {} chunks of {} groups, {index_bits} bits ({:.6} bits/value)",
         index.chunk_count(),
@@ -405,8 +407,8 @@ fn main() -> std::io::Result<()> {
 "#,
         t0c = THREADS[0],
         t1c = THREADS[1],
-        bits = encoded.bit_len(),
-        ratio = encoded.bit_len() as f64 / tensor.container_bits() as f64,
+        bits = encoded.bit_len,
+        ratio = encoded.bit_len as f64 / tensor.container_bits() as f64,
         chunks = index.chunk_count(),
         chunk_groups = index.chunk_groups(),
         per_value = index_bits as f64 / VALUES as f64,

@@ -78,11 +78,11 @@ fn per_call_baseline(codec: &ShapeShifterCodec, tensors: &[Tensor]) -> (f64, u64
     for t in tensors {
         let enc = seq.encode(t).expect("encode");
         let report = seq.measure(t);
-        assert_eq!(report.total_bits(), enc.bit_len(), "accounting identity");
+        assert_eq!(report.total_bits(), enc.bit_len, "accounting identity");
         let back = seq.decode(&enc).expect("decode");
         assert_eq!(&back, t, "round trip");
         // Chained exactly the way `BatchReport` chains per-tensor hashes.
-        hash = fnv1a_update(hash, &fnv1a_64(enc.bytes()).to_le_bytes());
+        hash = fnv1a_update(hash, &fnv1a_64(&enc.bytes).to_le_bytes());
     }
     (t0.elapsed().as_secs_f64() * 1e3, hash)
 }

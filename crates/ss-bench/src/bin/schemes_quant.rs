@@ -7,10 +7,11 @@
 //! when a registry contract is violated:
 //!
 //! 1. **Registry byte identity** — ShapeShifter (wire id 0) and Delta
-//!    (id 1) streams produced through `encode_with_scheme` are
-//!    bit-for-bit the bytes of the direct encoders
-//!    (`CodecSession::encode`, and the Delta struct's own `encode_into`
-//!    on a fresh writer), frame fields and chunk index included.
+//!    (id 1) streams produced through a session's `encode_stream` and
+//!    `encode_with_scheme` are bit-for-bit the bytes of the direct
+//!    encoders (the one-shot `ShapeShifterCodec::encode_with`, and the
+//!    Delta struct's own `encode_into` on a fresh writer), frame fields,
+//!    accounting and chunk index included.
 //! 2. **DPRed/AdaBits round trip** — both plug-in schemes encode a
 //!    deterministic mixed pool through the `ss-pipeline` worker pool
 //!    (worker count follows `SS_THREADS`) and decode back losslessly;
@@ -92,16 +93,14 @@ fn registry_byte_identical(pool: &[Tensor]) -> bool {
     let mut stream = SchemeStream::default();
     let mut delta_stream = BitWriter::new();
     for t in pool {
-        let legacy = session.encode(t).expect("legacy encode");
-        let (legacy_bytes, legacy_bits, legacy_index) =
-            (legacy.bytes().to_vec(), legacy.bit_len(), legacy.index().cloned());
+        let one_shot = session
+            .codec()
+            .encode_with(ss_scheme, t)
+            .expect("one-shot encode");
         session
-            .encode_with_scheme(ss_scheme, t, config().index_policy, &mut stream)
+            .encode_stream(ss_scheme, t, &mut stream)
             .expect("registry encode");
-        if stream.bytes != legacy_bytes
-            || stream.bit_len != legacy_bits
-            || stream.index != legacy_index
-        {
+        if stream != one_shot {
             return false;
         }
         delta
@@ -109,6 +108,7 @@ fn registry_byte_identical(pool: &[Tensor]) -> bool {
                 t,
                 GROUP_SIZE,
                 IndexPolicy::None,
+                1,
                 &mut delta_stream,
                 &mut Vec::new(),
             )

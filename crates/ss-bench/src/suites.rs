@@ -153,8 +153,9 @@ pub fn index_overhead_probe(model: &dyn TensorSource) -> (String, usize, u64, f6
         tensor,
         "indexed round-trip must be bit-identical"
     );
-    let chunks = enc.index().map_or(0, ss_core::ChunkIndex::chunk_count);
-    let bits = enc.index_bits();
+    let index = enc.index.as_ref();
+    let chunks = index.map_or(0, ss_core::ChunkIndex::chunk_count);
+    let bits = index.map_or(Ok(0), ss_core::ChunkIndex::serialized_bits).expect("index size");
     (name, chunks, bits, bits as f64 / tensor.len().max(1) as f64)
 }
 

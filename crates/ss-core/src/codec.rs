@@ -5,11 +5,9 @@ use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::{Counter, WidthCounts, WidthHist};
 
 use crate::index::ChunkIndex;
-use crate::registry::StreamFrame;
+use crate::registry::{ContainerScheme, SchemeId, SchemeRegistry, StreamFrame};
 use crate::scheme::ShapeShifterScheme;
-use crate::{
-    framing, kernels, par, CodecConfig, CodecError, ExecPolicy, MeasureReport, WidthDetector,
-};
+use crate::{kernels, par, CodecConfig, CodecError, ExecPolicy, MeasureReport, WidthDetector};
 
 /// Below this many values the automatic paths stay sequential: spawning and
 /// splicing costs more than the encode itself on small tensors.
@@ -95,38 +93,65 @@ pub struct ShapeShifterCodec {
     exec: ExecPolicy,
 }
 
-/// An encoded tensor: the packed stream plus the metadata needed to decode
-/// it and the accounting the evaluation reports.
+/// An encoded tensor under any registered scheme: the stream, the framing
+/// it decodes under, and its bit accounting. Every encode produces one,
+/// and every decode reads the scheme from [`SchemeStream::scheme`], so
+/// the stream is self-describing for the store and serve layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedTensor {
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) bit_len: u64,
-    pub(crate) len: usize,
-    pub(crate) dtype: FixedType,
-    pub(crate) group_size: usize,
-    pub(crate) groups: usize,
-    pub(crate) metadata_bits: u64,
-    pub(crate) payload_bits: u64,
-    /// Container-v2 chunk index, when the codec's policy wrote one. The
-    /// stream bytes are identical either way; the index is side metadata.
-    pub(crate) index: Option<ChunkIndex>,
+pub struct SchemeStream {
+    /// The scheme that produced the stream (its stable wire id).
+    pub scheme: SchemeId,
+    /// The stream bytes.
+    pub bytes: Vec<u8>,
+    /// Exact stream length in bits: the off-chip traffic the tensor costs
+    /// under its scheme.
+    pub bit_len: u64,
+    /// Value container type.
+    pub dtype: FixedType,
+    /// Element count.
+    pub len: usize,
+    /// Grouping granularity the stream was encoded at.
+    pub group_size: usize,
+    /// The container-v2 chunk index, when the scheme participates in
+    /// indexing and the policy produced one. It is side metadata: the
+    /// stream bytes are identical either way, and `bit_len` excludes it.
+    pub index: Option<ChunkIndex>,
+    /// The stream's bit accounting; `report.total_bits() == bit_len`.
+    pub report: MeasureReport,
 }
 
-impl Default for EncodedTensor {
-    /// An empty container (zero values, zero bits) — the valid encoding
-    /// of the empty tensor, and the natural starting point for the
-    /// buffer-reusing `CodecSession::encode_into` API.
+/// The name the stream type had while it held ShapeShifter streams only.
+/// Kept for the benchmark's sources until their next change (ROADMAP
+/// item 5); new code names [`SchemeStream`].
+pub type EncodedTensor = SchemeStream;
+
+impl Default for SchemeStream {
+    /// An empty ShapeShifter stream (zero values, zero bits): the valid
+    /// encoding of the empty tensor, and the natural starting point for
+    /// the buffer-reusing [`crate::CodecSession::encode_stream`].
     fn default() -> Self {
         Self {
+            scheme: SchemeId::SHAPESHIFTER,
             bytes: Vec::new(),
             bit_len: 0,
-            len: 0,
             dtype: FixedType::U8,
+            len: 0,
             group_size: 16,
-            groups: 0,
-            metadata_bits: 0,
-            payload_bits: 0,
             index: None,
+            report: MeasureReport::default(),
+        }
+    }
+}
+
+impl SchemeStream {
+    /// The decode framing for this stream.
+    #[must_use]
+    pub fn frame(&self) -> StreamFrame {
+        StreamFrame {
+            bit_len: self.bit_len,
+            dtype: self.dtype,
+            len: self.len,
+            group_size: self.group_size,
         }
     }
 }
@@ -220,31 +245,36 @@ impl ShapeShifterCodec {
         self.index_policy
     }
 
-    /// Encodes a tensor into a ShapeShifter stream.
+    /// Encodes a tensor under `scheme` at this codec's group size and
+    /// index policy: the one one-shot encode, behind
+    /// [`ShapeShifterCodec::encode`] and the `SSPK` container's pack.
     ///
-    /// The encode runs the one framing path every wire scheme shares, with
-    /// the ShapeShifter group layout. Scheduling follows the codec's
-    /// [`ExecPolicy`]: under the default `Auto`, large tensors are cut on
-    /// group boundaries, each chunk is encoded by a [`par::par_map_with`]
-    /// worker into its own [`BitWriter`], and the chunk streams are
-    /// spliced back in order. Because groups are self-contained (paper §3)
-    /// and splicing preserves every bit phase, the output is
-    /// **bit-identical** to a sequential encode, which remains both the
-    /// small-tensor path and the oracle the property tests compare
-    /// against. The `Auto` worker count comes from [`par::thread_count`]
-    /// (`SS_THREADS` or the machine's available parallelism). The chunk
-    /// index, if the policy writes one, is cut by the policy alone, so the
-    /// container is the same at every worker count.
+    /// Scheduling follows the codec's [`ExecPolicy`]: under the default
+    /// `Auto`, large tensors are cut on group boundaries, each chunk is
+    /// encoded by a [`par::par_map_with`] worker into its own
+    /// [`BitWriter`], and the chunk streams are spliced back in order.
+    /// Because groups are self-contained (paper §3) and splicing preserves
+    /// every bit phase, the output is **bit-identical** to a sequential
+    /// encode, which remains both the small-tensor path and the oracle the
+    /// property tests compare against. The `Auto` worker count comes from
+    /// [`par::thread_count`] (`SS_THREADS` or the machine's available
+    /// parallelism). The chunk index, if the policy writes one, is cut by
+    /// the policy alone, so the container is the same at every worker
+    /// count.
     ///
     /// # Errors
     ///
     /// Propagates [`CodecError::Stream`] on internal bit-packing failures
     /// (unreachable for valid tensors, by the tensor's container
     /// invariant).
-    pub fn encode(&self, tensor: &Tensor) -> Result<EncodedTensor, CodecError> {
+    pub fn encode_with(
+        &self,
+        scheme: &dyn ContainerScheme,
+        tensor: &Tensor,
+    ) -> Result<SchemeStream, CodecError> {
         let threads = self.exec.threads_for(tensor.len(), PARALLEL_MIN_VALUES);
         let mut w = BitWriter::with_capacity_bits(tensor.container_bits() / 2);
-        let (report, index) = framing::write_stream::<ShapeShifterScheme>(
+        let (report, index) = scheme.encode_into(
             tensor,
             self.group_size,
             self.index_policy,
@@ -252,17 +282,27 @@ impl ShapeShifterCodec {
             &mut w,
             &mut Vec::new(),
         )?;
-        Ok(EncodedTensor {
+        Ok(SchemeStream {
+            scheme: scheme.wire_id(),
             bit_len: w.bit_len(),
             bytes: w.into_bytes(),
-            len: tensor.len(),
             dtype: tensor.dtype(),
+            len: tensor.len(),
             group_size: self.group_size,
-            groups: report.groups,
-            metadata_bits: report.metadata_bits,
-            payload_bits: report.payload_bits,
             index,
+            report,
         })
+    }
+
+    /// [`ShapeShifterCodec::encode_with`] under the ShapeShifter scheme.
+    /// Kept for the benchmark's sources until their next change (ROADMAP
+    /// item 5).
+    ///
+    /// # Errors
+    ///
+    /// As [`ShapeShifterCodec::encode_with`].
+    pub fn encode(&self, tensor: &Tensor) -> Result<SchemeStream, CodecError> {
+        self.encode_with(&ShapeShifterScheme::default(), tensor)
     }
 
     /// Computes the exact encoded size of a tensor *without* materializing
@@ -349,28 +389,47 @@ impl ShapeShifterCodec {
         }
     }
 
-    /// Decodes a ShapeShifter stream back into the original tensor.
+    /// Decodes a stream back into the original tensor, under the scheme
+    /// its wire id names: [`ShapeShifterCodec::decode_scheme_stream`] on
+    /// the stream's own parts.
     ///
-    /// Two paths exist, chosen by the container version:
+    /// # Errors
     ///
-    /// * **v1 (no chunk index)** — decoding is sequential by stream
-    ///   design: a group's start position is only known after the previous
-    ///   group's `Z` vector and `P` prefix have been parsed (groups are
-    ///   packed back-to-back with no alignment — paper §3: "the incoming
-    ///   stream will be decoded sequentially").
-    /// * **v2 (chunk index present)** — the container's optional index
-    ///   records each chunk's absolute bit offset and value count, so
-    ///   decode fans chunks out across [`par::par_map_with`] workers, each
-    ///   parsing its own range-confined reader, and splices the results
-    ///   back in order. The stream bytes are identical to v1 — the index
-    ///   is side metadata — so the output is **bit-identical** to the
-    ///   sequential parse (property-tested). The index drives the decode
-    ///   only when it can fan out: above one worker and with more than
-    ///   one chunk.
+    /// [`CodecError::UnknownScheme`] if no registered scheme claims the
+    /// stream's id; otherwise as
+    /// [`ShapeShifterCodec::decode_scheme_stream`].
+    pub fn decode(&self, stream: &SchemeStream) -> Result<Tensor, CodecError> {
+        self.decode_scheme_stream(
+            SchemeRegistry::global().get(stream.scheme)?,
+            &stream.bytes,
+            &stream.frame(),
+            stream.index.as_ref(),
+        )
+    }
+
+    /// Decodes a raw scheme stream (framing and chunk index supplied by
+    /// the caller, e.g. parsed from an `SSPK` container) into a new
+    /// tensor: the one one-shot decode, behind
+    /// [`ShapeShifterCodec::decode`] and the container's unpack.
     ///
-    /// The worker count follows [`par::thread_count`] (`SS_THREADS` or the
-    /// machine's available parallelism); small tensors stay sequential.
-    /// The stream is decoded under the *container's* group size.
+    /// Two paths exist:
+    ///
+    /// * **Sequential** — a group's start position is only known after
+    ///   the previous group's metadata has been parsed (groups are packed
+    ///   back-to-back with no alignment — paper §3: "the incoming stream
+    ///   will be decoded sequentially").
+    /// * **Indexed** — a container-v2 chunk index records each chunk's
+    ///   absolute bit offset and value count, so decode fans chunks out
+    ///   across [`par::par_map_with`] workers, each parsing its own
+    ///   range-confined reader, and splices the results back in order. The
+    ///   stream bytes are identical either way — the index is side
+    ///   metadata — so the output is **bit-identical** to the sequential
+    ///   parse (property-tested). The index drives the decode only when it
+    ///   can fan out: above one worker and with more than one chunk.
+    ///
+    /// The worker count follows the codec's [`ExecPolicy`]; under `Auto`,
+    /// small tensors stay sequential. The stream is decoded under the
+    /// *frame's* group size.
     ///
     /// # Errors
     ///
@@ -381,28 +440,25 @@ impl ShapeShifterCodec {
     ///   reached with stream bits left unconsumed.
     /// * [`CodecError::CorruptIndex`] /
     ///   [`CodecError::IndexOffsetOutOfBounds`] /
-    ///   [`CodecError::IndexChunkMismatch`] if a chunk index is present
-    ///   but disagrees with the framing metadata or the stream.
-    pub fn decode(&self, encoded: &EncodedTensor) -> Result<Tensor, CodecError> {
-        let threads = self.exec.threads_for(encoded.len, PARALLEL_MIN_VALUES);
-        let index = encoded
-            .index
-            .as_ref()
-            .filter(|index| threads > 1 && index.chunk_count() > 1);
-        // No preallocation from `len` here: it is untrusted framing
+    ///   [`CodecError::IndexChunkMismatch`] if a chunk index drives the
+    ///   decode but disagrees with the framing metadata or the stream.
+    pub fn decode_scheme_stream(
+        &self,
+        scheme: &dyn ContainerScheme,
+        stream: &[u8],
+        frame: &StreamFrame,
+        index: Option<&ChunkIndex>,
+    ) -> Result<Tensor, CodecError> {
+        let threads = self.exec.threads_for(frame.len, PARALLEL_MIN_VALUES);
+        let index = index.filter(|index| threads > 1 && index.chunk_count() > 1);
+        // No preallocation from `frame.len` here: it is untrusted framing
         // metadata until the framing path has bounded it against the
         // stream length (a hostile header must not OOM the process).
         let mut values = Vec::new();
-        framing::read_stream::<ShapeShifterScheme>(
-            &encoded.bytes,
-            &encoded.frame(),
-            index,
-            threads,
-            &mut values,
-        )?;
+        scheme.decode_into(stream, frame, index, threads, &mut values)?;
         Ok(Tensor::from_vec(
-            Shape::flat(encoded.len),
-            encoded.dtype,
+            Shape::flat(frame.len),
+            frame.dtype,
             values,
         )?)
     }
@@ -412,112 +468,6 @@ impl Default for ShapeShifterCodec {
     /// The paper's default group size of 16.
     fn default() -> Self {
         Self::new(16)
-    }
-}
-
-impl EncodedTensor {
-    /// The packed stream bytes.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Exact stream length in bits (the off-chip traffic this tensor
-    /// costs under ShapeShifter compression).
-    #[must_use]
-    pub fn bit_len(&self) -> u64 {
-        self.bit_len
-    }
-
-    /// Original element count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the original tensor was empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The original container type.
-    #[must_use]
-    pub fn dtype(&self) -> FixedType {
-        self.dtype
-    }
-
-    /// Group size used for encoding.
-    #[must_use]
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// Number of encoded groups.
-    #[must_use]
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// Bits spent on `Z` vectors and `P` prefixes.
-    #[must_use]
-    pub fn metadata_bits(&self) -> u64 {
-        self.metadata_bits
-    }
-
-    /// Bits spent on value payloads.
-    #[must_use]
-    pub fn payload_bits(&self) -> u64 {
-        self.payload_bits
-    }
-
-    /// The framing metadata the stream decodes under.
-    pub(crate) fn frame(&self) -> StreamFrame {
-        StreamFrame {
-            bit_len: self.bit_len,
-            dtype: self.dtype,
-            len: self.len,
-            group_size: self.group_size,
-        }
-    }
-
-    /// The container-v2 chunk index, if the codec's policy wrote one
-    /// (`None` for v1 containers).
-    #[must_use]
-    pub fn index(&self) -> Option<&ChunkIndex> {
-        self.index.as_ref()
-    }
-
-    /// Serialized size of the chunk index in bits — 0 for v1 containers.
-    /// Deliberately **not** part of [`EncodedTensor::bit_len`]: the index
-    /// is side metadata, and the traffic accounting the figures report
-    /// measures the stream alone.
-    #[must_use]
-    pub fn index_bits(&self) -> u64 {
-        // The size arithmetic cannot overflow for an index the codec
-        // built (entry counts are bounded by the tensor length), so the
-        // checked path's error collapses to 0 rather than forcing a
-        // `Result` onto every accounting caller.
-        self.index
-            .as_ref()
-            .and_then(|i| i.serialized_bits().ok())
-            .unwrap_or(0)
-    }
-
-    /// Uncompressed footprint in bits.
-    #[must_use]
-    pub fn uncompressed_bits(&self) -> u64 {
-        self.len as u64 * u64::from(self.dtype.bits())
-    }
-
-    /// Compression ratio: compressed / uncompressed (lower is better).
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.len == 0 {
-            1.0
-        } else {
-            self.bit_len as f64 / self.uncompressed_bits() as f64
-        }
     }
 }
 
@@ -543,10 +493,10 @@ mod tests {
 
         // Group A: Z=8b, P=3b, 4 non-zeros x 6b = 24b -> 35 bits.
         // Group B: Z=8b, P=3b, 5 non-zeros x 3b = 15b -> 26 bits.
-        assert_eq!(enc.bit_len(), 35 + 26);
-        assert_eq!(enc.metadata_bits(), 2 * (8 + 3));
-        assert_eq!(enc.payload_bits(), 4 * 6 + 5 * 3);
-        assert_eq!(enc.uncompressed_bits(), 128);
+        assert_eq!(enc.bit_len, 35 + 26);
+        assert_eq!(enc.report.metadata_bits, 2 * (8 + 3));
+        assert_eq!(enc.report.payload_bits, 4 * 6 + 5 * 3);
+        assert_eq!(enc.len * usize::from(enc.dtype.bits()), 128);
         assert_eq!(codec.decode(&enc).unwrap(), tensor);
     }
 
@@ -556,16 +506,16 @@ mod tests {
         // sixteen 16b values."
         let tensor = t(FixedType::U16, (1..=16).collect());
         let enc = ShapeShifterCodec::new(16).encode(&tensor).unwrap();
-        assert_eq!(enc.groups(), 1);
-        assert_eq!(enc.metadata_bits(), 16 + 4);
+        assert_eq!(enc.report.groups, 1);
+        assert_eq!(enc.report.metadata_bits, 16 + 4);
     }
 
     #[test]
     fn all_zero_tensor_costs_only_metadata() {
         let tensor = t(FixedType::I16, vec![0; 64]);
         let enc = ShapeShifterCodec::new(16).encode(&tensor).unwrap();
-        assert_eq!(enc.payload_bits(), 0);
-        assert_eq!(enc.bit_len(), 4 * (16 + 4));
+        assert_eq!(enc.report.payload_bits, 0);
+        assert_eq!(enc.bit_len, 4 * (16 + 4));
         assert_eq!(ShapeShifterCodec::new(16).decode(&enc).unwrap(), tensor);
     }
 
@@ -587,9 +537,9 @@ mod tests {
         let tensor = t(FixedType::U8, vec![9, 0, 200]);
         let codec = ShapeShifterCodec::new(16);
         let enc = codec.encode(&tensor).unwrap();
-        assert_eq!(enc.groups(), 1);
+        assert_eq!(enc.report.groups, 1);
         // Z is only 3 bits wide for the short group.
-        assert_eq!(enc.metadata_bits(), 3 + 3);
+        assert_eq!(enc.report.metadata_bits, 3 + 3);
         assert_eq!(codec.decode(&enc).unwrap(), tensor);
     }
 
@@ -598,8 +548,8 @@ mod tests {
         let tensor = t(FixedType::U8, vec![]);
         let codec = ShapeShifterCodec::new(16);
         let enc = codec.encode(&tensor).unwrap();
-        assert_eq!(enc.bit_len(), 0);
-        assert!(enc.is_empty());
+        assert_eq!(enc.bit_len, 0);
+        assert_eq!(enc.len, 0);
         assert_eq!(codec.decode(&enc).unwrap(), tensor);
     }
 
@@ -621,16 +571,13 @@ mod tests {
         w.write_bits(0, 3).unwrap(); // P: width 1
         w.write_bits(1, 1).unwrap(); // value 1 (fine)
         w.write_bits(0, 1).unwrap(); // value 0 (corrupt: zeros travel in Z)
-        let enc = EncodedTensor {
+        let enc = SchemeStream {
             bit_len: w.bit_len(),
             bytes: w.into_bytes(),
             len: 2,
             dtype: FixedType::U8,
             group_size: 2,
-            groups: 1,
-            metadata_bits: 5,
-            payload_bits: 2,
-            index: None,
+            ..SchemeStream::default()
         };
         let err = ShapeShifterCodec::new(2).decode(&enc).unwrap_err();
         assert!(matches!(err, CodecError::CorruptValue { index: 1, .. }));
@@ -644,16 +591,13 @@ mod tests {
         w.write_bits(0b0, 1).unwrap(); // Z: one non-zero value
         w.write_bits(0b1111, 4).unwrap(); // P declares width 16 > container 12
         w.write_bits(0xFFFF, 16).unwrap();
-        let enc = EncodedTensor {
+        let enc = SchemeStream {
             bit_len: w.bit_len(),
             bytes: w.into_bytes(),
             len: 1,
             dtype: FixedType::unsigned(12).unwrap(),
             group_size: 1,
-            groups: 1,
-            metadata_bits: 5,
-            payload_bits: 16,
-            index: None,
+            ..SchemeStream::default()
         };
         let err = ShapeShifterCodec::new(1).decode(&enc).unwrap_err();
         assert!(matches!(
@@ -674,11 +618,13 @@ mod tests {
         let p16 = ShapeShifterCodec::new(16)
             .encode(&tensor)
             .unwrap()
-            .payload_bits();
+            .report
+            .payload_bits;
         let p256 = ShapeShifterCodec::new(256)
             .encode(&tensor)
             .unwrap()
-            .payload_bits();
+            .report
+            .payload_bits;
         assert!(p16 <= p256);
     }
 
@@ -690,10 +636,23 @@ mod tests {
             let codec = ShapeShifterCodec::new(group);
             let enc = codec.encode(&tensor).unwrap();
             let report = codec.measure(&tensor);
-            assert_eq!(report.metadata_bits, enc.metadata_bits(), "group {group}");
-            assert_eq!(report.payload_bits, enc.payload_bits(), "group {group}");
-            assert_eq!(report.groups, enc.groups(), "group {group}");
-            assert_eq!(report.total_bits(), enc.bit_len(), "group {group}");
+            assert_eq!(report, enc.report, "group {group}");
+            assert_eq!(report.total_bits(), enc.bit_len, "group {group}");
+            // Every scheme's stream carries exact accounting, and a
+            // parallel encode is the sequential one.
+            for id in SchemeRegistry::global().ids() {
+                let scheme = SchemeRegistry::global().get(id).unwrap();
+                let what = format!("{} group {group}", scheme.name());
+                let seq = codec.with_exec(ExecPolicy::Sequential);
+                let enc = seq.encode_with(scheme, &tensor).unwrap();
+                assert_eq!(enc.report.total_bits(), enc.bit_len, "{what}");
+                assert_eq!(enc.report.groups, tensor.len().div_ceil(group), "{what}");
+                if id == SchemeId::SHAPESHIFTER {
+                    assert_eq!(enc.report, report, "{what}");
+                }
+                let par = codec.with_exec(ExecPolicy::Threads(3));
+                assert_eq!(par.encode_with(scheme, &tensor).unwrap(), enc, "{what}");
+            }
         }
     }
 
@@ -731,6 +690,7 @@ mod tests {
     fn ratio_reflects_compression() {
         let tensor = t(FixedType::U16, vec![1; 160]);
         let enc = ShapeShifterCodec::new(16).encode(&tensor).unwrap();
-        assert!(enc.ratio() < 0.2, "ratio {}", enc.ratio());
+        // Compressed / uncompressed below 0.2.
+        assert!(enc.bit_len * 5 < tensor.container_bits(), "{enc:?}");
     }
 }

@@ -139,17 +139,20 @@ impl CodecConfig {
     }
 }
 
-/// The exact bit accounting of a tensor under the ShapeShifter container,
-/// as computed by `ShapeShifterCodec::measure` *without* materializing the
-/// stream (and tallied the same way by every encode path).
+/// The exact bit accounting of an encoded stream, under any wire scheme:
+/// every encode tallies it as it writes and carries it in
+/// [`crate::SchemeStream::report`], and `ShapeShifterCodec::measure`
+/// computes the ShapeShifter figures *without* materializing the stream.
 ///
-/// The accounting identity `total_bits() == metadata_bits + payload_bits`
-/// matches `EncodedTensor::bit_len()` bit-for-bit.
+/// Bits a group spends on value fields are payload; every other bit it
+/// writes (`Z` vectors, `P` prefixes, sign planes) is metadata. The
+/// accounting identity `total_bits() == metadata_bits + payload_bits`
+/// matches the stream's `bit_len` bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MeasureReport {
-    /// Bits spent on `Z` vectors and `P` prefixes.
+    /// Bits spent on per-group metadata (`Z` vectors, `P` prefixes).
     pub metadata_bits: u64,
-    /// Bits spent on non-zero value payloads.
+    /// Bits spent on value fields.
     pub payload_bits: u64,
     /// Number of groups the tensor packs into.
     pub groups: usize,
@@ -157,7 +160,7 @@ pub struct MeasureReport {
 
 impl MeasureReport {
     /// Total stream bits: metadata plus payload, equal to the encoded
-    /// stream's `bit_len()`.
+    /// stream's `bit_len`.
     #[must_use]
     pub fn total_bits(&self) -> u64 {
         self.metadata_bits + self.payload_bits

@@ -9,7 +9,7 @@
 //! hardware answers by construction: *can the decoder sustain the DDR4
 //! line rate?*
 
-use crate::EncodedTensor;
+use crate::SchemeStream;
 
 /// Which stage limits decode throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,16 +143,17 @@ impl DecompressorModel {
 
     /// Timing to stream-and-decode one encoded tensor.
     #[must_use]
-    pub fn timing(&self, enc: &EncodedTensor) -> DecodeTiming {
+    pub fn timing(&self, enc: &SchemeStream) -> DecodeTiming {
+        let groups = enc.report.groups as u64;
         DecodeTiming {
-            supply_cycles: enc.bit_len().div_ceil(self.line_bits),
-            l1_cycles: (enc.groups() as u64).div_ceil(self.num_l1d),
+            supply_cycles: enc.bit_len.div_ceil(self.line_bits),
+            l1_cycles: groups.div_ceil(self.num_l1d),
             // Each L2D expands one value per cycle and a group stays on one
             // L2D; with groups spread round-robin the completion time is the
             // per-L2D value share, bounded below by one group's length.
-            l2_cycles: (enc.len() as u64)
+            l2_cycles: (enc.len as u64)
                 .div_ceil(self.num_l2d)
-                .max(enc.groups().min(1) as u64 * enc.group_size() as u64),
+                .max(groups.min(1) * enc.group_size as u64),
         }
     }
 }
@@ -163,7 +164,7 @@ mod tests {
     use crate::ShapeShifterCodec;
     use ss_tensor::{FixedType, Shape, Tensor};
 
-    fn encode(vals: Vec<i32>) -> EncodedTensor {
+    fn encode(vals: Vec<i32>) -> SchemeStream {
         let t = Tensor::from_vec(Shape::flat(vals.len()), FixedType::U16, vals).unwrap();
         ShapeShifterCodec::new(16).encode(&t).unwrap()
     }

@@ -78,6 +78,15 @@ pub enum CodecError {
         /// The unrecognized wire id byte.
         id: u8,
     },
+    /// A decode was asked to read a stream under a scheme other than the
+    /// one the stream names. Decoding it anyway can return a wrong tensor
+    /// with no error, so the request is refused before any bit is read.
+    SchemeMismatch {
+        /// The wire id the stream carries.
+        stream: u8,
+        /// The wire id of the scheme the caller passed.
+        requested: u8,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -123,6 +132,10 @@ impl fmt::Display for CodecError {
             CodecError::UnknownScheme { id } => {
                 write!(f, "unknown container scheme wire id {id}")
             }
+            CodecError::SchemeMismatch { stream, requested } => write!(
+                f,
+                "stream of scheme {stream} cannot be decoded as scheme {requested}"
+            ),
         }
     }
 }

@@ -12,7 +12,13 @@
 //! * [`ShapeShifterCodec`] — the lossless off-chip memory container of §3 /
 //!   Figure 6: values are grouped (16 by default), each group stores a
 //!   zero bit-vector `Z`, a width prefix `P`, and only its non-zero values
-//!   at `P` bits each in sign-magnitude form.
+//!   at `P` bits each in sign-magnitude form. The codec is a
+//!   configuration (group size, index and execution policies) whose
+//!   one-shot encode and decode run any registered scheme;
+//!   [`CodecSession`] is its reusable, allocation-free twin. Both write
+//!   and read a [`SchemeStream`], the one stream type: it names its
+//!   scheme, so every decode takes the scheme from the stream, and it
+//!   carries its exact [`MeasureReport`].
 //! * [`ChunkIndex`] — the optional container-v2 chunk index: per-chunk bit
 //!   offsets and value counts (delta-encoded, CRC-32-guarded) that let
 //!   decode fan chunks out across worker threads while staying
@@ -42,6 +48,7 @@
 //! # Quick start
 //!
 //! ```
+//! use ss_core::scheme::ShapeShifterScheme;
 //! use ss_core::ShapeShifterCodec;
 //! use ss_tensor::{FixedType, Shape, Tensor};
 //!
@@ -52,9 +59,10 @@
 //!     vec![3, 0, -1, 0, 0, 0, 200, -7],
 //! )?;
 //! let codec = ShapeShifterCodec::new(16);
-//! let encoded = codec.encode(&t)?;
-//! assert!(encoded.bit_len() < t.container_bits()); // it compressed
-//! let back = codec.decode(&encoded)?;
+//! let encoded = codec.encode_with(&ShapeShifterScheme::default(), &t)?;
+//! assert!(encoded.bit_len < t.container_bits()); // it compressed
+//! assert_eq!(encoded.report.total_bits(), encoded.bit_len); // exactly
+//! let back = codec.decode(&encoded)?; // under the scheme it names
 //! assert_eq!(back, t); // losslessly
 //! # Ok(())
 //! # }
@@ -76,13 +84,13 @@ pub mod registry;
 pub mod scheme;
 mod session;
 
-pub use codec::{EncodedTensor, IndexPolicy, ShapeShifterCodec};
+pub use codec::{EncodedTensor, IndexPolicy, SchemeStream, ShapeShifterCodec};
 pub use config::{CodecConfig, ExecPolicy, MeasureReport};
 pub use detector::WidthDetector;
 pub use error::CodecError;
 pub use index::{ChunkEntry, ChunkIndex};
 pub use registry::{ContainerScheme, SchemeId, SchemeRegistry, StreamFrame};
-pub use session::{CodecSession, SchemeStream};
+pub use session::CodecSession;
 
 /// The blessed public surface, re-exported for glob import.
 ///
@@ -97,9 +105,9 @@ pub use session::{CodecSession, SchemeStream};
 /// # let _ = (codec, &mut session);
 /// ```
 pub mod prelude {
-    pub use crate::codec::{EncodedTensor, IndexPolicy, ShapeShifterCodec};
+    pub use crate::codec::{IndexPolicy, SchemeStream, ShapeShifterCodec};
     pub use crate::config::{CodecConfig, ExecPolicy, MeasureReport};
     pub use crate::error::CodecError;
     pub use crate::registry::{ContainerScheme, SchemeId, SchemeRegistry, StreamFrame};
-    pub use crate::session::{CodecSession, SchemeStream};
+    pub use crate::session::CodecSession;
 }

@@ -38,7 +38,7 @@ use crate::index::{ChunkEntry, ChunkIndex};
 use crate::scheme::{
     AdaBitsScheme, CompressionScheme, DeltaShapeShifter, DpRed, ShapeShifterScheme,
 };
-use crate::CodecError;
+use crate::{CodecError, MeasureReport};
 
 /// A container scheme's one-byte wire id.
 ///
@@ -130,9 +130,11 @@ pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
     /// byte).
     fn wire_id(&self) -> SchemeId;
 
-    /// Encodes `tensor` at `group_size` into `w` (cleared first),
-    /// returning the chunk index when the scheme participates in indexing
-    /// and `policy` asked for one.
+    /// Encodes `tensor` at `group_size` into `w` (cleared first) on up to
+    /// `threads` workers, returning the stream's bit accounting and, when
+    /// the scheme participates in indexing and `policy` asked for one,
+    /// the chunk index. The stream, accounting and index are the same at
+    /// every worker count.
     ///
     /// `entries` is index-entry scratch: an indexed encode moves its
     /// storage into the returned index, so a caller that refills it from
@@ -149,9 +151,10 @@ pub trait ContainerScheme: CompressionScheme + fmt::Debug + Send + Sync {
         tensor: &Tensor,
         group_size: usize,
         policy: IndexPolicy,
+        threads: usize,
         w: &mut BitWriter,
         entries: &mut Vec<ChunkEntry>,
-    ) -> Result<Option<ChunkIndex>, CodecError>;
+    ) -> Result<(MeasureReport, Option<ChunkIndex>), CodecError>;
 
     /// Decodes a raw stream into `out`, replacing its contents (on an
     /// error they are unspecified). `index` is the container's chunk index
@@ -184,11 +187,11 @@ impl<L: GroupLayout> ContainerScheme for L {
         tensor: &Tensor,
         group_size: usize,
         policy: IndexPolicy,
+        threads: usize,
         w: &mut BitWriter,
         entries: &mut Vec<ChunkEntry>,
-    ) -> Result<Option<ChunkIndex>, CodecError> {
-        let (_, index) = framing::write_stream::<L>(tensor, group_size, policy, 1, w, entries)?;
-        Ok(index)
+    ) -> Result<(MeasureReport, Option<ChunkIndex>), CodecError> {
+        framing::write_stream::<L>(tensor, group_size, policy, threads, w, entries)
     }
 
     fn decode_into(
@@ -326,12 +329,13 @@ mod tests {
             // The wire group size is the call's, not the struct's.
             let scheme = ShapeShifterScheme::new(64);
             let mut w = BitWriter::new();
-            let index = scheme
-                .encode_into(&tensor, 16, policy, &mut w, &mut Vec::new())
+            let (report, index) = scheme
+                .encode_into(&tensor, 16, policy, 1, &mut w, &mut Vec::new())
                 .unwrap();
-            assert_eq!(w.as_bytes(), one_shot.bytes());
-            assert_eq!(w.bit_len(), one_shot.bit_len());
-            assert_eq!(index.as_ref(), one_shot.index());
+            assert_eq!(w.as_bytes(), one_shot.bytes);
+            assert_eq!(w.bit_len(), one_shot.bit_len);
+            assert_eq!(index, one_shot.index);
+            assert_eq!(report, one_shot.report);
         }
     }
 
@@ -347,15 +351,16 @@ mod tests {
                 &tensor,
                 4,
                 IndexPolicy::None,
+                1,
                 &mut expected,
                 &mut Vec::new(),
             )
             .unwrap();
         let mut w = BitWriter::new();
-        let index = SchemeRegistry::global()
+        let (_, index) = SchemeRegistry::global()
             .get(SchemeId::DELTA)
             .unwrap()
-            .encode_into(&tensor, 4, IndexPolicy::Auto, &mut w, &mut Vec::new())
+            .encode_into(&tensor, 4, IndexPolicy::Auto, 1, &mut w, &mut Vec::new())
             .unwrap();
         assert!(index.is_none());
         assert_eq!(w.as_bytes(), expected.as_bytes());
@@ -380,8 +385,8 @@ mod tests {
         for id in SchemeRegistry::global().ids() {
             let scheme = SchemeRegistry::global().get(id).unwrap();
             let mut w = BitWriter::new();
-            let index = scheme
-                .encode_into(&tensor, 16, IndexPolicy::None, &mut w, &mut Vec::new())
+            let (_, index) = scheme
+                .encode_into(&tensor, 16, IndexPolicy::None, 1, &mut w, &mut Vec::new())
                 .unwrap();
             let frame = StreamFrame {
                 bit_len: w.bit_len(),
@@ -407,7 +412,7 @@ mod tests {
             let scheme = SchemeRegistry::global().get(id).unwrap();
             let mut w = BitWriter::new();
             scheme
-                .encode_into(&tensor, 16, IndexPolicy::None, &mut w, &mut Vec::new())
+                .encode_into(&tensor, 16, IndexPolicy::None, 1, &mut w, &mut Vec::new())
                 .unwrap();
             let bit_len = w.bit_len();
             w.write_bits(0xBEEF, 16).unwrap();
@@ -435,7 +440,7 @@ mod tests {
             for gs in [0usize, 257, 1 << 20] {
                 assert_eq!(
                     scheme
-                        .encode_into(&tensor, gs, IndexPolicy::None, &mut w, &mut Vec::new())
+                        .encode_into(&tensor, gs, IndexPolicy::None, 1, &mut w, &mut Vec::new())
                         .unwrap_err(),
                     CodecError::InvalidGroupSize,
                     "scheme {} gs {gs}",

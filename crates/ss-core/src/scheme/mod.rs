@@ -142,6 +142,7 @@ pub(crate) mod wire {
                 tensor,
                 group_size,
                 IndexPolicy::None,
+                1,
                 &mut w,
                 &mut Vec::new(),
             )

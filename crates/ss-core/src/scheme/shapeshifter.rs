@@ -277,7 +277,7 @@ mod tests {
     fn matches_codec_output_plus_flag() {
         let tensor = t((0..64).map(|i| i * 3).collect());
         let scheme = ShapeShifterScheme::default();
-        let direct = scheme.codec().encode(&tensor).unwrap().bit_len();
+        let direct = scheme.codec().encode(&tensor).unwrap().bit_len;
         assert_eq!(
             scheme.compressed_bits(&tensor, &SchemeCtx::unprofiled()),
             direct + ARRAY_FLAG_BITS

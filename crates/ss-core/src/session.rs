@@ -6,8 +6,8 @@
 //! the right shape for single tensors, but a batch engine pushing
 //! thousands of tensors through one worker pays the allocator on every
 //! call. A `CodecSession` owns the scratch instead — the bit writer, the
-//! decode value buffer and the chunk-index entry buffer — and the
-//! `*_into` methods recycle the *output* containers too, so a
+//! decode value buffer and the chunk-index entry buffer — and its encode
+//! and tensor decode recycle the *output* containers too, so a
 //! steady-state loop over same-sized tensors performs **zero heap
 //! allocations per tensor** (asserted by a counting-allocator test in
 //! `tests/session_alloc.rs`).
@@ -15,98 +15,46 @@
 //! Sessions are scheduling-transparent: a session encodes and decodes on
 //! the calling thread (the natural fit for `ss-pipeline`, which runs one
 //! session per worker), and its output is **bit-identical** to the
-//! one-shot API under every [`crate::ExecPolicy`] — both call into the
-//! same group loop and cut index chunks at the same policy-determined
+//! one-shot API under every [`crate::ExecPolicy`] — both run the one
+//! framing path and cut index chunks at the same policy-determined
 //! boundaries, so identity holds by construction and is re-checked by
 //! the property suite in `tests/session_reuse.rs` and the golden-vector
-//! corpus. That shared group loop is the word-parallel
-//! [`crate::kernels`] path — fused zero-bitmap/width scans on encode,
-//! bulk field extraction on decode — so sessions get the kernel speedups
-//! without any session-specific code.
+//! corpus.
 //!
-//! Every session encode and decode runs the one framing path all wire
-//! schemes share, on the calling thread: [`CodecSession::encode_into`]
-//! with the ShapeShifter group layout, [`CodecSession::encode_with_scheme`]
-//! through the scheme's own layout, and every decode — the
-//! [`EncodedTensor`] one included — through
+//! A session has one encode and one decode. [`CodecSession::encode_stream`]
+//! writes a [`SchemeStream`] under any scheme at the session's group
+//! size and index policy. Every decode runs
 //! [`CodecSession::decode_scheme_stream`], which leaves the values in
-//! the session's scratch and lends them out. The tensor-filling decodes
-//! swap that scratch into their output.
+//! the session's scratch and lends them out;
+//! [`CodecSession::decode_stream`] takes the scheme from the stream's own
+//! wire id and swaps the scratch into a tensor.
 
 use ss_bitio::BitWriter;
-use ss_tensor::{FixedType, Tensor};
+use ss_tensor::Tensor;
 
-use crate::codec::{EncodedTensor, IndexPolicy, ShapeShifterCodec};
-use crate::index::{ChunkEntry, ChunkIndex};
-use crate::registry::{ContainerScheme, SchemeId, StreamFrame};
+use crate::codec::{IndexPolicy, SchemeStream, ShapeShifterCodec};
+use crate::index::ChunkEntry;
+use crate::registry::{ContainerScheme, SchemeRegistry, StreamFrame};
 use crate::scheme::ShapeShifterScheme;
-use crate::{framing, CodecConfig, CodecError};
-
-/// A scheme-encoded stream plus its framing — the registry-era analogue
-/// of [`EncodedTensor`], produced by [`CodecSession::encode_with_scheme`]
-/// and consumed by [`CodecSession::decode_with_scheme`]. Carries the wire
-/// id so the stream is self-describing for store and serve layers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchemeStream {
-    /// The scheme that produced the stream (its stable wire id).
-    pub scheme: SchemeId,
-    /// The stream bytes.
-    pub bytes: Vec<u8>,
-    /// Exact stream length in bits.
-    pub bit_len: u64,
-    /// Value container type.
-    pub dtype: FixedType,
-    /// Element count.
-    pub len: usize,
-    /// Grouping granularity the stream was encoded at.
-    pub group_size: usize,
-    /// The chunk index, when the scheme participates in indexing and the
-    /// policy produced one.
-    pub index: Option<ChunkIndex>,
-}
-
-impl Default for SchemeStream {
-    fn default() -> Self {
-        Self {
-            scheme: SchemeId::SHAPESHIFTER,
-            bytes: Vec::new(),
-            bit_len: 0,
-            dtype: FixedType::U8,
-            len: 0,
-            group_size: 16,
-            index: None,
-        }
-    }
-}
-
-impl SchemeStream {
-    /// The decode framing for this stream.
-    #[must_use]
-    pub fn frame(&self) -> StreamFrame {
-        StreamFrame {
-            bit_len: self.bit_len,
-            dtype: self.dtype,
-            len: self.len,
-            group_size: self.group_size,
-        }
-    }
-}
+use crate::{CodecConfig, CodecError};
 
 /// A reusable encode/decode context: one codec configuration plus the
 /// scratch buffers that the one-shot API would otherwise allocate per
-/// call. The `*_into` methods recycle their outputs' buffers too, so a
-/// steady-state loop over same-sized tensors allocates nothing per
+/// call. [`CodecSession::encode_stream`] and
+/// [`CodecSession::decode_stream`] recycle their outputs' buffers too, so
+/// a steady-state loop over same-sized tensors allocates nothing per
 /// tensor, and every output is bit-identical to the one-shot API's.
 ///
 /// # Examples
 ///
 /// ```
 /// use ss_core::prelude::*;
+/// use ss_core::scheme::DpRed;
 /// use ss_tensor::{FixedType, Shape, Tensor};
 ///
 /// # fn main() -> Result<(), CodecError> {
 /// let mut session = CodecSession::new(CodecConfig::new())?;
-/// let mut encoded = EncodedTensor::default();
+/// let mut stream = SchemeStream::default();
 /// let mut decoded = Tensor::zeros(Shape::flat(0), FixedType::I16);
 /// for round in 0..3 {
 ///     let t = Tensor::from_vec(
@@ -114,8 +62,9 @@ impl SchemeStream {
 ///         FixedType::I16,
 ///         vec![round, 0, -7, 300],
 ///     )?;
-///     session.encode_into(&t, &mut encoded)?; // buffers reused each round
-///     session.decode_into(&encoded, &mut decoded)?;
+///     // Buffers are reused each round; the stream names its scheme.
+///     session.encode_stream(&DpRed::default(), &t, &mut stream)?;
+///     session.decode_stream(&stream, &mut decoded)?;
 ///     assert_eq!(decoded, t);
 /// }
 /// # Ok(())
@@ -127,11 +76,11 @@ pub struct CodecSession {
     /// Reusable encode stream buffer (cleared, never shrunk, per call).
     w: BitWriter,
     /// Reusable decode value buffer; swapped with the output tensor's
-    /// storage each `decode_into`, so both grow once to the high-water
+    /// storage each tensor decode, so both grow once to the high-water
     /// mark and then cycle.
     values: Vec<i32>,
     /// Reusable chunk-index entry buffer for encodes whose policy writes
-    /// an index. Reclaimed from the output container's previous index.
+    /// an index. Reclaimed from the output stream's previous index.
     entries: Vec<ChunkEntry>,
 }
 
@@ -163,107 +112,51 @@ impl CodecSession {
         &self.codec
     }
 
-    /// Encodes `tensor` into an existing container, reusing both the
-    /// session's scratch and the container's buffers.
+    /// Encodes `tensor` under `scheme` into an existing stream, at the
+    /// session's group size and index policy, reusing both the session's
+    /// scratch and the stream's buffers.
     ///
     /// `out` is fully overwritten; its previous contents only determine
-    /// how much allocated capacity the call starts with. The resulting
-    /// container — stream bytes, accounting and chunk index alike — is
-    /// **bit-identical** to `self.codec().encode(tensor)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShapeShifterCodec::encode`].
-    pub fn encode_into(
-        &mut self,
-        tensor: &Tensor,
-        out: &mut EncodedTensor,
-    ) -> Result<(), CodecError> {
-        self.reclaim_entries(out.index.take());
-        let (report, index) = framing::write_stream::<ShapeShifterScheme>(
-            tensor,
-            self.codec.group_size(),
-            self.codec.index_policy(),
-            1,
-            &mut self.w,
-            &mut self.entries,
-        )?;
-        out.bytes.clear();
-        out.bytes.extend_from_slice(self.w.as_bytes());
-        out.bit_len = self.w.bit_len();
-        out.len = tensor.len();
-        out.dtype = tensor.dtype();
-        out.group_size = self.codec.group_size();
-        out.groups = report.groups;
-        out.metadata_bits = report.metadata_bits;
-        out.payload_bits = report.payload_bits;
-        out.index = index;
-        Ok(())
-    }
-
-    /// Keeps the entry storage of an output's previous chunk index as the
-    /// next encode's index buffer (whichever of the two is larger), so
-    /// indexed encodes stop allocating once both have grown.
-    fn reclaim_entries(&mut self, prev: Option<ChunkIndex>) {
-        if let Some(prev) = prev {
-            let prev = prev.into_entries();
-            if prev.capacity() > self.entries.capacity() {
-                self.entries = prev;
-            }
-        }
-    }
-
-    /// Decodes a container into an existing tensor, reusing the session's
-    /// value scratch and the tensor's storage (swapped, not copied).
-    ///
-    /// `out` is fully overwritten: it takes the container's dtype, a flat
-    /// shape of the decoded length, and the decoded values. The result is
-    /// identical to `self.codec().decode(encoded)` — the session parses
-    /// the stream sequentially, which every container supports (a chunk
-    /// index, if present, is side metadata the sequential parse ignores).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShapeShifterCodec::decode`].
-    pub fn decode_into(
-        &mut self,
-        encoded: &EncodedTensor,
-        out: &mut Tensor,
-    ) -> Result<(), CodecError> {
-        // Decode under the *container's* group size (which may differ from
-        // the session's), exactly as the one-shot decode does.
-        self.decode_scheme_stream_into(
-            &ShapeShifterScheme::default(),
-            &encoded.bytes,
-            &encoded.frame(),
-            out,
-        )
-    }
-
-    /// Encodes `tensor` under an arbitrary registered scheme into an
-    /// existing [`SchemeStream`], reusing the session's stream scratch.
-    ///
-    /// The group size is the session's; `out` is fully overwritten, and
-    /// its previous chunk index (if any) is recycled as the next index's
-    /// storage exactly as [`CodecSession::encode_into`] recycles an
-    /// [`EncodedTensor`]'s. The stream bytes are the scheme's own
-    /// `encode_into` output: the session only lends it its scratch.
+    /// how much allocated capacity the call starts with (its chunk index,
+    /// if any, becomes the next index's storage). The result — stream
+    /// bytes, accounting and chunk index alike — is **bit-identical** to
+    /// `self.codec().encode_with(scheme, tensor)`.
     ///
     /// # Errors
     ///
     /// As [`ContainerScheme::encode_into`].
-    pub fn encode_with_scheme(
+    pub fn encode_stream(
+        &mut self,
+        scheme: &dyn ContainerScheme,
+        tensor: &Tensor,
+        out: &mut SchemeStream,
+    ) -> Result<(), CodecError> {
+        self.encode_under(scheme, tensor, self.codec.index_policy(), out)
+    }
+
+    /// The one session encode: [`CodecSession::encode_stream`] under an
+    /// explicit index policy.
+    fn encode_under(
         &mut self,
         scheme: &dyn ContainerScheme,
         tensor: &Tensor,
         policy: IndexPolicy,
         out: &mut SchemeStream,
     ) -> Result<(), CodecError> {
-        self.reclaim_entries(out.index.take());
-        let index = scheme.encode_into(
+        if let Some(prev) = out.index.take() {
+            // Keep the larger of the two entry buffers, so indexed
+            // encodes stop allocating once both have grown.
+            let prev = prev.into_entries();
+            if prev.capacity() > self.entries.capacity() {
+                self.entries = prev;
+            }
+        }
+        let group_size = self.codec.group_size();
+        let (report, index) = scheme.encode_into(
             tensor,
-            self.codec.group_size(),
+            group_size,
             policy,
+            1,
             &mut self.w,
             &mut self.entries,
         )?;
@@ -273,26 +166,32 @@ impl CodecSession {
         out.bit_len = self.w.bit_len();
         out.dtype = tensor.dtype();
         out.len = tensor.len();
-        out.group_size = self.codec.group_size();
+        out.group_size = group_size;
         out.index = index;
+        out.report = report;
         Ok(())
     }
 
-    /// Decodes a [`SchemeStream`] into an existing tensor, reusing the
-    /// session's value scratch (swapped, not copied). The parse is
-    /// sequential — a chunk index, if the stream carries one, is side
-    /// metadata this path ignores, exactly like
-    /// [`CodecSession::decode_into`].
+    /// Decodes a stream into an existing tensor under the scheme its wire
+    /// id names, reusing the session's value scratch and the tensor's
+    /// storage (swapped, not copied).
+    ///
+    /// `out` is fully overwritten: it takes the stream's dtype, a flat
+    /// shape of the decoded length, and the decoded values. The stream is
+    /// decoded under its *own* group size, which may differ from the
+    /// session's, and parsed sequentially: a chunk index, if the stream
+    /// carries one, is side metadata this path ignores.
     ///
     /// # Errors
     ///
-    /// As [`ContainerScheme::decode_into`].
-    pub fn decode_with_scheme(
+    /// [`CodecError::UnknownScheme`] if no registered scheme claims the
+    /// stream's id; otherwise as [`ContainerScheme::decode_into`].
+    pub fn decode_stream(
         &mut self,
-        scheme: &dyn ContainerScheme,
         stream: &SchemeStream,
         out: &mut Tensor,
     ) -> Result<(), CodecError> {
+        let scheme = SchemeRegistry::global().get(stream.scheme)?;
         self.decode_scheme_stream_into(scheme, &stream.bytes, &stream.frame(), out)
     }
 
@@ -343,28 +242,74 @@ impl CodecSession {
         Ok(())
     }
 
-    /// One-shot encode through the session (allocates the container, but
-    /// still reuses the session's stream scratch).
+    /// [`CodecSession::encode_stream`] under the ShapeShifter scheme.
+    /// Kept for the benchmark's sources until their next change (ROADMAP
+    /// item 5).
     ///
     /// # Errors
     ///
-    /// Same as [`ShapeShifterCodec::encode`].
-    pub fn encode(&mut self, tensor: &Tensor) -> Result<EncodedTensor, CodecError> {
-        let mut out = EncodedTensor::default();
-        self.encode_into(tensor, &mut out)?;
-        Ok(out)
+    /// As [`CodecSession::encode_stream`].
+    pub fn encode_into(
+        &mut self,
+        tensor: &Tensor,
+        out: &mut SchemeStream,
+    ) -> Result<(), CodecError> {
+        self.encode_stream(&ShapeShifterScheme::default(), tensor, out)
     }
 
-    /// One-shot decode through the session (allocates the tensor, but
-    /// still reuses the session's value scratch).
+    /// [`CodecSession::decode_stream`]. Kept for the benchmark's sources
+    /// until their next change (ROADMAP item 5).
     ///
     /// # Errors
     ///
-    /// Same as [`ShapeShifterCodec::decode`].
-    pub fn decode(&mut self, encoded: &EncodedTensor) -> Result<Tensor, CodecError> {
-        let mut out = Tensor::zeros(ss_tensor::Shape::flat(0), encoded.dtype);
-        self.decode_into(encoded, &mut out)?;
-        Ok(out)
+    /// As [`CodecSession::decode_stream`].
+    pub fn decode_into(
+        &mut self,
+        stream: &SchemeStream,
+        out: &mut Tensor,
+    ) -> Result<(), CodecError> {
+        self.decode_stream(stream, out)
+    }
+
+    /// [`CodecSession::encode_stream`] under an explicit index policy
+    /// instead of the session's. Kept for the benchmark's sources until
+    /// their next change (ROADMAP item 5).
+    ///
+    /// # Errors
+    ///
+    /// As [`CodecSession::encode_stream`].
+    pub fn encode_with_scheme(
+        &mut self,
+        scheme: &dyn ContainerScheme,
+        tensor: &Tensor,
+        policy: IndexPolicy,
+        out: &mut SchemeStream,
+    ) -> Result<(), CodecError> {
+        self.encode_under(scheme, tensor, policy, out)
+    }
+
+    /// [`CodecSession::decode_scheme_stream_into`] on `stream`'s parts,
+    /// after checking that `scheme` is the one the stream names. Kept for
+    /// the benchmark's sources until their next change (ROADMAP item 5);
+    /// [`CodecSession::decode_stream`] needs no scheme argument.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::SchemeMismatch`] if `scheme`'s wire id is not
+    /// `stream.scheme`; otherwise as [`ContainerScheme::decode_into`].
+    pub fn decode_with_scheme(
+        &mut self,
+        scheme: &dyn ContainerScheme,
+        stream: &SchemeStream,
+        out: &mut Tensor,
+    ) -> Result<(), CodecError> {
+        if scheme.wire_id() != stream.scheme {
+            return Err(CodecError::SchemeMismatch {
+                stream: stream.scheme.as_byte(),
+                requested: scheme.wire_id().as_byte(),
+            });
+        }
+        self.decode_scheme_stream_into(scheme, &stream.bytes, &stream.frame(), out)
     }
 
     /// Bytes of stream-scratch capacity currently held (the encode
@@ -378,6 +323,7 @@ impl CodecSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::SchemeId;
     use ss_tensor::{FixedType, Shape};
 
     fn tensor(len: usize, seed: i32) -> Tensor {
@@ -399,40 +345,56 @@ mod tests {
         let cfg = CodecConfig::new().with_index_policy(IndexPolicy::EveryGroups(4));
         let codec = cfg.build().unwrap();
         let mut session = CodecSession::new(cfg).unwrap();
-        let mut out = EncodedTensor::default();
-        for len in [0usize, 1, 15, 16, 17, 1000] {
-            let t = tensor(len, 7);
-            session.encode_into(&t, &mut out).unwrap();
-            let one_shot = codec.encode(&t).unwrap();
-            assert_eq!(out, one_shot, "len {len}");
-            let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
-            session.decode_into(&out, &mut back).unwrap();
-            assert_eq!(back, t, "len {len}");
+        let mut out = SchemeStream::default();
+        let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
+        for id in SchemeRegistry::global().ids() {
+            let scheme = SchemeRegistry::global().get(id).unwrap();
+            for len in [0usize, 1, 15, 16, 17, 1000] {
+                let t = tensor(len, 7);
+                session.encode_stream(scheme, &t, &mut out).unwrap();
+                let one_shot = codec.encode_with(scheme, &t).unwrap();
+                assert_eq!(out, one_shot, "scheme {id} len {len}");
+                session.decode_stream(&out, &mut back).unwrap();
+                assert_eq!(back, t, "scheme {id} len {len}");
+            }
         }
     }
 
     #[test]
     fn reuse_across_mixed_sizes_is_clean() {
         let mut session = CodecSession::new(CodecConfig::new()).unwrap();
-        let mut out = EncodedTensor::default();
+        let mut out = SchemeStream::default();
         let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
+        let scheme = ShapeShifterScheme::default();
         // Shrinking and growing between calls must not leak stale state.
         for (round, len) in [1000usize, 3, 0, 517, 64].into_iter().enumerate() {
             let t = tensor(len, round as i32);
-            session.encode_into(&t, &mut out).unwrap();
-            session.decode_into(&out, &mut back).unwrap();
+            session.encode_stream(&scheme, &t, &mut out).unwrap();
+            session.decode_stream(&out, &mut back).unwrap();
             assert_eq!(back, t, "round {round} len {len}");
         }
     }
 
     #[test]
     fn session_convenience_calls_match_one_shot() {
+        // The calls kept for the benchmark are the one encode and decode.
         let cfg = CodecConfig::new();
+        let codec = cfg.build().unwrap();
         let mut session = CodecSession::new(cfg).unwrap();
         let t = tensor(333, 1);
-        let enc = session.encode(&t).unwrap();
-        assert_eq!(enc, cfg.build().unwrap().encode(&t).unwrap());
-        assert_eq!(session.decode(&enc).unwrap(), t);
+        let mut enc = SchemeStream::default();
+        session.encode_into(&t, &mut enc).unwrap();
+        assert_eq!(enc, codec.encode(&t).unwrap());
+        let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
+        session.decode_into(&enc, &mut back).unwrap();
+        assert_eq!(back, t);
+        let dpred = SchemeRegistry::global().get(SchemeId::DPRED).unwrap();
+        session
+            .encode_with_scheme(dpred, &t, IndexPolicy::None, &mut enc)
+            .unwrap();
+        assert_eq!(enc, codec.encode_with(dpred, &t).unwrap());
+        session.decode_with_scheme(dpred, &enc, &mut back).unwrap();
+        assert_eq!(back, t);
     }
 
     #[test]
@@ -443,7 +405,50 @@ mod tests {
         let enc = foreign.encode(&t).unwrap();
         let mut session = CodecSession::new(CodecConfig::new()).unwrap();
         let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
-        session.decode_into(&enc, &mut back).unwrap();
+        session.decode_stream(&enc, &mut back).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn decode_with_scheme_refuses_a_scheme_the_stream_does_not_name() {
+        // Decoding a stream under another scheme's layout can succeed with
+        // a wrong tensor (an AdaBits stream read as DPRed often does), so
+        // every such request is refused before any bit is read.
+        let cfg = CodecConfig::new().with_index_policy(IndexPolicy::None);
+        let mut session = CodecSession::new(cfg).unwrap();
+        let registry = SchemeRegistry::global();
+        let mut stream = SchemeStream::default();
+        let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            let vals: Vec<i32> = (0..64)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 65_535) as i32 - 32_767
+                })
+                .collect();
+            let t = Tensor::from_vec(Shape::flat(64), FixedType::I16, vals).unwrap();
+            for from in registry.ids() {
+                let encoder = registry.get(from).unwrap();
+                session.encode_stream(encoder, &t, &mut stream).unwrap();
+                for to in registry.ids().filter(|&to| to != from) {
+                    let decoder = registry.get(to).unwrap();
+                    assert_eq!(
+                        session.decode_with_scheme(decoder, &stream, &mut back),
+                        Err(CodecError::SchemeMismatch {
+                            stream: from.as_byte(),
+                            requested: to.as_byte(),
+                        }),
+                        "stream {from} decoded as {to}"
+                    );
+                }
+                session
+                    .decode_with_scheme(encoder, &stream, &mut back)
+                    .unwrap();
+                assert_eq!(back, t, "scheme {from}");
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use ss_core::scheme::ShapeShifterScheme;
 use ss_core::{
-    ChunkIndex, CodecError, ContainerScheme, EncodedTensor, IndexPolicy, ShapeShifterCodec,
+    ChunkIndex, CodecError, ContainerScheme, IndexPolicy, SchemeStream, ShapeShifterCodec,
     StreamFrame,
 };
 use ss_tensor::{FixedType, Shape, Signedness, Tensor};
@@ -34,15 +34,15 @@ use ss_tensor::{FixedType, Shape, Signedness, Tensor};
 fn decode_raw(
     bytes: &[u8],
     bit_len: u64,
-    enc: &EncodedTensor,
+    enc: &SchemeStream,
     index: Option<&ChunkIndex>,
     threads: usize,
 ) -> Result<Vec<i32>, CodecError> {
     let frame = StreamFrame {
         bit_len,
-        dtype: enc.dtype(),
-        len: enc.len(),
-        group_size: enc.group_size(),
+        dtype: enc.dtype,
+        len: enc.len,
+        group_size: enc.group_size,
     };
     let mut out = Vec::new();
     ShapeShifterScheme::default().decode_into(bytes, &frame, index, threads, &mut out)?;
@@ -85,13 +85,13 @@ proptest! {
         for group in GROUP_SIZES {
             let codec = ShapeShifterCodec::new(group);
             let enc = codec.encode(&t).unwrap();
-            let bit_len = enc.bit_len();
+            let bit_len = enc.bit_len;
             prop_assume!(bit_len > 0);
             // Map the unit-interval `cut` onto a strictly shorter bit
             // length so one random draw covers all three group sizes.
             let cut_bits = ((bit_len as f64) * cut) as u64;
             let cut_bytes = (cut_bits as usize).div_ceil(8);
-            let truncated = &enc.bytes()[..cut_bytes.min(enc.bytes().len())];
+            let truncated = &enc.bytes[..cut_bytes.min(enc.bytes.len())];
             let r = decode_raw(truncated, cut_bits, &enc, None, 1);
             prop_assert!(
                 r.is_err(),
@@ -108,16 +108,16 @@ proptest! {
         for group in GROUP_SIZES {
             let codec = ShapeShifterCodec::new(group);
             let enc = codec.encode(&t).unwrap();
-            let bit_len = enc.bit_len();
+            let bit_len = enc.bit_len;
             prop_assume!(bit_len > 0);
             let flip = ((bit_len as f64) * pick) as u64;
-            let mut bytes = enc.bytes().to_vec();
+            let mut bytes = enc.bytes.to_vec();
             bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
             // Must not panic; on success the declared element count holds
             // and every value fits the container.
             if let Ok(values) = decode_raw(&bytes, bit_len, &enc, None, 1) {
-                prop_assert_eq!(values.len(), enc.len());
-                prop_assert!(values.iter().all(|&v| enc.dtype().contains(v)));
+                prop_assert_eq!(values.len(), enc.len);
+                prop_assert!(values.iter().all(|&v| enc.dtype.contains(v)));
             }
         }
     }
@@ -131,7 +131,7 @@ proptest! {
         prop_assume!(t.len() > 16);
         let codec = ShapeShifterCodec::new(16).with_index_policy(IndexPolicy::EveryGroups(1));
         let enc = codec.encode(&t).unwrap();
-        let blob = enc.index().expect("tensor spans multiple chunks").to_bytes().unwrap();
+        let blob = enc.index.as_ref().expect("tensor spans multiple chunks").to_bytes().unwrap();
         prop_assert!(ChunkIndex::from_bytes(&blob).is_ok());
         let flip = ((blob.len() * 8) as f64 * pick) as usize;
         let mut corrupt = blob.clone();
@@ -160,12 +160,12 @@ proptest! {
         prop_assume!(t.len() > 32);
         let codec = ShapeShifterCodec::new(16).with_index_policy(IndexPolicy::EveryGroups(1));
         let enc = codec.encode(&t).unwrap();
-        let index = enc.index().expect("tensor spans multiple chunks");
+        let index = enc.index.as_ref().expect("tensor spans multiple chunks");
         let mut entries = index.entries().to_vec();
         let last = entries.len() - 1;
         entries[last].bit_offset += shift;
         let tampered = ChunkIndex::from_parts(index.chunk_groups() as u32, entries).unwrap();
-        let r = decode_raw(enc.bytes(), enc.bit_len(), &enc, Some(&tampered), threads);
+        let r = decode_raw(&enc.bytes, enc.bit_len, &enc, Some(&tampered), threads);
         prop_assert!(r.is_err(), "shift {} survived decode", shift);
     }
 
@@ -181,28 +181,28 @@ proptest! {
         prop_assume!(t.len() > 16);
         let codec = ShapeShifterCodec::new(16).with_index_policy(IndexPolicy::EveryGroups(1));
         let enc = codec.encode(&t).unwrap();
-        let index = enc.index().expect("tensor spans multiple chunks");
-        let bit_len = enc.bit_len();
+        let index = enc.index.as_ref().expect("tensor spans multiple chunks");
+        let bit_len = enc.bit_len;
         prop_assume!(bit_len > 0);
         let flip = ((bit_len as f64) * pick) as u64;
-        let mut bytes = enc.bytes().to_vec();
+        let mut bytes = enc.bytes.to_vec();
         bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
         if let Ok(values) = decode_raw(&bytes, bit_len, &enc, Some(index), threads) {
-            prop_assert_eq!(values.len(), enc.len());
-            prop_assert!(values.iter().all(|&v| enc.dtype().contains(v)));
+            prop_assert_eq!(values.len(), enc.len);
+            prop_assert!(values.iter().all(|&v| enc.dtype.contains(v)));
         }
     }
 
     #[test]
     fn truncation_on_byte_boundaries_errors(t in arb_tensor()) {
-        // The EncodedTensor framing records bit_len exactly; chopping whole
+        // The stream's framing records bit_len exactly; chopping whole
         // trailing bytes (a torn write) must also surface as an error.
         let codec = ShapeShifterCodec::new(16);
         let enc = codec.encode(&t).unwrap();
-        prop_assume!(enc.bit_len() > 0);
-        let bytes = enc.bytes();
+        prop_assume!(enc.bit_len > 0);
+        let bytes = &enc.bytes;
         for keep in 0..bytes.len() {
-            let short_bits = (keep as u64 * 8).min(enc.bit_len().saturating_sub(1));
+            let short_bits = (keep as u64 * 8).min(enc.bit_len.saturating_sub(1));
             let r = decode_raw(&bytes[..keep], short_bits, &enc, None, 1);
             prop_assert!(r.is_err(), "kept {} of {} bytes", keep, bytes.len());
         }

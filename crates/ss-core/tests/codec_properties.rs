@@ -81,11 +81,11 @@ proptest! {
                 .with_exec(ExecPolicy::Threads(threads))
                 .encode(&t)
                 .unwrap();
-            prop_assert_eq!(par.bytes(), oracle.bytes(), "threads {}", threads);
-            prop_assert_eq!(par.bit_len(), oracle.bit_len());
-            prop_assert_eq!(par.metadata_bits(), oracle.metadata_bits());
-            prop_assert_eq!(par.payload_bits(), oracle.payload_bits());
-            prop_assert_eq!(par.groups(), oracle.groups());
+            prop_assert_eq!(par.bytes, oracle.bytes, "threads {}", threads);
+            prop_assert_eq!(par.bit_len, oracle.bit_len);
+            prop_assert_eq!(par.report.metadata_bits, oracle.report.metadata_bits);
+            prop_assert_eq!(par.report.payload_bits, oracle.report.payload_bits);
+            prop_assert_eq!(par.report.groups, oracle.report.groups);
         }
     }
 
@@ -106,9 +106,9 @@ proptest! {
                 .with_index_policy(IndexPolicy::None)
                 .encode(&t)
                 .unwrap();
-            prop_assert_eq!(enc.bytes(), v1.bytes(), "group {}", group);
-            prop_assert_eq!(enc.bit_len(), v1.bit_len());
-            prop_assert!(v1.index().is_none());
+            prop_assert_eq!(enc.bytes, v1.bytes, "group {}", group);
+            prop_assert_eq!(enc.bit_len, v1.bit_len);
+            prop_assert!(v1.index.as_ref().is_none());
             let oracle = codec.with_exec(ExecPolicy::Sequential).decode(&enc).unwrap();
             prop_assert_eq!(&oracle, &t);
             for threads in [2usize, 4, 8] {
@@ -120,21 +120,20 @@ proptest! {
             }
             // A written index survives its serialized form, and the
             // deserialized copy drives the same parallel decode.
-            if let Some(index) = enc.index() {
+            if let Some(index) = enc.index.as_ref() {
                 let back = ChunkIndex::from_bytes(&index.to_bytes().unwrap()).unwrap();
                 prop_assert_eq!(&back, index);
-                prop_assert_eq!(enc.index_bits(), back.serialized_bits().unwrap());
+                prop_assert_eq!(index.serialized_bits().unwrap(), back.serialized_bits().unwrap());
                 let frame = StreamFrame {
-                    bit_len: enc.bit_len(),
-                    dtype: enc.dtype(),
-                    len: enc.len(),
+                    bit_len: enc.bit_len,
+                    dtype: enc.dtype,
+                    len: enc.len,
                     group_size: group,
                 };
-                let via = decode_raw(enc.bytes(), frame, Some(&back), 4).unwrap();
+                let via = decode_raw(&enc.bytes, frame, Some(&back), 4).unwrap();
                 prop_assert_eq!(&via[..], t.values());
             } else {
                 prop_assert!(t.len() <= chunk_groups * group);
-                prop_assert_eq!(enc.index_bits(), 0);
             }
         }
     }
@@ -148,10 +147,10 @@ proptest! {
         let enc = codec.with_exec(ExecPolicy::Threads(8)).encode(&t).unwrap();
         for threads in [1usize, 2, 8] {
             let report = codec.with_exec(ExecPolicy::Threads(threads)).measure(&t);
-            prop_assert_eq!(report.metadata_bits, enc.metadata_bits(), "threads {}", threads);
-            prop_assert_eq!(report.payload_bits, enc.payload_bits());
-            prop_assert_eq!(report.groups, enc.groups());
-            prop_assert_eq!(report.total_bits(), enc.bit_len());
+            prop_assert_eq!(report.metadata_bits, enc.report.metadata_bits, "threads {}", threads);
+            prop_assert_eq!(report.payload_bits, enc.report.payload_bits);
+            prop_assert_eq!(report.groups, enc.report.groups);
+            prop_assert_eq!(report.total_bits(), enc.bit_len);
         }
     }
 
@@ -203,8 +202,8 @@ proptest! {
     #[test]
     fn encoded_length_is_metadata_plus_payload(t in arb_tensor(), group in 1usize..=64) {
         let enc = ShapeShifterCodec::new(group).encode(&t).unwrap();
-        prop_assert_eq!(enc.bit_len(), enc.metadata_bits() + enc.payload_bits());
-        prop_assert_eq!(enc.groups(), t.len().div_ceil(group));
+        prop_assert_eq!(enc.bit_len, enc.report.metadata_bits + enc.report.payload_bits);
+        prop_assert_eq!(enc.report.groups, t.len().div_ceil(group));
     }
 
     #[test]
@@ -218,7 +217,7 @@ proptest! {
                 w * g.iter().filter(|&&v| v != 0).count() as u64
             })
             .sum();
-        prop_assert_eq!(enc.payload_bits(), expected);
+        prop_assert_eq!(enc.report.payload_bits, expected);
     }
 
     #[test]
@@ -299,7 +298,7 @@ proptest! {
         prop_assume!(!t.is_empty());
         let codec = ShapeShifterCodec::new(16);
         let enc = codec.encode(&t).unwrap();
-        let mut bytes = enc.bytes().to_vec();
+        let mut bytes = enc.bytes.to_vec();
         if bytes.is_empty() {
             return Ok(());
         }
@@ -309,7 +308,7 @@ proptest! {
         // values — the stream carries no checksum, as in the paper) or
         // errors cleanly; it must never panic.
         let frame = StreamFrame {
-            bit_len: enc.bit_len(),
+            bit_len: enc.bit_len,
             dtype: t.dtype(),
             len: t.len(),
             group_size: 16,
@@ -325,7 +324,7 @@ proptest! {
         let sizes = [16usize, 32, 64, 128, 256];
         let payloads: Vec<u64> = sizes
             .iter()
-            .map(|&g| ShapeShifterCodec::new(g).encode(&t).unwrap().payload_bits())
+            .map(|&g| ShapeShifterCodec::new(g).encode(&t).unwrap().report.payload_bits)
             .collect();
         for pair in payloads.windows(2) {
             prop_assert!(pair[0] <= pair[1], "payloads {payloads:?}");

@@ -269,7 +269,7 @@ fn golden_vectors_conform() {
         let tensor = Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
         let codec = ShapeShifterCodec::new(case.group).with_index_policy(case.policy);
         let enc = codec.encode(&tensor).unwrap();
-        let index_blob = enc.index().map(|i| i.to_bytes().unwrap());
+        let index_blob = enc.index.as_ref().map(|i| i.to_bytes().unwrap());
 
         let stream_path = dir.join(format!("{}.stream.bin", case.name));
         let values_path = dir.join(format!("{}.values.bin", case.name));
@@ -277,7 +277,7 @@ fn golden_vectors_conform() {
 
         if regen {
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(&stream_path, enc.bytes()).unwrap();
+            std::fs::write(&stream_path, &enc.bytes).unwrap();
             std::fs::write(&values_path, values_to_le_bytes(&values)).unwrap();
             match &index_blob {
                 Some(blob) => std::fs::write(&index_path, blob).unwrap(),
@@ -288,8 +288,8 @@ fn golden_vectors_conform() {
             println!(
                 "{}: stream_hash: {:#018x}, bit_len: {}, index_hash: {:#018x},",
                 case.name,
-                fnv1a(enc.bytes()),
-                enc.bit_len(),
+                fnv1a(&enc.bytes),
+                enc.bit_len,
                 index_blob.as_deref().map_or(0, fnv1a)
             );
             // Freshly written files trivially match the encoder; the point
@@ -302,7 +302,7 @@ fn golden_vectors_conform() {
         let golden_stream = std::fs::read(&stream_path)
             .unwrap_or_else(|e| panic!("{}: missing golden stream ({e})", case.name));
         assert_eq!(
-            enc.bytes(),
+            enc.bytes,
             &golden_stream[..],
             "{}: encoder drifted from the golden stream",
             case.name
@@ -314,8 +314,7 @@ fn golden_vectors_conform() {
             case.name
         );
         assert_eq!(
-            enc.bit_len(),
-            case.bit_len,
+            enc.bit_len, case.bit_len,
             "{}: bit length drifted",
             case.name
         );
@@ -394,7 +393,7 @@ fn golden_vectors_round_trip_through_session() {
         return; // files are being rewritten by the conform test this run
     }
     let dir = golden_dir();
-    let mut out = ss_core::EncodedTensor::default();
+    let mut out = SchemeStream::default();
     let mut back = Tensor::zeros(Shape::flat(0), FixedType::U8);
     for case in CASES {
         let values = golden_values(case.seed, case.len, case.dtype);
@@ -406,25 +405,27 @@ fn golden_vectors_round_trip_through_session() {
         // Two rounds through the same session: the second runs entirely on
         // recycled buffers and must not drift.
         for round in 0..2 {
-            session.encode_into(&tensor, &mut out).unwrap();
+            session
+                .encode_stream(&ShapeShifterScheme::default(), &tensor, &mut out)
+                .unwrap();
             let golden_stream = std::fs::read(dir.join(format!("{}.stream.bin", case.name)))
                 .unwrap_or_else(|e| panic!("{}: missing golden stream ({e})", case.name));
             assert_eq!(
-                out.bytes(),
+                out.bytes,
                 &golden_stream[..],
                 "{} round {round}: session stream drifted from golden",
                 case.name
             );
-            assert_eq!(fnv1a(out.bytes()), case.stream_hash, "{}", case.name);
-            assert_eq!(out.bit_len(), case.bit_len, "{}", case.name);
-            let index_blob = out.index().map(|i| i.to_bytes().unwrap());
+            assert_eq!(fnv1a(&out.bytes), case.stream_hash, "{}", case.name);
+            assert_eq!(out.bit_len, case.bit_len, "{}", case.name);
+            let index_blob = out.index.as_ref().map(|i| i.to_bytes().unwrap());
             assert_eq!(
                 index_blob.as_deref().map_or(0, fnv1a),
                 case.index_hash,
                 "{} round {round}: session index drifted",
                 case.name
             );
-            session.decode_into(&out, &mut back).unwrap();
+            session.decode_stream(&out, &mut back).unwrap();
             assert_eq!(
                 back, tensor,
                 "{} round {round}: session decode drifted",
@@ -437,7 +438,7 @@ fn golden_vectors_round_trip_through_session() {
 #[test]
 fn scheme_golden_vectors_conform() {
     // The plug-in schemes' wire formats are pinned exactly like the
-    // default container's: today's `encode_with_scheme` reproduces each
+    // default container's: today's `encode_stream` reproduces each
     // checked-in stream byte-for-byte, the source constants agree with
     // the files, and the file bytes decode back to the file values
     // through a session reused across the whole corpus.
@@ -449,11 +450,11 @@ fn scheme_golden_vectors_conform() {
         let scheme = SchemeRegistry::global().get(case.scheme).unwrap();
         let values = golden_values(case.seed, case.len, case.dtype);
         let tensor = Tensor::from_vec(Shape::flat(case.len), case.dtype, values.clone()).unwrap();
-        let config = ss_core::CodecConfig::new().with_group_size(case.group);
+        let config = ss_core::CodecConfig::new()
+            .with_group_size(case.group)
+            .with_index_policy(IndexPolicy::None);
         let mut session = CodecSession::new(config).unwrap();
-        session
-            .encode_with_scheme(scheme, &tensor, IndexPolicy::None, &mut stream)
-            .unwrap();
+        session.encode_stream(scheme, &tensor, &mut stream).unwrap();
         assert!(stream.index.is_none(), "{}: unexpected index", case.name);
 
         let stream_path = dir.join(format!("{}.stream.bin", case.name));
@@ -500,9 +501,7 @@ fn scheme_golden_vectors_conform() {
             "{}: value corpus drifted",
             case.name
         );
-        session
-            .decode_with_scheme(scheme, &stream, &mut back)
-            .unwrap();
+        session.decode_stream(&stream, &mut back).unwrap();
         assert_eq!(back, tensor, "{}: scheme decode drifted", case.name);
     }
 }

@@ -566,8 +566,8 @@ struct Encoded {
 
 fn encode(tensor: &Tensor, group_size: usize, policy: IndexPolicy) -> Encoded {
     let mut w = BitWriter::new();
-    let index = ShapeShifterScheme::default()
-        .encode_into(tensor, group_size, policy, &mut w, &mut Vec::new())
+    let (_, index) = ShapeShifterScheme::default()
+        .encode_into(tensor, group_size, policy, 1, &mut w, &mut Vec::new())
         .unwrap();
     Encoded {
         frame: StreamFrame {

@@ -21,6 +21,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ss_core::prelude::*;
+use ss_core::scheme::ShapeShifterScheme;
 use ss_tensor::{FixedType, Shape, Tensor};
 
 /// Counts every allocation and reallocation made on an opted-in thread
@@ -108,15 +109,16 @@ fn steady_state_session_performs_zero_allocations_per_tensor() {
     // Mixed sizes, fixed set: capacities ratchet to the largest and then
     // cycle. Built before the measured region.
     let tensors = [tensor(4096, 1), tensor(333, 2), tensor(1024, 3)];
-    let mut out = EncodedTensor::default();
+    let mut out = SchemeStream::default();
     let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
+    let shapeshifter = ShapeShifterScheme::default();
 
     // Warm-up: grow every buffer to its high-water mark and verify
     // correctness while doing so.
     for _ in 0..3 {
         for t in &tensors {
-            session.encode_into(t, &mut out).unwrap();
-            session.decode_into(&out, &mut back).unwrap();
+            session.encode_stream(&shapeshifter, t, &mut out).unwrap();
+            session.decode_stream(&out, &mut back).unwrap();
             assert_eq!(&back, t);
         }
     }
@@ -126,8 +128,8 @@ fn steady_state_session_performs_zero_allocations_per_tensor() {
     let before = allocation_count();
     for _ in 0..ROUNDS {
         for t in &tensors {
-            session.encode_into(t, &mut out).unwrap();
-            session.decode_into(&out, &mut back).unwrap();
+            session.encode_stream(&shapeshifter, t, &mut out).unwrap();
+            session.decode_stream(&out, &mut back).unwrap();
         }
     }
     let delta = allocation_count() - before;
@@ -139,10 +141,10 @@ fn steady_state_session_performs_zero_allocations_per_tensor() {
         tensors.len()
     );
 
-    // The registry path — `encode_with_scheme` / `decode_with_scheme`,
-    // behind every batch-codec call and every store `get` — keeps the same
-    // promise for every registered scheme, indexed and unindexed. Schemes
-    // without an index ignore the policy.
+    // Every registered scheme keeps the same promise, indexed and
+    // unindexed, through `encode_with_scheme` / `decode_with_scheme`: the
+    // one encode and decode under an explicit policy and scheme, as the
+    // benchmark times them. Schemes without an index ignore the policy.
     let mut stream = SchemeStream::default();
     for id in SchemeRegistry::global().ids() {
         let scheme = SchemeRegistry::global().get(id).unwrap();

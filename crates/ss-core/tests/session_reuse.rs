@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use ss_core::prelude::*;
+use ss_core::scheme::ShapeShifterScheme;
 use ss_tensor::{FixedType, Shape, Signedness, Tensor};
 
 /// Strategy producing a tensor with a skewed (mostly-small, some zeros,
@@ -63,17 +64,18 @@ proptest! {
             // One container and one tensor recycled across the whole
             // sequence — shrinking, growing and switching dtypes between
             // calls must leave no trace in the output.
-            let mut out = EncodedTensor::default();
+            let mut out = SchemeStream::default();
             let mut back = Tensor::zeros(Shape::flat(0), FixedType::U8);
+            let scheme = ShapeShifterScheme::default();
             for (i, t) in tensors.iter().enumerate() {
-                session.encode_into(t, &mut out).unwrap();
-                let one_shot = codec.encode(t).unwrap();
+                session.encode_stream(&scheme, t, &mut out).unwrap();
+                let one_shot = codec.encode_with(&scheme, t).unwrap();
                 prop_assert_eq!(
                     &out, &one_shot,
                     "tensor {} under {:?}: session container diverged",
                     i, policy
                 );
-                session.decode_into(&out, &mut back).unwrap();
+                session.decode_stream(&out, &mut back).unwrap();
                 prop_assert_eq!(
                     &back, t,
                     "tensor {} under {:?}: session decode diverged",
@@ -94,14 +96,14 @@ proptest! {
         let cfg = CodecConfig::new().with_group_size(group);
         let codec = cfg.build().unwrap();
         let mut session = CodecSession::new(cfg).unwrap();
-        let mut out = EncodedTensor::default();
+        let mut out = SchemeStream::default();
         for t in &tensors {
-            session.encode_into(t, &mut out).unwrap();
+            session.encode_stream(&ShapeShifterScheme::default(), t, &mut out).unwrap();
             let report: MeasureReport = codec.measure(t);
-            prop_assert_eq!(report.metadata_bits, out.metadata_bits());
-            prop_assert_eq!(report.payload_bits, out.payload_bits());
-            prop_assert_eq!(report.groups, out.groups());
-            prop_assert_eq!(report.total_bits(), out.bit_len());
+            prop_assert_eq!(report.metadata_bits, out.report.metadata_bits);
+            prop_assert_eq!(report.payload_bits, out.report.payload_bits);
+            prop_assert_eq!(report.groups, out.report.groups);
+            prop_assert_eq!(report.total_bits(), out.bit_len);
         }
     }
 
@@ -124,15 +126,11 @@ proptest! {
         for (i, t) in tensors.iter().enumerate() {
             for id in SchemeRegistry::global().ids() {
                 let scheme = SchemeRegistry::global().get(id).unwrap();
-                session
-                    .encode_with_scheme(scheme, t, IndexPolicy::Auto, &mut stream)
-                    .unwrap();
+                session.encode_stream(scheme, t, &mut stream).unwrap();
                 prop_assert_eq!(stream.scheme, id);
                 let mut fresh = CodecSession::new(cfg).unwrap();
                 let mut reference = SchemeStream::default();
-                fresh
-                    .encode_with_scheme(scheme, t, IndexPolicy::Auto, &mut reference)
-                    .unwrap();
+                fresh.encode_stream(scheme, t, &mut reference).unwrap();
                 prop_assert_eq!(
                     &stream.bytes, &reference.bytes,
                     "tensor {} under {}: reused-session stream diverged",
@@ -140,7 +138,7 @@ proptest! {
                 );
                 prop_assert_eq!(stream.bit_len, reference.bit_len);
                 prop_assert_eq!(&stream.index, &reference.index);
-                session.decode_with_scheme(scheme, &stream, &mut back).unwrap();
+                session.decode_stream(&stream, &mut back).unwrap();
                 prop_assert_eq!(
                     &back, t,
                     "tensor {} under {}: scheme decode diverged",

@@ -26,19 +26,19 @@ fn codec_counters_and_width_hist() {
     let hist0 = rec.hist(WidthHist::CodecGroupWidth).total();
     let enc = codec.encode(&tensor).unwrap();
     assert_eq!(rec.counter(Counter::EncodeCalls), calls0 + 1);
-    assert_eq!(rec.counter(Counter::EncodeBits), bits0 + enc.bit_len());
+    assert_eq!(rec.counter(Counter::EncodeBits), bits0 + enc.bit_len);
     assert_eq!(rec.counter(Counter::EncodeZerosElided), zeros0 + zero_count);
     // One histogram entry per encoded group.
     assert_eq!(
         rec.hist(WidthHist::CodecGroupWidth).total(),
-        hist0 + enc.groups() as u64
+        hist0 + enc.report.groups as u64
     );
 
     // --- measure agrees with encode in the trace too ---
     let mbits0 = rec.counter(Counter::MeasureBits);
     let report = codec.measure(&tensor);
-    assert_eq!(report.total_bits(), enc.bit_len());
-    assert_eq!(rec.counter(Counter::MeasureBits), mbits0 + enc.bit_len());
+    assert_eq!(report.total_bits(), enc.bit_len);
+    assert_eq!(rec.counter(Counter::MeasureBits), mbits0 + enc.bit_len);
     assert_eq!(rec.counter(Counter::MeasureCalls), 1);
 
     // --- decode ---

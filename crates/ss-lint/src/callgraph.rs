@@ -41,23 +41,20 @@ pub const ENTRY_POINTS: &[&str] = &[
     // Word-parallel scan kernels (the Fig. 5(c) OR-tree analogue).
     "scan_group",
     "scan_gather",
-    // Public one-shot codec API.
-    "ShapeShifterCodec::encode",
-    "ShapeShifterCodec::decode",
+    // The one-shot codec: its one encode and one decode (behind the
+    // `SSPK` container too), and the measure.
+    "ShapeShifterCodec::encode_with",
+    "ShapeShifterCodec::decode_scheme_stream",
     "ShapeShifterCodec::measure",
-    // Reusable zero-allocation sessions.
-    "CodecSession::encode_into",
-    "CodecSession::decode_into",
-    // Registry-dispatched scheme sessions (each built-in scheme gets
-    // `ContainerScheme` from its group layout).
-    "CodecSession::encode_with_scheme",
-    "CodecSession::decode_with_scheme",
-    "CodecSession::decode_scheme_stream_into",
+    // The reusable zero-allocation session: its one encode and its
+    // decodes (each built-in scheme gets `ContainerScheme` from its group
+    // layout, and the registry resolves a stream's wire id).
+    "CodecSession::encode_stream",
+    "CodecSession::decode_stream",
+    "CodecSession::decode_scheme_stream",
     "SchemeRegistry::get",
-    // Batch engine.
+    // Batch engine: its one encode and one decode, and the verifying run.
     "Pipeline::process",
-    "Pipeline::encode_batch",
-    "Pipeline::decode_batch",
     "Pipeline::encode_batch_with",
     "Pipeline::decode_batch_with",
     // Shard store serving paths: streaming append and random-access get

@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 
 use ss_core::par::par_map_with;
 use ss_core::prelude::{
-    CodecSession, EncodedTensor, ExecPolicy, SchemeId, SchemeRegistry, SchemeStream,
-    ShapeShifterCodec,
+    CodecSession, ExecPolicy, SchemeId, SchemeRegistry, SchemeStream, ShapeShifterCodec,
 };
+use ss_core::scheme::ShapeShifterScheme;
 use ss_tensor::{FixedType, Shape, Tensor};
 use ss_trace::Counter;
 
@@ -62,7 +62,7 @@ impl AddAssign for Busy {
 struct WorkerCtx {
     session: CodecSession,
     seq: ShapeShifterCodec,
-    scratch_out: EncodedTensor,
+    scratch_out: SchemeStream,
     scratch_back: Tensor,
     busy: Busy,
 }
@@ -75,7 +75,7 @@ impl WorkerCtx {
             // the parallelism, nesting chunk threads under them would
             // oversubscribe.
             seq: session.codec().with_exec(ExecPolicy::Sequential),
-            scratch_out: EncodedTensor::default(),
+            scratch_out: SchemeStream::default(),
             scratch_back: Tensor::zeros(Shape::flat(0), FixedType::U8),
             busy: Busy::default(),
         }
@@ -116,8 +116,8 @@ impl Pipeline {
     /// the decode round-trip verification, folding per-tensor accounting
     /// into a [`BatchReport`] in submission order.
     ///
-    /// Containers are *not* retained — this is the throughput/verification
-    /// path; use [`Pipeline::encode_batch`] to keep them. Every tensor is
+    /// Streams are *not* retained — this is the throughput/verification
+    /// path; use [`Pipeline::encode_batch_with`] to keep them. Every tensor is
     /// attempted; on failure the lowest-indexed error (tagged with the
     /// tensor's submission index) is returned.
     pub fn process(&self, tensors: &[Tensor]) -> Result<BatchReport, PipelineError> {
@@ -125,7 +125,7 @@ impl Pipeline {
             // ss-lint: allow(determinism) -- busy-time clocks feed the timing half of BatchReport; the deterministic diff excludes them
             let t0 = Instant::now();
             ctx.session
-                .encode_into(tensor, &mut ctx.scratch_out)
+                .encode_stream(&ShapeShifterScheme::default(), tensor, &mut ctx.scratch_out)
                 .map_err(|source| PipelineError::Codec { index, source })?;
             ctx.busy.encode += t0.elapsed();
 
@@ -133,17 +133,15 @@ impl Pipeline {
             let t0 = Instant::now();
             let measured = ctx.seq.measure(tensor);
             ctx.busy.measure += t0.elapsed();
-            if measured.metadata_bits != ctx.scratch_out.metadata_bits()
-                || measured.payload_bits != ctx.scratch_out.payload_bits()
-                || measured.groups != ctx.scratch_out.groups()
-            {
+            let report = ctx.scratch_out.report;
+            if measured != report {
                 return Err(PipelineError::MeasureMismatch { index });
             }
 
             // ss-lint: allow(determinism) -- timing half of BatchReport
             let t0 = Instant::now();
             ctx.session
-                .decode_into(&ctx.scratch_out, &mut ctx.scratch_back)
+                .decode_stream(&ctx.scratch_out, &mut ctx.scratch_back)
                 .map_err(|source| PipelineError::Codec { index, source })?;
             ctx.busy.decode += t0.elapsed();
             if &ctx.scratch_back != tensor {
@@ -152,12 +150,12 @@ impl Pipeline {
 
             Ok(TensorRecord {
                 values: tensor.len() as u64,
-                uncompressed_bits: ctx.scratch_out.uncompressed_bits(),
-                stream_bits: ctx.scratch_out.bit_len(),
-                metadata_bits: ctx.scratch_out.metadata_bits(),
-                payload_bits: ctx.scratch_out.payload_bits(),
-                groups: ctx.scratch_out.groups() as u64,
-                stream_hash: fnv1a_64(ctx.scratch_out.bytes()),
+                uncompressed_bits: tensor.container_bits(),
+                stream_bits: ctx.scratch_out.bit_len,
+                metadata_bits: report.metadata_bits,
+                payload_bits: report.payload_bits,
+                groups: report.groups as u64,
+                stream_hash: fnv1a_64(&ctx.scratch_out.bytes),
             })
         })?;
 
@@ -173,48 +171,12 @@ impl Pipeline {
         Ok(report)
     }
 
-    /// Encodes the batch and returns the containers in submission order.
-    /// Each container is bit-identical to a one-shot
-    /// `ShapeShifterCodec::encode` under the same codec configuration.
-    pub fn encode_batch(&self, tensors: &[Tensor]) -> Result<Vec<EncodedTensor>, PipelineError> {
-        let run = self.run_batch(tensors, |ctx: &mut WorkerCtx, index, tensor: &Tensor| {
-            // ss-lint: allow(determinism) -- timing half of BatchReport
-            let t0 = Instant::now();
-            let encoded = ctx
-                .session
-                .encode(tensor)
-                .map_err(|source| PipelineError::Codec { index, source })?;
-            ctx.busy.encode += t0.elapsed();
-            Ok(encoded)
-        })?;
-        Ok(run.outputs)
-    }
-
-    /// Decodes a batch of containers back into tensors in submission
-    /// order (the inverse of [`Pipeline::encode_batch`]).
-    pub fn decode_batch(&self, containers: &[EncodedTensor]) -> Result<Vec<Tensor>, PipelineError> {
-        let run = self.run_batch(
-            containers,
-            |ctx: &mut WorkerCtx, index, enc: &EncodedTensor| {
-                // ss-lint: allow(determinism) -- timing half of BatchReport
-                let t0 = Instant::now();
-                let tensor = ctx
-                    .session
-                    .decode(enc)
-                    .map_err(|source| PipelineError::Codec { index, source })?;
-                ctx.busy.decode += t0.elapsed();
-                Ok(tensor)
-            },
-        )?;
-        Ok(run.outputs)
-    }
-
-    /// Encodes the batch under an arbitrary registered container scheme
-    /// (DPRed, AdaBits, or any plug-in), returning one [`SchemeStream`]
-    /// per tensor in submission order, indexed under the configured
-    /// `codec.index_policy`. Each stream is bit-identical to a
-    /// single-session `CodecSession::encode_with_scheme` under the same
-    /// configuration, for every worker count.
+    /// Encodes the batch under a registered container scheme (ShapeShifter,
+    /// Delta, DPRed, AdaBits), returning one [`SchemeStream`] per tensor in
+    /// submission order, indexed under the configured `codec.index_policy`.
+    /// Each stream is bit-identical to a one-shot
+    /// `ShapeShifterCodec::encode_with` under the same configuration, for
+    /// every worker count.
     ///
     /// # Errors
     ///
@@ -229,13 +191,12 @@ impl Pipeline {
         let scheme = SchemeRegistry::global()
             .get(scheme.into())
             .map_err(PipelineError::InvalidConfig)?;
-        let policy = self.config.codec.index_policy;
         let run = self.run_batch(tensors, |ctx: &mut WorkerCtx, index, tensor: &Tensor| {
             // ss-lint: allow(determinism) -- timing half of BatchReport
             let t0 = Instant::now();
             let mut out = SchemeStream::default();
             ctx.session
-                .encode_with_scheme(scheme, tensor, policy, &mut out)
+                .encode_stream(scheme, tensor, &mut out)
                 .map_err(|source| PipelineError::Codec { index, source })?;
             ctx.busy.encode += t0.elapsed();
             Ok(out)
@@ -245,8 +206,8 @@ impl Pipeline {
 
     /// Decodes a batch of [`SchemeStream`]s back into tensors in
     /// submission order (the inverse of [`Pipeline::encode_batch_with`]).
-    /// Each stream's own wire id is resolved against the global registry,
-    /// so one batch may mix schemes.
+    /// Each stream is decoded under the scheme its own wire id names, so
+    /// one batch may mix schemes.
     ///
     /// # Errors
     ///
@@ -258,19 +219,37 @@ impl Pipeline {
         streams: &[SchemeStream],
     ) -> Result<Vec<Tensor>, PipelineError> {
         let run = self.run_batch(streams, |ctx: &mut WorkerCtx, index, s: &SchemeStream| {
-            let scheme = SchemeRegistry::global()
-                .get(s.scheme)
-                .map_err(|source| PipelineError::Codec { index, source })?;
             // ss-lint: allow(determinism) -- timing half of BatchReport
             let t0 = Instant::now();
             let mut tensor = Tensor::zeros(Shape::flat(0), FixedType::U8);
             ctx.session
-                .decode_with_scheme(scheme, s, &mut tensor)
+                .decode_stream(s, &mut tensor)
                 .map_err(|source| PipelineError::Codec { index, source })?;
             ctx.busy.decode += t0.elapsed();
             Ok(tensor)
         })?;
         Ok(run.outputs)
+    }
+
+    /// [`Pipeline::encode_batch_with`] under the ShapeShifter scheme. Kept
+    /// for the benchmark's sources until their next change (ROADMAP item
+    /// 5).
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::encode_batch_with`].
+    pub fn encode_batch(&self, tensors: &[Tensor]) -> Result<Vec<SchemeStream>, PipelineError> {
+        self.encode_batch_with(SchemeId::SHAPESHIFTER, tensors)
+    }
+
+    /// [`Pipeline::decode_batch_with`]. Kept for the benchmark's sources
+    /// until their next change (ROADMAP item 5).
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::decode_batch_with`].
+    pub fn decode_batch(&self, streams: &[SchemeStream]) -> Result<Vec<Tensor>, PipelineError> {
+        self.decode_batch_with(streams)
     }
 
     /// The skeleton shared by every entry point: map `work` over the

@@ -109,7 +109,7 @@ impl BatchReport {
 
     /// Batch compression ratio: stream bits over uncompressed bits,
     /// lower is better — the same convention as
-    /// `EncodedTensor::ratio` (1.0 for an empty batch).
+    /// `CompressionScheme::ratio` (1.0 for an empty batch).
     #[must_use]
     pub fn ratio(&self) -> f64 {
         if self.uncompressed_bits == 0 {

@@ -220,7 +220,7 @@ fn report_hash_matches_hand_chained_one_shot_hashes() {
     let mut expected = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
     for t in &batch {
         let enc = codec.encode(t).unwrap();
-        let h = fnv1a_64(enc.bytes());
+        let h = fnv1a_64(&enc.bytes);
         for b in h.to_le_bytes() {
             expected ^= u64::from(b);
             expected = expected.wrapping_mul(0x100_0000_01b3);
@@ -262,8 +262,8 @@ fn batch_ratio_matches_the_container_accounting() {
     let (mut stream, mut raw) = (0u64, 0u64);
     for t in &batch {
         let enc = codec.encode(t).unwrap();
-        stream += enc.bit_len();
-        raw += enc.uncompressed_bits();
+        stream += enc.bit_len;
+        raw += t.container_bits();
     }
     let report = Pipeline::new(config()).unwrap().process(&batch).unwrap();
     assert_eq!(report.stream_bits, stream);

@@ -14,14 +14,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let tensor = Tensor::from_vec(Shape::flat(16), FixedType::U8, values)?;
     let codec = ShapeShifterCodec::new(8);
-    let encoded = codec.encode(&tensor)?;
+    let encoded = codec.encode_with(&ShapeShifterScheme::default(), &tensor)?;
     println!("Figure 6 example:");
-    println!("  uncompressed: {} bits", encoded.uncompressed_bits());
+    println!("  uncompressed: {} bits", tensor.container_bits());
     println!(
         "  compressed:   {} bits ({} metadata + {} payload)",
-        encoded.bit_len(),
-        encoded.metadata_bits(),
-        encoded.payload_bits()
+        encoded.bit_len,
+        encoded.report.metadata_bits,
+        encoded.report.payload_bits
     );
     assert_eq!(codec.decode(&encoded)?, tensor);
     println!("  round-trip:   lossless\n");
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = zoo::googlenet();
     let acts = net.input_tensor(1, 7); // conv2_reduce input activations
     let codec = ShapeShifterCodec::new(16);
-    let enc = codec.encode(&acts)?;
+    let enc = codec.encode_with(&ShapeShifterScheme::default(), &acts)?;
     println!(
         "\nGoogLeNet {} input activations ({} values):",
         net.layers()[1].name(),
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  ShapeShifter stores it in {:.1}% of the 16b container",
-        enc.ratio() * 100.0
+        enc.bit_len as f64 / acts.container_bits() as f64 * 100.0
     );
     assert_eq!(codec.decode(&enc)?, acts);
     Ok(())

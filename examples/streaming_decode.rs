@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|i| codec.encode(&net.input_tensor(i, 1)))
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
-            .filter(|e| e.len() >= 4096)
+            .filter(|e| e.len >= 4096)
             .collect();
         // Find the smallest power-of-two (L1, L2) making every layer's
         // decode transparent.

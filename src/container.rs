@@ -52,10 +52,12 @@
 use std::error::Error;
 use std::fmt;
 
-use ss_bitio::BitWriter;
 use ss_core::registry::StreamFrame;
-use ss_core::{ChunkIndex, CodecError, ContainerScheme, IndexPolicy, SchemeId, SchemeRegistry};
-use ss_tensor::{FixedType, Shape, Tensor, TensorError};
+use ss_core::{
+    ChunkIndex, CodecConfig, CodecError, ContainerScheme, ExecPolicy, IndexPolicy, SchemeId,
+    SchemeRegistry, ShapeShifterCodec,
+};
+use ss_tensor::{FixedType, Tensor, TensorError};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"SSPK";
@@ -244,11 +246,15 @@ pub fn pack_with_policy(
 ) -> Result<Vec<u8>, ContainerError> {
     let id = scheme.into();
     let scheme = SchemeRegistry::global().get(id)?;
-    let mut w = BitWriter::new();
-    let index = scheme.encode_into(tensor, group_size, policy, &mut w, &mut Vec::new())?;
-    let index_blob = index.as_ref().map(ChunkIndex::to_bytes).transpose()?;
-    let bytes = w.as_bytes();
-    let bit_len = w.bit_len();
+    let stream = CodecConfig::new()
+        .with_group_size(group_size)
+        .with_index_policy(policy)
+        .with_exec(ExecPolicy::Sequential)
+        .build()?
+        .encode_with(scheme, tensor)?;
+    let index_blob = stream.index.as_ref().map(ChunkIndex::to_bytes).transpose()?;
+    let bytes = &stream.bytes;
+    let bit_len = stream.bit_len;
     let index_len = index_blob
         .as_ref()
         .map_or(Ok(0u32), |blob| index_block_len(blob.len()))?;
@@ -369,11 +375,12 @@ pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
 /// Unpacks an `SSPK` byte vector back into the original tensor,
 /// resolving the scheme wire id in the global [`SchemeRegistry`].
 ///
-/// A v2 container's chunk index is deserialized (its CRC-32 rejects any
-/// corruption) and handed to the scheme, which drives the parallel decode
-/// path when it participates in indexing — the worker count follows
-/// `SS_THREADS` / the machine's parallelism; v1 containers decode
-/// sequentially exactly as before.
+/// The decode is the one-shot [`ShapeShifterCodec::decode_scheme_stream`]
+/// under the default execution policy. A v2 container's chunk index is
+/// deserialized (its CRC-32 rejects any corruption) and, when the tensor
+/// is large enough to decode on more than one worker (`SS_THREADS` / the
+/// machine's parallelism), fans the decode out over its chunks; otherwise
+/// the stream is parsed sequentially, exactly as a v1 container is.
 ///
 /// # Errors
 ///
@@ -381,34 +388,14 @@ pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
 /// scheme id ([`CodecError::UnknownScheme`]), a corrupt index or a
 /// corrupt stream.
 pub fn unpack(bytes: &[u8]) -> Result<Tensor, ContainerError> {
-    let meta = info(bytes)?;
-    let scheme = SchemeRegistry::global().get(meta.scheme)?;
-    // Checked before any use as a count: the 8-byte field wraps under
-    // `as usize` on a 32-bit target, turning a hostile length into a
-    // small-but-wrong allocation and a bogus decode.
-    let len = checked_len(&meta)?;
-    let stream = &bytes[meta.stream_offset()..];
+    let (meta, scheme, stream, frame) = stream_parts(bytes)?;
     let index = if meta.index_bytes > 0 {
         let blob = &bytes[HEADER_LEN + 4..HEADER_LEN + 4 + meta.index_bytes];
         Some(ChunkIndex::from_bytes(blob)?)
     } else {
         None
     };
-    let frame = StreamFrame {
-        bit_len: meta.stream_bits,
-        dtype: meta.dtype,
-        len,
-        group_size: meta.group_size,
-    };
-    let mut values = Vec::new();
-    scheme.decode_into(
-        stream,
-        &frame,
-        index.as_ref(),
-        ss_core::par::thread_count(),
-        &mut values,
-    )?;
-    Ok(Tensor::from_vec(Shape::flat(len), meta.dtype, values)?)
+    Ok(ShapeShifterCodec::default().decode_scheme_stream(scheme, stream, &frame, index.as_ref())?)
 }
 
 /// The container's element count as a `usize`, checked against the
@@ -443,7 +430,7 @@ pub fn unpack_values<'s>(
     bytes: &[u8],
     session: &'s mut ss_core::CodecSession,
 ) -> Result<(FixedType, &'s [i32]), ContainerError> {
-    let (scheme, stream, frame) = sequential_stream(bytes)?;
+    let (_, scheme, stream, frame) = stream_parts(bytes)?;
     let values = session.decode_scheme_stream(scheme, stream, &frame)?;
     Ok((frame.dtype, values))
 }
@@ -460,18 +447,21 @@ pub fn unpack_with(
     session: &mut ss_core::CodecSession,
     out: &mut Tensor,
 ) -> Result<(), ContainerError> {
-    let (scheme, stream, frame) = sequential_stream(bytes)?;
+    let (_, scheme, stream, frame) = stream_parts(bytes)?;
     session.decode_scheme_stream_into(scheme, stream, &frame, out)?;
     Ok(())
 }
 
-/// Parses the header and resolves the scheme for a sequential decode:
-/// the scheme, the stream bytes and their framing.
-fn sequential_stream(
+/// Parses the header and resolves the scheme the header names: the
+/// header, the scheme, the stream bytes and their framing.
+fn stream_parts(
     bytes: &[u8],
-) -> Result<(&'static dyn ContainerScheme, &[u8], StreamFrame), ContainerError> {
+) -> Result<(ContainerInfo, &'static dyn ContainerScheme, &[u8], StreamFrame), ContainerError> {
     let meta = info(bytes)?;
     let scheme = SchemeRegistry::global().get(meta.scheme)?;
+    // Checked before any use as a count: the 8-byte field wraps under
+    // `as usize` on a 32-bit target, turning a hostile length into a
+    // small-but-wrong allocation and a bogus decode.
     let frame = StreamFrame {
         bit_len: meta.stream_bits,
         dtype: meta.dtype,
@@ -479,7 +469,7 @@ fn sequential_stream(
         group_size: meta.group_size,
     };
     // ss-lint: allow(panic-freedom) -- info() bounds the stream by `bytes.len() - stream_offset()`, which it computes only after checking the index fits
-    Ok((scheme, &bytes[meta.stream_offset()..], frame))
+    Ok((meta, scheme, &bytes[meta.stream_offset()..], frame))
 }
 
 /// Bytes per value in the raw layout of `dtype`: one for containers of
@@ -585,6 +575,7 @@ pub fn values_to_raw(tensor: &Tensor) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_tensor::Shape;
 
     fn t(vals: Vec<i32>) -> Tensor {
         Tensor::from_vec(Shape::flat(vals.len()), FixedType::I16, vals).unwrap()

@@ -36,6 +36,7 @@
 //! Compress a layer's worth of activations and verify losslessness:
 //!
 //! ```
+//! use shapeshifter::core::scheme::ShapeShifterScheme;
 //! use shapeshifter::core::ShapeShifterCodec;
 //! use shapeshifter::models::zoo;
 //!
@@ -44,11 +45,11 @@
 //! let acts = net.input_tensor(1, 42);
 //!
 //! let codec = ShapeShifterCodec::new(16);
-//! let encoded = codec.encode(&acts)?;
+//! let encoded = codec.encode_with(&ShapeShifterScheme::default(), &acts)?;
 //! println!(
 //!     "compressed {} values: {:.1}% of the 16b container",
 //!     acts.len(),
-//!     encoded.ratio() * 100.0
+//!     encoded.bit_len as f64 / acts.container_bits() as f64 * 100.0
 //! );
 //! assert_eq!(codec.decode(&encoded)?, acts);
 //! # Ok(())
@@ -95,9 +96,8 @@ pub mod prelude {
         ShapeShifterScheme, ZeroRle,
     };
     pub use ss_core::{
-        CodecConfig, CodecError, CodecSession, ContainerScheme, EncodedTensor, ExecPolicy,
-        MeasureReport, SchemeId, SchemeRegistry, SchemeStream, ShapeShifterCodec, StreamFrame,
-        WidthDetector,
+        CodecConfig, CodecError, CodecSession, ContainerScheme, ExecPolicy, MeasureReport,
+        SchemeId, SchemeRegistry, SchemeStream, ShapeShifterCodec, StreamFrame, WidthDetector,
     };
     pub use ss_models::{zoo, LayerStats, Network, ValueGen};
     pub use ss_pipeline::{BatchReport, Pipeline, PipelineConfig, PipelineError};

@@ -9,9 +9,12 @@
 //! baseline entry stale, which is reported as a warning (regenerate with
 //! `--write-baseline`) so the ratchet only ever tightens.
 //!
-//! Fingerprints are `rule|file|normalized-snippet` — deliberately free of
-//! line numbers, so unrelated edits above a finding never resurrect it.
-//! Identical snippets in one file aggregate into a count.
+//! Fingerprints are `rule|file|fn|statement`: the enclosing fn's
+//! qualified name and the tokens of the flagged statement
+//! ([`context`]). They are free of line numbers, so unrelated edits above
+//! a finding never resurrect it, and free of layout, so a rustfmt re-wrap
+//! of the statement (or of anything else) keeps every key. Identical
+//! statements in one fn aggregate into a count.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -20,6 +23,9 @@ use std::io;
 use std::path::Path;
 
 use crate::diag::{Diagnostic, Report};
+use crate::lex::Line;
+use crate::parse::{self, ParsedFile, Tok};
+use crate::workspace::{FileKind, ScannedFile};
 
 /// Workspace-relative path of the checked-in baseline.
 pub const BASELINE_REL: &str = "scripts/lint_baseline.json";
@@ -30,12 +36,108 @@ pub struct Baseline {
     entries: HashMap<String, usize>,
 }
 
-/// The fingerprint of one diagnostic (line-number free, whitespace
-/// normalized).
+/// The fingerprint of one diagnostic: rule, file and
+/// [`Diagnostic::context`].
 #[must_use]
 pub fn fingerprint(d: &Diagnostic) -> String {
-    let snippet = d.snippet.split_whitespace().collect::<Vec<_>>().join(" ");
-    format!("{}|{}|{snippet}", d.rule, d.file)
+    format!("{}|{}|{}", d.rule, d.file, d.context)
+}
+
+/// A finding's key within its file: `fn|statement`, where `fn` is the
+/// qualified name of the innermost fn around line `lineno` (`-` outside
+/// any fn) and `statement` the canonical tokens of the statement the line
+/// belongs to (a manifest's line stands alone).
+///
+/// The statement grows from the flagged line while it is unfinished —
+/// the line before does not end in `;`, `{` or `}`, the last line does
+/// not, or a `(`/`[` opened on one line closes on another — and never
+/// leaves the fn. Its tokens come from the comment- and literal-blanked
+/// code view, joined with a space only between two words and without
+/// trailing commas, so only a change to the code itself, not rustfmt's
+/// layout, changes the key.
+#[must_use]
+pub fn context(file: &ScannedFile, parsed: &ParsedFile, lineno: usize) -> String {
+    let (name, lo, hi) = match parsed.fn_at(lineno) {
+        // The body's closing line belongs to no statement in it.
+        Some(f) => {
+            let end = f.body_end.map_or(f.sig_line, |end| end - 1);
+            (f.qualified(), f.sig_line, end.max(lineno))
+        }
+        None => ("-".to_string(), 1, file.lines.len()),
+    };
+    let (start, end) = if file.kind == FileKind::Manifest {
+        (lineno, lineno)
+    } else {
+        statement_span(&file.lines, lo, hi, lineno)
+    };
+    let lines = file.lines.get(start.saturating_sub(1)..end).unwrap_or_default();
+    format!("{name}|{}", canonical(lines))
+}
+
+/// The first and last line (1-based) of the statement around `at`,
+/// within lines `lo..=hi`.
+fn statement_span(lines: &[Line], lo: usize, hi: usize, at: usize) -> (usize, usize) {
+    let code = |n: usize| {
+        n.checked_sub(1)
+            .and_then(|i| lines.get(i))
+            .map_or("", |l| l.code.trim())
+    };
+    let finished = |n: usize| code(n).ends_with([';', '{', '}']);
+    let prev = |n: usize| (lo..n).rev().find(|&p| !code(p).is_empty());
+    let next = |n: usize| (n + 1..=hi).find(|&p| !code(p).is_empty());
+    let (mut start, mut end) = (at, at);
+    loop {
+        // Paren and bracket depth across the span: a closer without its
+        // opener means the statement began earlier; an opener left open
+        // means it ends later.
+        let (mut depth, mut lowest) = (0i64, 0i64);
+        for n in start..=end {
+            for c in code(n).chars() {
+                match c {
+                    '(' | '[' => depth += 1,
+                    ')' | ']' => depth -= 1,
+                    _ => continue,
+                }
+                lowest = lowest.min(depth);
+            }
+        }
+        if let Some(p) = prev(start).filter(|&p| lowest < 0 || !finished(p)) {
+            start = p;
+        } else if let Some(n) = next(end).filter(|_| depth > lowest || !finished(end)) {
+            end = n;
+        } else {
+            return (start, end);
+        }
+    }
+}
+
+/// The canonical text of `lines`' tokens: words separated by one space
+/// where two meet, punctuation unspaced, and a comma before a closer (or
+/// at the end) dropped, as rustfmt adds one to every vertical list.
+fn canonical(lines: &[Line]) -> String {
+    let toks = parse::tokenize(lines);
+    let mut out = String::new();
+    let mut prev_word = false;
+    for (i, (tok, _)) in toks.iter().enumerate() {
+        match tok {
+            Tok::Word(w) => {
+                if prev_word {
+                    out.push(' ');
+                }
+                out.push_str(w);
+                prev_word = true;
+            }
+            Tok::Punct(',')
+                if toks
+                    .get(i + 1)
+                    .is_none_or(|(t, _)| matches!(t, Tok::Punct(')' | ']' | '}'))) => {}
+            Tok::Punct(c) => {
+                out.push(*c);
+                prev_word = false;
+            }
+        }
+    }
+    out
 }
 
 impl Baseline {
@@ -201,14 +303,21 @@ fn parse_json_string(s: &str) -> Result<(String, usize), String> {
 mod tests {
     use super::*;
 
-    fn diag(rule: &'static str, file: &str, snippet: &str) -> Diagnostic {
+    fn diag(rule: &'static str, file: &str, context: &str) -> Diagnostic {
         Diagnostic {
             rule,
             file: file.to_string(),
             line: 1,
             message: "m".to_string(),
-            snippet: snippet.to_string(),
+            snippet: context.to_string(),
+            context: context.to_string(),
         }
+    }
+
+    /// The context of line `lineno` of `text`.
+    fn context_at(text: &str, lineno: usize) -> String {
+        let file = ScannedFile::rust("a.rs", FileKind::Source, text, &[]);
+        context(&file, &parse::parse(&file.lines), lineno)
     }
 
     fn report_with(diags: Vec<Diagnostic>) -> Report {
@@ -253,15 +362,34 @@ mod tests {
 
     #[test]
     fn line_drift_does_not_resurrect_findings() {
-        let mut d1 = diag("panic-freedom", "a.rs", "let x = v[i];");
+        let mut d1 = diag("panic-freedom", "a.rs", "f|let x=v[i];");
         d1.line = 10;
         let b = Baseline::from_report(&report_with(vec![d1]));
-        let mut d2 = diag("panic-freedom", "a.rs", "let x  =  v[i];");
-        d2.line = 99; // moved and re-indented
+        let mut d2 = diag("panic-freedom", "a.rs", "f|let x=v[i];");
+        d2.line = 99; // moved
         let mut current = report_with(vec![d2]);
         b.apply(&mut current);
         assert!(current.diagnostics.is_empty());
         assert!(current.stale_baseline.is_empty());
+    }
+
+    #[test]
+    fn context_is_the_fn_and_the_whole_statement_whatever_its_layout() {
+        let one_line = "impl Codec {\n    fn read(&self, v: &[u32], i: usize) -> u32 {\n        \
+                        let x = self.scale(v[i], \"why\") + v[i + 1];\n        x\n    }\n}\n";
+        let wrapped = "impl Codec {\n    fn read(&self, v: &[u32], i: usize) -> u32 {\n\n        \
+                       // a comment\n        let x = self.scale(\n            v[i],\n            \
+                       \"other\",\n        )\n            + v[i + 1];\n        x\n    }\n}\n";
+        let want = "Codec::read|let x=self.scale(v[i],\"\")+v[i+1];";
+        assert_eq!(context_at(one_line, 3), want);
+        for line in 5..=9 {
+            assert_eq!(context_at(wrapped, line), want, "line {line}");
+        }
+        // The statement after it is its own, without the fn's brace.
+        assert_eq!(context_at(one_line, 4), "Codec::read|x");
+        assert_eq!(context_at(wrapped, 10), "Codec::read|x");
+        // Outside any fn the key says so.
+        assert_eq!(context_at("static T: [u8; 2] = [1, 2];\n", 1), "-|static T:[u8;2]=[1,2];");
     }
 
     #[test]

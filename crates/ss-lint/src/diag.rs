@@ -15,6 +15,11 @@ pub struct Diagnostic {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
+    /// What the baseline keys the finding on besides rule and file: the
+    /// enclosing fn and the flagged statement's tokens
+    /// ([`crate::baseline::context`]). Filled by [`crate::lint`]; empty
+    /// until then.
+    pub context: String,
 }
 
 /// The outcome of a lint pass.
@@ -224,6 +229,7 @@ mod tests {
                 line: 7,
                 message: "call to `.unwrap()` in a hot-path module".to_string(),
                 snippet: "let v = map.get(&k).unwrap();".to_string(),
+                context: String::new(),
             }],
             files_scanned: 3,
             allows_honored: 1,

@@ -102,9 +102,23 @@ pub fn lint(ws: &Workspace) -> Report {
                 line: *line,
                 message: message.clone(),
                 snippet: file.snippet(*line),
+                context: String::new(),
             });
         }
         report.allows_honored += file.allows.count();
+    }
+    let index: std::collections::HashMap<&str, usize> = ws
+        .files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.rel.as_str(), i))
+        .collect();
+    for d in &mut report.diagnostics {
+        if let Some(&i) = index.get(d.file.as_str()) {
+            if let (Some(file), Some(parsed)) = (ws.files.get(i), cx.parsed.get(i)) {
+                d.context = baseline::context(file, parsed, d.line);
+            }
+        }
     }
     report.sort();
     report

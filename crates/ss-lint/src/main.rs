@@ -115,7 +115,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if failures.is_empty() {
                 println!(
                     "ss-lint self-test: all {} rules fire on their seeded fixtures; \
-                     reachability closure crosses modules; negative control clean",
+                     reachability closure crosses modules; negative control clean; \
+                     baseline keys survive rustfmt",
                     rules::known_rule_ids().len()
                 );
                 Ok(ExitCode::SUCCESS)

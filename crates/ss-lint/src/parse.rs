@@ -106,12 +106,12 @@ impl ParsedFile {
 /// A token of the blanked code view: a word (identifier, keyword or
 /// number) or a single punctuation char, with its 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
+pub(crate) enum Tok {
     Word(String),
     Punct(char),
 }
 
-fn tokenize(lines: &[Line]) -> Vec<(Tok, usize)> {
+pub(crate) fn tokenize(lines: &[Line]) -> Vec<(Tok, usize)> {
     let mut toks = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
         let lineno = idx + 1;

@@ -74,6 +74,7 @@ impl Rule for AllocHotLoop {
                                  annotate with `ss-lint: allow(alloc-in-hot-loop) -- <why>`"
                             ),
                             snippet: file.snippet(lineno),
+                            context: String::new(),
                         });
                     }
                 }

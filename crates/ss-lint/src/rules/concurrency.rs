@@ -76,6 +76,7 @@ impl Rule for Concurrency {
                                  exception"
                             ),
                             snippet: file.snippet(lineno),
+                            context: String::new(),
                         });
                     }
                 }

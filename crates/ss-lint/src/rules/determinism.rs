@@ -86,6 +86,7 @@ impl Rule for Determinism {
                                  serialized bytes>`"
                             ),
                             snippet: file.snippet(lineno),
+                            context: String::new(),
                         });
                     }
                 }

@@ -67,6 +67,7 @@ impl Rule for LockDiscipline {
                                   `ss-lint: allow(lock-discipline) -- <why>`"
                             .to_string(),
                         snippet: file.snippet(lineno),
+                        context: String::new(),
                     });
                 }
                 // Guard across send/recv, queue scope only.
@@ -84,6 +85,7 @@ impl Rule for LockDiscipline {
                                   `ss-lint: allow(lock-discipline) -- <why>`"
                             .to_string(),
                         snippet: file.snippet(lineno),
+                        context: String::new(),
                     });
                 }
             }

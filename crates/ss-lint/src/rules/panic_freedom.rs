@@ -66,6 +66,7 @@ impl Rule for PanicFreedom {
                                  `ss-lint: allow(panic-freedom) -- <proof>`"
                             ),
                             snippet: file.snippet(lineno),
+                            context: String::new(),
                         });
                     }
                 }
@@ -79,6 +80,7 @@ impl Rule for PanicFreedom {
                                   bounds proof"
                             .to_string(),
                         snippet: file.snippet(lineno),
+                        context: String::new(),
                     });
                 }
             }

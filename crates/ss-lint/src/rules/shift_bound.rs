@@ -80,6 +80,7 @@ impl Rule for ShiftBound {
                              or annotate with `ss-lint: allow(shift-bound) -- <range proof>`"
                         ),
                         snippet: file.snippet(lineno),
+                        context: String::new(),
                     });
                 }
             }

@@ -58,6 +58,7 @@ impl Rule for TruncatingCast {
                                  `try_from`"
                             ),
                             snippet: file.snippet(lineno),
+                            context: String::new(),
                         });
                     }
                 }

@@ -42,6 +42,7 @@ impl Rule for UnsafeWall {
                     line: 1,
                     message: format!("crate root is missing `{ATTRIBUTE}`"),
                     snippet: file.snippet(1),
+                    context: String::new(),
                 });
             }
         }

@@ -73,6 +73,7 @@ impl VendorDrift {
                          `# ss-lint: allow(vendor-drift) -- <reason>`"
                     ),
                     snippet: file.snippet(lineno),
+                    context: String::new(),
                 });
             }
         }
@@ -96,6 +97,7 @@ impl VendorDrift {
                              use into test/bench code or annotate the exception"
                         ),
                         snippet: file.snippet(lineno),
+                        context: String::new(),
                     });
                     break;
                 }

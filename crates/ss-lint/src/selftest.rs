@@ -10,9 +10,15 @@
 //! `reachability` fixture proves the call-graph closure carries
 //! `panic-freedom` into a module no hand-maintained list ever named.
 //!
+//! Two baseline fixtures prove the ratchet's keys survive rustfmt: a
+//! finding accepted in `baseline.rs` is still accepted once rustfmt has
+//! re-wrapped its statement, and a second finding in the same fn is
+//! still new.
+//!
 //! Fixtures live outside `src/` so the workspace walk never scans them:
 //! the seeded violations can never fail the real tree.
 
+use crate::baseline::Baseline;
 use crate::diag::Report;
 use crate::rules;
 use crate::workspace::{FileKind, ScannedFile, Workspace};
@@ -210,6 +216,7 @@ pub fn run() -> Vec<String> {
         }
         None => failures.push(format!("missing `{REACHABILITY}` fixture")),
     }
+    failures.extend(baseline_failures());
     match lint_fixture(SUPPRESSED) {
         Some(report) if !report.is_clean() => {
             for d in &report.diagnostics {
@@ -221,6 +228,42 @@ pub fn run() -> Vec<String> {
         }
         Some(_) => {}
         None => failures.push(format!("missing `{SUPPRESSED}` negative-control fixture")),
+    }
+    failures
+}
+
+/// Lints `text` mounted at a hot-path location.
+fn lint_mounted(text: &str) -> Report {
+    let file = ScannedFile::rust(
+        "crates/ss-core/src/codec.rs",
+        FileKind::Source,
+        text,
+        &rules::known_rule_ids(),
+    );
+    crate::lint(&Workspace::from_parts(vec![file], vec![]))
+}
+
+/// Checks the baseline fixtures: `baseline_wrapped.rs` must give no new
+/// finding and no stale entry against the baseline accepting
+/// `baseline.rs`, and `baseline_second.rs` exactly one new finding.
+fn baseline_failures() -> Vec<String> {
+    let accepted = Baseline::from_report(&lint_mounted(include_str!("../fixtures/baseline.rs")));
+    let mut failures = Vec::new();
+    for (name, text, new) in [
+        ("baseline_wrapped", include_str!("../fixtures/baseline_wrapped.rs"), 0),
+        ("baseline_second", include_str!("../fixtures/baseline_second.rs"), 1),
+    ] {
+        let mut report = lint_mounted(text);
+        accepted.apply(&mut report);
+        if report.diagnostics.len() != new || !report.stale_baseline.is_empty() {
+            failures.push(format!(
+                "baseline fixture `{name}`: expected {new} new and 0 stale, got {} new and {} \
+                 stale:\n{}",
+                report.diagnostics.len(),
+                report.stale_baseline.len(),
+                report.render_human()
+            ));
+        }
     }
     failures
 }
@@ -269,6 +312,14 @@ mod tests {
         let report = lint_fixture("vendor-drift").expect("fixture");
         assert!(report.diagnostics.iter().any(|d| d.file.ends_with("Cargo.toml")));
         assert!(report.diagnostics.iter().any(|d| d.file.ends_with(".rs")));
+    }
+
+    #[test]
+    fn baseline_keys_survive_rustfmt_and_count_new_findings() {
+        assert_eq!(baseline_failures(), Vec::<String>::new());
+        // The accepted fixture really has a finding to carry over.
+        let accepted = lint_mounted(include_str!("../fixtures/baseline.rs"));
+        assert_eq!(accepted.diagnostics.len(), 1, "{}", accepted.render_human());
     }
 
     #[test]

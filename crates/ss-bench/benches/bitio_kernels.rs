@@ -16,7 +16,11 @@ use ss_bitio::{BitReader, BitWriter};
 const FIELDS: usize = 1 << 14;
 
 fn fields_at(bits: u32) -> Vec<u64> {
-    let mask = if bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
+    let mask = if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    };
     (0..FIELDS as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
         .collect()

@@ -2,5 +2,7 @@
 //! Supports `--trace <path>` / `--trace-chrome <path>` (see `ss_bench::trace`).
 
 fn main() -> std::io::Result<()> {
-    ss_bench::main_with_trace("ablation_group_size", |mut out| ss_bench::figs::ablation_group_size::run(&mut out))
+    ss_bench::main_with_trace("ablation_group_size", |mut out| {
+        ss_bench::figs::ablation_group_size::run(&mut out)
+    })
 }

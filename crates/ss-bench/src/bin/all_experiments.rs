@@ -28,12 +28,18 @@ fn main() -> io::Result<()> {
     let experiments: Vec<(&str, &str, Experiment)> = vec![
         ("Figure 1", "fig01_act_cdf", |o| figs::fig01_act_cdf::run(o)),
         ("Figure 2", "fig02_wgt_cdf", |o| figs::fig02_wgt_cdf::run(o)),
-        ("Figure 3", "fig03_quant_cdf", |o| figs::fig03_quant_cdf::run(o)),
-        ("Figure 4", "fig04_avg_width", |o| figs::fig04_avg_width::run(o)),
+        ("Figure 3", "fig03_quant_cdf", |o| {
+            figs::fig03_quant_cdf::run(o)
+        }),
+        ("Figure 4", "fig04_avg_width", |o| {
+            figs::fig04_avg_width::run(o)
+        }),
         ("Table 1", "table1_effective_widths", |o| {
             figs::table1_effective_widths::run(o)
         }),
-        ("Figure 8a", "fig08a_traffic", |o| figs::fig08a_traffic::run(o)),
+        ("Figure 8a", "fig08a_traffic", |o| {
+            figs::fig08a_traffic::run(o)
+        }),
         ("Figure 8b", "fig08b_traffic_noprofile", |o| {
             figs::fig08b_traffic_noprofile::run(o)
         }),
@@ -45,13 +51,21 @@ fn main() -> io::Result<()> {
         }),
         ("Figure 10", "fig10_scnn", |o| figs::fig10_scnn::run(o)),
         ("Figure 11", "fig11_fusion", |o| figs::fig11_fusion::run(o)),
-        ("Figure 12", "fig12_sstripes", |o| figs::fig12_sstripes::run(o)),
-        ("Figure 13", "fig13_breakdown", |o| figs::fig13_breakdown::run(o)),
+        ("Figure 12", "fig12_sstripes", |o| {
+            figs::fig12_sstripes::run(o)
+        }),
+        ("Figure 13", "fig13_breakdown", |o| {
+            figs::fig13_breakdown::run(o)
+        }),
         ("Figure 14", "fig14_vs_bitfusion", |o| {
             figs::fig14_vs_bitfusion::run(o)
         }),
-        ("Figure 15", "fig15_buffers", |o| figs::fig15_buffers::run(o)),
-        ("Figure 16", "fig16_outlier", |o| figs::fig16_outlier::run(o)),
+        ("Figure 15", "fig15_buffers", |o| {
+            figs::fig15_buffers::run(o)
+        }),
+        ("Figure 16", "fig16_outlier", |o| {
+            figs::fig16_outlier::run(o)
+        }),
         ("Section 5.3", "sec53_loom", |o| figs::sec53_loom::run(o)),
         ("Ablation: group size", "ablation_group_size", |o| {
             figs::ablation_group_size::run(o)
@@ -62,14 +76,20 @@ fn main() -> io::Result<()> {
         ("Ablation: zero vector", "ablation_metadata", |o| {
             figs::ablation_metadata::run(o)
         }),
-        ("Ablation: tile validation", "ablation_tile_validation", |o| {
-            figs::ablation_tile_validation::run(o)
+        (
+            "Ablation: tile validation",
+            "ablation_tile_validation",
+            |o| figs::ablation_tile_validation::run(o),
+        ),
+        ("Extension: Tartan", "ext_tartan", |o| {
+            figs::ext_tartan::run(o)
         }),
-        ("Extension: Tartan", "ext_tartan", |o| figs::ext_tartan::run(o)),
         ("Extension: Delta", "ext_delta", |o| figs::ext_delta::run(o)),
-        ("Extension: Schemes x quantizers", "ext_schemes_quant", |o| {
-            figs::ext_schemes_quant::run(o)
-        }),
+        (
+            "Extension: Schemes x quantizers",
+            "ext_schemes_quant",
+            |o| figs::ext_schemes_quant::run(o),
+        ),
         ("Extension: On-chip buffers", "ext_onchip", |o| {
             figs::ext_onchip::run(o)
         }),
@@ -104,5 +124,9 @@ fn main() -> io::Result<()> {
         writeln!(out, "[{name} done in {:.1}s]\n", t.elapsed().as_secs_f64())?;
     }
     trace_args.export()?;
-    writeln!(out, "All experiments done in {:.1}s", start.elapsed().as_secs_f64())
+    writeln!(
+        out,
+        "All experiments done in {:.1}s",
+        start.elapsed().as_secs_f64()
+    )
 }

@@ -2,5 +2,7 @@
 //! Supports `--trace <path>` / `--trace-chrome <path>` (see `ss_bench::trace`).
 
 fn main() -> std::io::Result<()> {
-    ss_bench::main_with_trace("ext_tartan", |mut out| ss_bench::figs::ext_tartan::run(&mut out))
+    ss_bench::main_with_trace("ext_tartan", |mut out| {
+        ss_bench::figs::ext_tartan::run(&mut out)
+    })
 }

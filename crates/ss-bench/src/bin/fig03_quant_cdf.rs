@@ -2,5 +2,7 @@
 //! Supports `--trace <path>` / `--trace-chrome <path>` (see `ss_bench::trace`).
 
 fn main() -> std::io::Result<()> {
-    ss_bench::main_with_trace("fig03_quant_cdf", |mut out| ss_bench::figs::fig03_quant_cdf::run(&mut out))
+    ss_bench::main_with_trace("fig03_quant_cdf", |mut out| {
+        ss_bench::figs::fig03_quant_cdf::run(&mut out)
+    })
 }

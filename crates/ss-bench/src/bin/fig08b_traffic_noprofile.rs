@@ -2,5 +2,7 @@
 //! Supports `--trace <path>` / `--trace-chrome <path>` (see `ss_bench::trace`).
 
 fn main() -> std::io::Result<()> {
-    ss_bench::main_with_trace("fig08b_traffic_noprofile", |mut out| ss_bench::figs::fig08b_traffic_noprofile::run(&mut out))
+    ss_bench::main_with_trace("fig08b_traffic_noprofile", |mut out| {
+        ss_bench::figs::fig08b_traffic_noprofile::run(&mut out)
+    })
 }

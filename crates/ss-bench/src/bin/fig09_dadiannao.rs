@@ -2,5 +2,7 @@
 //! Supports `--trace <path>` / `--trace-chrome <path>` (see `ss_bench::trace`).
 
 fn main() -> std::io::Result<()> {
-    ss_bench::main_with_trace("fig09_dadiannao", |mut out| ss_bench::figs::fig09_dadiannao::run(&mut out))
+    ss_bench::main_with_trace("fig09_dadiannao", |mut out| {
+        ss_bench::figs::fig09_dadiannao::run(&mut out)
+    })
 }

@@ -298,8 +298,8 @@ fn main() -> std::io::Result<()> {
     let update_timings = args.iter().any(|a| a == "--update-timings");
 
     let out = std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_codec.json".into());
-    let timings_out = std::env::var("SS_BENCH_TIMINGS_OUT")
-        .unwrap_or_else(|_| "BENCH_codec_timings.json".into());
+    let timings_out =
+        std::env::var("SS_BENCH_TIMINGS_OUT").unwrap_or_else(|_| "BENCH_codec_timings.json".into());
     let host_threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -379,9 +379,7 @@ fn main() -> std::io::Result<()> {
             (encode_ms[0] + measure_ms[0]) / (encode_ms[1] + measure_ms[1]).max(1e-9)
         );
     } else {
-        println!(
-            "host has 1 core: thread-scaling ratios are oversubscription noise, not reported"
-        );
+        println!("host has 1 core: thread-scaling ratios are oversubscription noise, not reported");
     }
 
     // Deterministic half: identical bytes on every run and every host, so

@@ -201,7 +201,9 @@ fn main() -> std::io::Result<()> {
     match (&out_override, smoke) {
         // Smoke runs keep their hands off the checked-in full-size file
         // unless a destination was explicitly requested.
-        (None, true) => println!("smoke mode: deterministic JSON not persisted (set SS_BENCH_PIPELINE_OUT to write)"),
+        (None, true) => println!(
+            "smoke mode: deterministic JSON not persisted (set SS_BENCH_PIPELINE_OUT to write)"
+        ),
         (maybe_out, _) => {
             let out = maybe_out.as_deref().unwrap_or("BENCH_pipeline.json");
             std::fs::File::create(out)?.write_all(json.as_bytes())?;

@@ -179,14 +179,26 @@ fn main() -> std::io::Result<()> {
 
     let pool = tensor_pool();
     let workers = ss_bench::par_threads();
-    println!("schemes_quant ({mode}): {} pool tensors, {workers} workers", pool.len());
+    println!(
+        "schemes_quant ({mode}): {} pool tensors, {workers} workers",
+        pool.len()
+    );
 
     let byte_identical = registry_byte_identical(&pool);
-    println!("registry byte identity: {}", if byte_identical { "PASS" } else { "FAIL" });
+    println!(
+        "registry byte identity: {}",
+        if byte_identical { "PASS" } else { "FAIL" }
+    );
     let (roundtrip, streams_hash) = dpred_adabits_roundtrip(&pool, workers);
-    println!("DPRed/AdaBits round trip: {}", if roundtrip { "PASS" } else { "FAIL" });
+    println!(
+        "DPRed/AdaBits round trip: {}",
+        if roundtrip { "PASS" } else { "FAIL" }
+    );
     let prefix_monotone = adabits_prefix_monotone(&pool);
-    println!("AdaBits prefix monotone: {}", if prefix_monotone { "PASS" } else { "FAIL" });
+    println!(
+        "AdaBits prefix monotone: {}",
+        if prefix_monotone { "PASS" } else { "FAIL" }
+    );
 
     // The serving-width coupling rows land in the JSON so the quantizer
     // side of the study is part of the determinism surface too.

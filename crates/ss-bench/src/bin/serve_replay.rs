@@ -162,7 +162,9 @@ fn main() -> std::io::Result<()> {
 
     // The workload: a tensor pool and a small model store for gets.
     let pool = tensor_pool();
-    let records: Vec<String> = (0..pool.len()).map(|i| format!("layer{i}.weight")).collect();
+    let records: Vec<String> = (0..pool.len())
+        .map(|i| format!("layer{i}.weight"))
+        .collect();
     let provider = Arc::new(MemoryProvider::new());
     let mut writer = ModelWriter::new(provider.as_ref(), MODEL);
     for (i, (name, t)) in records.iter().zip(&pool).enumerate() {
@@ -269,12 +271,13 @@ fn main() -> std::io::Result<()> {
          {response_bytes} response bytes  ({replay_ms:.2} ms)",
         op_counts[0], op_counts[1], op_counts[2]
     );
-    println!(
-        "responses: all ok {all_ok}, hash {responses_hash:016x}"
-    );
+    println!("responses: all ok {all_ok}, hash {responses_hash:016x}");
 
     // Stats/health answer (live bodies, excluded from the hash).
-    let stats_ok = handle.stats().expect("stats").contains("\"schema\":\"ss-serve-stats-v1\"")
+    let stats_ok = handle
+        .stats()
+        .expect("stats")
+        .contains("\"schema\":\"ss-serve-stats-v1\"")
         && handle
             .health()
             .expect("health")
@@ -288,7 +291,10 @@ fn main() -> std::io::Result<()> {
         let packed = client.encode(t).expect("tcp encode");
         let ok = client.decode(&packed).expect("tcp decode") == *t
             && client.get(MODEL, &records[3]).expect("tcp get") == pool[3]
-            && client.health().expect("tcp health").contains("ss-serve-health-v1");
+            && client
+                .health()
+                .expect("tcp health")
+                .contains("ss-serve-health-v1");
         server.stop();
         ok
     };
@@ -337,7 +343,9 @@ fn main() -> std::io::Result<()> {
     let overload_typed = {
         let probe_depth = 8usize;
         let mut probe = Service::new(
-            ServeConfig::new().with_workers(1).with_queue_depth(probe_depth),
+            ServeConfig::new()
+                .with_workers(1)
+                .with_queue_depth(probe_depth),
         )
         .expect("probe service");
         let ph = probe.handle();
@@ -366,7 +374,10 @@ fn main() -> std::io::Result<()> {
         let probe_report = probe.shutdown();
         rejected == 4 && flushed == probe_depth && probe_report.completed == probe_depth as u64
     };
-    println!("overload probe: {}", if overload_typed { "PASS" } else { "FAIL" });
+    println!(
+        "overload probe: {}",
+        if overload_typed { "PASS" } else { "FAIL" }
+    );
 
     let json = format!(
         r#"{{

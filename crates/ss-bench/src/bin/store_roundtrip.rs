@@ -56,7 +56,12 @@ fn weights(divisor: usize) -> Vec<(String, Tensor)> {
         .iter()
         .enumerate()
         .filter(|(_, l)| l.weight_count() > 0)
-        .map(|(i, l)| (format!("{}.weight", l.name()), net.weight_tensor(i, MODEL_SEED)))
+        .map(|(i, l)| {
+            (
+                format!("{}.weight", l.name()),
+                net.weight_tensor(i, MODEL_SEED),
+            )
+        })
         .collect()
 }
 
@@ -158,11 +163,7 @@ fn main() -> std::io::Result<()> {
 
     // Gate 1: bit-identical round-trip of every record, in shard order,
     // chaining the raw container hash.
-    let names: Vec<String> = store
-        .list()
-        .iter()
-        .map(|e| e.meta.name.clone())
-        .collect();
+    let names: Vec<String> = store.list().iter().map(|e| e.meta.name.clone()).collect();
     let t0 = Instant::now();
     let mut records_hash = FNV_OFFSET;
     let mut bit_identical = shards_identical;
@@ -192,9 +193,7 @@ fn main() -> std::io::Result<()> {
     // Gate 3: every checksum in every shard.
     let t0 = Instant::now();
     let verify_pass = match store.verify() {
-        Ok(report) => {
-            report.shards == store.shard_count() && report.records == store.len()
-        }
+        Ok(report) => report.shards == store.shard_count() && report.records == store.len(),
         Err(e) => {
             eprintln!("verify failed: {e}");
             false

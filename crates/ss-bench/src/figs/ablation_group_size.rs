@@ -86,10 +86,7 @@ mod tests {
         let net = ss_models::zoo::alexnet().scaled_down(8);
         let pts = sweep(&net, 1);
         for pair in pts.windows(2) {
-            assert!(
-                pair[0].2 >= pair[1].2,
-                "metadata share must fall: {pts:?}"
-            );
+            assert!(pair[0].2 >= pair[1].2, "metadata share must fall: {pts:?}");
         }
     }
 

@@ -7,10 +7,10 @@
 
 use std::io::{self, Write};
 
-use ss_tensor::{width, Tensor};
 use ss_core::WidthDetector;
 use ss_sim::sim::MODEL_SEED;
 use ss_sim::TensorSource;
+use ss_tensor::{width, Tensor};
 
 use crate::suites::suite_16b;
 use crate::{header, row};
@@ -61,10 +61,7 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
             "{}",
             row(
                 net.name(),
-                &[
-                    with_z as f64 / base as f64,
-                    without_z as f64 / base as f64
-                ]
+                &[with_z as f64 / base as f64, without_z as f64 / base as f64]
             )
         )?;
     }

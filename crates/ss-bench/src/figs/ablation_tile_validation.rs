@@ -99,7 +99,10 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
                 writeln!(
                     out,
                     "{}",
-                    row(&format!("{}/{}", net.name(), net.layers()[i].name()), &[ss, st])
+                    row(
+                        &format!("{}/{}", net.name(), net.layers()[i].name()),
+                        &[ss, st]
+                    )
                 )?;
             }
         }

@@ -36,7 +36,12 @@ pub fn shares(model: &(dyn TensorSource + Sync), seed: u64) -> ([f64; 4], [f64; 
     let split = |r: &ss_sim::RunResult| {
         let e = r.total_energy();
         let t = e.total_pj().max(1e-12);
-        [e.dram_pj / t, e.sram_pj / t, e.compute_pj / t, e.idle_pj / t]
+        [
+            e.dram_pj / t,
+            e.sram_pj / t,
+            e.compute_pj / t,
+            e.idle_pj / t,
+        ]
     };
     let rel = ss.total_energy().total_pj() / base.total_energy().total_pj().max(1e-12);
     (split(&base), split(&ss), rel)
@@ -85,7 +90,10 @@ mod tests {
         let b_total = 1.0;
         let s_total = rel;
         assert!(ss[0] * s_total < base[0] * b_total, "dram energy must fall");
-        assert!(ss[3] * s_total <= base[3] * b_total + 1e-9, "idle energy must not rise");
+        assert!(
+            ss[3] * s_total <= base[3] * b_total + 1e-9,
+            "idle energy must not rise"
+        );
         for v in base.iter().chain(ss.iter()) {
             assert!((0.0..=1.0).contains(v));
         }

@@ -42,7 +42,13 @@ pub fn sweep(model: &dyn TensorSource, seed: u64) -> Vec<(u64, f64, f64)> {
     let best = run(BUFFER_KB[0], false) as f64;
     BUFFER_KB
         .iter()
-        .map(|&kb| (kb, best / run(kb, false) as f64, best / run(kb, true) as f64))
+        .map(|&kb| {
+            (
+                kb,
+                best / run(kb, false) as f64,
+                best / run(kb, true) as f64,
+            )
+        })
         .collect()
 }
 
@@ -59,9 +65,7 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
     writeln!(out, "{}", header("model", &col_refs))?;
     let mut gain_at_smallest = vec![];
-    let rows = crate::par_map(suite_16b(), |net| {
-        (net.name().to_string(), sweep(net, 1))
-    });
+    let rows = crate::par_map(suite_16b(), |net| (net.name().to_string(), sweep(net, 1)));
     for (name, pts) in rows {
         let vals: Vec<f64> = pts.iter().flat_map(|&(_, raw, cmp)| [raw, cmp]).collect();
         writeln!(out, "{}", row(&name, &vals))?;

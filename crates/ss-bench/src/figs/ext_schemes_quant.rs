@@ -101,7 +101,11 @@ fn section(
     seed: u64,
 ) -> io::Result<()> {
     writeln!(out, "## {title}")?;
-    writeln!(out, "{}", header("model", &["SShifter", "DPRed", "AdaBits"]))?;
+    writeln!(
+        out,
+        "{}",
+        header("model", &["SShifter", "DPRed", "AdaBits"])
+    )?;
     let mut cols: [Vec<f64>; 3] = [vec![], vec![], vec![]];
     for m in models {
         let r = scheme_traffic(*m, seed);
@@ -128,16 +132,22 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
         "# Extension: relative off-chip traffic, registry schemes x quantizers (Base = 1.0)\n"
     )?;
     let n16 = suite_16b();
-    let refs16: Vec<&(dyn TensorSource + Sync)> =
-        n16.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs16: Vec<&(dyn TensorSource + Sync)> = n16
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "16b models", &refs16, 1)?;
     let tf8 = suite_tf8();
-    let refs_tf: Vec<&(dyn TensorSource + Sync)> =
-        tf8.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs_tf: Vec<&(dyn TensorSource + Sync)> = tf8
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "8b TensorFlow quantized", &refs_tf, 1)?;
     let ra8 = suite_ra8();
-    let refs_ra: Vec<&(dyn TensorSource + Sync)> =
-        ra8.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs_ra: Vec<&(dyn TensorSource + Sync)> = ra8
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "8b Range-Aware quantized", &refs_ra, 1)?;
 
     writeln!(

@@ -30,7 +30,11 @@ fn section(
     seed: u64,
 ) -> io::Result<()> {
     writeln!(out, "## {title}")?;
-    writeln!(out, "{}", header("model", &["Profile", "SShifter", "ZeroCmp"]))?;
+    writeln!(
+        out,
+        "{}",
+        header("model", &["Profile", "SShifter", "ZeroCmp"])
+    )?;
     let mut cols: [Vec<f64>; 3] = [vec![], vec![], vec![]];
     for m in models {
         let r = relative_traffic(*m, seed, true);
@@ -57,13 +61,22 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
         "# Figure 8a: relative off-chip traffic, profiled networks (Base = 1.0)\n"
     )?;
     let n16 = suite_16b();
-    let refs16: Vec<&(dyn TensorSource + Sync)> = n16.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs16: Vec<&(dyn TensorSource + Sync)> = n16
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "16b models", &refs16, 1)?;
     let tf8 = suite_tf8();
-    let refs_tf: Vec<&(dyn TensorSource + Sync)> = tf8.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs_tf: Vec<&(dyn TensorSource + Sync)> = tf8
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "8b TensorFlow quantized", &refs_tf, 1)?;
     let ra8 = suite_ra8();
-    let refs_ra: Vec<&(dyn TensorSource + Sync)> = ra8.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs_ra: Vec<&(dyn TensorSource + Sync)> = ra8
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "8b Range-Aware quantized", &refs_ra, 1)?;
 
     // Container-v2 footnote: the chunk index that enables parallel decode
@@ -95,7 +108,10 @@ mod tests {
         let base16 = ss_models::zoo::alexnet().scaled_down(8);
         let [_, ss16, zc16] = relative_traffic(&base16, 1, true);
         assert!(ss16 < 0.55, "16b ShapeShifter traffic {ss16}");
-        assert!(ss16 < zc16, "ShapeShifter {ss16} must beat zero compression {zc16}");
+        assert!(
+            ss16 < zc16,
+            "ShapeShifter {ss16} must beat zero compression {zc16}"
+        );
 
         let tf = ss_quant::QuantizedNetwork::new(
             ss_models::zoo::alexnet_s().scaled_down(8),

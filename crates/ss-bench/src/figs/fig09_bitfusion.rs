@@ -18,13 +18,18 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     )?;
     let accel = BitFusion::new();
     let n16 = suite_16b();
-    let refs: Vec<&(dyn TensorSource + Sync)> = n16.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> = n16
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "16b models", &refs, &accel, 1)?;
     let tf = suite_tf8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b TF models", &refs, &accel, 1)?;
     let ra = suite_ra8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b RA models", &refs, &accel, 1)?;
     Ok(())
 }

@@ -69,8 +69,7 @@ pub fn section(
 ) -> io::Result<()> {
     writeln!(out, "## {title} on {}", accel.name())?;
     let cols = [
-        "B-2133", "B-2400", "B-3200", "P-2133", "P-2400", "P-3200", "S-2133", "S-2400",
-        "S-3200",
+        "B-2133", "B-2400", "B-3200", "P-2133", "P-2400", "P-3200", "S-2133", "S-2400", "S-3200",
     ];
     writeln!(out, "{}", header("model (speedup)", &cols))?;
     let mut speed_cols: Vec<Vec<f64>> = vec![vec![]; 9];
@@ -104,13 +103,18 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     )?;
     let accel = ss_sim::accel::DaDianNao::new();
     let n16 = suite_16b();
-    let refs: Vec<&(dyn TensorSource + Sync)> = n16.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> = n16
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "16b models", &refs, &accel, 1)?;
     let tf = suite_tf8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b TF models", &refs, &accel, 1)?;
     let ra = suite_ra8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b RA models", &refs, &accel, 1)?;
     Ok(())
 }
@@ -127,7 +131,10 @@ mod tests {
         // material speedup and energy saving.
         let net = ss_models::zoo::vgg_m().scaled_down(4);
         let rows = sweep(&net, &DaDianNao::new(), 1);
-        let base_2133 = rows.iter().find(|r| r.0 == "Base" && r.1 == "DDR4-2133").unwrap();
+        let base_2133 = rows
+            .iter()
+            .find(|r| r.0 == "Base" && r.1 == "DDR4-2133")
+            .unwrap();
         assert!((base_2133.2 - 1.0).abs() < 1e-9);
         let ss_2133 = rows
             .iter()
@@ -136,7 +143,10 @@ mod tests {
         assert!(ss_2133.2 > 1.5, "ShapeShifter speedup {}", ss_2133.2);
         assert!(ss_2133.3 < 0.8, "ShapeShifter energy {}", ss_2133.3);
         // Faster memory also helps the uncompressed baseline.
-        let base_3200 = rows.iter().find(|r| r.0 == "Base" && r.1 == "DDR4-3200").unwrap();
+        let base_3200 = rows
+            .iter()
+            .find(|r| r.0 == "Base" && r.1 == "DDR4-3200")
+            .unwrap();
         assert!(base_3200.2 > 1.0);
         // And ShapeShifter on fast memory is the best of all.
         let ss_3200 = rows

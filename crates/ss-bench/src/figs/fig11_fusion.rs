@@ -24,7 +24,10 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     let scheme = ShapeShifterScheme::default();
     let mut both = vec![];
     let rows = crate::par_map(suite_16b(), |net| {
-        (net.name().to_string(), fusion_study(net, &scheme, FUSE_DEPTH, 1))
+        (
+            net.name().to_string(),
+            fusion_study(net, &scheme, FUSE_DEPTH, 1),
+        )
     });
     for (name, s) in rows {
         writeln!(

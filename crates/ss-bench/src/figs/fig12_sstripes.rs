@@ -34,7 +34,11 @@ pub fn pair(model: &(dyn TensorSource + Sync), seed: u64) -> (RunResult, RunResu
     (stripes, sstripes)
 }
 
-fn section(out: &mut impl Write, title: &str, models: &[&(dyn TensorSource + Sync)]) -> io::Result<()> {
+fn section(
+    out: &mut impl Write,
+    title: &str,
+    models: &[&(dyn TensorSource + Sync)],
+) -> io::Result<()> {
     writeln!(out, "## {title}")?;
     writeln!(out, "{}", header("model", &["speedup", "rel.eff"]))?;
     let mut speeds = vec![];
@@ -67,13 +71,18 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
         "# Figure 12: SStripes over Stripes, iso-area, DDR4-3200\n"
     )?;
     let n16 = suite_16b();
-    let refs: Vec<&(dyn TensorSource + Sync)> = n16.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> = n16
+        .iter()
+        .map(|n| n as &(dyn TensorSource + Sync))
+        .collect();
     section(out, "16b models", &refs)?;
     let tf = suite_tf8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b TF models", &refs)?;
     let ra = suite_ra8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b RA models", &refs)?;
     Ok(())
 }

@@ -27,7 +27,10 @@ pub fn breakdown(model: &(dyn TensorSource + Sync), seed: u64) -> f64 {
 
 /// Runs the figure.
 pub fn run(out: &mut impl Write) -> io::Result<()> {
-    writeln!(out, "# Figure 13: SStripes compute vs memory time breakdown\n")?;
+    writeln!(
+        out,
+        "# Figure 13: SStripes compute vs memory time breakdown\n"
+    )?;
     writeln!(out, "{}", header("model", &["compute", "memory"]))?;
     let n16 = suite_16b();
     let tf = suite_tf8();
@@ -59,10 +62,7 @@ mod tests {
             ss_models::zoo::segnet().scaled_down(2),
             QuantMethod::RangeAware,
         );
-        let bilstm = QuantizedNetwork::new(
-            ss_models::zoo::bilstm(),
-            QuantMethod::RangeAware,
-        );
+        let bilstm = QuantizedNetwork::new(ss_models::zoo::bilstm(), QuantMethod::RangeAware);
         let c_seg = breakdown(&segnet, 1);
         let c_lstm = breakdown(&bilstm, 1);
         assert!(c_seg > 0.55, "SegNet compute fraction {c_seg}");

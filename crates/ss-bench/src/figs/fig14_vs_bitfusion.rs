@@ -31,7 +31,11 @@ pub fn compare(model: &(dyn TensorSource + Sync), seed: u64) -> (f64, f64) {
     (ss.speedup_over(&bf), ss.efficiency_over(&bf))
 }
 
-fn section(out: &mut impl Write, title: &str, models: &[&(dyn TensorSource + Sync)]) -> io::Result<()> {
+fn section(
+    out: &mut impl Write,
+    title: &str,
+    models: &[&(dyn TensorSource + Sync)],
+) -> io::Result<()> {
     writeln!(out, "## {title}")?;
     writeln!(out, "{}", header("model", &["speedup", "rel.eff"]))?;
     let mut speeds = vec![];
@@ -49,12 +53,17 @@ fn section(out: &mut impl Write, title: &str, models: &[&(dyn TensorSource + Syn
 
 /// Runs the figure.
 pub fn run(out: &mut impl Write) -> io::Result<()> {
-    writeln!(out, "# Figure 14: SStripes vs Bit Fusion (8b models, iso-area)\n")?;
+    writeln!(
+        out,
+        "# Figure 14: SStripes vs Bit Fusion (8b models, iso-area)\n"
+    )?;
     let tf = suite_tf8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        tf.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b TF models", &refs)?;
     let ra = suite_ra8();
-    let refs: Vec<&(dyn TensorSource + Sync)> = ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
+    let refs: Vec<&(dyn TensorSource + Sync)> =
+        ra.iter().map(|n| n as &(dyn TensorSource + Sync)).collect();
     section(out, "8b RA models", &refs)?;
     Ok(())
 }

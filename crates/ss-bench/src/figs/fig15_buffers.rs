@@ -54,9 +54,7 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
     writeln!(out, "{}", header("model", &col_refs))?;
     let mut at_1mb = vec![];
-    let rows = crate::par_map(suite_16b(), |net| {
-        (net.name().to_string(), sweep(net, 1))
-    });
+    let rows = crate::par_map(suite_16b(), |net| (net.name().to_string(), sweep(net, 1)));
     for (name, pts) in rows {
         let vals: Vec<f64> = pts.iter().flat_map(|&(_, ss, nc)| [ss, nc]).collect();
         writeln!(out, "{}", row(&name, &vals))?;

@@ -7,7 +7,9 @@
 
 use std::io::{self, Write};
 
-use ss_core::scheme::{outlier_aware_bits, outlier_aware_zs_bits, CompressionScheme, SchemeCtx, ShapeShifterScheme};
+use ss_core::scheme::{
+    outlier_aware_bits, outlier_aware_zs_bits, CompressionScheme, SchemeCtx, ShapeShifterScheme,
+};
 use ss_models::Network;
 use ss_quant::OutlierAwareQuantizer;
 use ss_sim::sim::MODEL_SEED;

@@ -18,8 +18,8 @@ pub mod fig03_quant_cdf;
 pub mod fig04_avg_width;
 pub mod fig08a_traffic;
 pub mod fig08b_traffic_noprofile;
-pub mod fig09_dadiannao;
 pub mod fig09_bitfusion;
+pub mod fig09_dadiannao;
 pub mod fig10_scnn;
 pub mod fig11_fusion;
 pub mod fig12_sstripes;

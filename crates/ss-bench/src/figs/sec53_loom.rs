@@ -29,7 +29,10 @@ pub fn speedup(model: &(dyn TensorSource + Sync), seed: u64) -> f64 {
 
 /// Runs the summary.
 pub fn run(out: &mut impl Write) -> io::Result<()> {
-    writeln!(out, "# Section 5.3: ShapeShifter-Loom over Loom (8b RA models)\n")?;
+    writeln!(
+        out,
+        "# Section 5.3: ShapeShifter-Loom over Loom (8b RA models)\n"
+    )?;
     writeln!(out, "{}", header("model", &["speedup"]))?;
     let mut speeds = vec![];
     for net in suite_ra8() {

@@ -31,11 +31,7 @@ fn table_networks() -> Vec<Network> {
 
 /// One network's Table-1 rows: per-layer activation and weight effective
 /// widths plus reductions.
-pub fn network_rows(
-    out: &mut impl Write,
-    net: &Network,
-    seeds: &[u64],
-) -> io::Result<(f64, f64)> {
+pub fn network_rows(out: &mut impl Write, net: &Network, seeds: &[u64]) -> io::Result<(f64, f64)> {
     // Activations: average effective widths over the input seeds.
     let act_layers: Vec<(ss_tensor::Tensor, u8)> = (0..net.layers().len())
         .map(|i| {

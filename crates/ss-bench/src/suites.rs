@@ -14,7 +14,10 @@ use crate::{scaled, SharedStats};
 /// The 16-bit suite (Figure 8a left group, Figures 9–13).
 #[must_use]
 pub fn suite_16b() -> Vec<Network> {
-    ss_models::zoo::int16_suite().into_iter().map(scaled).collect()
+    ss_models::zoo::int16_suite()
+        .into_iter()
+        .map(scaled)
+        .collect()
 }
 
 /// The TensorFlow-quantized 8-bit suite.
@@ -38,7 +41,10 @@ pub fn suite_ra8() -> Vec<QuantizedNetwork> {
 /// The pruned 16-bit suite for the SCNN study (Figure 10).
 #[must_use]
 pub fn suite_scnn() -> Vec<Network> {
-    ss_models::zoo::scnn_suite().into_iter().map(scaled).collect()
+    ss_models::zoo::scnn_suite()
+        .into_iter()
+        .map(scaled)
+        .collect()
 }
 
 /// Networks treated as non-profiled in Figure 8b (profiling "is not
@@ -99,8 +105,7 @@ pub fn traffic_totals(
             let a = scheme
                 .compressed_bits_from_stats(&act_in_stats, &a_ctx)
                 .unwrap_or_else(|| {
-                    let tensor =
-                        act_in.get_or_insert_with(|| model.input_tensor(i, input_seed));
+                    let tensor = act_in.get_or_insert_with(|| model.input_tensor(i, input_seed));
                     scheme.compressed_bits(tensor, &a_ctx)
                 });
             let w = scheme
@@ -112,8 +117,7 @@ pub fn traffic_totals(
             let o = scheme
                 .compressed_bits_from_stats(&act_out_stats, &o_ctx)
                 .unwrap_or_else(|| {
-                    let tensor =
-                        act_out.get_or_insert_with(|| model.output_tensor(i, input_seed));
+                    let tensor = act_out.get_or_insert_with(|| model.output_tensor(i, input_seed));
                     scheme.compressed_bits(tensor, &o_ctx)
                 });
             *t += a + w + o;
@@ -155,7 +159,9 @@ pub fn index_overhead_probe(model: &dyn TensorSource) -> (String, usize, u64, f6
     );
     let index = enc.index.as_ref();
     let chunks = index.map_or(0, ss_core::ChunkIndex::chunk_count);
-    let bits = index.map_or(Ok(0), ss_core::ChunkIndex::serialized_bits).expect("index size");
+    let bits = index
+        .map_or(Ok(0), ss_core::ChunkIndex::serialized_bits)
+        .expect("index size");
     (name, chunks, bits, bits as f64 / tensor.len().max(1) as f64)
 }
 

@@ -168,7 +168,8 @@ mod tests {
 
     #[test]
     fn standalone_annotation_hits_next_code_line() {
-        let src = "// ss-lint: allow(panic-freedom) -- bounded above\n\n// another comment\nx[0];\n";
+        let src =
+            "// ss-lint: allow(panic-freedom) -- bounded above\n\n// another comment\nx[0];\n";
         let a = collect(&strip(src), "//", RULES);
         assert!(a.is_allowed("panic-freedom", 4));
         assert!(!a.is_allowed("panic-freedom", 1));
@@ -176,7 +177,8 @@ mod tests {
 
     #[test]
     fn file_scope_covers_everything() {
-        let src = "// ss-lint: allow-file(vendor-drift) -- stand-in crate\nuse rand::Rng;\nmore();\n";
+        let src =
+            "// ss-lint: allow-file(vendor-drift) -- stand-in crate\nuse rand::Rng;\nmore();\n";
         let a = collect(&strip(src), "//", RULES);
         assert!(a.is_allowed("vendor-drift", 2));
         assert!(a.is_allowed("vendor-drift", 999));
@@ -184,7 +186,11 @@ mod tests {
 
     #[test]
     fn missing_reason_is_malformed() {
-        let a = collect(&strip("// ss-lint: allow(panic-freedom)\nx;\n"), "//", RULES);
+        let a = collect(
+            &strip("// ss-lint: allow(panic-freedom)\nx;\n"),
+            "//",
+            RULES,
+        );
         assert_eq!(a.malformed.len(), 1);
         assert!(!a.is_allowed("panic-freedom", 2));
     }

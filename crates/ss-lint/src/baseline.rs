@@ -70,7 +70,10 @@ pub fn context(file: &ScannedFile, parsed: &ParsedFile, lineno: usize) -> String
     } else {
         statement_span(&file.lines, lo, hi, lineno)
     };
-    let lines = file.lines.get(start.saturating_sub(1)..end).unwrap_or_default();
+    let lines = file
+        .lines
+        .get(start.saturating_sub(1)..end)
+        .unwrap_or_default();
     format!("{name}|{}", canonical(lines))
 }
 
@@ -247,14 +250,19 @@ fn parse(text: &str) -> Result<Baseline, String> {
     let mut rest = text;
     while let Some(pos) = rest.find("\"count\"") {
         rest = &rest[pos + "\"count\"".len()..];
-        let rest2 = rest.trim_start().strip_prefix(':').ok_or("missing ':' after count")?;
+        let rest2 = rest
+            .trim_start()
+            .strip_prefix(':')
+            .ok_or("missing ':' after count")?;
         let digits: String = rest2
             .trim_start()
             .chars()
             .take_while(char::is_ascii_digit)
             .collect();
         let count: usize = digits.parse().map_err(|_| "bad count".to_string())?;
-        let fp_key = rest2.find("\"fingerprint\"").ok_or("entry missing fingerprint")?;
+        let fp_key = rest2
+            .find("\"fingerprint\"")
+            .ok_or("entry missing fingerprint")?;
         let after = rest2[fp_key + "\"fingerprint\"".len()..]
             .trim_start()
             .strip_prefix(':')
@@ -389,14 +397,16 @@ mod tests {
         assert_eq!(context_at(one_line, 4), "Codec::read|x");
         assert_eq!(context_at(wrapped, 10), "Codec::read|x");
         // Outside any fn the key says so.
-        assert_eq!(context_at("static T: [u8; 2] = [1, 2];\n", 1), "-|static T:[u8;2]=[1,2];");
+        assert_eq!(
+            context_at("static T: [u8; 2] = [1, 2];\n", 1),
+            "-|static T:[u8;2]=[1,2];"
+        );
     }
 
     #[test]
     fn duplicate_snippets_ratchet_by_count() {
         let b = Baseline::from_report(&report_with(vec![diag("r", "a.rs", "v[i]")]));
-        let mut current =
-            report_with(vec![diag("r", "a.rs", "v[i]"), diag("r", "a.rs", "v[i]")]);
+        let mut current = report_with(vec![diag("r", "a.rs", "v[i]"), diag("r", "a.rs", "v[i]")]);
         b.apply(&mut current);
         assert_eq!(current.baselined, 1);
         assert_eq!(current.diagnostics.len(), 1, "second occurrence is new");

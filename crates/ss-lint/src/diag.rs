@@ -71,7 +71,10 @@ impl Report {
             }
         }
         for fp in &self.stale_baseline {
-            let _ = writeln!(out, "warning: stale baseline entry (fixed? regenerate): {fp}");
+            let _ = writeln!(
+                out,
+                "warning: stale baseline entry (fixed? regenerate): {fp}"
+            );
         }
         let _ = writeln!(
             out,

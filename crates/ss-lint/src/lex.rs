@@ -131,7 +131,11 @@ pub fn strip(source: &str) -> Vec<Line> {
                                 code.push(pc);
                             }
                         }
-                        state = if is_raw { State::RawStr(hashes) } else { State::Str };
+                        state = if is_raw {
+                            State::RawStr(hashes)
+                        } else {
+                            State::Str
+                        };
                         escaped = false;
                         i = j;
                     } else {
@@ -141,8 +145,7 @@ pub fn strip(source: &str) -> Vec<Line> {
                 '\'' => {
                     // Lifetime ('a) vs char literal ('a', '\n').
                     let next = at(i + 1);
-                    let is_char = next == Some('\\')
-                        || (next.is_some() && at(i + 2) == Some('\''));
+                    let is_char = next == Some('\\') || (next.is_some() && at(i + 2) == Some('\''));
                     if is_char {
                         state = State::Char;
                         escaped = false;

@@ -88,9 +88,10 @@ pub fn lint(ws: &Workspace) -> Report {
     // the code rules are not enforced there, so annotation correctness is
     // not load-bearing (test sources quote annotations in fixtures).
     report.rules_run.push(annot::ANNOTATION_RULE);
-    report
-        .rule_meta
-        .push((annot::ANNOTATION_RULE, "every allow-annotation parses and names a real rule"));
+    report.rule_meta.push((
+        annot::ANNOTATION_RULE,
+        "every allow-annotation parses and names a real rule",
+    ));
     for file in &ws.files {
         for (line, message) in &file.allows.malformed {
             if file.is_test_line(*line) {

@@ -74,9 +74,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Some("human") => format = Format::Human,
                 Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    return Err(format!("unknown format `{other}` (human|json|sarif)"))
-                }
+                Some(other) => return Err(format!("unknown format `{other}` (human|json|sarif)")),
                 None => return Err("--format requires an argument (human|json|sarif)".to_string()),
             },
             "--baseline" => {
@@ -155,8 +153,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             if use_baseline {
                 let path = baseline_override.unwrap_or_else(|| root.join(BASELINE_REL));
                 if path.exists() {
-                    let baseline = Baseline::load(&path)
-                        .map_err(|e| format!("loading baseline: {e}"))?;
+                    let baseline =
+                        Baseline::load(&path).map_err(|e| format!("loading baseline: {e}"))?;
                     baseline.apply(&mut report);
                 }
             }

@@ -398,9 +398,17 @@ mod tests {
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].qualified(), "Session::encode_into");
         // `.clear()` is a method call; `Self::reset` resolves to Session.
-        let reset = p.fns[0].calls.iter().find(|c| c.name == "reset").expect("reset call");
+        let reset = p.fns[0]
+            .calls
+            .iter()
+            .find(|c| c.name == "reset")
+            .expect("reset call");
         assert_eq!(reset.qual.as_deref(), Some("Session"));
-        let clear = p.fns[0].calls.iter().find(|c| c.name == "clear").expect("clear call");
+        let clear = p.fns[0]
+            .calls
+            .iter()
+            .find(|c| c.name == "clear")
+            .expect("clear call");
         assert!(clear.is_method);
     }
 
@@ -446,7 +454,8 @@ mod tests {
 
     #[test]
     fn turbofish_calls_are_recorded() {
-        let p = parse_src("fn f() {\n  let v = helper::<u32>(1);\n  let w = x.convert::<u64>();\n}\n");
+        let p =
+            parse_src("fn f() {\n  let v = helper::<u32>(1);\n  let w = x.convert::<u64>();\n}\n");
         let names: Vec<&str> = p.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"helper"));
         assert!(names.contains(&"convert"));

@@ -117,7 +117,10 @@ mod tests {
     #[test]
     fn cold_loops_are_ignored() {
         let src = "pub fn report(n: usize) {\n  for i in 0..n {\n    let s = format!(\"{i}\");\n    drop(s);\n  }\n}\n";
-        assert!(run(src).is_empty(), "report is not reachable from entry points");
+        assert!(
+            run(src).is_empty(),
+            "report is not reachable from entry points"
+        );
     }
 
     #[test]

@@ -30,8 +30,14 @@ pub const DETERMINISM_FILES: &[&str] = &[
 
 /// Nondeterministic constructs, with the construct and hazard named.
 const PATTERNS: &[(&str, &str)] = &[
-    ("HashMap", "`HashMap` (iteration order is randomized per process)"),
-    ("HashSet", "`HashSet` (iteration order is randomized per process)"),
+    (
+        "HashMap",
+        "`HashMap` (iteration order is randomized per process)",
+    ),
+    (
+        "HashSet",
+        "`HashSet` (iteration order is randomized per process)",
+    ),
     ("Instant::now", "`Instant::now` (wall-clock read)"),
     ("SystemTime", "`SystemTime` (wall-clock read)"),
     ("env::var", "`env::var` (environment-dependent branch)"),

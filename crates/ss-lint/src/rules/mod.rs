@@ -80,10 +80,9 @@ pub(crate) fn has_token(code: &str, needle: &str) -> bool {
     while let Some(pos) = code[from..].find(needle) {
         let start = from + pos;
         let end = start + needle.len();
-        let pre_ok = !needle_starts_ident
-            || !code[..start].chars().next_back().is_some_and(is_ident);
-        let post_ok = !needle_ends_ident
-            || !code[end..].chars().next().is_some_and(is_ident);
+        let pre_ok =
+            !needle_starts_ident || !code[..start].chars().next_back().is_some_and(is_ident);
+        let post_ok = !needle_ends_ident || !code[end..].chars().next().is_some_and(is_ident);
         if pre_ok && post_ok {
             return true;
         }

@@ -96,9 +96,7 @@ impl Rule for PanicFreedom {
 fn has_index_expr(code: &str) -> bool {
     let mut prev = ' ';
     for c in code.chars() {
-        if c == '['
-            && (prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']')
-        {
+        if c == '[' && (prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']') {
             return true;
         }
         prev = c;
@@ -161,10 +159,10 @@ mod tests {
 
     #[test]
     fn annotations_are_exempt() {
-        assert!(run_hot(
-            "let x = d[0]; // ss-lint: allow(panic-freedom) -- d.len() checked above"
-        )
-        .is_empty());
+        assert!(
+            run_hot("let x = d[0]; // ss-lint: allow(panic-freedom) -- d.len() checked above")
+                .is_empty()
+        );
     }
 
     #[test]

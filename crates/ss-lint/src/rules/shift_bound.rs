@@ -166,7 +166,11 @@ fn amount_at(chars: &[char], start: usize) -> Option<String> {
                 if c.is_alphanumeric() || *c == '_' {
                     // ss-lint: allow(panic-freedom) -- segs starts non-empty and push keeps it so
                     segs.last_mut().unwrap().push(*c);
-                } else if *c == '.' && chars.get(i + 1).is_some_and(|n| n.is_alphabetic() || *n == '_') {
+                } else if *c == '.'
+                    && chars
+                        .get(i + 1)
+                        .is_some_and(|n| n.is_alphabetic() || *n == '_')
+                {
                     segs.push(String::new());
                 } else {
                     break;
@@ -189,12 +193,7 @@ fn amount_at(chars: &[char], start: usize) -> Option<String> {
 /// (inclusive) mentions `amount` together with bound evidence: a
 /// comparison, an assert, `.min(`/`.clamp(`, a modulo, or an and-mask
 /// against a numeric literal.
-fn has_dominating_bound(
-    lines: &[Line],
-    parsed: &ParsedFile,
-    lineno: usize,
-    amount: &str,
-) -> bool {
+fn has_dominating_bound(lines: &[Line], parsed: &ParsedFile, lineno: usize, amount: &str) -> bool {
     let from = parsed
         .fn_at(lineno)
         .map_or(lineno, |f| f.body_start.unwrap_or(f.sig_line));

@@ -31,10 +31,7 @@ impl Rule for UnsafeWall {
             let Some(file) = ws.file(root) else {
                 continue;
             };
-            let has_wall = file
-                .lines
-                .iter()
-                .any(|l| l.code.contains(ATTRIBUTE));
+            let has_wall = file.lines.iter().any(|l| l.code.contains(ATTRIBUTE));
             if !has_wall && !file.is_allowed(self.id(), 1) {
                 out.push(Diagnostic {
                     rule: self.id(),

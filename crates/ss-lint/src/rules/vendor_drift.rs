@@ -53,7 +53,10 @@ impl VendorDrift {
             let lineno = idx + 1;
             let code = line.code.trim();
             if code.starts_with('[') {
-                section = code.trim_start_matches('[').trim_end_matches(']').to_string();
+                section = code
+                    .trim_start_matches('[')
+                    .trim_end_matches(']')
+                    .to_string();
                 continue;
             }
             if !is_plain_dependencies(&section) {
@@ -165,8 +168,10 @@ mod tests {
             run_manifest("[dependencies]\nrand.workspace = true\n").len(),
             1
         );
-        assert!(run_manifest("[dev-dependencies]\nrand.workspace = true\nproptest = \"1\"\n")
-            .is_empty());
+        assert!(
+            run_manifest("[dev-dependencies]\nrand.workspace = true\nproptest = \"1\"\n")
+                .is_empty()
+        );
     }
 
     #[test]

@@ -176,9 +176,7 @@ pub fn run() -> Vec<String> {
         };
         let hits = report.diagnostics.iter().filter(|d| d.rule == rule).count();
         if hits == 0 {
-            failures.push(format!(
-                "rule `{rule}` did not fire on its seeded fixture"
-            ));
+            failures.push(format!("rule `{rule}` did not fire on its seeded fixture"));
         }
         for stray in report.diagnostics.iter().filter(|d| d.rule != rule) {
             failures.push(format!(
@@ -250,8 +248,16 @@ fn baseline_failures() -> Vec<String> {
     let accepted = Baseline::from_report(&lint_mounted(include_str!("../fixtures/baseline.rs")));
     let mut failures = Vec::new();
     for (name, text, new) in [
-        ("baseline_wrapped", include_str!("../fixtures/baseline_wrapped.rs"), 0),
-        ("baseline_second", include_str!("../fixtures/baseline_second.rs"), 1),
+        (
+            "baseline_wrapped",
+            include_str!("../fixtures/baseline_wrapped.rs"),
+            0,
+        ),
+        (
+            "baseline_second",
+            include_str!("../fixtures/baseline_second.rs"),
+            1,
+        ),
     ] {
         let mut report = lint_mounted(text);
         accepted.apply(&mut report);
@@ -310,7 +316,10 @@ mod tests {
     #[test]
     fn vendor_fixture_covers_manifest_and_source() {
         let report = lint_fixture("vendor-drift").expect("fixture");
-        assert!(report.diagnostics.iter().any(|d| d.file.ends_with("Cargo.toml")));
+        assert!(report
+            .diagnostics
+            .iter()
+            .any(|d| d.file.ends_with("Cargo.toml")));
         assert!(report.diagnostics.iter().any(|d| d.file.ends_with(".rs")));
     }
 

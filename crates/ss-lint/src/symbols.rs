@@ -47,16 +47,8 @@ impl SymbolTable {
                 let id = (file_idx, fn_idx);
                 table.by_name.entry(item.name.clone()).or_default().push(id);
                 if item.qual.is_some() {
-                    table
-                        .by_qual
-                        .entry(item.qualified())
-                        .or_default()
-                        .push(id);
-                    table
-                        .methods
-                        .entry(item.name.clone())
-                        .or_default()
-                        .push(id);
+                    table.by_qual.entry(item.qualified()).or_default().push(id);
+                    table.methods.entry(item.name.clone()).or_default().push(id);
                 }
                 table.count += 1;
             }
@@ -125,9 +117,7 @@ mod tests {
 
     #[test]
     fn qualified_resolution_prefers_the_impl() {
-        let (_, t) = table(&[
-            "impl A { fn go(&self) {} }\nimpl B { fn go(&self) {} }\nfn go() {}",
-        ]);
+        let (_, t) = table(&["impl A { fn go(&self) {} }\nimpl B { fn go(&self) {} }\nfn go() {}"]);
         let call = CallSite {
             name: "go".into(),
             qual: Some("A".into()),
@@ -146,7 +136,11 @@ mod tests {
             is_method: true,
             line: 1,
         };
-        assert_eq!(t.resolve_call(&call).len(), 1, "free fn is not a method target");
+        assert_eq!(
+            t.resolve_call(&call).len(),
+            1,
+            "free fn is not a method target"
+        );
     }
 
     #[test]

@@ -90,8 +90,7 @@ impl ScannedFile {
     /// region.
     #[must_use]
     pub fn is_test_line(&self, lineno: usize) -> bool {
-        self.kind == FileKind::TestSource
-            || self.test_start.is_some_and(|start| lineno >= start)
+        self.kind == FileKind::TestSource || self.test_start.is_some_and(|start| lineno >= start)
     }
 
     /// `true` when `rule` is suppressed at `lineno` by an annotation.
@@ -283,7 +282,10 @@ mod tests {
     fn load_scans_this_workspace() {
         let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
         let ws = Workspace::load(&root, RULES).expect("load");
-        assert!(ws.files.iter().any(|f| f.rel == "crates/ss-core/src/codec.rs"));
+        assert!(ws
+            .files
+            .iter()
+            .any(|f| f.rel == "crates/ss-core/src/codec.rs"));
         assert!(ws.crate_roots.iter().any(|r| r == "src/lib.rs"));
         // Fixtures and vendor stand-ins must never be scanned.
         assert!(!ws.files.iter().any(|f| f.rel.contains("fixtures/")));

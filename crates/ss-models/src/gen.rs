@@ -215,13 +215,8 @@ mod tests {
         let scale = 37.0;
         let g = ValueGen::new(scale, 0.4, FixedType::U16);
         let t = g.tensor_flat(160_000, 21);
-        let analytic = expected_group_width(
-            scale,
-            0.4,
-            Signedness::Unsigned,
-            16,
-            CALIBRATION_GROUP,
-        );
+        let analytic =
+            expected_group_width(scale, 0.4, Signedness::Unsigned, 16, CALIBRATION_GROUP);
         let mut sum = 0.0;
         let mut n = 0.0;
         for gvals in t.values().chunks(CALIBRATION_GROUP) {

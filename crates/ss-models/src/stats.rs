@@ -122,9 +122,8 @@ pub fn calibrate_scale(
     const LO: f64 = 1e-6;
     // Large enough that magnitudes saturate the container.
     let hi_limit = ((1u64 << mag_bits) as f64) * 64.0;
-    let eval = |scale: f64| {
-        expected_group_width(scale, sparsity, signedness, mag_bits, CALIBRATION_GROUP)
-    };
+    let eval =
+        |scale: f64| expected_group_width(scale, sparsity, signedness, mag_bits, CALIBRATION_GROUP);
     let target = target_width.clamp(eval(LO), eval(hi_limit));
     let (mut lo, mut hi) = (LO, hi_limit);
     for _ in 0..200 {
@@ -198,7 +197,10 @@ mod tests {
         let lo = expected_group_width(1.0, 0.5, Signedness::Unsigned, 16, 16);
         let hi = expected_group_width(1000.0, 0.5, Signedness::Unsigned, 16, 16);
         assert!(lo < hi);
-        assert!(lo >= 0.9, "small scale still yields ~1-bit groups, got {lo}");
+        assert!(
+            lo >= 0.9,
+            "small scale still yields ~1-bit groups, got {lo}"
+        );
         assert!(hi <= 16.0);
     }
 
@@ -254,7 +256,10 @@ mod tests {
         let scale = calibrate_scale(4.0, 0.5, Signedness::Unsigned, 16);
         let eff = expected_group_width(scale, 0.5, Signedness::Unsigned, 16, 16);
         let prof = profiled_width_estimate(scale, 0.5, Signedness::Unsigned, 16, 1_000_000);
-        assert!(f64::from(prof) > eff + 2.0, "profiled {prof} vs effective {eff}");
+        assert!(
+            f64::from(prof) > eff + 2.0,
+            "profiled {prof} vs effective {eff}"
+        );
     }
 
     #[test]

@@ -42,15 +42,60 @@ struct Inception {
 
 /// The nine inception modules of GoogLeNet v1.
 const MODULES: [Inception; 9] = [
-    Inception { name: "3a", in_ch: 192, hw: 28, ch: [64, 96, 128, 16, 32, 32] },
-    Inception { name: "3b", in_ch: 256, hw: 28, ch: [128, 128, 192, 32, 96, 64] },
-    Inception { name: "4a", in_ch: 480, hw: 14, ch: [192, 96, 208, 16, 48, 64] },
-    Inception { name: "4b", in_ch: 512, hw: 14, ch: [160, 112, 224, 24, 64, 64] },
-    Inception { name: "4c", in_ch: 512, hw: 14, ch: [128, 128, 256, 24, 64, 64] },
-    Inception { name: "4d", in_ch: 512, hw: 14, ch: [112, 144, 288, 32, 64, 64] },
-    Inception { name: "4e", in_ch: 528, hw: 14, ch: [256, 160, 320, 32, 128, 128] },
-    Inception { name: "5a", in_ch: 832, hw: 7, ch: [256, 160, 320, 32, 128, 128] },
-    Inception { name: "5b", in_ch: 832, hw: 7, ch: [384, 192, 384, 48, 128, 128] },
+    Inception {
+        name: "3a",
+        in_ch: 192,
+        hw: 28,
+        ch: [64, 96, 128, 16, 32, 32],
+    },
+    Inception {
+        name: "3b",
+        in_ch: 256,
+        hw: 28,
+        ch: [128, 128, 192, 32, 96, 64],
+    },
+    Inception {
+        name: "4a",
+        in_ch: 480,
+        hw: 14,
+        ch: [192, 96, 208, 16, 48, 64],
+    },
+    Inception {
+        name: "4b",
+        in_ch: 512,
+        hw: 14,
+        ch: [160, 112, 224, 24, 64, 64],
+    },
+    Inception {
+        name: "4c",
+        in_ch: 512,
+        hw: 14,
+        ch: [128, 128, 256, 24, 64, 64],
+    },
+    Inception {
+        name: "4d",
+        in_ch: 512,
+        hw: 14,
+        ch: [112, 144, 288, 32, 64, 64],
+    },
+    Inception {
+        name: "4e",
+        in_ch: 528,
+        hw: 14,
+        ch: [256, 160, 320, 32, 128, 128],
+    },
+    Inception {
+        name: "5a",
+        in_ch: 832,
+        hw: 7,
+        ch: [256, 160, 320, 32, 128, 128],
+    },
+    Inception {
+        name: "5b",
+        in_ch: 832,
+        hw: 7,
+        ch: [384, 192, 384, 48, 128, 128],
+    },
 ];
 
 fn layers(conv_wgt_sparsity: f64, fc_wgt_sparsity: f64) -> Vec<Layer> {
@@ -63,17 +108,81 @@ fn layers(conv_wgt_sparsity: f64, fc_wgt_sparsity: f64) -> Vec<Layer> {
         LayerStats::new(ACT_W[i], WGT_W[i], act_sp, wsp)
     };
 
-    out.push(conv("conv1/7x7_s2", 64, 3, 7, 224, 112, s(conv_wgt_sparsity)));
-    out.push(conv("conv2/3x3_reduce", 64, 64, 1, 56, 56, s(conv_wgt_sparsity)));
+    out.push(conv(
+        "conv1/7x7_s2",
+        64,
+        3,
+        7,
+        224,
+        112,
+        s(conv_wgt_sparsity),
+    ));
+    out.push(conv(
+        "conv2/3x3_reduce",
+        64,
+        64,
+        1,
+        56,
+        56,
+        s(conv_wgt_sparsity),
+    ));
     out.push(conv("conv2/3x3", 192, 64, 3, 56, 56, s(conv_wgt_sparsity)));
     for m in &MODULES {
         let n = |suffix: &str| format!("inception_{}/{}", m.name, suffix);
-        out.push(conv(&n("1x1"), m.ch[0], m.in_ch, 1, m.hw, m.hw, s(conv_wgt_sparsity)));
-        out.push(conv(&n("3x3_reduce"), m.ch[1], m.in_ch, 1, m.hw, m.hw, s(conv_wgt_sparsity)));
-        out.push(conv(&n("3x3"), m.ch[2], m.ch[1], 3, m.hw, m.hw, s(conv_wgt_sparsity)));
-        out.push(conv(&n("5x5_reduce"), m.ch[3], m.in_ch, 1, m.hw, m.hw, s(conv_wgt_sparsity)));
-        out.push(conv(&n("5x5"), m.ch[4], m.ch[3], 5, m.hw, m.hw, s(conv_wgt_sparsity)));
-        out.push(conv(&n("pool_proj"), m.ch[5], m.in_ch, 1, m.hw, m.hw, s(conv_wgt_sparsity)));
+        out.push(conv(
+            &n("1x1"),
+            m.ch[0],
+            m.in_ch,
+            1,
+            m.hw,
+            m.hw,
+            s(conv_wgt_sparsity),
+        ));
+        out.push(conv(
+            &n("3x3_reduce"),
+            m.ch[1],
+            m.in_ch,
+            1,
+            m.hw,
+            m.hw,
+            s(conv_wgt_sparsity),
+        ));
+        out.push(conv(
+            &n("3x3"),
+            m.ch[2],
+            m.ch[1],
+            3,
+            m.hw,
+            m.hw,
+            s(conv_wgt_sparsity),
+        ));
+        out.push(conv(
+            &n("5x5_reduce"),
+            m.ch[3],
+            m.in_ch,
+            1,
+            m.hw,
+            m.hw,
+            s(conv_wgt_sparsity),
+        ));
+        out.push(conv(
+            &n("5x5"),
+            m.ch[4],
+            m.ch[3],
+            5,
+            m.hw,
+            m.hw,
+            s(conv_wgt_sparsity),
+        ));
+        out.push(conv(
+            &n("pool_proj"),
+            m.ch[5],
+            m.in_ch,
+            1,
+            m.hw,
+            m.hw,
+            s(conv_wgt_sparsity),
+        ));
     }
     out.push(fc("loss3/classifier", 1024, 1000, s(fc_wgt_sparsity)));
     out
@@ -118,10 +227,7 @@ mod tests {
     fn published_mac_count() {
         // ~1.58 GMACs for a 224x224 forward pass (convs + fc).
         let m = googlenet().total_macs();
-        assert!(
-            (1_400_000_000..1_700_000_000).contains(&m),
-            "macs {m}"
-        );
+        assert!((1_400_000_000..1_700_000_000).contains(&m), "macs {m}");
     }
 
     #[test]

@@ -89,7 +89,15 @@ pub fn vdsr() -> Network {
 /// the 3x3 kernels).
 #[must_use]
 pub fn ircnn() -> Network {
-    let chans = [(64, 1), (64, 64), (64, 64), (64, 64), (64, 64), (64, 64), (1, 64)];
+    let chans = [
+        (64, 1),
+        (64, 64),
+        (64, 64),
+        (64, 64),
+        (64, 64),
+        (64, 64),
+        (1, 64),
+    ];
     let layers = chans
         .iter()
         .enumerate()

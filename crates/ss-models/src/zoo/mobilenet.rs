@@ -53,7 +53,15 @@ pub fn mobilenet() -> Network {
     layers.push(conv("conv1", 32, 3, 3, 224, 112, s()));
     for (b, &(cin, cout, ihw, ohw)) in BLOCKS.iter().enumerate() {
         layers.push(dwconv(&format!("conv{}_dw", b + 2), cin, 3, ihw, ohw, s()));
-        layers.push(conv(&format!("conv{}_pw", b + 2), cout, cin, 1, ohw, ohw, s()));
+        layers.push(conv(
+            &format!("conv{}_pw", b + 2),
+            cout,
+            cin,
+            1,
+            ohw,
+            ohw,
+            s(),
+        ));
     }
     layers.push(fc("fc1000", 1024, 1000, s()));
     Network::new("MobileNet", layers)
@@ -94,13 +102,33 @@ pub fn mobilenet_v2() -> Network {
     for (stage, &(t, cout, reps, in_hw, out_hw)) in V2_STAGES.iter().enumerate() {
         for r in 0..reps {
             let name = format!("block{}_{}", stage + 1, r + 1);
-            let (bi, bo) = if r == 0 { (in_hw, out_hw) } else { (out_hw, out_hw) };
+            let (bi, bo) = if r == 0 {
+                (in_hw, out_hw)
+            } else {
+                (out_hw, out_hw)
+            };
             let expanded = cin * t;
             if t > 1 {
-                layers.push(conv(&format!("{name}_expand"), expanded, cin, 1, bi, bi, s()));
+                layers.push(conv(
+                    &format!("{name}_expand"),
+                    expanded,
+                    cin,
+                    1,
+                    bi,
+                    bi,
+                    s(),
+                ));
             }
             layers.push(dwconv(&format!("{name}_dw"), expanded, 3, bi, bo, s()));
-            layers.push(conv(&format!("{name}_project"), cout, expanded, 1, bo, bo, s()));
+            layers.push(conv(
+                &format!("{name}_project"),
+                cout,
+                expanded,
+                1,
+                bo,
+                bo,
+                s(),
+            ));
             cin = cout;
         }
     }

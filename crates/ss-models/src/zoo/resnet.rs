@@ -54,12 +54,44 @@ fn layers(wgt_sparsity: f64) -> Vec<Layer> {
             // The first block of each stage reads the previous stage's
             // spatial size (stride-2 on branch inputs past stage 2).
             let in_hw = if b == 0 && stage_no > 0 { hw * 2 } else { hw };
-            out.push(conv(&format!("{base}_1x1a"), mid, in_ch, 1, in_hw, hw, s(wgt_sparsity)));
-            out.push(conv(&format!("{base}_3x3b"), mid, mid, 3, hw, hw, s(wgt_sparsity)));
-            out.push(conv(&format!("{base}_1x1c"), out_ch, mid, 1, hw, hw, s(wgt_sparsity)));
+            out.push(conv(
+                &format!("{base}_1x1a"),
+                mid,
+                in_ch,
+                1,
+                in_hw,
+                hw,
+                s(wgt_sparsity),
+            ));
+            out.push(conv(
+                &format!("{base}_3x3b"),
+                mid,
+                mid,
+                3,
+                hw,
+                hw,
+                s(wgt_sparsity),
+            ));
+            out.push(conv(
+                &format!("{base}_1x1c"),
+                out_ch,
+                mid,
+                1,
+                hw,
+                hw,
+                s(wgt_sparsity),
+            ));
             if b == 0 {
                 // Projection shortcut for the dimension change.
-                out.push(conv(&format!("{base}_proj"), out_ch, in_ch, 1, in_hw, hw, s(wgt_sparsity)));
+                out.push(conv(
+                    &format!("{base}_proj"),
+                    out_ch,
+                    in_ch,
+                    1,
+                    in_hw,
+                    hw,
+                    s(wgt_sparsity),
+                ));
             }
             in_ch = out_ch;
         }
@@ -94,20 +126,14 @@ mod tests {
     fn published_parameter_count() {
         // ResNet-50: ~25.5M parameters.
         let total = resnet50().total_weights();
-        assert!(
-            (24_000_000..26_500_000).contains(&total),
-            "weights {total}"
-        );
+        assert!((24_000_000..26_500_000).contains(&total), "weights {total}");
     }
 
     #[test]
     fn published_mac_count() {
         // ~3.8-4.1 GMACs for a 224x224 forward pass.
         let m = resnet50().total_macs();
-        assert!(
-            (3_500_000_000..4_300_000_000).contains(&m),
-            "macs {m}"
-        );
+        assert!((3_500_000_000..4_300_000_000).contains(&m), "macs {m}");
     }
 
     #[test]

@@ -90,10 +90,7 @@ mod tests {
     fn published_parameter_count() {
         // SegNet: ~29.5M parameters (VGG16 convs doubled, no FCs).
         let total = segnet().total_weights();
-        assert!(
-            (28_000_000..31_000_000).contains(&total),
-            "weights {total}"
-        );
+        assert!((28_000_000..31_000_000).contains(&total), "weights {total}");
     }
 
     #[test]

@@ -17,7 +17,13 @@ pub fn seq2seq() -> Network {
     let mut layers: Vec<Layer> = vec![fc("embed", VOCAB / 10, HIDDEN, s)];
     for side in ["enc", "dec"] {
         for l in 0..4 {
-            layers.push(lstm(&format!("{side}_lstm{}", l + 1), HIDDEN, HIDDEN, STEPS, s));
+            layers.push(lstm(
+                &format!("{side}_lstm{}", l + 1),
+                HIDDEN,
+                HIDDEN,
+                STEPS,
+                s,
+            ));
         }
     }
     layers.push(fc("softmax_proj", HIDDEN, VOCAB / 10, s));
@@ -28,9 +34,7 @@ pub fn seq2seq() -> Network {
 /// single LSTM captioner over COCO.
 #[must_use]
 pub fn lrcn() -> Network {
-    let cs = |a: f64, w: f64, i: usize| {
-        LayerStats::new(a, w, if i == 0 { 0.0 } else { 0.5 }, 0.0)
-    };
+    let cs = |a: f64, w: f64, i: usize| LayerStats::new(a, w, if i == 0 { 0.0 } else { 0.5 }, 0.0);
     let ls = LayerStats::new(4.3, 3.6, 0.3, 0.0);
     Network::new(
         "LRCN",
@@ -109,8 +113,14 @@ mod tests {
     fn lrcn_mixes_conv_and_lstm() {
         let n = lrcn();
         use crate::LayerKind;
-        assert!(n.layers().iter().any(|l| matches!(l.kind(), LayerKind::Conv { .. })));
-        assert!(n.layers().iter().any(|l| matches!(l.kind(), LayerKind::Lstm { .. })));
+        assert!(n
+            .layers()
+            .iter()
+            .any(|l| matches!(l.kind(), LayerKind::Conv { .. })));
+        assert!(n
+            .layers()
+            .iter()
+            .any(|l| matches!(l.kind(), LayerKind::Lstm { .. })));
         // The 4096-input LSTM holds 4*1000*(4096+1000) ~ 20.4M weights.
         assert_eq!(n.layers()[7].weight_count(), 4 * 1000 * 5096);
     }

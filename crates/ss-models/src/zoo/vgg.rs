@@ -76,7 +76,10 @@ mod tests {
     #[test]
     fn both_are_fc_heavy() {
         for n in [vgg_m(), vgg_s()] {
-            let fc_weights: u64 = n.layers()[5..].iter().map(|l| l.weight_count() as u64).sum();
+            let fc_weights: u64 = n.layers()[5..]
+                .iter()
+                .map(|l| l.weight_count() as u64)
+                .sum();
             assert!(
                 fc_weights * 10 > n.total_weights() * 9,
                 "{}: FCs should hold >90% of weights",

@@ -19,28 +19,28 @@ const WGT_W: [f64; 22] = [
 
 /// `(out_ch, in_ch, kernel, in_hw, out_hw)` for each convolution.
 const GEOM: [(usize, usize, usize, usize, usize); 22] = [
-    (32, 3, 3, 416, 416),     // conv1
-    (64, 32, 3, 208, 208),    // conv2 (after pool)
-    (128, 64, 3, 104, 104),   // conv3
-    (64, 128, 1, 104, 104),   // conv4
-    (128, 64, 3, 104, 104),   // conv5
-    (256, 128, 3, 52, 52),    // conv6
-    (128, 256, 1, 52, 52),    // conv7
-    (256, 128, 3, 52, 52),    // conv8
-    (512, 256, 3, 26, 26),    // conv9
-    (256, 512, 1, 26, 26),    // conv10
-    (512, 256, 3, 26, 26),    // conv11
-    (256, 512, 1, 26, 26),    // conv12
-    (512, 256, 3, 26, 26),    // conv13
-    (1024, 512, 3, 13, 13),   // conv14
-    (512, 1024, 1, 13, 13),   // conv15
-    (1024, 512, 3, 13, 13),   // conv16
-    (512, 1024, 1, 13, 13),   // conv17
-    (1024, 512, 3, 13, 13),   // conv18
-    (1024, 1024, 3, 13, 13),  // conv19 (detection stack)
-    (1024, 1024, 3, 13, 13),  // conv20
-    (1024, 1280, 3, 13, 13),  // conv21 (after passthrough concat)
-    (425, 1024, 1, 13, 13),   // conv22: 5 anchors x (5 + 80 classes)
+    (32, 3, 3, 416, 416),    // conv1
+    (64, 32, 3, 208, 208),   // conv2 (after pool)
+    (128, 64, 3, 104, 104),  // conv3
+    (64, 128, 1, 104, 104),  // conv4
+    (128, 64, 3, 104, 104),  // conv5
+    (256, 128, 3, 52, 52),   // conv6
+    (128, 256, 1, 52, 52),   // conv7
+    (256, 128, 3, 52, 52),   // conv8
+    (512, 256, 3, 26, 26),   // conv9
+    (256, 512, 1, 26, 26),   // conv10
+    (512, 256, 3, 26, 26),   // conv11
+    (256, 512, 1, 26, 26),   // conv12
+    (512, 256, 3, 26, 26),   // conv13
+    (1024, 512, 3, 13, 13),  // conv14
+    (512, 1024, 1, 13, 13),  // conv15
+    (1024, 512, 3, 13, 13),  // conv16
+    (512, 1024, 1, 13, 13),  // conv17
+    (1024, 512, 3, 13, 13),  // conv18
+    (1024, 1024, 3, 13, 13), // conv19 (detection stack)
+    (1024, 1024, 3, 13, 13), // conv20
+    (1024, 1280, 3, 13, 13), // conv21 (after passthrough concat)
+    (425, 1024, 1, 13, 13),  // conv22: 5 anchors x (5 + 80 classes)
 ];
 
 /// YOLOv2 over a 416x416 input (int16 master).
@@ -78,20 +78,14 @@ mod tests {
     fn published_parameter_count() {
         // YOLOv2: ~50M parameters.
         let total = yolo().total_weights();
-        assert!(
-            (45_000_000..55_000_000).contains(&total),
-            "weights {total}"
-        );
+        assert!((45_000_000..55_000_000).contains(&total), "weights {total}");
     }
 
     #[test]
     fn published_mac_count() {
         // ~14-15 GMACs at 416x416 (the published ~29.5 GFLOPs / 2).
         let m = yolo().total_macs();
-        assert!(
-            (13_000_000_000..16_500_000_000).contains(&m),
-            "macs {m}"
-        );
+        assert!((13_000_000_000..16_500_000_000).contains(&m), "macs {m}");
     }
 
     #[test]

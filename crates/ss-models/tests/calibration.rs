@@ -56,16 +56,19 @@ fn activation_calibration_holds_across_the_table1_networks() {
 
 #[test]
 fn weight_calibration_holds_where_feasible() {
-    for net in [zoo::alexnet(), zoo::googlenet(), zoo::resnet50(), zoo::yolo()] {
+    for net in [
+        zoo::alexnet(),
+        zoo::googlenet(),
+        zoo::resnet50(),
+        zoo::yolo(),
+    ] {
         for (i, layer) in net.layers().iter().enumerate() {
             let target = layer.stats().wgt_width;
             let floor = wgt_floor(layer.stats().wgt_sparsity);
             if target < floor + 0.3 {
                 continue; // clamped by design; skip infeasible targets
             }
-            let measured = net
-                .weight_tensor(i, 0)
-                .effective_width(CALIBRATION_GROUP);
+            let measured = net.weight_tensor(i, 0).effective_width(CALIBRATION_GROUP);
             assert!(
                 (measured - target).abs() < 0.6,
                 "{} layer {} ({}): target {target} measured {measured:.3}",

@@ -25,7 +25,10 @@ impl fmt::Display for QuantError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             QuantError::InvalidTargetWidth { bits } => {
-                write!(f, "target width {bits} is outside the supported 2..=16 range")
+                write!(
+                    f,
+                    "target width {bits} is outside the supported 2..=16 range"
+                )
             }
             QuantError::InvalidOutlierFraction { fraction } => {
                 write!(f, "outlier fraction {fraction} must be in (0, 1)")

@@ -155,8 +155,9 @@ impl OutlierAwareQuantizer {
                 if v == 0 {
                     0
                 } else {
-                    let mag = (f64::from(v.abs()) / scale).round().min(f64::from(common_max))
-                        as i32;
+                    let mag = (f64::from(v.abs()) / scale)
+                        .round()
+                        .min(f64::from(common_max)) as i32;
                     if v < 0 {
                         -mag
                     } else {
@@ -260,7 +261,9 @@ mod tests {
     #[test]
     fn zeros_are_neither_common_nor_outlier() {
         let q = OutlierAwareQuantizer::new(4, 0.1).unwrap();
-        let oq = q.quantize(&master(vec![0, 0, 5_000, 10_000, 0, 0])).unwrap();
+        let oq = q
+            .quantize(&master(vec![0, 0, 5_000, 10_000, 0, 0]))
+            .unwrap();
         assert_eq!(oq.tensor().values().iter().filter(|&&v| v == 0).count(), 4);
         assert_eq!(oq.outlier_count(), 1);
         // A common value far below its quantization step rounds to zero —

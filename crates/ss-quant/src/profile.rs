@@ -73,7 +73,9 @@ impl NetworkProfile {
 #[must_use]
 pub fn profiled_act_width(net: &Network, layer: usize) -> u8 {
     let gen = net.input_gen(layer);
-    let count = net.layers()[layer].input_count().saturating_mul(PROFILE_INPUTS);
+    let count = net.layers()[layer]
+        .input_count()
+        .saturating_mul(PROFILE_INPUTS);
     profiled_width_estimate(
         gen.scale(),
         gen.sparsity(),

@@ -131,10 +131,7 @@ mod tests {
         let q = RangeAwareQuantizer::new(8).unwrap();
         // Master width 12 (value 2048) with profile 16 -> shift 8 -> width 4.
         let t = q.quantize(&u16_master(vec![2048]), 16).unwrap();
-        assert_eq!(
-            width::value_width(t.values()[0], Signedness::Unsigned),
-            4
-        );
+        assert_eq!(width::value_width(t.values()[0], Signedness::Unsigned), 4);
     }
 
     #[test]

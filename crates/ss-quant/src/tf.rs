@@ -112,7 +112,7 @@ impl TfQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_tensor::{Shape, Signedness, width};
+    use ss_tensor::{width, Shape, Signedness};
 
     fn master(vals: Vec<i32>) -> Tensor {
         Tensor::from_vec(Shape::flat(vals.len()), FixedType::I16, vals).unwrap()

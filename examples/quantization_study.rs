@@ -53,8 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oq.tensor().len()
     );
     let pct = |b: u64| 100.0 * b as f64 / base_bits as f64;
-    println!("  Outlier-Aware store: {:>5.1}% of 16b", pct(outlier_aware_bits(&oq)));
-    println!("  Outlier-Aware + ZS:  {:>5.1}%", pct(outlier_aware_zs_bits(&oq)));
+    println!(
+        "  Outlier-Aware store: {:>5.1}% of 16b",
+        pct(outlier_aware_bits(&oq))
+    );
+    println!(
+        "  Outlier-Aware + ZS:  {:>5.1}%",
+        pct(outlier_aware_zs_bits(&oq))
+    );
     println!(
         "  ShapeShifter:        {:>5.1}% (no specialization for this quantizer)",
         pct(ss.compressed_bits(oq.tensor(), &ctx))

@@ -19,9 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  uncompressed: {} bits", tensor.container_bits());
     println!(
         "  compressed:   {} bits ({} metadata + {} payload)",
-        encoded.bit_len,
-        encoded.report.metadata_bits,
-        encoded.report.payload_bits
+        encoded.bit_len, encoded.report.metadata_bits, encoded.report.payload_bits
     );
     assert_eq!(codec.decode(&encoded)?, tensor);
     println!("  round-trip:   lossless\n");

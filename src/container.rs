@@ -210,7 +210,12 @@ impl ContainerInfo {
 /// `group_size` is 0 or exceeds 256; otherwise propagates encode
 /// failures (unreachable for valid tensors).
 pub fn pack(tensor: &Tensor, group_size: usize) -> Result<Vec<u8>, ContainerError> {
-    pack_with_policy(tensor, group_size, SchemeId::SHAPESHIFTER, IndexPolicy::Auto)
+    pack_with_policy(
+        tensor,
+        group_size,
+        SchemeId::SHAPESHIFTER,
+        IndexPolicy::Auto,
+    )
 }
 
 /// Packs a tensor under any registered scheme (default index policy).
@@ -252,7 +257,11 @@ pub fn pack_with_policy(
         .with_exec(ExecPolicy::Sequential)
         .build()?
         .encode_with(scheme, tensor)?;
-    let index_blob = stream.index.as_ref().map(ChunkIndex::to_bytes).transpose()?;
+    let index_blob = stream
+        .index
+        .as_ref()
+        .map(ChunkIndex::to_bytes)
+        .transpose()?;
     let bytes = &stream.bytes;
     let bit_len = stream.bit_len;
     let index_len = index_blob
@@ -260,7 +269,11 @@ pub fn pack_with_policy(
         .map_or(Ok(0u32), |blob| index_block_len(blob.len()))?;
     let mut out = Vec::with_capacity(HEADER_LEN + 4 + index_len as usize + bytes.len());
     out.extend_from_slice(&MAGIC);
-    out.push(if index_blob.is_some() { VERSION_V2 } else { VERSION });
+    out.push(if index_blob.is_some() {
+        VERSION_V2
+    } else {
+        VERSION
+    });
     out.push(tensor.dtype().bits());
     out.push(u8::from(tensor.signedness().is_signed()));
     out.push(id.as_byte());
@@ -326,8 +339,7 @@ pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
         )));
     }
     let len = u64::from_le_bytes(bytes[10..18].try_into().expect("slice length checked"));
-    let stream_bits =
-        u64::from_le_bytes(bytes[18..26].try_into().expect("slice length checked"));
+    let stream_bits = u64::from_le_bytes(bytes[18..26].try_into().expect("slice length checked"));
     let index_bytes = if version == VERSION_V2 {
         let Some(rest) = bytes.len().checked_sub(HEADER_LEN + 4) else {
             return Err(ContainerError::Malformed(
@@ -395,7 +407,14 @@ pub fn unpack(bytes: &[u8]) -> Result<Tensor, ContainerError> {
     } else {
         None
     };
-    Ok(ShapeShifterCodec::default().decode_scheme_stream(scheme, stream, &frame, index.as_ref())?)
+    Ok(
+        ShapeShifterCodec::default().decode_scheme_stream(
+            scheme,
+            stream,
+            &frame,
+            index.as_ref(),
+        )?,
+    )
 }
 
 /// The container's element count as a `usize`, checked against the
@@ -456,7 +475,15 @@ pub fn unpack_with(
 /// header, the scheme, the stream bytes and their framing.
 fn stream_parts(
     bytes: &[u8],
-) -> Result<(ContainerInfo, &'static dyn ContainerScheme, &[u8], StreamFrame), ContainerError> {
+) -> Result<
+    (
+        ContainerInfo,
+        &'static dyn ContainerScheme,
+        &[u8],
+        StreamFrame,
+    ),
+    ContainerError,
+> {
     let meta = info(bytes)?;
     let scheme = SchemeRegistry::global().get(meta.scheme)?;
     // Checked before any use as a count: the 8-byte field wraps under

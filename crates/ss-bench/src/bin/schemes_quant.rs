@@ -7,11 +7,11 @@
 //! when a registry contract is violated:
 //!
 //! 1. **Registry byte identity** — ShapeShifter (wire id 0) and Delta
-//!    (id 1) streams produced through a session's `encode_stream` and
-//!    `encode_with_scheme` are bit-for-bit the bytes of the direct
-//!    encoders (the one-shot `ShapeShifterCodec::encode_with`, and the
-//!    Delta struct's own `encode_into` on a fresh writer), frame fields,
-//!    accounting and chunk index included.
+//!    (id 1) streams produced through a session's `encode_stream` are
+//!    bit-for-bit the bytes of the direct encoders (the one-shot
+//!    `ShapeShifterCodec::encode_with`, and the Delta struct's own
+//!    `encode_into` on a fresh writer), frame fields, accounting and
+//!    chunk index included.
 //! 2. **DPRed/AdaBits round trip** — both plug-in schemes encode a
 //!    deterministic mixed pool through the `ss-pipeline` worker pool
 //!    (worker count follows `SS_THREADS`) and decode back losslessly;
@@ -114,7 +114,7 @@ fn registry_byte_identical(pool: &[Tensor]) -> bool {
             )
             .expect("direct delta encode");
         session
-            .encode_with_scheme(delta_scheme, t, IndexPolicy::None, &mut stream)
+            .encode_stream(delta_scheme, t, &mut stream)
             .expect("registry delta encode");
         if stream.bytes != delta_stream.as_bytes() || stream.bit_len != delta_stream.bit_len() {
             return false;

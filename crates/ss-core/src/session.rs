@@ -420,13 +420,23 @@ mod tests {
         let mut stream = SchemeStream::default();
         let mut back = Tensor::zeros(Shape::flat(0), FixedType::I16);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..200 {
+        for k in 0..200u64 {
             let vals: Vec<i32> = (0..64)
                 .map(|_| {
                     state ^= state << 13;
                     state ^= state >> 7;
                     state ^= state << 17;
-                    (state % 65_535) as i32 - 32_767
+                    let r = state >> 11;
+                    let sign = if r & 1 == 1 { -1 } else { 1 };
+                    // Tensors range from dense to almost all zeros.
+                    if (r >> 1) % 20 < k % 20 {
+                        return 0;
+                    }
+                    sign * match (r >> 6) % 10 {
+                        0..=3 => 0,
+                        4..=7 => ((r >> 5) % 15 + 1) as i32,
+                        _ => ((r >> 5) % 2000 + 1) as i32,
+                    }
                 })
                 .collect();
             let t = Tensor::from_vec(Shape::flat(64), FixedType::I16, vals).unwrap();

@@ -1,6 +1,6 @@
 //! The batch engine: one [`ss_core::par::par_map_with`] call per batch,
 //! each worker owning a clone of the engine's [`CodecSession`] plus
-//! recycled container/tensor scratch, so steady state performs no
+//! recycled stream/tensor scratch, so steady state performs no
 //! per-tensor heap allocation inside [`Pipeline::process`].
 //!
 //! # Determinism

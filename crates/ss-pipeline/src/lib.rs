@@ -9,7 +9,7 @@
 //!   from one atomic counter, the calling thread is one of them, and the
 //!   engine itself owns no threads — a one-worker run spawns nothing.
 //! - **Zero steady-state allocation.** Each worker owns a clone of the
-//!   engine's [`ss_core::CodecSession`] plus a recycled container and
+//!   engine's [`ss_core::CodecSession`] plus a recycled stream and
 //!   tensor, so after warm-up the hot loop of [`Pipeline::process`] does
 //!   not touch the heap (pinned by the counting-allocator test
 //!   `tests/pipeline_alloc.rs`; the session contract itself by one in

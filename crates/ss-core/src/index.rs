@@ -39,7 +39,7 @@
 
 use ss_bitio::{BitReader, BitWriter};
 
-use crate::checksum::crc32;
+use crate::checksum::{checked_body, crc32, TrailerError};
 use crate::CodecError;
 
 /// One chunk's entry: where its first group starts and how many values it
@@ -232,19 +232,12 @@ impl ChunkIndex {
     ///   widths are inconsistent.
     /// * [`CodecError::Stream`] if a field read runs off the end.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let Some(body_len) = bytes.len().checked_sub(4) else {
-            return Err(CodecError::CorruptIndex {
-                reason: "shorter than its checksum",
-            });
-        };
-        let (body, tail) = bytes.split_at(body_len);
-        let mut crc_bytes = [0u8; 4];
-        crc_bytes.copy_from_slice(tail);
-        if crc32(body) != u32::from_le_bytes(crc_bytes) {
-            return Err(CodecError::CorruptIndex {
-                reason: "checksum mismatch",
-            });
-        }
+        let body = checked_body(bytes).map_err(|e| CodecError::CorruptIndex {
+            reason: match e {
+                TrailerError::Short(_) => "shorter than its checksum",
+                TrailerError::Mismatch { .. } => "checksum mismatch",
+            },
+        })?;
         let mut r = BitReader::new(body);
         let count = r.read_bits(32)?;
         // ss-lint: allow(truncating-cast) -- field is 32 bits, fits u32

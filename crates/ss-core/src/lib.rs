@@ -37,7 +37,10 @@
 //!   resolves wire ids at unpack time. All four share one framing path
 //!   (group-size and frame checks, group loops, chunk index, fan-out,
 //!   exact consumption); a scheme supplies only its per-group layout.
-//! * [`checksum`] — the workspace's one CRC-32 and one FNV-1a.
+//! * [`checksum`] — the workspace's one CRC-32 (and the one split of a
+//!   blob into its body and CRC-32 trailer) and one FNV-1a.
+//! * [`bytes`] — the one checked reader for the little-endian SSPK, SSRD
+//!   and SSRP formats.
 //! * [`decompressor`] — the two-level (L1D/L2D) streaming decompressor of
 //!   Figure 6d as a cycle-approximate model, used to check the decoder
 //!   keeps up with the DDR4 stream.
@@ -69,6 +72,7 @@
 //! ```
 
 pub mod analysis;
+pub mod bytes;
 mod checked;
 pub mod checksum;
 mod codec;

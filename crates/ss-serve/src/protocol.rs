@@ -24,16 +24,10 @@
 //! `max_body` *before* any allocation, so hostile length metadata cannot
 //! balloon memory (the PR 5 decode-OOM lesson applied at the wire).
 
-// ss-lint: allow-file(panic-freedom) -- every slice index below is
-// preceded by an explicit length check (`bytes.len() < total`), reads a
-// fixed-size header array (taken with `first_chunk` or filled by
-// `read_exact`), or fills the writer's fixed-size header array at
-// constant offsets; the protocol fuzz suite proves every truncation at
-// every byte is a typed refusal, never a panic.
-
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
-use ss_store::format::Crc32;
+use ss_core::bytes::{ByteReader, ShortInput};
+use ss_core::checksum::{self, Crc32};
 
 /// Frame magic, `b"SSRP"`.
 pub const MAGIC: [u8; 4] = *b"SSRP";
@@ -304,6 +298,15 @@ impl From<std::io::Error> for ProtocolError {
     }
 }
 
+impl From<ShortInput> for ProtocolError {
+    fn from(e: ShortInput) -> Self {
+        ProtocolError::Truncated {
+            needed: e.needed,
+            have: e.have,
+        }
+    }
+}
+
 impl Frame {
     /// A request frame.
     #[must_use]
@@ -374,37 +377,16 @@ impl Frame {
     /// Any [`ProtocolError`]; [`ProtocolError::Truncated`] when `bytes`
     /// is a proper prefix of a frame.
     pub fn decode(bytes: &[u8], max_body: usize) -> Result<(Frame, usize), ProtocolError> {
-        let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
-            return Err(ProtocolError::Truncated {
-                needed: HEADER_LEN,
-                have: bytes.len(),
-            });
+        let mut r = ByteReader::new(bytes);
+        let header = r.take()?;
+        let (kind, request_id, body_len) = parse_header(&header, max_body)?;
+        let body = check_trailer(&header, r.bytes(body_len + TRAILER_LEN)?)?;
+        let frame = Frame {
+            kind,
+            request_id,
+            body: body.to_vec(),
         };
-        let (kind, request_id, body_len) = parse_header(header, max_body)?;
-        let total = HEADER_LEN + body_len + TRAILER_LEN;
-        if bytes.len() < total {
-            return Err(ProtocolError::Truncated {
-                needed: total,
-                have: bytes.len(),
-            });
-        }
-        let mut crc_bytes = [0u8; 4];
-        crc_bytes.copy_from_slice(&bytes[total - TRAILER_LEN..total]);
-        let stored = u32::from_le_bytes(crc_bytes);
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..total - TRAILER_LEN]);
-        let computed = crc.finish();
-        if stored != computed {
-            return Err(ProtocolError::CrcMismatch { stored, computed });
-        }
-        Ok((
-            Frame {
-                kind,
-                request_id,
-                body: bytes[HEADER_LEN..HEADER_LEN + body_len].to_vec(),
-            },
-            total,
-        ))
+        Ok((frame, r.position()))
     }
 
     /// Reads exactly one frame from `r`.
@@ -420,18 +402,10 @@ impl Frame {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
         let (kind, request_id, body_len) = parse_header(&header, max_body)?;
-        let mut body = vec![0u8; body_len];
+        let mut body = vec![0u8; body_len + TRAILER_LEN];
         r.read_exact(&mut body)?;
-        let mut crc_bytes = [0u8; 4];
-        r.read_exact(&mut crc_bytes)?;
-        let stored = u32::from_le_bytes(crc_bytes);
-        let mut crc = Crc32::new();
-        crc.update(&header);
-        crc.update(&body);
-        let computed = crc.finish();
-        if stored != computed {
-            return Err(ProtocolError::CrcMismatch { stored, computed });
-        }
+        check_trailer(&header, &body)?;
+        body.truncate(body_len);
         Ok(Frame {
             kind,
             request_id,
@@ -463,21 +437,18 @@ fn parse_header(
     header: &[u8; HEADER_LEN],
     max_body: usize,
 ) -> Result<(Kind, u64, usize), ProtocolError> {
-    if header[0..4] != MAGIC {
-        let mut m = [0u8; 4];
-        m.copy_from_slice(&header[0..4]);
-        return Err(ProtocolError::BadMagic(m));
+    let mut r = ByteReader::new(header);
+    let magic = r.take()?;
+    if magic != MAGIC {
+        return Err(ProtocolError::BadMagic(magic));
     }
-    if header[4] != VERSION {
-        return Err(ProtocolError::UnsupportedVersion(header[4]));
+    let [version, kind] = r.take()?;
+    if version != VERSION {
+        return Err(ProtocolError::UnsupportedVersion(version));
     }
-    let kind = Kind::from_byte(header[5]).ok_or(ProtocolError::UnknownOp(header[5]))?;
-    let mut id = [0u8; 8];
-    id.copy_from_slice(&header[6..14]);
-    let request_id = u64::from_le_bytes(id);
-    let mut len = [0u8; 4];
-    len.copy_from_slice(&header[14..18]);
-    let body_len = u32::from_le_bytes(len) as usize;
+    let kind = Kind::from_byte(kind).ok_or(ProtocolError::UnknownOp(kind))?;
+    let request_id = r.u64()?;
+    let body_len = r.u32()? as usize;
     if body_len > max_body {
         return Err(ProtocolError::BodyTooLarge {
             len: body_len as u64,
@@ -485,6 +456,20 @@ fn parse_header(
         });
     }
     Ok((kind, request_id, body_len))
+}
+
+/// Splits the CRC-32 trailer off `rest`, the frame after its header, and
+/// checks it against header and body; returns the body.
+fn check_trailer<'a>(header: &[u8; HEADER_LEN], rest: &'a [u8]) -> Result<&'a [u8], ProtocolError> {
+    let (body, stored) = checksum::split_trailer(rest)?;
+    let mut crc = Crc32::new();
+    crc.update(header);
+    crc.update(body);
+    let computed = crc.finish();
+    if stored != computed {
+        return Err(ProtocolError::CrcMismatch { stored, computed });
+    }
+    Ok(body)
 }
 
 /// The one frame writer: the header (and `status`, which opens a
@@ -508,30 +493,27 @@ fn write_frame(
             max: u32::MAX as usize,
         });
     };
-    let mut head = [0u8; HEADER_LEN + 1];
-    head[0..4].copy_from_slice(&MAGIC);
-    head[4] = VERSION;
-    head[5] = kind.to_byte();
-    head[6..14].copy_from_slice(&request_id.to_le_bytes());
-    head[14..18].copy_from_slice(&len.to_le_bytes());
-    let head = match status {
-        Some(byte) => {
-            head[HEADER_LEN] = byte;
-            &head[..]
-        }
-        None => &head[..HEADER_LEN],
-    };
+    let [m0, m1, m2, m3] = MAGIC;
+    let kind = kind.to_byte();
+    let [i0, i1, i2, i3, i4, i5, i6, i7] = request_id.to_le_bytes();
+    let [l0, l1, l2, l3] = len.to_le_bytes();
+    let head: [u8; HEADER_LEN] = [
+        m0, m1, m2, m3, VERSION, kind, i0, i1, i2, i3, i4, i5, i6, i7, l0, l1, l2, l3,
+    ];
+    let status = status.as_slice();
     let mut crc = Crc32::new();
-    crc.update(head);
+    crc.update(&head);
+    crc.update(status);
     crc.update(payload);
     let trailer = crc.finish().to_le_bytes();
     let mut slices = [
-        IoSlice::new(head),
+        IoSlice::new(&head),
+        IoSlice::new(status),
         IoSlice::new(payload),
         IoSlice::new(&trailer),
     ];
-    let mut bufs = &mut slices[..];
-    let mut left = head.len() + payload.len() + trailer.len();
+    let mut bufs: &mut [IoSlice<'_>] = &mut slices;
+    let mut left = HEADER_LEN + body_len + TRAILER_LEN;
     while left > 0 {
         match w.write_vectored(bufs) {
             Ok(0) => return Err(ProtocolError::Io(ErrorKind::WriteZero)),

@@ -34,12 +34,8 @@
 //! has already vouched for transport integrity by the time a body decoder
 //! runs, so these checks defend against malformed-but-intact clients.
 
-// ss-lint: allow-file(panic-freedom) -- every slice index below is
-// preceded by an explicit bounds check against the declared structure
-// (`bytes.len() < dims_end` / `< total` / `< end`); the wire tests
-// prove every prefix truncation is a typed `WireError`, never a panic.
-
 use shapeshifter::container;
+use ss_core::bytes::{ByteReader, ShortInput};
 use ss_tensor::{FixedType, Shape, Tensor, TensorError};
 
 /// Maximum tensor rank the wire form carries.
@@ -113,6 +109,15 @@ impl From<TensorError> for WireError {
     }
 }
 
+impl From<ShortInput> for WireError {
+    fn from(e: ShortInput) -> Self {
+        WireError::Truncated {
+            needed: e.needed,
+            have: e.have,
+        }
+    }
+}
+
 /// Serializes a tensor into the wire body form.
 #[must_use]
 pub fn encode_tensor(tensor: &Tensor) -> Vec<u8> {
@@ -164,33 +169,22 @@ pub(crate) fn tensor_body_len(dtype: FixedType, rank: usize, values: u64) -> u64
 /// ±32767) is a [`WireError::Tensor`] holding
 /// [`TensorError::ValueOutOfRange`], refused before a tensor is built.
 pub fn decode_tensor(bytes: &[u8]) -> Result<Tensor, WireError> {
-    if bytes.len() < 3 {
-        return Err(WireError::Truncated {
-            needed: 3,
-            have: bytes.len(),
-        });
-    }
+    let mut r = ByteReader::new(bytes);
     // The container type sets the value width, so it is read first.
-    let dtype = if bytes[1] != 0 {
-        FixedType::signed(bytes[0])?
+    let [bits, signed, rank] = r.take()?;
+    let dtype = if signed != 0 {
+        FixedType::signed(bits)?
     } else {
-        FixedType::unsigned(bytes[0])?
+        FixedType::unsigned(bits)?
     };
-    let rank = bytes[2] as usize;
-    if rank == 0 || rank > MAX_RANK {
-        return Err(WireError::BadRank(bytes[2]));
+    if rank == 0 || usize::from(rank) > MAX_RANK {
+        return Err(WireError::BadRank(rank));
     }
-    let dims_end = 3 + 4 * rank;
-    if bytes.len() < dims_end {
-        return Err(WireError::Truncated {
-            needed: dims_end,
-            have: bytes.len(),
-        });
-    }
-    let mut dims = Vec::with_capacity(rank);
+    let mut dim_fields = ByteReader::new(r.bytes(4 * usize::from(rank))?);
+    let mut dims = Vec::with_capacity(usize::from(rank));
     let mut elements: u64 = 1;
-    for d in bytes[3..dims_end].as_chunks::<4>().0 {
-        let dim = u32::from_le_bytes(*d);
+    for _ in 0..rank {
+        let dim = dim_fields.u32()?;
         elements = elements.saturating_mul(u64::from(dim));
         dims.push(dim as usize);
     }
@@ -199,18 +193,12 @@ pub fn decode_tensor(bytes: &[u8]) -> Result<Tensor, WireError> {
     }
     // Fits usize on every supported target: MAX_ELEMENTS < 2^32.
     let n = elements as usize;
-    let total = dims_end + container::raw_width(dtype) * n;
-    if bytes.len() < total {
-        return Err(WireError::Truncated {
-            needed: total,
-            have: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(WireError::TrailingBytes(bytes.len() - total));
+    let raw = r.bytes(container::raw_width(dtype) * n)?;
+    if !r.rest().is_empty() {
+        return Err(WireError::TrailingBytes(r.rest().len()));
     }
     let mut values = Vec::with_capacity(n);
-    container::read_raw(&bytes[dims_end..], dtype, &mut values);
+    container::read_raw(raw, dtype, &mut values);
     Ok(Tensor::from_vec(Shape::new(dims), dtype, values)?)
 }
 
@@ -221,15 +209,12 @@ pub fn decode_tensor(bytes: &[u8]) -> Result<Tensor, WireError> {
 /// answer `NotFound` for the truncated form rather than misbehave.
 #[must_use]
 pub fn encode_get(model: &str, record: &str) -> Vec<u8> {
-    let model = &model.as_bytes()[..model.len().min(u16::MAX as usize)];
-    let record = &record.as_bytes()[..record.len().min(u16::MAX as usize)];
     let mut out = Vec::with_capacity(4 + model.len() + record.len());
-    // ss-lint: allow(truncating-cast) -- the slice above caps the length at u16::MAX
-    out.extend_from_slice(&(model.len() as u16).to_le_bytes());
-    out.extend_from_slice(model);
-    // ss-lint: allow(truncating-cast) -- the slice above caps the length at u16::MAX
-    out.extend_from_slice(&(record.len() as u16).to_le_bytes());
-    out.extend_from_slice(record);
+    for name in [model, record] {
+        let len = u16::try_from(name.len()).unwrap_or(u16::MAX);
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend(name.bytes().take(usize::from(len)));
+    }
     out
 }
 
@@ -248,24 +233,14 @@ pub fn decode_get(bytes: &[u8]) -> Result<(String, String), WireError> {
     Ok((model, record))
 }
 
-/// Splits one length-prefixed UTF-8 string off the front of `bytes`.
+/// Splits one length-prefixed UTF-8 string off the front of `bytes`; a
+/// [`WireError::Truncated`] counts from the start of `bytes`, the
+/// string's own length field.
 fn take_string(bytes: &[u8]) -> Result<(String, &[u8]), WireError> {
-    if bytes.len() < 2 {
-        return Err(WireError::Truncated {
-            needed: 2,
-            have: bytes.len(),
-        });
-    }
-    let len = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-    let end = 2 + len;
-    if bytes.len() < end {
-        return Err(WireError::Truncated {
-            needed: end,
-            have: bytes.len(),
-        });
-    }
-    let s = std::str::from_utf8(&bytes[2..end]).map_err(|_| WireError::BadUtf8)?;
-    Ok((s.to_string(), &bytes[end..]))
+    let mut r = ByteReader::new(bytes);
+    let len = usize::from(r.u16()?);
+    let s = std::str::from_utf8(r.bytes(len)?).map_err(|_| WireError::BadUtf8)?;
+    Ok((s.to_string(), r.rest()))
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@
 //! end-of-file index — and reads them back with O(1) random access:
 //!
 //! * [`format`](mod@format) — the shard byte layout: header, CRC-32-framed record
-//!   blocks, a `BitWriter`-serialized index with a CRC-32 trailer (the
-//!   `ss_core::ChunkIndex` idiom), and a fixed-size locating footer.
+//!   blocks, an end-of-file index with a CRC-32 trailer (the
+//!   `ss_core::ChunkIndex` idiom), and a fixed-size locating footer, all
+//!   read through `ss_core::bytes`' one checked reader.
 //! * [`StorageProvider`] — where shards live: [`LocalFsProvider`]
 //!   (files under a root) or [`MemoryProvider`] (tests and determinism
 //!   gates). Ranged reads are the contract that keeps record access

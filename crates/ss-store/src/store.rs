@@ -33,6 +33,14 @@ struct ShardState {
     entries: Vec<RecordEntry>,
 }
 
+/// Every shard's parsed index, with the O(1) name lookup over them.
+struct Shards {
+    /// The shards, in shard-number order.
+    list: Vec<ShardState>,
+    /// name → (shard index, entry index).
+    lookup: HashMap<String, (usize, usize)>,
+}
+
 /// What [`ModelStore::verify`] checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyReport {
@@ -49,9 +57,7 @@ pub struct VerifyReport {
 pub struct ModelStore<'a> {
     provider: &'a dyn StorageProvider,
     model: String,
-    shards: Vec<ShardState>,
-    /// name → (shard index, entry index); the O(1) lookup table.
-    lookup: HashMap<String, (usize, usize)>,
+    shards: Shards,
     session: CodecSession,
     block_buf: Vec<u8>,
 }
@@ -162,8 +168,10 @@ impl<'a> ModelStore<'a> {
         Ok(ModelStore {
             provider,
             model: model.to_string(),
-            shards,
-            lookup,
+            shards: Shards {
+                list: shards,
+                lookup,
+            },
             session: CodecSession::new(CodecConfig::new())?,
             block_buf: Vec::new(),
         })
@@ -178,31 +186,35 @@ impl<'a> ModelStore<'a> {
     /// Number of records across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lookup.len()
+        self.shards.lookup.len()
     }
 
     /// Whether the store holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lookup.is_empty()
+        self.shards.lookup.is_empty()
     }
 
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards.list.len()
     }
 
     /// Every record's index entry, in shard then block order.
     #[must_use]
     pub fn list(&self) -> Vec<&RecordEntry> {
-        self.shards.iter().flat_map(|s| s.entries.iter()).collect()
+        self.shards
+            .list
+            .iter()
+            .flat_map(|s| s.entries.iter())
+            .collect()
     }
 
     /// All record names, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.lookup.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.shards.lookup.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
     }
@@ -210,46 +222,7 @@ impl<'a> ModelStore<'a> {
     /// The index entry for `name`, if present (O(1)).
     #[must_use]
     pub fn entry(&self, name: &str) -> Option<&RecordEntry> {
-        let &(s, e) = self.lookup.get(name)?;
-        self.shards.get(s).and_then(|shard| shard.entries.get(e))
-    }
-
-    /// Reads and CRC-checks exactly one record's block, leaving it in
-    /// `self.block_buf`; returns the shard index and entry index.
-    fn fetch_block(&mut self, name: &str) -> Result<(usize, usize), StoreError> {
-        let &(s, e) = self
-            .lookup
-            .get(name)
-            .ok_or_else(|| StoreError::RecordNotFound {
-                name: name.to_string(),
-            })?;
-        let shard = &self.shards[s];
-        let entry = &shard.entries[e];
-        let len = usize::try_from(entry.block_len).map_err(|_| StoreError::LengthOverflow {
-            field: "record block length",
-            value: entry.block_len,
-        })?;
-        self.provider
-            .read_range(&shard.name, entry.block_offset, len, &mut self.block_buf)?;
-        if let Some(rec) = ss_trace::installed() {
-            rec.add(Counter::StorePayloadBytesRead, entry.block_len);
-        }
-        // The block's own CRC trailer must also match the index's copy:
-        // otherwise index and block were written for different data.
-        if self.block_buf.len() >= 4 {
-            let stored = u32::from_le_bytes(
-                self.block_buf[self.block_buf.len() - 4..]
-                    .try_into()
-                    .unwrap_or([0; 4]),
-            );
-            if stored != entry.record_crc {
-                return Err(StoreError::RecordChecksum {
-                    shard: shard.name.clone(),
-                    name: name.to_string(),
-                });
-            }
-        }
-        Ok((s, e))
+        self.shards.locate(name).map(|(_, entry)| entry)
     }
 
     /// Decodes record `name` into a fresh tensor: a copy of what
@@ -278,14 +251,13 @@ impl<'a> ModelStore<'a> {
     /// [`StoreError::RecordNotFound`], checksum and corruption variants,
     /// or a decode failure from the payload codec.
     pub fn get_values(&mut self, name: &str) -> Result<(FixedType, &[i32]), StoreError> {
-        let (s, e) = self.fetch_block(name)?;
-        let shard = &self.shards[s];
-        let entry = &shard.entries[e];
-        let payload = format::record_payload(&self.block_buf, &shard.name, &entry.meta)?;
+        let (entry, shard, payload) =
+            self.shards
+                .fetch(self.provider, name, &mut self.block_buf)?;
         let (dtype, values) = container::unpack_values(payload, &mut self.session)?;
         if values.len() as u64 != entry.meta.values {
             return Err(StoreError::CorruptShard {
-                shard: shard.name.clone(),
+                shard: shard.to_string(),
                 reason: format!(
                     "record {name:?} decoded to {} values, metadata says {}",
                     values.len(),
@@ -306,9 +278,9 @@ impl<'a> ModelStore<'a> {
     ///
     /// As [`get`](Self::get), minus decode failures.
     pub fn get_raw(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
-        let (s, _) = self.fetch_block(name)?;
-        let shard = &self.shards[s];
-        let (_, payload) = format::parse_record_block(&self.block_buf, &shard.name, name)?;
+        let (_, _, payload) = self
+            .shards
+            .fetch(self.provider, name, &mut self.block_buf)?;
         Ok(payload.to_vec())
     }
 
@@ -327,66 +299,13 @@ impl<'a> ModelStore<'a> {
             bytes: 0,
         };
         let mut fingerprint: Option<u64> = None;
-        for s in 0..self.shards.len() {
-            let (name, size, declared_crc) = {
-                let shard = &self.shards[s];
-                (shard.name.clone(), shard.size, shard.shard_crc)
-            };
-            let covered = usize::try_from(size - FOOTER_LEN as u64).map_err(|_| {
-                StoreError::LengthOverflow {
-                    field: "shard size",
-                    value: size,
-                }
-            })?;
-            self.provider
-                .read_range(&name, 0, covered, &mut self.block_buf)?;
-            if format::crc32(&self.block_buf) != declared_crc {
-                return Err(StoreError::CorruptShard {
-                    shard: name,
-                    reason: "whole-shard CRC-32 mismatch".to_string(),
-                });
-            }
-            report.bytes += size;
-            for e in 0..self.shards[s].entries.len() {
-                let entry = &self.shards[s].entries[e];
-                let start = usize::try_from(entry.block_offset).map_err(|_| {
-                    StoreError::LengthOverflow {
-                        field: "record offset",
-                        value: entry.block_offset,
-                    }
-                })?;
-                let len =
-                    usize::try_from(entry.block_len).map_err(|_| StoreError::LengthOverflow {
-                        field: "record block length",
-                        value: entry.block_len,
-                    })?;
-                // Placement was bounds-checked at open; slice within the
-                // covered region.
-                let Some(block) = self.block_buf.get(start..start + len) else {
-                    return Err(StoreError::CorruptShard {
-                        shard: name.clone(),
-                        reason: format!(
-                            "record {:?} claims bytes outside the shard",
-                            entry.meta.name
-                        ),
-                    });
-                };
-                let (meta, _) = format::parse_record_block(block, &name, &entry.meta.name)?;
-                if meta != entry.meta {
-                    return Err(StoreError::CorruptShard {
-                        shard: name.clone(),
-                        reason: format!(
-                            "record {:?}: block metadata disagrees with the index",
-                            entry.meta.name
-                        ),
-                    });
-                }
-                if block[block.len() - 4..] != entry.record_crc.to_le_bytes() {
-                    return Err(StoreError::RecordChecksum {
-                        shard: name.clone(),
-                        name: meta.name,
-                    });
-                }
+        for shard in &self.shards.list {
+            shard.read_checked(self.provider, &mut self.block_buf)?;
+            report.bytes += shard.size;
+            for entry in &shard.entries {
+                let block = shard.block(&self.block_buf, entry)?;
+                format::record_payload(block, &shard.name, entry)?;
+                let meta = &entry.meta;
                 match fingerprint {
                     None => fingerprint = Some(meta.fingerprint),
                     Some(fp) if fp != meta.fingerprint => {
@@ -405,6 +324,92 @@ impl<'a> ModelStore<'a> {
             report.shards += 1;
         }
         Ok(report)
+    }
+}
+
+impl ShardState {
+    /// Reads the shard up to its footer into `buf` and checks it against
+    /// the whole-shard CRC-32 the footer declares.
+    fn read_checked(
+        &self,
+        provider: &dyn StorageProvider,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        let covered = usize::try_from(self.size - FOOTER_LEN as u64).map_err(|_| {
+            StoreError::LengthOverflow {
+                field: "shard size",
+                value: self.size,
+            }
+        })?;
+        provider.read_range(&self.name, 0, covered, buf)?;
+        if format::crc32(buf) != self.shard_crc {
+            return Err(StoreError::CorruptShard {
+                shard: self.name.clone(),
+                reason: "whole-shard CRC-32 mismatch".to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// `entry`'s record block within `covered`, the shard's bytes up to
+    /// its footer.
+    fn block<'b>(&self, covered: &'b [u8], entry: &RecordEntry) -> Result<&'b [u8], StoreError> {
+        let start =
+            usize::try_from(entry.block_offset).map_err(|_| StoreError::LengthOverflow {
+                field: "record offset",
+                value: entry.block_offset,
+            })?;
+        let len = usize::try_from(entry.block_len).map_err(|_| StoreError::LengthOverflow {
+            field: "record block length",
+            value: entry.block_len,
+        })?;
+        // Placement was bounds-checked at open; slice within the covered
+        // region.
+        covered
+            .get(start..start + len)
+            .ok_or_else(|| StoreError::CorruptShard {
+                shard: self.name.clone(),
+                reason: format!(
+                    "record {:?} claims bytes outside the shard",
+                    entry.meta.name
+                ),
+            })
+    }
+}
+
+impl Shards {
+    /// The shard holding record `name` and its index entry.
+    fn locate(&self, name: &str) -> Option<(&ShardState, &RecordEntry)> {
+        let &(s, e) = self.lookup.get(name)?;
+        let shard = self.list.get(s)?;
+        Some((shard, shard.entries.get(e)?))
+    }
+
+    /// Reads record `name`'s block into `buf` with one ranged read of its
+    /// shard and checks it against its index entry
+    /// ([`format::record_payload`]): the one block check behind every
+    /// record read. Returns the entry, the shard's name and the payload.
+    fn fetch<'s>(
+        &'s self,
+        provider: &dyn StorageProvider,
+        name: &str,
+        buf: &'s mut Vec<u8>,
+    ) -> Result<(&'s RecordEntry, &'s str, &'s [u8]), StoreError> {
+        let (shard, entry) = self
+            .locate(name)
+            .ok_or_else(|| StoreError::RecordNotFound {
+                name: name.to_string(),
+            })?;
+        let len = usize::try_from(entry.block_len).map_err(|_| StoreError::LengthOverflow {
+            field: "record block length",
+            value: entry.block_len,
+        })?;
+        provider.read_range(&shard.name, entry.block_offset, len, buf)?;
+        if let Some(rec) = ss_trace::installed() {
+            rec.add(Counter::StorePayloadBytesRead, entry.block_len);
+        }
+        let payload = format::record_payload(buf, &shard.name, entry)?;
+        Ok((entry, &shard.name, payload))
     }
 }
 

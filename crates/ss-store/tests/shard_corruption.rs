@@ -8,6 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use ss_store::format::crc32;
 use ss_store::{MemoryProvider, ModelStore, ModelWriter, StorageProvider, StoreError};
 use ss_tensor::{FixedType, Shape, Tensor};
 
@@ -184,4 +185,58 @@ fn errors_are_the_expected_variants() {
 
     p.overwrite(&shard, clean);
     assert!(ModelStore::open(&p, "m").is_ok());
+}
+
+/// Writes the CRC-32 of `bytes[from..at]` as the four bytes at `at`.
+fn reseal(bytes: &mut [u8], from: usize, at: usize) {
+    let crc = crc32(&bytes[from..at]);
+    bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn a_block_disagreeing_with_its_index_entry_is_refused_by_every_read() {
+    let p = MemoryProvider::new();
+    let tensors = build_model(&p);
+    let shard = p.list().unwrap()[0].clone();
+    let clean = p.snapshot(&shard).unwrap();
+    let entry = ModelStore::open(&p, "m").unwrap().list()[0].clone();
+    let name = entry.meta.name.clone();
+    // The first block names another layer than its index entry. Every
+    // checksum is recomputed to match: the block's trailer, the index's
+    // copy of it (after the entry count, block offset and length), the
+    // index trailer and the whole-shard CRC. Only the comparison of the
+    // block's metadata with the index entry can tell.
+    let mut bytes = clean.clone();
+    let n = bytes.len();
+    let start = entry.block_offset as usize;
+    let end = start + entry.block_len as usize;
+    bytes[start + 4 + 2 + name.len()] ^= 1;
+    reseal(&mut bytes, start, end - 4);
+    let index_len = u64::from_le_bytes(bytes[n - 16..n - 8].try_into().unwrap()) as usize;
+    let index_start = n - 16 - index_len;
+    let block_crc = bytes[end - 4..end].to_vec();
+    bytes[index_start + 4 + 16..index_start + 4 + 20].copy_from_slice(&block_crc);
+    reseal(&mut bytes, index_start, n - 20);
+    reseal(&mut bytes, 0, n - 8);
+    p.overwrite(&shard, bytes);
+
+    let mut store = ModelStore::open(&p, "m").unwrap();
+    assert!(matches!(
+        store.get(&name),
+        Err(StoreError::CorruptShard { .. })
+    ));
+    assert!(matches!(
+        store.get_raw(&name),
+        Err(StoreError::CorruptShard { .. })
+    ));
+    assert!(matches!(
+        store.verify(),
+        Err(StoreError::CorruptShard { .. })
+    ));
+    // Every other record still reads.
+    for (other, t) in tensors.iter().filter(|(n, _)| *n != name) {
+        assert_eq!(&store.get(other).unwrap(), t);
+    }
+    p.overwrite(&shard, clean);
+    assert!(ModelStore::open(&p, "m").unwrap().verify().is_ok());
 }

@@ -52,6 +52,7 @@
 use std::error::Error;
 use std::fmt;
 
+use ss_core::bytes::{ByteReader, ShortInput};
 use ss_core::registry::StreamFrame;
 use ss_core::{
     ChunkIndex, CodecConfig, CodecError, ContainerScheme, ExecPolicy, IndexPolicy, SchemeId,
@@ -142,6 +143,17 @@ impl From<CodecError> for ContainerError {
 impl From<TensorError> for ContainerError {
     fn from(e: TensorError) -> Self {
         ContainerError::Tensor(e)
+    }
+}
+
+/// A header or index block cut short: the file ends before the framing
+/// it declares.
+impl From<ShortInput> for ContainerError {
+    fn from(e: ShortInput) -> Self {
+        ContainerError::Malformed(format!(
+            "file is {} bytes, its framing needs {}",
+            e.have, e.needed
+        ))
     }
 }
 
@@ -303,21 +315,23 @@ fn index_block_len(blob_len: usize) -> Result<u32, ContainerError> {
 /// [`ContainerError`] variants for bad magic, version or malformed
 /// headers.
 pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ContainerError::Malformed(format!(
-            "file is {} bytes, header needs {HEADER_LEN}",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != MAGIC {
+    split(bytes).map(|(meta, ..)| meta)
+}
+
+/// Parses the header and splits the rest of the file: the header, the
+/// serialized chunk index (empty for v1) and the stream bytes, checked
+/// against the lengths the header declares.
+fn split(bytes: &[u8]) -> Result<(ContainerInfo, &[u8], &[u8]), ContainerError> {
+    let mut file = ByteReader::new(bytes);
+    let mut header = ByteReader::new(file.bytes(HEADER_LEN)?);
+    if header.take()? != MAGIC {
         return Err(ContainerError::BadMagic);
     }
-    let version = bytes[4];
+    let [version, bits, signedness, scheme] = header.take()?;
     if version != VERSION && version != VERSION_V2 {
         return Err(ContainerError::UnsupportedVersion(version));
     }
-    let bits = bytes[5];
-    let dtype = match bytes[6] {
+    let dtype = match signedness {
         0 => FixedType::unsigned(bits),
         1 => FixedType::signed(bits),
         s => {
@@ -326,62 +340,46 @@ pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
             )))
         }
     }?;
-    // Parsed permissively: the header reports whatever byte it carries,
-    // and the registry decides validity at unpack time with a typed
-    // `CodecError::UnknownScheme` (the old path collapsed unknown ids
-    // into an untyped Malformed string here).
-    // ss-lint: allow(panic-freedom) -- the HEADER_LEN check above guarantees byte 7 exists
-    let scheme = SchemeId::new(bytes[7]);
-    let group_size = u16::from_le_bytes([bytes[8], bytes[9]]) as usize;
+    let group_size = usize::from(header.u16()?);
     if group_size == 0 || group_size > 256 {
         return Err(ContainerError::Malformed(format!(
             "group size {group_size} outside 1..=256"
         )));
     }
-    let len = u64::from_le_bytes(bytes[10..18].try_into().expect("slice length checked"));
-    let stream_bits = u64::from_le_bytes(bytes[18..26].try_into().expect("slice length checked"));
-    let index_bytes = if version == VERSION_V2 {
-        let Some(rest) = bytes.len().checked_sub(HEADER_LEN + 4) else {
-            return Err(ContainerError::Malformed(
-                "v2 file too short for its index-length field".to_string(),
-            ));
-        };
-        let declared = u32::from_le_bytes(
-            bytes[HEADER_LEN..HEADER_LEN + 4]
-                .try_into()
-                .expect("slice length checked"),
-        );
+    let len = header.u64()?;
+    let stream_bits = header.u64()?;
+    let index = if version == VERSION_V2 {
+        let declared = file.u32()?;
         // Checked, not `as`: a 16-bit-usize target must reject rather
         // than wrap a length the framing itself allows.
         let index_len = usize::try_from(declared).map_err(|_| ContainerError::LengthOverflow {
             field: "index length",
             value: u64::from(declared),
         })?;
-        if index_len > rest {
-            return Err(ContainerError::Malformed(format!(
-                "index claims {index_len} bytes but file carries {rest} past the header"
-            )));
-        }
-        index_len
+        file.bytes(index_len)?
     } else {
-        0
+        &[]
     };
+    let stream = file.rest();
+    let available = stream.len() as u64 * 8;
+    if stream_bits > available {
+        return Err(ContainerError::Malformed(format!(
+            "stream claims {stream_bits} bits but file carries {available}"
+        )));
+    }
+    // The scheme byte is parsed permissively: the header reports whatever
+    // byte it carries, and the registry decides validity at unpack time
+    // with a typed `CodecError::UnknownScheme`.
     let meta = ContainerInfo {
         version,
         dtype,
         group_size,
         len,
         stream_bits,
-        index_bytes,
-        scheme,
+        index_bytes: index.len(),
+        scheme: SchemeId::new(scheme),
     };
-    let available = (bytes.len() - meta.stream_offset()) as u64 * 8;
-    if stream_bits > available {
-        return Err(ContainerError::Malformed(format!(
-            "stream claims {stream_bits} bits but file carries {available}"
-        )));
-    }
-    Ok(meta)
+    Ok((meta, index, stream))
 }
 
 /// Unpacks an `SSPK` byte vector back into the original tensor,
@@ -400,12 +398,12 @@ pub fn info(bytes: &[u8]) -> Result<ContainerInfo, ContainerError> {
 /// scheme id ([`CodecError::UnknownScheme`]), a corrupt index or a
 /// corrupt stream.
 pub fn unpack(bytes: &[u8]) -> Result<Tensor, ContainerError> {
-    let (meta, scheme, stream, frame) = stream_parts(bytes)?;
-    let index = if meta.index_bytes > 0 {
-        let blob = &bytes[HEADER_LEN + 4..HEADER_LEN + 4 + meta.index_bytes];
-        Some(ChunkIndex::from_bytes(blob)?)
-    } else {
+    let (meta, index, stream) = split(bytes)?;
+    let (scheme, frame) = stream_frame(&meta)?;
+    let index = if index.is_empty() {
         None
+    } else {
+        Some(ChunkIndex::from_bytes(index)?)
     };
     Ok(
         ShapeShifterCodec::default().decode_scheme_stream(
@@ -415,15 +413,6 @@ pub fn unpack(bytes: &[u8]) -> Result<Tensor, ContainerError> {
             index.as_ref(),
         )?,
     )
-}
-
-/// The container's element count as a `usize`, checked against the
-/// target's pointer width.
-fn checked_len(meta: &ContainerInfo) -> Result<usize, ContainerError> {
-    usize::try_from(meta.len).map_err(|_| ContainerError::LengthOverflow {
-        field: "element count",
-        value: meta.len,
-    })
 }
 
 /// Unpacks an `SSPK` byte vector through a reusable [`CodecSession`],
@@ -449,7 +438,8 @@ pub fn unpack_values<'s>(
     bytes: &[u8],
     session: &'s mut ss_core::CodecSession,
 ) -> Result<(FixedType, &'s [i32]), ContainerError> {
-    let (_, scheme, stream, frame) = stream_parts(bytes)?;
+    let (meta, _, stream) = split(bytes)?;
+    let (scheme, frame) = stream_frame(&meta)?;
     let values = session.decode_scheme_stream(scheme, stream, &frame)?;
     Ok((frame.dtype, values))
 }
@@ -466,37 +456,31 @@ pub fn unpack_with(
     session: &mut ss_core::CodecSession,
     out: &mut Tensor,
 ) -> Result<(), ContainerError> {
-    let (_, scheme, stream, frame) = stream_parts(bytes)?;
+    let (meta, _, stream) = split(bytes)?;
+    let (scheme, frame) = stream_frame(&meta)?;
     session.decode_scheme_stream_into(scheme, stream, &frame, out)?;
     Ok(())
 }
 
-/// Parses the header and resolves the scheme the header names: the
-/// header, the scheme, the stream bytes and their framing.
-fn stream_parts(
-    bytes: &[u8],
-) -> Result<
-    (
-        ContainerInfo,
-        &'static dyn ContainerScheme,
-        &[u8],
-        StreamFrame,
-    ),
-    ContainerError,
-> {
-    let meta = info(bytes)?;
+/// Resolves the scheme a header names and the framing of its stream.
+fn stream_frame(
+    meta: &ContainerInfo,
+) -> Result<(&'static dyn ContainerScheme, StreamFrame), ContainerError> {
     let scheme = SchemeRegistry::global().get(meta.scheme)?;
     // Checked before any use as a count: the 8-byte field wraps under
     // `as usize` on a 32-bit target, turning a hostile length into a
     // small-but-wrong allocation and a bogus decode.
+    let len = usize::try_from(meta.len).map_err(|_| ContainerError::LengthOverflow {
+        field: "element count",
+        value: meta.len,
+    })?;
     let frame = StreamFrame {
         bit_len: meta.stream_bits,
         dtype: meta.dtype,
-        len: checked_len(&meta)?,
+        len,
         group_size: meta.group_size,
     };
-    // ss-lint: allow(panic-freedom) -- info() bounds the stream by `bytes.len() - stream_offset()`, which it computes only after checking the index fits
-    Ok((meta, scheme, &bytes[meta.stream_offset()..], frame))
+    Ok((scheme, frame))
 }
 
 /// Bytes per value in the raw layout of `dtype`: one for containers of

@@ -62,10 +62,6 @@ impl Allows {
 /// `"//"` for Rust sources, `"#"` for TOML manifests. `known_rules`
 /// validates the rule id; unknown ids are reported as malformed so a typo
 /// never silently disables a rule.
-// ss-lint: allow-file(panic-freedom) -- hot only through the
-// conservative name edge from the serve closure's `.collect()` calls;
-// every slice index below starts at a position `find()` just returned
-// on the same string, so the ranges cannot leave bounds.
 #[must_use]
 pub fn collect(lines: &[Line], comment: &str, known_rules: &[&str]) -> Allows {
     let mut allows = Allows::default();

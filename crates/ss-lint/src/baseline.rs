@@ -5,9 +5,10 @@
 //! decades-deep backlog would just get the linter turned off — so known
 //! findings are *ratcheted*: `scripts/lint_baseline.json` records a
 //! fingerprint per accepted finding, the default lint run subtracts them,
-//! and only **new** findings fail the build. Fixing a finding makes its
-//! baseline entry stale, which is reported as a warning (regenerate with
-//! `--write-baseline`) so the ratchet only ever tightens.
+//! and **new** findings fail the build. Fixing a finding makes its
+//! baseline entry stale, which fails the build too until the entry is
+//! dropped (`--write-baseline` on a run with no new finding), so the
+//! ratchet only ever tightens.
 //!
 //! Fingerprints are `rule|file|fn|statement`: the enclosing fn's
 //! qualified name and the tokens of the flagged statement
@@ -212,7 +213,8 @@ impl Baseline {
 
     /// Applies the baseline to `report` in place: accepted findings move
     /// out of `diagnostics` into the `baselined` count, and entries no
-    /// finding matched are recorded as `stale_baseline` warnings.
+    /// finding matched are recorded as `stale_baseline` (which fail the
+    /// run, see [`Report::is_clean`]).
     pub fn apply(&self, report: &mut Report) {
         let mut remaining = self.entries.clone();
         let mut kept = Vec::with_capacity(report.diagnostics.len());

@@ -106,6 +106,18 @@ impl Analysis {
             })
             .collect();
         let symbols = SymbolTable::build(&parsed);
+        // A call reaches only fns of crates its own crate is joined to by
+        // dependencies: a crate with no dependency path to the caller's
+        // (ss-lint itself, say) cannot be called from it, however its fns
+        // are named. A crate with no scanned manifest is joined to all.
+        let component = ws.crate_components();
+        let connected = |a: usize, b: usize| match (
+            component.get(a).copied().flatten(),
+            component.get(b).copied().flatten(),
+        ) {
+            (Some(x), Some(y)) => x == y,
+            _ => true,
+        };
 
         // Seed with the entry points, then close over call edges.
         let mut hot_ids: Vec<FnId> = Vec::new();
@@ -126,7 +138,7 @@ impl Analysis {
             };
             for call in &item.calls {
                 for target in symbols.resolve_call(call) {
-                    if seen.insert(target, ()).is_none() {
+                    if connected(id.0, target.0) && seen.insert(target, ()).is_none() {
                         hot_ids.push(target);
                     }
                 }
@@ -250,6 +262,36 @@ mod tests {
         )]);
         let cx = Analysis::build(&ws);
         assert_eq!(cx.hot_fn_count(), 2);
+    }
+
+    #[test]
+    fn a_same_named_fn_in_an_unconnected_crate_is_not_a_call_target() {
+        let manifest = |rel: &str, name: &str| {
+            ScannedFile::manifest(rel, &format!("[package]\nname = \"{name}\"\n"), RULES)
+        };
+        let mut files = vec![
+            manifest("crates/ss-core/Cargo.toml", "ss-core"),
+            manifest("crates/ss-lint/Cargo.toml", "ss-lint"),
+        ];
+        files.extend(
+            [
+                (
+                    "crates/ss-core/src/codec.rs",
+                    "pub fn write_groups(c: &Config) {\n  c.build();\n  parse::parse();\n}\n\
+                     impl Config {\n  fn build(&self) {}\n}\nfn parse() {}\n",
+                ),
+                (
+                    "crates/ss-lint/src/callgraph.rs",
+                    "impl Analysis {\n  fn build(&self) {}\n}\nfn parse() {}\n",
+                ),
+            ]
+            .map(|(rel, src)| ScannedFile::rust(rel, FileKind::Source, src, RULES)),
+        );
+        let cx = Analysis::build(&Workspace::from_parts(files, vec![]));
+        // write_groups, Config::build and ss-core's parse; nothing of ss-lint.
+        assert_eq!(cx.hot_fn_count(), 3);
+        assert!(cx.is_hot(2, 6) && cx.is_hot(2, 8));
+        assert!(!cx.is_hot(3, 2) && !cx.is_hot(3, 4));
     }
 
     #[test]

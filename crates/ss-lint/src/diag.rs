@@ -41,16 +41,17 @@ pub struct Report {
     /// Findings accepted by the baseline ratchet (not in `diagnostics`).
     pub baselined: usize,
     /// Baseline fingerprints no current finding matched — fixed findings
-    /// whose entries should be removed (`--write-baseline`). Warnings,
-    /// never failures.
+    /// whose entries must be removed (`--write-baseline`), so the ratchet
+    /// only tightens. They fail the run as new findings do.
     pub stale_baseline: Vec<String>,
 }
 
 impl Report {
-    /// `true` when no rule fired.
+    /// `true` when no rule fired outside the baseline and no baseline
+    /// entry is stale.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
+        self.diagnostics.is_empty() && self.stale_baseline.is_empty()
     }
 
     /// Sorts diagnostics into deterministic (file, line, rule) order.
@@ -73,7 +74,7 @@ impl Report {
         for fp in &self.stale_baseline {
             let _ = writeln!(
                 out,
-                "warning: stale baseline entry (fixed? regenerate): {fp}"
+                "error: stale baseline entry (its finding is gone; drop the entry): {fp}"
             );
         }
         let _ = writeln!(
@@ -293,6 +294,18 @@ mod tests {
         let json = r.render_json();
         assert!(json.contains("\"baselined\": 4"));
         assert!(json.contains("r|f.rs|snippet"));
+    }
+
+    #[test]
+    fn a_stale_baseline_entry_fails_the_run() {
+        let mut r = Report {
+            baselined: 3,
+            ..Report::default()
+        };
+        assert!(r.is_clean());
+        r.stale_baseline = vec!["r|f.rs|fn|snippet".to_string()];
+        assert!(!r.is_clean());
+        assert!(r.render_json().contains(r#""clean": false"#));
     }
 
     #[test]

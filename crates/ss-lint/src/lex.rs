@@ -61,7 +61,6 @@ pub fn strip(source: &str) -> Vec<Line> {
     let at = |j: usize| chars.get(j).copied();
 
     while i < chars.len() {
-        // ss-lint: allow(panic-freedom) -- the loop condition directly bounds `i`
         let c = chars[i];
         // CRLF: drop the `\r` so `code`/`raw` columns match LF sources and
         // token patterns never see a trailing carriage return.

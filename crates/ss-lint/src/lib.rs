@@ -32,8 +32,9 @@
 //! Violations that are structurally impossible are suppressed in place —
 //! see [`annot`] for the `// ss-lint: allow(<rule>) -- <reason>` grammar.
 //! Pre-existing findings are *ratcheted* via `scripts/lint_baseline.json`
-//! ([`baseline`]): the default run subtracts them and fails only on new
-//! findings. Diagnostics carry `file:line` spans and render as human
+//! ([`baseline`]): the default run subtracts them and fails on new
+//! findings and on stale entries (accepted findings since fixed), so the
+//! ratchet only tightens. Diagnostics carry `file:line` spans and render as human
 //! text, JSON or SARIF 2.1.0 ([`diag`]). Every rule ships a seeded
 //! fixture under `fixtures/` and a self-test ([`selftest`]) proving the
 //! rule still fires on it.

@@ -197,7 +197,6 @@ pub fn parse(lines: &[Line]) -> ParsedFile {
 
         // Record loop depth for every line that carries tokens.
         let depth = scopes.iter().filter(|s| matches!(s, Scope::Loop)).count();
-        // ss-lint: allow(panic-freedom) -- lineno comes from tokenize() which only emits indices < lines.len()
         let slot = &mut out.loop_depth[lineno - 1];
         *slot = (*slot).max(depth as u32);
 
@@ -269,7 +268,6 @@ pub fn parse(lines: &[Line]) -> ParsedFile {
                                 }),
                                 _ => qual,
                             };
-                            // ss-lint: allow(panic-freedom) -- fn_idx was pushed into out.fns above and never removed
                             out.fns[fn_idx].calls.push(CallSite {
                                 name: w.clone(),
                                 qual,
@@ -290,7 +288,6 @@ pub fn parse(lines: &[Line]) -> ParsedFile {
                 '{' => {
                     let scope = match std::mem::replace(&mut pending, Pending::None) {
                         Pending::Fn(idx) if sig_depth == 0 => {
-                            // ss-lint: allow(panic-freedom) -- idx indexes out.fns, pushed when the pending was set
                             out.fns[idx].body_start = Some(lineno);
                             Scope::Fn(idx)
                         }
@@ -310,7 +307,6 @@ pub fn parse(lines: &[Line]) -> ParsedFile {
                 '}' => {
                     if let Some(scope) = scopes.pop() {
                         if let Scope::Fn(idx) = scope {
-                            // ss-lint: allow(panic-freedom) -- idx indexes out.fns, pushed when the scope was opened
                             out.fns[idx].body_end = Some(lineno);
                         }
                         if matches!(pending, Pending::Fn(_)) {

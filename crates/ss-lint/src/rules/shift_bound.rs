@@ -164,7 +164,6 @@ fn amount_at(chars: &[char], start: usize) -> Option<String> {
             let mut segs = vec![String::new()];
             while let Some(c) = chars.get(i) {
                 if c.is_alphanumeric() || *c == '_' {
-                    // ss-lint: allow(panic-freedom) -- segs starts non-empty and push keeps it so
                     segs.last_mut().unwrap().push(*c);
                 } else if *c == '.'
                     && chars
@@ -177,7 +176,6 @@ fn amount_at(chars: &[char], start: usize) -> Option<String> {
                 }
                 i += 1;
             }
-            // ss-lint: allow(panic-freedom) -- segs starts non-empty and only grows
             let last = segs.last().unwrap();
             if last.is_empty() {
                 None

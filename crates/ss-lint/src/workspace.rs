@@ -185,6 +185,90 @@ impl Workspace {
     pub fn file(&self, rel: &str) -> Option<&ScannedFile> {
         self.files.iter().find(|f| f.rel == rel)
     }
+
+    /// For each file, the connected component of its crate in the
+    /// workspace dependency graph: two crates share a component when a
+    /// chain of member-manifest dependencies (in either direction) joins
+    /// them. `None` for a file whose crate has no scanned manifest.
+    #[must_use]
+    pub fn crate_components(&self) -> Vec<Option<usize>> {
+        // (crate directory, package name, dependency names) per manifest.
+        let manifests: Vec<(String, String, Vec<String>)> = self
+            .files
+            .iter()
+            .filter(|f| f.kind == FileKind::Manifest)
+            .map(|f| {
+                let (name, deps) = manifest_package(f);
+                (crate_dir(&f.rel), name, deps)
+            })
+            .collect();
+        let mut parent: Vec<usize> = (0..manifests.len()).collect();
+        for (i, (_, _, deps)) in manifests.iter().enumerate() {
+            for dep in deps {
+                if let Some(j) = manifests.iter().position(|(_, name, _)| name == dep) {
+                    let (a, b) = (root_of(&parent, i), root_of(&parent, j));
+                    if let Some(slot) = parent.get_mut(a) {
+                        *slot = b;
+                    }
+                }
+            }
+        }
+        self.files
+            .iter()
+            .map(|f| {
+                let dir = crate_dir(&f.rel);
+                let i = manifests.iter().position(|(d, _, _)| *d == dir)?;
+                Some(root_of(&parent, i))
+            })
+            .collect()
+    }
+}
+
+/// The crate directory a workspace-relative path belongs to:
+/// `crates/<member>`, or `""` for the root package.
+fn crate_dir(rel: &str) -> String {
+    let mut parts = rel.splitn(3, '/');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some(member), Some(_)) => format!("crates/{member}"),
+        _ => String::new(),
+    }
+}
+
+/// A manifest's `[package]` name and the names it lists in its
+/// dependency tables (not the `[workspace.dependencies]` declarations).
+fn manifest_package(file: &ScannedFile) -> (String, Vec<String>) {
+    let mut section = "";
+    let mut name = String::new();
+    let mut deps = Vec::new();
+    for line in &file.lines {
+        let code = line.code.trim();
+        if code.starts_with('[') {
+            section = code.trim_matches(|c| c == '[' || c == ']');
+            continue;
+        }
+        let Some((key, value)) = code.split_once('=') else {
+            continue;
+        };
+        if section == "package" && key.trim() == "name" {
+            name = value.trim().trim_matches('"').to_string();
+        } else if section.ends_with("dependencies") && section != "workspace.dependencies" {
+            if let Some(dep) = key.split('.').next() {
+                deps.push(dep.trim().to_string());
+            }
+        }
+    }
+    (name, deps)
+}
+
+/// The representative of `i`'s set in a union-find parent table.
+fn root_of(parent: &[usize], mut i: usize) -> usize {
+    while let Some(&up) = parent.get(i) {
+        if up == i {
+            break;
+        }
+        i = up;
+    }
+    i
 }
 
 /// Recursively collects `.rs` files under `dir`.
@@ -276,6 +360,46 @@ mod tests {
             &["vendor-drift"],
         );
         assert_eq!(f.lines[0].code.trim(), "[dependencies]");
+    }
+
+    #[test]
+    fn crates_joined_by_dependencies_share_a_component() {
+        let files = vec![
+            ScannedFile::manifest(
+                "Cargo.toml",
+                "[workspace.dependencies]\nss-lint = { path = \"crates/ss-lint\" }\n\
+                 [package]\nname = \"facade\"\n[dependencies]\nss-core.workspace = true\n",
+                RULES,
+            ),
+            ScannedFile::manifest(
+                "crates/ss-core/Cargo.toml",
+                "[package]\nname = \"ss-core\"\n[dependencies]\nss-bitio.workspace = true\n",
+                RULES,
+            ),
+            ScannedFile::manifest(
+                "crates/ss-bitio/Cargo.toml",
+                "[package]\nname = \"ss-bitio\"\n[[bench]]\nname = \"ss-lint\"\n",
+                RULES,
+            ),
+            ScannedFile::manifest(
+                "crates/ss-lint/Cargo.toml",
+                "[package]\nname = \"ss-lint\"\n[dependencies]\n",
+                RULES,
+            ),
+            ScannedFile::rust("src/lib.rs", FileKind::Source, "", RULES),
+            ScannedFile::rust("crates/ss-bitio/src/lib.rs", FileKind::Source, "", RULES),
+            ScannedFile::rust("crates/ss-lint/src/lib.rs", FileKind::Source, "", RULES),
+            ScannedFile::rust("crates/ss-quant/src/lib.rs", FileKind::Source, "", RULES),
+        ];
+        let c = Workspace::from_parts(files, vec![]).crate_components();
+        // The facade reaches ss-bitio through ss-core; ss-lint is alone.
+        assert!(c[0].is_some() && c[0] == c[1] && c[1] == c[2]);
+        assert_eq!(c[4], c[0]);
+        assert_eq!(c[5], c[0]);
+        assert!(c[6].is_some() && c[6] != c[0]);
+        assert_eq!(c[3], c[6]);
+        // A crate with no scanned manifest has no component.
+        assert_eq!(c[7], None);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 # and the decoder corruption fuzz suites that exercise the checked-decode
 # invariants.
 #
-# With --lint-ratchet the gate also fails on *stale* baseline entries —
-# accepted findings whose code has since been fixed. Stale entries are
-# harmless for correctness (the default run only fails on NEW findings)
-# but let the baseline rot; CI runs with the flag, local runs warn.
+# ss-lint fails on new findings and on *stale* baseline entries
+# (accepted findings whose code has since been fixed), so the ratchet in
+# scripts/lint_baseline.json only tightens.
 #
 # With --update-timings the perf regression gate also runs: perf_baseline
 # refuses to overwrite BENCH_codec_timings.json if single-thread encode
@@ -20,28 +19,19 @@ cd "$(dirname "$0")/.."
 
 UPDATE_TIMINGS=0
 ACCEPT_PERF_CHANGE=0
-LINT_RATCHET=0
 for arg in "$@"; do
     case "$arg" in
         --update-timings) UPDATE_TIMINGS=1 ;;
         --accept-perf-change) ACCEPT_PERF_CHANGE=1 ;;
-        --lint-ratchet) LINT_RATCHET=1 ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
 done
 
 echo "== ss-lint: shipped workspace (baseline ratchet) =="
-lint_out="$(cargo run --release -q -p ss-lint)" || {
-    printf '%s\n' "$lint_out"
-    echo "FAIL: findings not covered by scripts/lint_baseline.json" >&2
+cargo run --release -q -p ss-lint || {
+    echo "FAIL: findings not covered by scripts/lint_baseline.json, or stale entries in it" >&2
     exit 1
 }
-printf '%s\n' "$lint_out"
-if [ "$LINT_RATCHET" = 1 ] && printf '%s' "$lint_out" | grep -Eq '[1-9][0-9]* stale'; then
-    echo "FAIL: --lint-ratchet: stale baseline entries (fixed findings still accepted)" >&2
-    echo "      regenerate with: cargo run -p ss-lint -- --write-baseline" >&2
-    exit 1
-fi
 
 echo
 echo "== ss-lint: self-test =="

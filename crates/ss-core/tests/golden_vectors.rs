@@ -132,7 +132,10 @@ struct SchemeGoldenCase {
 /// The pinned scheme corpus: the non-default built-in registrations
 /// (Delta, wire id 1; DPRed, id 2; AdaBits, id 3) across both
 /// signednesses. ShapeShifter (id 0) is pinned by [`CASES`] above — the
-/// registry path is asserted byte-identical to it elsewhere.
+/// registry path is asserted byte-identical to it elsewhere. Delta's
+/// unsigned 16-bit case holds steps of half the range or more, so some of
+/// its groups declare the widest delta width, 17
+/// (`delta_u16_case_declares_the_widest_delta`).
 const SCHEME_CASES: &[SchemeGoldenCase] = &[
     SchemeGoldenCase {
         name: "scheme1_delta_i16_g16",
@@ -143,6 +146,26 @@ const SCHEME_CASES: &[SchemeGoldenCase] = &[
         group: 16,
         stream_hash: 0x6d30_e683_eca9_b87b,
         bit_len: 14540,
+    },
+    SchemeGoldenCase {
+        name: "scheme1_delta_u16_g16",
+        scheme: SchemeId::DELTA,
+        seed: 0x5353_0106,
+        len: 1000,
+        dtype: FixedType::U16,
+        group: 16,
+        stream_hash: 0x5dd9_4cfe_8352_b2e7,
+        bit_len: 14664,
+    },
+    SchemeGoldenCase {
+        name: "scheme1_delta_u8_g64",
+        scheme: SchemeId::DELTA,
+        seed: 0x5353_0107,
+        len: 333,
+        dtype: FixedType::U8,
+        group: 64,
+        stream_hash: 0xdd4c_c7eb_43c3_c7ff,
+        bit_len: 2773,
     },
     SchemeGoldenCase {
         name: "scheme2_dpred_i16_g16",
@@ -504,6 +527,22 @@ fn scheme_golden_vectors_conform() {
         session.decode_stream(&stream, &mut back).unwrap();
         assert_eq!(back, tensor, "{}: scheme decode drifted", case.name);
     }
+}
+
+#[test]
+fn delta_u16_case_declares_the_widest_delta() {
+    // A step of 2^15 or more within a group is a delta whose
+    // sign-magnitude form needs 17 bits, one more than the container.
+    let case = SCHEME_CASES
+        .iter()
+        .find(|c| c.name == "scheme1_delta_u16_g16")
+        .unwrap();
+    let values = golden_values(case.seed, case.len, case.dtype);
+    let widest = values
+        .chunks(case.group)
+        .filter(|g| g.windows(2).any(|w| (w[1] - w[0]).abs() >= 1 << 15))
+        .count();
+    assert!(widest > 0, "no group of the u16 Delta case declares P = 17");
 }
 
 #[test]

@@ -420,8 +420,8 @@ impl ShapeShifterCodec {
     ///   will be decoded sequentially").
     /// * **Indexed** — a container-v2 chunk index records each chunk's
     ///   absolute bit offset and value count, so decode fans chunks out
-    ///   across [`par::par_map_with`] workers, each parsing its own
-    ///   range-confined reader, and splices the results back in order. The
+    ///   across [`par::par_spans_mut`] workers, each parsing its own
+    ///   range-confined reader straight into its own span of the output. The
     ///   stream bytes are identical either way — the index is side
     ///   metadata — so the output is **bit-identical** to the sequential
     ///   parse (property-tested). The index drives the decode only when it
@@ -683,6 +683,38 @@ mod tests {
                 codec.with_exec(ExecPolicy::Threads(8)).measure(&tensor)
             );
             assert_eq!(codec.decode(&forced).unwrap(), tensor);
+        }
+    }
+
+    #[test]
+    fn fanned_out_decode_equals_the_sequential_one() {
+        // An index entry every 1, 3 or 7 groups, ragged tails: each worker
+        // decodes its spans straight into its part of the output, which
+        // must equal the sequential parse at every worker count.
+        let vals: Vec<i32> = (0..1999)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0
+                } else {
+                    (i * 7919) % 6001 - 3000
+                }
+            })
+            .collect();
+        let tensor = t(FixedType::I16, vals);
+        for (group, every) in [(16usize, 1usize), (16, 3), (64, 7), (7, 2)] {
+            let codec =
+                ShapeShifterCodec::new(group).with_index_policy(IndexPolicy::EveryGroups(every));
+            let enc = codec.encode(&tensor).unwrap();
+            assert!(enc.index.is_some(), "group {group}, every {every}");
+            let sequential = codec.with_exec(ExecPolicy::Sequential).decode(&enc);
+            assert_eq!(sequential.as_ref(), Ok(&tensor));
+            for threads in [1usize, 2, 7] {
+                let fanned = codec.with_exec(ExecPolicy::Threads(threads)).decode(&enc);
+                assert_eq!(
+                    fanned, sequential,
+                    "group {group}, every {every}, {threads} workers"
+                );
+            }
         }
     }
 

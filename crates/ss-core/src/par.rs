@@ -121,6 +121,79 @@ where
     results
 }
 
+/// Maps `f` over `items` on up to `threads` workers, each item with its
+/// own disjoint span of `out`, and returns the results in input order.
+///
+/// Item `i`'s span is the next `span(&items[i])` elements of `out` after
+/// the spans of the items before it (cut short where `out` runs out, so a
+/// span is never longer than what is left). The split is static: worker
+/// `w` takes the `w`-th run of `ceil(items / workers)` consecutive items
+/// and the part of `out` their spans cover, carved off with
+/// `split_at_mut` before any worker starts, so the workers share nothing
+/// and take no lock. `f` receives the worker's state (built by `init`),
+/// the item's index, the item and its span. The calling thread is one of
+/// the workers (a one-worker run spawns no thread).
+///
+/// # Panics
+///
+/// Propagates a panic from any worker, the calling thread's included.
+pub fn par_spans_mut<T, E, S, R, N, I, F>(
+    out: &mut [T],
+    items: &[E],
+    span: N,
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    E: Sync,
+    R: Send,
+    N: Fn(&E) -> usize + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &E, &mut [T]) -> R + Sync,
+{
+    let workers = threads.min(items.len()).max(1);
+    let share = items.len().div_ceil(workers).max(1);
+    // Carve `out` into one region per worker, each the spans of its
+    // items, before anything runs.
+    let mut regions = Vec::with_capacity(workers);
+    let mut rest = out;
+    for (w, run) in items.chunks(share).enumerate() {
+        let len = run.iter().map(&span).sum::<usize>().min(rest.len());
+        let (region, tail) = rest.split_at_mut(len);
+        regions.push((w * share, run, region));
+        rest = tail;
+    }
+    let work = |(first, run, region): (usize, &[E], &mut [T])| {
+        let mut state = init();
+        let mut rest = region;
+        let mut local = Vec::with_capacity(run.len());
+        for (k, item) in run.iter().enumerate() {
+            let (part, tail) = rest.split_at_mut(span(item).min(rest.len()));
+            local.push(f(&mut state, first + k, item, part));
+            rest = tail;
+        }
+        local
+    };
+    let mut regions = regions.into_iter();
+    let own = regions.next();
+    let mut results = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = regions.map(|region| scope.spawn(|| work(region))).collect();
+        if let Some(region) = own {
+            results.extend(work(region));
+        }
+        for worker in spawned {
+            match worker.join() {
+                Ok(local) => results.extend(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    results
+}
+
 /// The stateless form of [`par_map_with`]: maps `f` over `items` on up to
 /// `threads` workers, preserving input order. Used by the codec's chunk
 /// fan-outs and, through `ss-bench`, by the experiment harness.
@@ -204,6 +277,57 @@ mod tests {
             );
             assert!(ordered.iter().all(|&ok| ok), "threads {threads}");
         }
+    }
+
+    #[test]
+    fn spans_are_disjoint_ordered_and_cover_the_output() {
+        // Span lengths 0..=4 repeating, over 1, 2, 7 and more workers than
+        // items: every element is written once, by the item whose span
+        // holds it, and the results come back in input order.
+        let items: Vec<usize> = (0..23).map(|i| i % 5).collect();
+        let total: usize = items.iter().sum();
+        for threads in [1usize, 2, 7, 64] {
+            let mut out = vec![usize::MAX; total];
+            let got = par_spans_mut(
+                &mut out,
+                &items,
+                |&len| len,
+                threads,
+                || (),
+                |(), i, &len, part| {
+                    assert_eq!(part.len(), len);
+                    part.fill(i);
+                    i
+                },
+            );
+            assert_eq!(got, (0..items.len()).collect::<Vec<_>>(), "{threads}");
+            let want: Vec<usize> = items
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &len)| std::iter::repeat_n(i, len))
+                .collect();
+            assert_eq!(out, want, "threads {threads}");
+        }
+        // Spans past the end of the output are cut short, never panic.
+        let mut out = [0u8; 3];
+        let lens = par_spans_mut(
+            &mut out,
+            &[2usize, 2, 2],
+            |&n| n,
+            2,
+            || (),
+            |(), _, _, p| p.len(),
+        );
+        assert_eq!(lens, vec![2, 1, 0]);
+        let none: Vec<usize> = par_spans_mut(
+            &mut out,
+            &[] as &[usize],
+            |&n| n,
+            4,
+            || (),
+            |(), _, _, p| p.len(),
+        );
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Corruption fuzzing for the container decoder: a decoder fed damaged
 //! streams must return a typed [`CodecError`], never panic.
 //!
-//! Two damage models, each at the paper-relevant group sizes 16/64/256:
+//! Two damage models, each at the paper-relevant group sizes 16/64/256
+//! and, for truncation and single-bit flips, under every registered
+//! scheme:
 //!
 //! * **Truncation** at an arbitrary bit position. Decoding a canonical
 //!   stream of a non-empty tensor consumes every bit, so any shorter
@@ -21,15 +23,14 @@
 //!   fail here.
 
 use proptest::prelude::*;
-use ss_core::scheme::ShapeShifterScheme;
 use ss_core::{
-    ChunkIndex, CodecError, ContainerScheme, IndexPolicy, SchemeStream, ShapeShifterCodec,
+    ChunkIndex, CodecError, IndexPolicy, SchemeRegistry, SchemeStream, ShapeShifterCodec,
     StreamFrame,
 };
 use ss_tensor::{FixedType, Shape, Signedness, Tensor};
 
 /// Decodes `bit_len` bits of `bytes` under `enc`'s framing through the
-/// ShapeShifter scheme's `decode_into`, fanning `index` out over
+/// `decode_into` of the scheme `enc` names, fanning `index` out over
 /// `threads` workers when one is given.
 fn decode_raw(
     bytes: &[u8],
@@ -45,8 +46,20 @@ fn decode_raw(
         group_size: enc.group_size,
     };
     let mut out = Vec::new();
-    ShapeShifterScheme::default().decode_into(bytes, &frame, index, threads, &mut out)?;
+    SchemeRegistry::global()
+        .get(enc.scheme)?
+        .decode_into(bytes, &frame, index, threads, &mut out)?;
     Ok(out)
+}
+
+/// `t` encoded at `group` under every registered scheme.
+fn encode_all(t: &Tensor, group: usize) -> Vec<SchemeStream> {
+    let codec = ShapeShifterCodec::new(group);
+    let registry = SchemeRegistry::global();
+    registry
+        .ids()
+        .map(|id| codec.encode_with(registry.get(id).unwrap(), t).unwrap())
+        .collect()
 }
 
 /// Skewed tensor strategy (mostly small values, plenty of zeros) so the
@@ -83,41 +96,43 @@ proptest! {
     #[test]
     fn truncated_stream_always_errors(t in arb_tensor(), cut in 0.0f64..1.0) {
         for group in GROUP_SIZES {
-            let codec = ShapeShifterCodec::new(group);
-            let enc = codec.encode(&t).unwrap();
-            let bit_len = enc.bit_len;
-            prop_assume!(bit_len > 0);
-            // Map the unit-interval `cut` onto a strictly shorter bit
-            // length so one random draw covers all three group sizes.
-            let cut_bits = ((bit_len as f64) * cut) as u64;
-            let cut_bytes = (cut_bits as usize).div_ceil(8);
-            let truncated = &enc.bytes[..cut_bytes.min(enc.bytes.len())];
-            let r = decode_raw(truncated, cut_bits, &enc, None, 1);
-            prop_assert!(
-                r.is_err(),
-                "group {}: decode of {}-of-{} bits succeeded",
-                group,
-                cut_bits,
-                bit_len
-            );
+            for enc in encode_all(&t, group) {
+                let bit_len = enc.bit_len;
+                prop_assume!(bit_len > 0);
+                // Map the unit-interval `cut` onto a strictly shorter bit
+                // length so one random draw covers every group size and
+                // scheme.
+                let cut_bits = ((bit_len as f64) * cut) as u64;
+                let cut_bytes = (cut_bits as usize).div_ceil(8);
+                let truncated = &enc.bytes[..cut_bytes.min(enc.bytes.len())];
+                let r = decode_raw(truncated, cut_bits, &enc, None, 1);
+                prop_assert!(
+                    r.is_err(),
+                    "{:?}, group {}: decode of {}-of-{} bits succeeded",
+                    enc.scheme,
+                    group,
+                    cut_bits,
+                    bit_len
+                );
+            }
         }
     }
 
     #[test]
     fn bitflip_never_panics_and_lengths_agree(t in arb_tensor(), pick in 0.0f64..1.0) {
         for group in GROUP_SIZES {
-            let codec = ShapeShifterCodec::new(group);
-            let enc = codec.encode(&t).unwrap();
-            let bit_len = enc.bit_len;
-            prop_assume!(bit_len > 0);
-            let flip = ((bit_len as f64) * pick) as u64;
-            let mut bytes = enc.bytes.to_vec();
-            bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
-            // Must not panic; on success the declared element count holds
-            // and every value fits the container.
-            if let Ok(values) = decode_raw(&bytes, bit_len, &enc, None, 1) {
-                prop_assert_eq!(values.len(), enc.len);
-                prop_assert!(values.iter().all(|&v| enc.dtype.contains(v)));
+            for enc in encode_all(&t, group) {
+                let bit_len = enc.bit_len;
+                prop_assume!(bit_len > 0);
+                let flip = ((bit_len as f64) * pick) as u64;
+                let mut bytes = enc.bytes.to_vec();
+                bytes[(flip / 8) as usize] ^= 1 << (flip % 8);
+                // Must not panic; on success the declared element count
+                // holds and every value fits the container.
+                if let Ok(values) = decode_raw(&bytes, bit_len, &enc, None, 1) {
+                    prop_assert_eq!(values.len(), enc.len);
+                    prop_assert!(values.iter().all(|&v| enc.dtype.contains(v)));
+                }
             }
         }
     }

@@ -49,15 +49,7 @@ impl Tensor {
                 data_len: data.len(),
             });
         }
-        for (index, &value) in data.iter().enumerate() {
-            if !dtype.contains(value) {
-                return Err(TensorError::ValueOutOfRange {
-                    index,
-                    value,
-                    dtype,
-                });
-            }
-        }
+        check_range(dtype, &data)?;
         Ok(Self { shape, dtype, data })
     }
 
@@ -188,18 +180,34 @@ impl Tensor {
         dtype: FixedType,
         values: Vec<i32>,
     ) -> Result<Vec<i32>, TensorError> {
-        for (index, &value) in values.iter().enumerate() {
-            if !dtype.contains(value) {
-                return Err(TensorError::ValueOutOfRange {
-                    index,
-                    value,
-                    dtype,
-                });
-            }
-        }
+        check_range(dtype, &values)?;
         self.shape.make_flat(values.len());
         self.dtype = dtype;
         Ok(std::mem::replace(&mut self.data, values))
+    }
+}
+
+/// Refuses values that do not fit `dtype`: one branch-free fold over
+/// them ([`FixedType::contains_all`]), and a search for the first
+/// offending index only when it fails.
+fn check_range(dtype: FixedType, values: &[i32]) -> Result<(), TensorError> {
+    if dtype.contains_all(values) {
+        return Ok(());
+    }
+    out_of_range(dtype, values)
+}
+
+/// The error for the first value of `values` that `dtype` cannot hold.
+#[cold]
+#[inline(never)]
+fn out_of_range(dtype: FixedType, values: &[i32]) -> Result<(), TensorError> {
+    match values.iter().position(|&v| !dtype.contains(v)) {
+        Some(index) => Err(TensorError::ValueOutOfRange {
+            index,
+            value: values.get(index).copied().unwrap_or(0),
+            dtype,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -284,6 +292,33 @@ mod tests {
         let err = t.replace_flat(FixedType::U8, vec![300]);
         assert!(matches!(err, Err(TensorError::ValueOutOfRange { .. })));
         assert_eq!(t, fresh);
+    }
+
+    #[test]
+    fn range_checks_name_the_first_value_out_of_range() {
+        for (dtype, values, index, value) in [
+            (FixedType::I8, vec![1, -127, 128, 300], 2, 128),
+            (FixedType::I8, vec![0, -128], 1, -128),
+            (FixedType::U8, vec![255, 0, -1, 256], 2, -1),
+            (FixedType::I16, vec![7, i32::MIN], 1, i32::MIN),
+            (FixedType::signed(1).unwrap(), vec![0, 0, 1], 2, 1),
+        ] {
+            let err = Tensor::from_vec(Shape::flat(values.len()), dtype, values.clone());
+            assert_eq!(
+                err,
+                Err(TensorError::ValueOutOfRange {
+                    index,
+                    value,
+                    dtype
+                }),
+                "{dtype}: {values:?}"
+            );
+            let mut t = Tensor::zeros(Shape::flat(1), FixedType::U8);
+            assert_eq!(t.replace_flat(dtype, values).map(|_| ()), err.map(|_| ()));
+        }
+        assert!(FixedType::I16.contains_all(&[-32767, 32767, 0]));
+        assert!(FixedType::U16.contains_all(&[]));
+        assert!(!FixedType::I16.contains(i32::MIN));
     }
 
     #[test]

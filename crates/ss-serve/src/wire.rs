@@ -225,22 +225,23 @@ pub fn encode_get(model: &str, record: &str) -> Vec<u8> {
 /// [`WireError::Truncated`], [`WireError::TrailingBytes`] or
 /// [`WireError::BadUtf8`].
 pub fn decode_get(bytes: &[u8]) -> Result<(String, String), WireError> {
-    let (model, rest) = take_string(bytes)?;
-    let (record, rest) = take_string(rest)?;
+    let mut r = ByteReader::new(bytes);
+    let model = take_string(&mut r)?;
+    let record = take_string(&mut r)?;
+    let rest = r.rest();
     if !rest.is_empty() {
         return Err(WireError::TrailingBytes(rest.len()));
     }
     Ok((model, record))
 }
 
-/// Splits one length-prefixed UTF-8 string off the front of `bytes`; a
-/// [`WireError::Truncated`] counts from the start of `bytes`, the
-/// string's own length field.
-fn take_string(bytes: &[u8]) -> Result<(String, &[u8]), WireError> {
-    let mut r = ByteReader::new(bytes);
+/// Reads one length-prefixed UTF-8 string; a [`WireError::Truncated`]
+/// counts from the start of the body, as every other body and frame
+/// error does.
+fn take_string(r: &mut ByteReader<'_>) -> Result<String, WireError> {
     let len = usize::from(r.u16()?);
     let s = std::str::from_utf8(r.bytes(len)?).map_err(|_| WireError::BadUtf8)?;
-    Ok((s.to_string(), r.rest()))
+    Ok(s.to_string())
 }
 
 #[cfg(test)]
@@ -413,6 +414,20 @@ mod tests {
                 "prefix of {cut} bytes must be Truncated"
             );
         }
+        // Both names count from the start of the body: the record name's
+        // length field sits at bytes 3..5.
+        assert_eq!(
+            decode_get(&body[..4]),
+            Err(WireError::Truncated { needed: 5, have: 4 })
+        );
+        assert_eq!(
+            decode_get(&body[..5]),
+            Err(WireError::Truncated { needed: 6, have: 5 })
+        );
+        assert_eq!(
+            decode_get(&body[..1]),
+            Err(WireError::Truncated { needed: 2, have: 1 })
+        );
         let mut long = body.clone();
         long.extend_from_slice(&[1, 2]);
         assert_eq!(decode_get(&long), Err(WireError::TrailingBytes(2)));

@@ -174,7 +174,7 @@ impl BitWriter {
             }
         }
         if bits > 0 && !fields.is_empty() {
-            self.store_run(fields.iter().copied(), bits);
+            self.store_run(fields.iter().map(|&field| (field, bits)));
         }
         Ok(())
     }
@@ -249,27 +249,26 @@ impl BitWriter {
     }
 
     /// Stores the first `bit_len` bits of the LSB-first word sequence
-    /// `words` — whole words as 64-bit fields, then the ragged rest masked
-    /// to its width. `words` must yield at least `bit_len` bits.
-    fn store_words(&mut self, mut words: impl Iterator<Item = u64>, bit_len: u64) {
-        let full = (bit_len / 64) as usize;
-        if full > 0 {
-            self.store_run(words.by_ref().take(full), 64);
-        }
-        // ss-lint: allow(truncating-cast) -- remainder of % 64 fits any width
-        let tail = (bit_len % 64) as u32;
-        if tail > 0 {
-            let word = words.next().unwrap_or(0) & ((1u64 << tail) - 1);
-            self.store_run(std::iter::once(word), tail);
-        }
+    /// `words` in one run — whole words as 64-bit fields, then the ragged
+    /// rest masked to its width. `words` must yield at least `bit_len`
+    /// bits.
+    fn store_words(&mut self, words: impl Iterator<Item = u64>, bit_len: u64) {
+        let mut left = bit_len;
+        self.store_run(words.map_while(|word| {
+            // ss-lint: allow(truncating-cast) -- min(64) bounds the value
+            let take = left.min(64) as u32;
+            left -= u64::from(take);
+            // ss-lint: allow(shift-bound) -- take is 1..=64 here, so 64 - take is 0..=63
+            (take > 0).then(|| (word & (u64::MAX >> (64 - take)), take))
+        }));
     }
 
-    /// The one run store: appends each of `fields` as a `bits`-wide field
-    /// (`bits` in 1..=64, every field already below `2^bits`) through a
-    /// 128-bit shift-carry accumulator that spills whole words. The
-    /// current partial byte is folded into the accumulator first and
-    /// re-emitted merged with the new bits.
-    fn store_run(&mut self, fields: impl Iterator<Item = u64>, bits: u32) {
+    /// The one run store: appends each `(field, bits)` of `fields` as a
+    /// `bits`-wide field (`bits` in 1..=64, every field already below
+    /// `2^bits`) through a 128-bit shift-carry accumulator that spills
+    /// whole words. The current partial byte is folded into the
+    /// accumulator first and re-emitted merged with the new bits.
+    fn store_run(&mut self, fields: impl Iterator<Item = (u64, u32)>) {
         let phase = (self.bit_len % 8) as u32;
         let mut acc: u128 = if phase == 0 {
             0
@@ -278,7 +277,7 @@ impl BitWriter {
         };
         let mut acc_bits = phase;
         let mut total = 0u64;
-        for f in fields {
+        for (f, bits) in fields {
             // ss-lint: allow(shift-bound) -- acc_bits < 64 at every loop entry (the spill below keeps it there), and the accumulator is 128 bits wide
             acc |= u128::from(f) << acc_bits;
             acc_bits += bits;
@@ -290,18 +289,12 @@ impl BitWriter {
                 acc_bits -= 64;
             }
         }
-        while acc_bits >= 8 {
-            // ss-lint: allow(truncating-cast) -- low-byte extraction, high bits kept in acc
-            self.bytes.push(acc as u8);
-            acc >>= 8;
-            acc_bits -= 8;
-        }
-        if acc_bits > 0 {
-            // Final partial byte: bits above `acc_bits` are zero because
-            // every field is below `2^bits`.
-            // ss-lint: allow(truncating-cast) -- fewer than 8 valid bits remain in acc
-            self.bytes.push(acc as u8);
-        }
+        // The rest, below 64 bits, in whole bytes: bits of the last byte
+        // above `acc_bits` are zero because every field is below `2^bits`.
+        // ss-lint: allow(truncating-cast) -- acc_bits < 64, so acc holds at most 63 bits
+        let rest = (acc as u64).to_le_bytes();
+        self.bytes
+            .extend_from_slice(rest.get(..acc_bits.div_ceil(8) as usize).unwrap_or(&rest));
         self.bit_len += total;
     }
 

@@ -30,8 +30,11 @@
 //! * `expand_block` decodes up to 16 slots from a payload run driven by
 //!   `Z` (ShapeShifter, and Delta's deltas). Its field extractor is
 //!   monomorphised per width, so every field sits at a constant offset,
-//!   and the expansion from `Z` is table-driven, without a branch.
-//!   `cut_block` is the same extractor without `Z` (DPRed).
+//!   and the expansion from `Z` is table-driven, without a branch. A
+//!   whole block whose `Z` is all clear (every block of a dense weight
+//!   tensor) skips the expansion, which would be the identity, and stores
+//!   its decoded lanes in slot order. `cut_block` is the same extractor
+//!   without `Z` (DPRed).
 //! * `planes_block` cuts AdaBits's bit planes into 16-bit lanes with an
 //!   extractor monomorphised per group length and turns them into
 //!   magnitudes with one 16×16 bit transpose; `magnitude_planes` is the
@@ -445,8 +448,9 @@ fn expand_at<const SIGNED: bool>(
 }
 
 /// [`expand_block`] at width `P`: a whole block expands in place, a
-/// shorter one (a group's tail) through a scratch block whose extra slots
-/// count as zeros.
+/// dense one (a whole block without a zero slot) skips the expansion, and
+/// a shorter one (a group's tail) goes through a scratch block whose
+/// extra slots count as zeros.
 #[inline(always)]
 fn expand<const P: usize, const SIGNED: bool>(
     zeros: u32,
@@ -457,6 +461,7 @@ fn expand<const P: usize, const SIGNED: bool>(
     // ss-lint: allow(truncating-cast) -- out.len() <= BLOCK = 16
     let zeros = (zeros | u32::MAX.checked_shl(out.len() as u32).unwrap_or(0)) & 0xFFFF;
     let (payloads, zero_payload) = match <&mut [i32; BLOCK]>::try_from(&mut *out) {
+        Ok(block) if zeros == 0 => dense16::<P, SIGNED>(payload, block),
         Ok(block) => expand16::<P, SIGNED>(zeros, payload, block),
         Err(_) => {
             let mut block = [0; BLOCK];
@@ -488,17 +493,10 @@ fn expand<const P: usize, const SIGNED: bool>(
 /// Returns the block's payload count and whether one of its payloads
 /// decoded to zero.
 ///
-/// The sixteen fields are cut into 16-bit lanes, four to a word, at
-/// offsets that are constants for a given `P`, and decoded and tested
-/// four at a time within each word: sign-magnitude decodes as
-/// `(mag ^ m) - m` with `m` all ones in a negative lane, and a zero
-/// magnitude shows in a lane's high bit after subtracting one from every
-/// lane. All sixteen are cut and decoded whether or not the block holds
-/// that many: a field past the payload run holds stray bits, the zero
-/// test masks it off, and only a zero slot ever indexes past the run, into
-/// the zero half of the field table. A negative zero carries into the lane
-/// above when it is decoded, but it is a zero payload itself, which the
-/// test (on magnitudes, before the decode) refuses.
+/// [`payload_lanes`] decodes all sixteen fields whether or not the block
+/// holds that many: a field past the payload run holds stray bits, the
+/// zero test masks it off, and only a zero slot ever indexes past the
+/// run, into the zero half of the field table.
 #[inline(never)]
 fn expand16<const P: usize, const SIGNED: bool>(
     zeros: u32,
@@ -514,34 +512,10 @@ fn expand16<const P: usize, const SIGNED: bool>(
         .unwrap_or(0)
         .wrapping_add(eight_payloads(low) * 0x0101_0101_0101_0101);
     let payloads = eight_payloads(high);
-    let lanes = [
-        lanes4::<P>(payload, 0),
-        lanes4::<P>(payload, 4),
-        lanes4::<P>(payload, 8),
-        lanes4::<P>(payload, 12),
-    ];
+    let (lanes, zero_payload) = payload_lanes::<P, SIGNED>(payload, payloads);
     let mut fields = [0u16; 2 * BLOCK];
-    let mut zero_lanes = 0u64;
-    for (k, (&x, four)) in lanes.iter().zip(fields.chunks_exact_mut(4)).enumerate() {
-        let (magnitudes, values) = if SIGNED {
-            let mag = x >> 1 & (LANE_MSB - LANE_LSB);
-            let sign = x & LANE_LSB;
-            // `sign * 0xFFFF` is `m` per lane, and `+ sign` is `- m`.
-            (mag, (mag ^ sign.wrapping_mul(0xFFFF)).wrapping_add(sign))
-        } else {
-            (x, x)
-        };
-        // Lanes past the payload run are masked off.
-        let live = payloads.saturating_sub(4 * k as u64).min(4);
-        // ss-lint: allow(truncating-cast) -- live <= 4, so the shift is at most 64
-        let live = u64::MAX.checked_shr(64 - 16 * live as u32).unwrap_or(0);
-        zero_lanes |= magnitudes.wrapping_sub(LANE_LSB) & !magnitudes & LANE_MSB & live;
-        for (i, field) in four.iter_mut().enumerate() {
-            // ss-lint: allow(shift-bound) -- chunks_exact(4) bounds i < 4, so the shift is at most 48
-            let lane = values >> (16 * i);
-            // ss-lint: allow(truncating-cast) -- one 16-bit lane
-            *field = lane as u16;
-        }
+    for (field, &lane) in fields.iter_mut().zip(&lane_values(&lanes)) {
+        *field = lane;
     }
     let sources = [low.to_le_bytes(), high.to_le_bytes()];
     for (slot, &source) in out.iter_mut().zip(sources.as_flattened()) {
@@ -549,16 +523,64 @@ fn expand16<const P: usize, const SIGNED: bool>(
             .get(usize::from(source) % (2 * BLOCK))
             .copied()
             .unwrap_or(0);
-        // ss-lint: allow(truncating-cast) -- a signed container's lanes are i16 values
-        let signed = field as i16;
-        *slot = if SIGNED {
-            i32::from(signed)
-        } else {
-            i32::from(field)
-        };
+        *slot = lane_value::<SIGNED>(field);
     }
     // ss-lint: allow(truncating-cast) -- at most 16
-    (payloads as usize, zero_lanes != 0)
+    (payloads as usize, zero_payload)
+}
+
+/// [`expand16`] for a block whose `Z` is all clear: its sixteen fields
+/// fill its sixteen slots in order, so the expansion is the identity and
+/// the decoded lanes are stored as they are, as [`cut16`] stores DPRed's.
+#[inline(never)]
+fn dense16<const P: usize, const SIGNED: bool>(
+    payload: &PayloadRun,
+    out: &mut [i32; BLOCK],
+) -> (usize, bool) {
+    let (lanes, zero_payload) = payload_lanes::<P, SIGNED>(payload, BLOCK as u64);
+    store_lanes::<SIGNED>(&lanes, out);
+    (BLOCK, zero_payload)
+}
+
+/// The sixteen fields of a payload run at width `P`, decoded, and whether
+/// one of the first `payloads` has a zero magnitude.
+///
+/// The fields are cut into 16-bit lanes, four to a word, at offsets that
+/// are constants for a given `P`, and decoded and tested four at a time
+/// within each word: sign-magnitude decodes as `(mag ^ m) - m` with `m`
+/// all ones in a negative lane, and a zero magnitude shows in a lane's
+/// high bit after subtracting one from every lane. A negative zero
+/// carries into the lane above when it is decoded, but it is a zero
+/// payload itself, which the test (on magnitudes, before the decode)
+/// refuses, and every lane below the first zero payload decodes
+/// correctly, so that payload is also the first slot that reads zero.
+#[inline(always)]
+fn payload_lanes<const P: usize, const SIGNED: bool>(
+    payload: &PayloadRun,
+    payloads: u64,
+) -> (Lanes, bool) {
+    let mut lanes = [
+        lanes4::<P>(payload, 0),
+        lanes4::<P>(payload, 4),
+        lanes4::<P>(payload, 8),
+        lanes4::<P>(payload, 12),
+    ];
+    let mut zero_lanes = 0u64;
+    for (k, x) in lanes.iter_mut().enumerate() {
+        let magnitudes = if SIGNED {
+            let mag = *x >> 1 & (LANE_MSB - LANE_LSB);
+            *x = negate_lanes(mag, *x & LANE_LSB);
+            mag
+        } else {
+            *x
+        };
+        // Lanes past the payload run are masked off.
+        let live = payloads.saturating_sub(4 * k as u64).min(4);
+        // ss-lint: allow(truncating-cast) -- live <= 4, so the shift is at most 64
+        let live = u64::MAX.checked_shr(64 - 16 * live as u32).unwrap_or(0);
+        zero_lanes |= magnitudes.wrapping_sub(LANE_LSB) & !magnitudes & LANE_MSB & live;
+    }
+    (lanes, zero_lanes != 0)
 }
 
 /// Fields `first..first + 4` of a payload run at width `P`, one per
@@ -668,7 +690,8 @@ fn sign_magnitude_lanes(x: u64) -> u64 {
 }
 
 /// `mag` with every lane whose bit in `sign` (a lane LSB) is set negated,
-/// lane by lane; `sign` must be clear in zero lanes.
+/// lane by lane. A zero lane with its sign set carries one into the lane
+/// above, so a caller that must not carry clears `sign` in zero lanes.
 #[inline(always)]
 fn negate_lanes(mag: u64, sign: u64) -> u64 {
     // `sign * 0xFFFF` is all ones in a negative lane, and `+ sign` adds
@@ -689,6 +712,14 @@ fn nonzero_lanes(mag: u64) -> u64 {
 /// `i16` values when `SIGNED` and as `u16` values otherwise.
 #[inline(always)]
 fn store_lanes<const SIGNED: bool>(lanes: &Lanes, out: &mut [i32]) {
+    for (slot, &lane) in out.iter_mut().zip(&lane_values(lanes)) {
+        *slot = lane_value::<SIGNED>(lane);
+    }
+}
+
+/// The sixteen lanes of [`Lanes`], in slot order.
+#[inline(always)]
+fn lane_values(lanes: &Lanes) -> [u16; BLOCK] {
     let mut block = [0u16; BLOCK];
     for (four, &x) in block.chunks_exact_mut(4).zip(lanes) {
         for (i, lane) in four.iter_mut().enumerate() {
@@ -697,14 +728,18 @@ fn store_lanes<const SIGNED: bool>(lanes: &Lanes, out: &mut [i32]) {
             *lane = (x >> (16 * i)) as u16;
         }
     }
-    for (slot, &lane) in out.iter_mut().zip(&block) {
-        // ss-lint: allow(truncating-cast) -- a signed container's lanes are i16 values
-        let signed = lane as i16;
-        *slot = if SIGNED {
-            i32::from(signed)
-        } else {
-            i32::from(lane)
-        };
+    block
+}
+
+/// One lane as a value: an `i16` when `SIGNED`, a `u16` otherwise.
+#[inline(always)]
+fn lane_value<const SIGNED: bool>(lane: u16) -> i32 {
+    // ss-lint: allow(truncating-cast) -- a signed container's lanes are i16 values
+    let signed = lane as i16;
+    if SIGNED {
+        i32::from(signed)
+    } else {
+        i32::from(lane)
     }
 }
 

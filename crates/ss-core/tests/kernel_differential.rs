@@ -829,13 +829,23 @@ fn an_out_of_range_width_gives_the_oracles_error() {
     );
 }
 
+/// Whether stream slot `index` sits in a dense block: a whole 16-slot
+/// block of its group whose values are all non-zero, so that its `Z` bits
+/// are all clear.
+fn in_dense_block(values: &[i32], group_size: usize, index: usize) -> bool {
+    let group = index / group_size * group_size;
+    let start = group + (index - group) / 16 * 16;
+    let group_end = (group + group_size).min(values.len());
+    start + 16 <= group_end && values[start..start + 16].iter().all(|&v| v != 0)
+}
+
 #[test]
 fn a_zero_payload_at_each_slot_gives_the_oracles_error() {
-    let mut planted = 0;
+    let (mut planted, mut dense) = (0, 0);
     for enc in corruption_corpus() {
         let signed = enc.frame.dtype.signedness() == Signedness::Signed;
         let mut layout = Layout::default();
-        bitwise_decode(&enc.bytes, &enc.frame, &mut layout).unwrap();
+        let values = bitwise_decode(&enc.bytes, &enc.frame, &mut layout).unwrap();
         for (g, &p_at) in layout.p_fields.iter().enumerate() {
             let prefix = prefix_bits(enc.frame.dtype.bits());
             let mut bits = Bits {
@@ -857,11 +867,66 @@ fn a_zero_payload_at_each_slot_gives_the_oracles_error() {
                         "{what}"
                     );
                     planted += 1;
+                    dense += usize::from(in_dense_block(&values, enc.frame.group_size, index));
                 }
             }
         }
     }
     assert!(planted > 0);
+    assert!(
+        dense > 0,
+        "the corpus must keep whole blocks without a zero, which skip the expander"
+    );
+}
+
+#[test]
+fn a_zero_payload_in_a_dense_block_gives_the_oracles_error() {
+    // Two groups without a zero at each width of a 16-bit container, so
+    // that every whole block skips the expander, and a zero and a
+    // negative zero planted at each payload slot in turn. Groups of 17
+    // end in a one-slot block, which does not. A signed width of 1 holds
+    // no non-zero value, so signed widths start at 2.
+    let mut rng = Rng(0x5EED_0004);
+    let mut planted = 0;
+    for signed in [false, true] {
+        let dtype = dtype(16, signed);
+        let raws: &[u64] = if signed { &[0, 1] } else { &[0] };
+        for width in 1 + u8::from(signed)..=16 {
+            for group_size in [16, 17, 32, 64, 256] {
+                let mut values = group_values(dtype, group_size, width, Zeros::None, &mut rng);
+                values.extend(group_values(
+                    dtype,
+                    group_size,
+                    width,
+                    Zeros::None,
+                    &mut rng,
+                ));
+                let tensor = Tensor::from_vec(Shape::flat(values.len()), dtype, values).unwrap();
+                let enc = encode(&tensor, group_size, IndexPolicy::None);
+                let mut layout = Layout::default();
+                let clean = bitwise_decode(&enc.bytes, &enc.frame, &mut layout);
+                assert_eq!(clean.as_deref(), Ok(tensor.values()));
+                assert_eq!(layout.payloads.len(), 2 * group_size);
+                for &(at, index) in &layout.payloads {
+                    for &raw in raws {
+                        let mut bytes = enc.bytes.clone();
+                        put_bits(&mut bytes, at, u32::from(width), raw);
+                        let what = format!(
+                            "{dtype}, width {width}, group {group_size}: slot {index}, field {raw}"
+                        );
+                        assert_eq!(
+                            agree(&bytes, &enc.frame, &what),
+                            Err(CodecError::CorruptValue { index, value: 0 }),
+                            "{what}"
+                        );
+                        planted += 1;
+                    }
+                }
+            }
+        }
+    }
+    // 16 unsigned widths with one field, 15 signed widths with two.
+    assert_eq!(planted, (16 + 15 * 2) * 2 * (16 + 17 + 32 + 64 + 256));
 }
 
 proptest! {

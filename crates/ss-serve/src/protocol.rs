@@ -391,8 +391,13 @@ impl Frame {
 
     /// Reads exactly one frame from `r`.
     ///
-    /// The header is read and validated *before* the body is allocated,
-    /// so a hostile length field is refused without touching memory.
+    /// The header is read and validated *before* any of the body is
+    /// allocated, so a hostile length field is refused without touching
+    /// memory. The body is then read and checksummed one fixed-size chunk
+    /// at a time, as the frame writer sends it, so the CRC of one chunk
+    /// runs while the peer is still sending the next; and the buffer grows
+    /// as bytes arrive, never more than one chunk beyond what has been
+    /// received, whatever the header declared.
     ///
     /// # Errors
     ///
@@ -402,10 +407,21 @@ impl Frame {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
         let (kind, request_id, body_len) = parse_header(&header, max_body)?;
-        let mut body = vec![0u8; body_len + TRAILER_LEN];
-        r.read_exact(&mut body)?;
-        check_trailer(&header, &body)?;
-        body.truncate(body_len);
+        let mut crc = Crc32::new();
+        crc.update(&header);
+        let mut body = Vec::new();
+        while body.len() < body_len {
+            let have = body.len();
+            let take = (body_len - have).min(CHUNK);
+            body.reserve_exact(take);
+            body.resize(have + take, 0);
+            let (_, chunk) = body.split_at_mut(have);
+            r.read_exact(chunk)?;
+            crc.update(chunk);
+        }
+        let mut trailer = [0u8; TRAILER_LEN];
+        r.read_exact(&mut trailer)?;
+        check_crc(u32::from_le_bytes(trailer), &crc)?;
         Ok(Frame {
             kind,
             request_id,
@@ -465,16 +481,34 @@ fn check_trailer<'a>(header: &[u8; HEADER_LEN], rest: &'a [u8]) -> Result<&'a [u
     let mut crc = Crc32::new();
     crc.update(header);
     crc.update(body);
+    check_crc(stored, &crc)?;
+    Ok(body)
+}
+
+/// Checks the CRC a frame carries against the one computed over its
+/// header and body.
+fn check_crc(stored: u32, crc: &Crc32) -> Result<(), ProtocolError> {
     let computed = crc.finish();
     if stored != computed {
         return Err(ProtocolError::CrcMismatch { stored, computed });
     }
-    Ok(body)
+    Ok(())
 }
+
+/// Body bytes [`Frame::read_from`] reads, and the frame writer
+/// checksums and sends, in one step: the CRC of one chunk overlaps the
+/// transfer of the next. Picked by timing `get` responses of 0.2-1.2 MB
+/// over loopback TCP (ss-bench's `frame` bench and the repository
+/// benchmark's load): whole bodies leave nothing to overlap, smaller
+/// chunks cost a blocked reader a wake-up each, and 64 or 128 KiB
+/// overlapped less of a 236 KB body.
+const CHUNK: usize = 32 << 10;
 
 /// The one frame writer: the header (and `status`, which opens a
 /// response body built from a payload), then `payload` as is, then the
-/// CRC trailer, sent with vectored writes. A partial write continues
+/// CRC trailer. The payload is checksummed and sent one [`CHUNK`] at a
+/// time, the header and status with the first chunk and the trailer with
+/// the last, each step with vectored writes. A partial write continues
 /// where it stopped, [`ErrorKind::Interrupted`] is retried, and a writer
 /// that accepts nothing ends in [`ErrorKind::WriteZero`] rather than a
 /// spin.
@@ -504,16 +538,33 @@ fn write_frame(
     let mut crc = Crc32::new();
     crc.update(&head);
     crc.update(status);
-    crc.update(payload);
-    let trailer = crc.finish().to_le_bytes();
-    let mut slices = [
-        IoSlice::new(&head),
-        IoSlice::new(status),
-        IoSlice::new(payload),
-        IoSlice::new(&trailer),
-    ];
-    let mut bufs: &mut [IoSlice<'_>] = &mut slices;
-    let mut left = HEADER_LEN + body_len + TRAILER_LEN;
+    // The first step sends the header and status, the last the trailer.
+    let mut lead: [&[u8]; 2] = [&head, status];
+    let mut rest = payload;
+    loop {
+        let (chunk, after) = rest.split_at(rest.len().min(CHUNK));
+        crc.update(chunk);
+        let trailer = crc.finish().to_le_bytes();
+        let last = after.is_empty();
+        let [head, status] = lead;
+        let trailer: &[u8] = if last { trailer.as_slice() } else { &[] };
+        write_all_vectored(w, &mut [head, status, chunk, trailer].map(IoSlice::new))?;
+        if last {
+            return Ok(());
+        }
+        lead = [&[]; 2];
+        rest = after;
+    }
+}
+
+/// Writes every byte of `bufs` to `w`: a partial write continues where
+/// it stopped, [`ErrorKind::Interrupted`] is retried, and a write of
+/// nothing ends in [`ErrorKind::WriteZero`].
+fn write_all_vectored(
+    w: &mut dyn Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> Result<(), ProtocolError> {
+    let mut left: usize = bufs.iter().map(|buf| buf.len()).sum();
     while left > 0 {
         match w.write_vectored(bufs) {
             Ok(0) => return Err(ProtocolError::Io(ErrorKind::WriteZero)),
@@ -583,6 +634,16 @@ mod tests {
         }
     }
 
+    /// A source that returns at most 7 bytes per call.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
     /// Every byte `write` sends, through each sink in turn.
     fn through_every_sink(mut write: impl FnMut(&mut dyn Write)) -> [Vec<u8>; 3] {
         let mut vec = Vec::new();
@@ -645,6 +706,80 @@ mod tests {
                 assert_eq!(
                     Frame::write_response(&mut Full, op, id, status, payload),
                     Err(ProtocolError::Io(ErrorKind::WriteZero))
+                );
+            }
+        }
+    }
+
+    /// A `get` response whose body (status byte and payload) spans three
+    /// and a half chunks.
+    fn chunked_response() -> Frame {
+        let payload: Vec<u8> = (0..CHUNK * 7 / 2).map(|i| (i * 31 % 251) as u8).collect();
+        Frame::response(Op::Get, 11, Status::Ok, &payload)
+    }
+
+    #[test]
+    fn a_body_of_several_chunks_writes_and_reads_as_one_frame() {
+        let frame = chunked_response();
+        let bytes = frame.encode();
+        assert_eq!(
+            Frame::decode(&bytes, DEFAULT_MAX_BODY),
+            Ok((frame.clone(), bytes.len()))
+        );
+        for written in through_every_sink(|w| frame.write_to(w).expect("write_to")) {
+            assert_eq!(written, bytes);
+        }
+        let payload = &frame.body[1..];
+        let sinks = through_every_sink(|w| {
+            Frame::write_response(w, Op::Get, 11, Status::Ok, payload).expect("write_response");
+        });
+        for written in sinks {
+            assert_eq!(written, bytes);
+        }
+        assert_eq!(
+            Frame::read_from(&mut bytes.as_slice(), DEFAULT_MAX_BODY),
+            Ok(frame.clone())
+        );
+        assert_eq!(
+            Frame::read_from(&mut Dribble(&bytes), DEFAULT_MAX_BODY),
+            Ok(frame)
+        );
+    }
+
+    #[test]
+    fn a_flipped_byte_in_each_chunk_gives_the_slice_parsers_crc_mismatch() {
+        let bytes = chunked_response().encode();
+        let body_len = bytes.len() - HEADER_LEN - TRAILER_LEN;
+        for start in (0..body_len).step_by(CHUNK) {
+            let end = (start + CHUNK).min(body_len);
+            for at in [start, (start + end) / 2, end - 1] {
+                let mut bad = bytes.clone();
+                bad[HEADER_LEN + at] ^= 0x10;
+                let want = Frame::decode(&bad, DEFAULT_MAX_BODY).map(|(frame, _)| frame);
+                assert!(
+                    matches!(want, Err(ProtocolError::CrcMismatch { .. })),
+                    "body byte {at}: {want:?}"
+                );
+                assert_eq!(
+                    Frame::read_from(&mut Dribble(&bad), DEFAULT_MAX_BODY),
+                    want,
+                    "body byte {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_at_or_beside_a_chunk_boundary_is_an_unexpected_eof() {
+        let bytes = chunked_response().encode();
+        let body_len = bytes.len() - HEADER_LEN - TRAILER_LEN;
+        let boundaries = (0..body_len).step_by(CHUNK).chain([body_len]);
+        for boundary in boundaries.map(|b| HEADER_LEN + b) {
+            for cut in [boundary - 1, boundary, boundary + 1] {
+                assert_eq!(
+                    Frame::read_from(&mut &bytes[..cut], DEFAULT_MAX_BODY),
+                    Err(ProtocolError::Io(ErrorKind::UnexpectedEof)),
+                    "cut at byte {cut}"
                 );
             }
         }

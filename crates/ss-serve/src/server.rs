@@ -160,9 +160,11 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = incoming else { continue };
-        // Responses go out as one vectored write each; without this a
-        // small one waits in Nagle's buffer for the client's next ACK. A
-        // failure only costs latency, as in `Client::connect`.
+        // A response goes out in one vectored write per body chunk, the
+        // trailer with the last; without this a small response, or a
+        // large one's last chunk, waits in Nagle's buffer for the
+        // client's next ACK. A failure only costs latency, as in
+        // `Client::connect`.
         let _ = stream.set_nodelay(true);
         let Ok(tracked) = stream.try_clone() else {
             continue;

@@ -20,6 +20,11 @@ cargo test -q --workspace
 # change that would break it. Its build output goes under target/, so
 # nothing is written inside perfbench/.
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+# Its smoke run of every workload, traced and untraced, with every answer
+# checked. Its load generator reads responses through `Frame::read_from`,
+# so a wire-level slip fails here before it fails the benchmark. It also
+# writes only under target/.
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 # Formatting: the whole workspace is rustfmt-clean and must stay so.
 # (perfbench is a workspace of its own and is not checked here.)

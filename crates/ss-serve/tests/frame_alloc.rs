@@ -3,7 +3,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 //! Bounded allocation for [`Frame::read_from`] under a hostile length
-//! field, asserted with a counting global allocator.
+//! field, asserted with a recording global allocator.
 //!
 //! The header's body length is checked against the cap before anything
 //! is allocated, but a length under the cap is still only a claim. The
@@ -40,25 +40,31 @@ fn record(size: usize) {
     }
 }
 
-// Unsafe is confined to forwarding the GlobalAlloc contract verbatim to
-// the system allocator; the record itself is a relaxed atomic.
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, whose `GlobalAlloc` contract is the one the caller upholds
+// here; the record itself is a relaxed atomic and never allocates.
 unsafe impl GlobalAlloc for LargestAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
+        // SAFETY: the caller's `layout` is passed on as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
+        // SAFETY: the caller's `layout` is passed on as is.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         record(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`, with
+        // `layout`; all three are passed on as is.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`, passed on as is.
         unsafe { System.dealloc(ptr, layout) }
     }
 }

@@ -21,8 +21,9 @@
 //! anywhere in the frame (including the op byte — the mis-dispatch case)
 //! is caught before dispatch; the protocol fuzz suite proves this
 //! exhaustively. The body length is bounded by the caller-supplied
-//! `max_body` *before* any allocation, so hostile length metadata cannot
-//! balloon memory (the PR 5 decode-OOM lesson applied at the wire).
+//! `max_body` *before* any allocation, and the body buffer then grows
+//! only as its bytes arrive, so hostile length metadata cannot balloon
+//! memory here any more than in the container decoder.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
@@ -508,10 +509,7 @@ const CHUNK: usize = 32 << 10;
 /// response body built from a payload), then `payload` as is, then the
 /// CRC trailer. The payload is checksummed and sent one [`CHUNK`] at a
 /// time, the header and status with the first chunk and the trailer with
-/// the last, each step with vectored writes. A partial write continues
-/// where it stopped, [`ErrorKind::Interrupted`] is retried, and a writer
-/// that accepts nothing ends in [`ErrorKind::WriteZero`] rather than a
-/// spin.
+/// the last, each step through [`write_all_vectored`].
 fn write_frame(
     w: &mut dyn Write,
     kind: Kind,
@@ -557,9 +555,10 @@ fn write_frame(
     }
 }
 
-/// Writes every byte of `bufs` to `w`: a partial write continues where
-/// it stopped, [`ErrorKind::Interrupted`] is retried, and a write of
-/// nothing ends in [`ErrorKind::WriteZero`].
+/// Writes every byte of `bufs` to `w` with vectored writes: a partial
+/// write continues where it stopped, [`ErrorKind::Interrupted`] is
+/// retried, and a writer that accepts nothing ends in
+/// [`ErrorKind::WriteZero`] rather than a spin.
 fn write_all_vectored(
     w: &mut dyn Write,
     mut bufs: &mut [IoSlice<'_>],

@@ -178,7 +178,7 @@ fn main() -> std::io::Result<()> {
     }
 
     let pool = tensor_pool();
-    let workers = ss_bench::par_threads();
+    let workers = ss_core::par::thread_count();
     println!(
         "schemes_quant ({mode}): {} pool tensors, {workers} workers",
         pool.len()

@@ -7,6 +7,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::{ProfileScheme, ShapeShifterScheme};
 use ss_sim::accel::{SStripes, Stripes};
 use ss_sim::sim::{simulate, SimConfig};
@@ -46,7 +47,7 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     models.extend(ra.iter().map(|n| n as &(dyn TensorSource + Sync)));
     let mut dyn_only = vec![];
     let mut full = vec![];
-    let per_model = crate::par_map(models, |m| {
+    let per_model = par_map(&models, thread_count(), |m| {
         let (d, f) = compare(*m, 1);
         (m.name().to_string(), d, f)
     });

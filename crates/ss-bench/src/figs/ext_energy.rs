@@ -9,6 +9,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::{Base, ShapeShifterScheme};
 use ss_sim::accel::SStripes;
 use ss_sim::sim::{simulate, SimConfig};
@@ -61,7 +62,7 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
             &["B:dram", "B:idle", "S:dram", "S:idle", "S/B tot"]
         )
     )?;
-    let rows = crate::par_map(suite_16b(), |net| {
+    let rows = par_map(&suite_16b(), thread_count(), |net| {
         let (b, s, rel) = shares(net, 1);
         (net.name().to_string(), b, s, rel)
     });

@@ -4,6 +4,7 @@
 use std::io::{self, Write};
 
 use ss_core::analysis::{per_value_width, work_reduction};
+use ss_core::par::{par_map, thread_count};
 use ss_sim::sim::MODEL_SEED;
 use ss_sim::TensorSource;
 
@@ -83,7 +84,9 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     )?;
     let seeds: Vec<u64> = (1..=inputs()).collect();
     let nets: Vec<_> = ss_models::zoo::all().into_iter().map(scaled).collect();
-    let rows = crate::par_map(nets, |net| (net.name().to_string(), measure(net, &seeds)));
+    let rows = par_map(&nets, thread_count(), |net| {
+        (net.name().to_string(), measure(net, &seeds))
+    });
     for (name, m) in rows {
         writeln!(
             out,

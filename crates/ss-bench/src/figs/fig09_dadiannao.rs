@@ -4,6 +4,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::{Base, CompressionScheme, ProfileScheme, ShapeShifterScheme};
 use ss_sim::accel::Accelerator;
 use ss_sim::sim::{simulate, SimConfig};
@@ -74,7 +75,7 @@ pub fn section(
     writeln!(out, "{}", header("model (speedup)", &cols))?;
     let mut speed_cols: Vec<Vec<f64>> = vec![vec![]; 9];
     let mut energy_rows: Vec<(String, Vec<f64>)> = vec![];
-    let per_model = crate::par_map(models.to_vec(), |m| {
+    let per_model = par_map(models, thread_count(), |m| {
         (m.name().to_string(), sweep(*m, accel, seed))
     });
     for (name, rows) in per_model {

@@ -4,6 +4,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::ShapeShifterScheme;
 use ss_sim::fusion::fusion_study;
 
@@ -23,7 +24,7 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     writeln!(out, "{}", header("model", &["SS only", "fuse", "both"]))?;
     let scheme = ShapeShifterScheme::default();
     let mut both = vec![];
-    let rows = crate::par_map(suite_16b(), |net| {
+    let rows = par_map(&suite_16b(), thread_count(), |net| {
         (
             net.name().to_string(),
             fusion_study(net, &scheme, FUSE_DEPTH, 1),

@@ -8,6 +8,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::{ProfileScheme, ShapeShifterScheme};
 use ss_sim::accel::{SStripes, Stripes};
 use ss_sim::sim::{simulate, RunResult, SimConfig};
@@ -43,7 +44,7 @@ fn section(
     writeln!(out, "{}", header("model", &["speedup", "rel.eff"]))?;
     let mut speeds = vec![];
     let mut effs = vec![];
-    let per_model = crate::par_map(models.to_vec(), |m| {
+    let per_model = par_map(models, thread_count(), |m| {
         let (stripes, sstripes) = pair(*m, 1);
         (
             m.name().to_string(),

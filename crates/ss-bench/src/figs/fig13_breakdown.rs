@@ -3,6 +3,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::ShapeShifterScheme;
 use ss_sim::accel::SStripes;
 use ss_sim::sim::{simulate, SimConfig};
@@ -39,7 +40,9 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     all.extend(n16.iter().map(|n| n as &(dyn TensorSource + Sync)));
     all.extend(tf.iter().map(|n| n as &(dyn TensorSource + Sync)));
     all.extend(ra.iter().map(|n| n as &(dyn TensorSource + Sync)));
-    let rows = crate::par_map(all, |m| (m.name().to_string(), breakdown(*m, 1)));
+    let rows = par_map(&all, thread_count(), |m| {
+        (m.name().to_string(), breakdown(*m, 1))
+    });
     for (name, c) in rows {
         writeln!(out, "{}", row(&name, &[c, 1.0 - c]))?;
     }

@@ -5,6 +5,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::{ProfileScheme, ShapeShifterScheme};
 use ss_sim::accel::{BitFusion, SStripes};
 use ss_sim::sim::{simulate, SimConfig};
@@ -39,7 +40,7 @@ fn section(
     writeln!(out, "## {title}")?;
     writeln!(out, "{}", header("model", &["speedup", "rel.eff"]))?;
     let mut speeds = vec![];
-    let per_model = crate::par_map(models.to_vec(), |m| {
+    let per_model = par_map(models, thread_count(), |m| {
         let (s, e) = compare(*m, 1);
         (m.name().to_string(), s, e)
     });

@@ -5,6 +5,7 @@
 
 use std::io::{self, Write};
 
+use ss_core::par::{par_map, thread_count};
 use ss_core::scheme::{Base, ShapeShifterScheme};
 use ss_sim::accel::SStripes;
 use ss_sim::sim::{simulate, SimConfig};
@@ -54,7 +55,9 @@ pub fn run(out: &mut impl Write) -> io::Result<()> {
     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
     writeln!(out, "{}", header("model", &col_refs))?;
     let mut at_1mb = vec![];
-    let rows = crate::par_map(suite_16b(), |net| (net.name().to_string(), sweep(net, 1)));
+    let rows = par_map(&suite_16b(), thread_count(), |net| {
+        (net.name().to_string(), sweep(net, 1))
+    });
     for (name, pts) in rows {
         let vals: Vec<f64> = pts.iter().flat_map(|&(_, ss, nc)| [ss, nc]).collect();
         writeln!(out, "{}", row(&name, &vals))?;

@@ -15,6 +15,11 @@
 //! * `SS_SCALE=n` — divide every network's channels/spatial extents by
 //!   `n` (geometry shrinks ~n³; value statistics are unchanged).
 //! * `SS_INPUTS=k` — number of distinct inputs averaged per measurement.
+//!
+//! The per-model measurements of a figure are independent, so figures map
+//! them with [`ss_core::par::par_map`] over
+//! [`ss_core::par::thread_count`] workers (`SS_THREADS`); results come
+//! back in input order, so the output does not depend on the count.
 
 pub mod figs;
 pub mod stats_cache;
@@ -55,34 +60,6 @@ pub fn scaled(net: ss_models::Network) -> ss_models::Network {
     } else {
         net.scaled_down(s)
     }
-}
-
-/// Maps `f` over `items` on up to [`par_threads`] workers, preserving
-/// input order. The per-model measurements of every figure are
-/// independent, so the harness fans them out. The implementation lives in
-/// [`ss_core::par::par_map`] — the workspace's one parallel-map
-/// primitive — and this wrapper only supplies the harness's thread policy.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    ss_core::par::par_map(&items, par_threads(), f)
-}
-
-/// Worker threads for [`par_map`]: `SS_THREADS`, else the machine's full
-/// available parallelism (one knob, shared with the codec's parallel
-/// encode — see [`ss_core::par::thread_count`]). Memory pressure from
-/// in-flight model caches is addressed by the shared statistics cache
-/// ([`stats_cache`]) rather than by capping threads.
-#[must_use]
-pub fn par_threads() -> usize {
-    ss_core::par::thread_count()
 }
 
 /// Geometric mean of strictly positive values (the paper's preferred
@@ -139,17 +116,5 @@ mod tests {
         // Defaults apply when the vars are unset in the test environment.
         assert!(scale() >= 1);
         assert!(inputs() >= 1);
-        assert!(par_threads() >= 1);
-    }
-
-    #[test]
-    fn par_map_preserves_order_and_results() {
-        let items: Vec<u64> = (0..37).collect();
-        let out = par_map(items.clone(), |&x| x * x);
-        let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
-        assert_eq!(out, expect);
-        // Degenerate cases.
-        assert!(par_map(Vec::<u64>::new(), |&x| x).is_empty());
-        assert_eq!(par_map(vec![9u64], |&x| x + 1), vec![10]);
     }
 }

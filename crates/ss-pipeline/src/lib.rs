@@ -4,15 +4,19 @@
 //! cross-check → decode round-trip** on a fixed number of workers. Three
 //! properties define the design:
 //!
-//! - **One worker primitive.** A batch is one
+//! - **One worker primitive, called directly.** Each entry point is one
 //!   [`ss_core::par::par_map_with`] call: workers claim tensors by index
 //!   from one atomic counter, the calling thread is one of them, and the
 //!   engine itself owns no threads — a one-worker run spawns nothing.
-//! - **Zero steady-state allocation.** Each worker owns a clone of the
-//!   engine's [`ss_core::CodecSession`] plus a recycled stream and
-//!   tensor, so after warm-up the hot loop of [`Pipeline::process`] does
-//!   not touch the heap (pinned by the counting-allocator test
-//!   `tests/pipeline_alloc.rs`; the session contract itself by one in
+//! - **Only the state each entry point uses.** A worker of
+//!   [`Pipeline::encode_batch_with`] or [`Pipeline::decode_batch_with`]
+//!   owns a clone of the engine's [`ss_core::CodecSession`] and allocates
+//!   per tensor only the output it returns. A worker of
+//!   [`Pipeline::process`] also owns a recycled stream and tensor and a
+//!   sequential measuring codec, so after warm-up its hot loop does not
+//!   touch the heap, and it alone reads clocks (pinned by the
+//!   counting-allocator tests `tests/pipeline_alloc.rs` and
+//!   `tests/batch_alloc.rs`; the session contract itself by one in
 //!   ss-core).
 //! - **Deterministic results.** Work distribution races; results do not.
 //!   Results come back in submission order, every tensor is attempted

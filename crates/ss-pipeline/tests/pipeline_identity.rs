@@ -271,3 +271,46 @@ fn batch_ratio_matches_the_container_accounting() {
     assert!((report.ratio() - stream as f64 / raw as f64).abs() < 1e-12);
     assert!(report.ratio() < 1.0, "skewed batch must compress");
 }
+
+/// The report's deterministic fields, for comparing two reports whose
+/// timing fields differ.
+fn accounting(r: &BatchReport) -> [u64; 8] {
+    [
+        r.tensors,
+        r.values,
+        r.uncompressed_bits,
+        r.stream_bits,
+        r.metadata_bits,
+        r.payload_bits,
+        r.groups,
+        r.stream_hash,
+    ]
+}
+
+#[test]
+fn process_verifies_shaped_tensors_like_their_flat_copies() {
+    // A stream carries values, not a shape, so decode returns a flat
+    // tensor: the round-trip check must accept a shaped input whose
+    // values came back, and account for it as for its flat copy.
+    let shaped: Vec<Tensor> = [vec![4, 8], vec![2, 3, 5], vec![333]]
+        .into_iter()
+        .enumerate()
+        .map(|(i, dims)| {
+            let flat = tensor(dims.iter().product(), i as u64 + 1, FixedType::I16);
+            Tensor::from_vec(Shape::new(dims), flat.dtype(), flat.into_values()).unwrap()
+        })
+        .collect();
+    let flat: Vec<Tensor> = shaped
+        .iter()
+        .map(|t| Tensor::from_vec(Shape::flat(t.len()), t.dtype(), t.values().to_vec()).unwrap())
+        .collect();
+    for workers in [1, 2, 4, 8] {
+        let pipeline = Pipeline::new(config().with_workers(workers)).unwrap();
+        let report = match pipeline.process(&shaped) {
+            Ok(report) => report,
+            Err(e) => panic!("{workers} workers: shaped batch refused: {e:?}"),
+        };
+        let want = pipeline.process(&flat).unwrap();
+        assert_eq!(accounting(&report), accounting(&want), "{workers} workers");
+    }
+}

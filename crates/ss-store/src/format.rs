@@ -94,9 +94,11 @@ pub struct RecordMeta {
     pub scheme: SchemeId,
     /// The codec's group size.
     pub group_size: u16,
-    /// FNV-1a fingerprint of the codec configuration — see
-    /// [`codec_fingerprint`]. Lets a reader refuse to mix records packed
-    /// under different configurations without parsing payloads.
+    /// FNV-1a fingerprint of the codec configuration (scheme wire id,
+    /// group size, container type) — see
+    /// [`ss_core::registry::fingerprint_bytes`]. Lets a reader refuse to
+    /// mix records packed under different configurations without parsing
+    /// payloads; the store's `verify()` flags mixtures.
     pub fingerprint: u64,
     /// The tensor's element count.
     pub values: u64,
@@ -213,18 +215,6 @@ impl RecordMeta {
             values: r.u64().map_err(short)?,
         })
     }
-}
-
-/// FNV-1a fingerprint of a codec configuration (scheme wire id, group
-/// size, container type). Two records with equal fingerprints were packed
-/// compatibly; the store's `verify()` flags mixtures.
-///
-/// The registry's canonical recipe
-/// ([`ss_core::registry::fingerprint_bytes`]), so shard fingerprints
-/// written before the registry existed hash byte-identically.
-#[must_use]
-pub fn codec_fingerprint(scheme: impl Into<SchemeId>, group_size: u16, dtype: FixedType) -> u64 {
-    ss_core::registry::fingerprint_bytes(scheme.into(), group_size, dtype)
 }
 
 /// One index entry: a record's metadata plus where its block sits in the
@@ -535,6 +525,7 @@ pub fn parse_shard_name(name: &str) -> Option<(&str, u16)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_core::registry::fingerprint_bytes;
 
     fn meta(name: &str) -> RecordMeta {
         let dtype = FixedType::I16;
@@ -544,7 +535,7 @@ mod tests {
             dtype,
             scheme: SchemeId::SHAPESHIFTER,
             group_size: 16,
-            fingerprint: codec_fingerprint(SchemeId::SHAPESHIFTER, 16, dtype),
+            fingerprint: fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, dtype),
             values: 1000,
         }
     }
@@ -718,28 +709,28 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_configs() {
-        let a = codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16);
+        let a = fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, FixedType::I16);
         assert_eq!(
             a,
-            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16)
+            fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, FixedType::I16)
         );
-        assert_ne!(a, codec_fingerprint(SchemeId::DELTA, 16, FixedType::I16));
+        assert_ne!(a, fingerprint_bytes(SchemeId::DELTA, 16, FixedType::I16));
         assert_ne!(
             a,
-            codec_fingerprint(SchemeId::SHAPESHIFTER, 32, FixedType::I16)
+            fingerprint_bytes(SchemeId::SHAPESHIFTER, 32, FixedType::I16)
         );
         assert_ne!(
             a,
-            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::U16)
+            fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, FixedType::U16)
         );
         // New registry schemes fingerprint through the same recipe.
         assert_ne!(
-            codec_fingerprint(SchemeId::DPRED, 16, FixedType::I16),
-            codec_fingerprint(SchemeId::ADABITS, 16, FixedType::I16)
+            fingerprint_bytes(SchemeId::DPRED, 16, FixedType::I16),
+            fingerprint_bytes(SchemeId::ADABITS, 16, FixedType::I16)
         );
         // Unregistered ids still fingerprint (a reader can refuse mixtures
         // even for schemes it cannot decode).
-        let _ = codec_fingerprint(SchemeId::new(200), 16, FixedType::I16);
+        let _ = fingerprint_bytes(SchemeId::new(200), 16, FixedType::I16);
     }
 
     #[test]
@@ -754,7 +745,7 @@ mod tests {
         }
         assert_eq!(
             h,
-            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, FixedType::I16)
+            fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, FixedType::I16)
         );
     }
 }

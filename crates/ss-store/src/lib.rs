@@ -56,7 +56,7 @@ pub mod store;
 pub mod writer;
 
 pub use error::StoreError;
-pub use format::{codec_fingerprint, RecordEntry, RecordMeta};
+pub use format::{RecordEntry, RecordMeta};
 pub use provider::{LocalFsProvider, MemoryProvider, ShardSink, StorageProvider};
 pub use store::{ModelStore, VerifyReport};
 pub use writer::{ModelSummary, ModelWriter, ShardSummary, ShardWriter};

@@ -12,14 +12,13 @@ use std::collections::BTreeSet;
 
 use shapeshifter::container;
 use shapeshifter::SchemeId;
+use ss_core::registry::fingerprint_bytes;
 use ss_core::IndexPolicy;
 use ss_tensor::Tensor;
 use ss_trace::Counter;
 
 use crate::error::StoreError;
-use crate::format::{
-    self, codec_fingerprint, Crc32, RecordEntry, RecordMeta, FOOTER_LEN, HEADER_LEN,
-};
+use crate::format::{self, Crc32, RecordEntry, RecordMeta, FOOTER_LEN, HEADER_LEN};
 use crate::provider::{ShardSink, StorageProvider};
 
 /// Default shard rotation budget: a new shard starts once the current
@@ -170,7 +169,7 @@ pub struct ModelSummary {
 /// Packs a model's tensors into numbered shards.
 ///
 /// Tensors are SSPK-packed with one codec configuration (so every
-/// record carries the same [`codec_fingerprint`]); shards rotate when
+/// record carries the same [`fingerprint_bytes`]); shards rotate when
 /// the current one crosses the byte budget.
 pub struct ModelWriter<'a> {
     provider: &'a dyn StorageProvider,
@@ -257,7 +256,7 @@ impl<'a> ModelWriter<'a> {
             dtype: tensor.dtype(),
             scheme: self.scheme,
             group_size: self.group_size,
-            fingerprint: codec_fingerprint(self.scheme, self.group_size, tensor.dtype()),
+            fingerprint: fingerprint_bytes(self.scheme, self.group_size, tensor.dtype()),
             values: tensor.len() as u64,
         };
         // Rotate before the append so a shard never exceeds its budget

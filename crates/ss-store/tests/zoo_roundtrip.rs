@@ -5,9 +5,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use shapeshifter::SchemeId;
-use ss_store::{
-    codec_fingerprint, LocalFsProvider, MemoryProvider, ModelStore, ModelWriter, StorageProvider,
-};
+use ss_core::registry::fingerprint_bytes;
+use ss_store::{LocalFsProvider, MemoryProvider, ModelStore, ModelWriter, StorageProvider};
 use ss_tensor::Tensor;
 
 const MODEL_SEED: u64 = 0xA11E7;
@@ -60,7 +59,7 @@ fn roundtrip_on(provider: &dyn StorageProvider) {
         assert_eq!(e.meta.dtype, t.dtype());
         assert_eq!(
             e.meta.fingerprint,
-            codec_fingerprint(SchemeId::SHAPESHIFTER, 16, t.dtype())
+            fingerprint_bytes(SchemeId::SHAPESHIFTER, 16, t.dtype())
         );
     }
     let report = store.verify().unwrap();
@@ -102,7 +101,7 @@ fn plugin_schemes_roundtrip_through_the_store() {
         for (name, t) in &tensors {
             let e = store.entry(name).unwrap();
             assert_eq!(e.meta.scheme, scheme);
-            assert_eq!(e.meta.fingerprint, codec_fingerprint(scheme, 16, t.dtype()));
+            assert_eq!(e.meta.fingerprint, fingerprint_bytes(scheme, 16, t.dtype()));
             assert_eq!(&store.get(name).unwrap(), t, "{name:?} under {scheme}");
         }
         store.verify().unwrap();

@@ -27,8 +27,6 @@ pub enum TensorError {
         /// The invalid width.
         bits: u8,
     },
-    /// A group size of zero was requested.
-    InvalidGroupSize,
 }
 
 impl fmt::Display for TensorError {
@@ -53,7 +51,6 @@ impl fmt::Display for TensorError {
                     "container width {bits} is outside the supported 1..=16 range"
                 )
             }
-            TensorError::InvalidGroupSize => write!(f, "group size must be non-zero"),
         }
     }
 }
@@ -68,7 +65,5 @@ mod tests {
     fn display_messages() {
         let e = TensorError::InvalidWidth { bits: 33 };
         assert!(e.to_string().contains("33"));
-        let e = TensorError::InvalidGroupSize;
-        assert!(e.to_string().contains("non-zero"));
     }
 }

@@ -14,8 +14,11 @@
 //!   hardware detector: sign-magnitude conversion with the sign at the LSB,
 //!   per-value width, per-group width (the OR-tree + leading-1 semantics),
 //!   and whole-tensor profiled width.
-//! * [`GroupIter`] — iteration over fixed-size groups along the innermost
-//!   (channel) dimension, the granularity at which ShapeShifter adapts.
+//!
+//! Groups are runs of `group_size` adjacent values along the innermost
+//! (channel) dimension, the granularity at which ShapeShifter adapts;
+//! callers form them with `values().chunks(group_size)`, the last one
+//! possibly shorter.
 //!
 //! # Examples
 //!
@@ -38,7 +41,6 @@
 
 mod dtype;
 mod error;
-mod group;
 mod shape;
 pub mod stats;
 mod tensor;
@@ -46,7 +48,6 @@ pub mod width;
 
 pub use dtype::{FixedType, Signedness};
 pub use error::TensorError;
-pub use group::GroupIter;
 pub use shape::Shape;
 pub use stats::{GroupStats, TensorStats};
 pub use tensor::Tensor;

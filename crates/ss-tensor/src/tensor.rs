@@ -1,4 +1,4 @@
-use crate::{width, FixedType, GroupIter, Shape, Signedness, TensorError};
+use crate::{width, FixedType, Shape, Signedness, TensorError};
 
 /// A shaped buffer of fixed-point values with a declared container type.
 ///
@@ -7,8 +7,8 @@ use crate::{width, FixedType, GroupIter, Shape, Signedness, TensorError};
 /// invariant *every value fits its container* — the precondition for all
 /// width bookkeeping downstream.
 ///
-/// The innermost shape dimension is stored contiguously, so
-/// [`Tensor::groups`] chunks along the channel dimension as the paper
+/// The innermost shape dimension is stored contiguously, so chunks of
+/// [`Tensor::values`] run along the channel dimension as the paper
 /// specifies for its group formation.
 ///
 /// # Examples
@@ -145,16 +145,6 @@ impl Tensor {
         width::effective_width(&self.data, self.signedness(), group_size)
     }
 
-    /// Iterates over groups of `group_size` values along the innermost
-    /// dimension (the last group of each tensor may be shorter).
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::InvalidGroupSize`] if `group_size == 0`.
-    pub fn groups(&self, group_size: usize) -> Result<GroupIter<'_>, TensorError> {
-        GroupIter::new(&self.data, group_size)
-    }
-
     /// Consumes the tensor, returning its flat data.
     #[must_use]
     pub fn into_values(self) -> Vec<i32> {
@@ -270,13 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_rejects_zero() {
-        let t = t(vec![1, 2]);
-        assert!(t.groups(0).is_err());
-        assert_eq!(t.groups(1).unwrap().count(), 2);
-    }
-
-    #[test]
     fn replace_flat_swaps_buffers_and_validates() {
         let mut t =
             Tensor::from_vec(Shape::new(vec![2, 2]), FixedType::I16, vec![1, 2, 3, 4]).unwrap();
@@ -326,6 +309,5 @@ mod tests {
         let e = Tensor::from_vec(Shape::flat(0), FixedType::I8, vec![]).unwrap();
         assert!(e.is_empty());
         assert_eq!(e.sparsity(), 0.0);
-        assert_eq!(e.groups(16).unwrap().count(), 0);
     }
 }

@@ -131,7 +131,10 @@ metric_enum! {
         /// the partial-read guarantee: one `get` reads one record block,
         /// not the shard.
         StorePayloadBytesRead => "store_payload_bytes_read",
-        /// Requests admitted into the `ss-serve` submission queue.
+        /// Requests submitted to `ss-serve`: every call of
+        /// `ServeHandle::submit_with_id`, control ops answered inline
+        /// and submissions refused (`Overloaded`, `Draining`, `Closed`)
+        /// included.
         ServeRequests => "serve_requests",
         /// Requests completed with an `Ok` status response.
         ServeResponsesOk => "serve_responses_ok",

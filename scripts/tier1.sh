@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, full test suite, lint, formatting, the
 # deterministic bench gates, the committed deterministic BENCH files
-# regenerated and compared byte for byte, and the codec performance
-# baseline (time report only — the numbers are recorded in
-# BENCH_codec.json but never gate the run; thread-scaling ratios depend
-# on the host's core count).
+# regenerated and compared byte for byte, the figures' thread-count
+# invariance, and the codec performance baseline (time report only — the
+# numbers are recorded in BENCH_codec.json but never gate the run;
+# thread-scaling ratios depend on the host's core count).
 #
 # The workspace test run covers every suite — golden vectors, the
 # differential and fuzz suites, the store corruption and serve fault
@@ -84,6 +84,24 @@ for pair in serve:serve_replay store:store_roundtrip pipeline:pipeline_throughpu
         exit 1
     fi
     echo "ok: BENCH_$name.json reproduces byte-for-byte"
+done
+
+# Figure output must not depend on the thread count: each figure that
+# maps its models over `ss_core::par::par_map` runs on one thread and on
+# four, at a small scale, and the two outputs must match byte for byte.
+echo
+echo "== figure thread invariance (SS_THREADS=1 and 4, byte-identical) =="
+for fig in fig04_avg_width ablation_composer fig09_dadiannao fig11_fusion fig12_sstripes \
+    fig13_breakdown fig14_vs_bitfusion fig15_buffers ext_energy ext_onchip; do
+    for threads in 1 4; do
+        SS_SCALE=8 SS_INPUTS=1 SS_THREADS="$threads" \
+            cargo run --release -q -p ss-bench --bin "$fig" >"$bench_tmp/$fig.$threads.txt"
+    done
+    if ! diff -u "$bench_tmp/$fig.1.txt" "$bench_tmp/$fig.4.txt"; then
+        echo "FAIL: $fig output depends on the thread count" >&2
+        exit 1
+    fi
+    echo "ok: $fig"
 done
 
 echo

@@ -4,10 +4,11 @@
 //! Experiment harness: regenerates every table and figure of the
 //! ShapeShifter paper.
 //!
-//! Each experiment lives in [`figs`] as a `run(&mut impl Write)` function
-//! with a thin binary wrapper, so `cargo run --release -p ss-bench --bin
-//! fig08a_traffic` prints the same rows/series the paper reports, and the
-//! `all_experiments` binary regenerates everything for `EXPERIMENTS.md`.
+//! Each experiment lives in [`figs`] as a `run(&mut impl Write)` function,
+//! listed by slug in [`figs::EXPERIMENTS`]. The `all_experiments` binary
+//! runs them: `cargo run --release -p ss-bench --bin all_experiments --
+//! fig08a_traffic` prints the same rows/series the paper reports, and with
+//! no slug it regenerates everything for `EXPERIMENTS.md`.
 //!
 //! Two environment knobs trade fidelity for speed (full scale is the
 //! default and what `EXPERIMENTS.md` records):
@@ -29,7 +30,6 @@ pub mod trace;
 use std::env;
 
 pub use stats_cache::SharedStats;
-pub use trace::main_with_trace;
 
 /// Geometry divisor from `SS_SCALE` (default 1 = full published size).
 #[must_use]

@@ -4,8 +4,8 @@
 //! under different schemes, accelerators, DRAM nodes and buffer sizes. The
 //! per-figure [`Cached`](ss_sim::workload::Cached) wrapper already avoids
 //! regenerating tensors *within* one figure; this module shares the
-//! one-pass [`TensorStats`] *across* figures in the same process (the
-//! `all_experiments` binary runs more than twenty), so a layer's
+//! one-pass [`TensorStats`] *across* figures in the same process (a full
+//! `all_experiments` run covers all twenty-six), so a layer's
 //! statistics are computed exactly once per `(model, operand, layer,
 //! seed)` no matter how many figures consume them.
 //!

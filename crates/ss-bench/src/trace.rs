@@ -1,8 +1,7 @@
-//! Shared `--trace` plumbing for the experiment binaries.
+//! `--trace` plumbing for the `all_experiments` binary.
 //!
-//! Every fig/ablation binary routes its `main` through
-//! [`main_with_trace`], which adds two flags without touching the
-//! experiment code:
+//! [`TraceArgs::parse`] splits the command line into two flags and the
+//! experiment slugs, without touching the experiment code:
 //!
 //! * `--trace <path>` (or `--trace=<path>`) — install a collecting
 //!   [`TraceRecorder`] for the run and write the `ss-trace/1` analysis
@@ -11,13 +10,15 @@
 //! * `--trace-chrome <path>` — additionally (or instead) write a Chrome
 //!   trace-event file loadable in `chrome://tracing` / Perfetto.
 //!
-//! Without either flag nothing is installed: the hot layers find no
-//! recorder through [`ss_trace::installed`] and pay one branch.
+//! Any other flag, or either flag without a path, is refused before
+//! anything runs. Without either flag nothing is installed: the hot
+//! layers find no recorder through [`ss_trace::installed`] and pay one
+//! branch.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::PathBuf;
 
-use ss_trace::{Span, TraceRecorder};
+use ss_trace::TraceRecorder;
 
 /// Parsed trace-related CLI flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -29,30 +30,41 @@ pub struct TraceArgs {
 }
 
 impl TraceArgs {
-    /// Parses `--trace`/`--trace-chrome` out of an argument stream
-    /// (ignoring everything else — the experiment binaries take no other
-    /// arguments).
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Splits an argument list into the trace flags and the positional
+    /// arguments, which keep their order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first argument it cannot use: one that starts with `-`
+    /// and is not one of the two flags, or either flag without a
+    /// (non-empty) path.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), String> {
         let mut out = TraceArgs::default();
-        let mut args = args.peekable();
+        let mut positional = Vec::new();
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            if let Some(path) = arg.strip_prefix("--trace=") {
-                out.json = Some(PathBuf::from(path));
-            } else if let Some(path) = arg.strip_prefix("--trace-chrome=") {
-                out.chrome = Some(PathBuf::from(path));
-            } else if arg == "--trace" {
-                out.json = args.next().map(PathBuf::from);
-            } else if arg == "--trace-chrome" {
-                out.chrome = args.next().map(PathBuf::from);
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, path)) => (flag, Some(path)),
+                None => (arg.as_str(), None),
+            };
+            let slot = match flag {
+                "--trace" => &mut out.json,
+                "--trace-chrome" => &mut out.chrome,
+                _ if arg.starts_with('-') => return Err(arg),
+                _ => {
+                    positional.push(arg);
+                    continue;
+                }
+            };
+            let path = inline
+                .map(PathBuf::from)
+                .or_else(|| args.next().map(PathBuf::from));
+            match path.filter(|p| !p.as_os_str().is_empty()) {
+                Some(path) => *slot = Some(path),
+                None => return Err(arg),
             }
         }
-        out
-    }
-
-    /// Parses the process arguments (skipping `argv[0]`).
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Ok((out, positional))
     }
 
     /// `true` when any trace output was requested.
@@ -91,54 +103,55 @@ impl TraceArgs {
     }
 }
 
-/// The shared `main` body of every experiment binary: parse trace flags,
-/// install the recorder, run the experiment under a span, export.
-///
-/// # Errors
-///
-/// Propagates the experiment's I/O errors and trace-file write errors.
-pub fn main_with_trace(
-    slug: &str,
-    run: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> io::Result<()> {
-    let args = TraceArgs::from_env();
-    args.install();
-    let result = {
-        let _span = Span::enter(ss_trace::installed(), "experiment", slug);
-        let mut out = io::stdout().lock();
-        run(&mut out)
-    };
-    args.export()?;
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> TraceArgs {
+    fn parse(args: &[&str]) -> Result<(TraceArgs, Vec<String>), String> {
         TraceArgs::parse(args.iter().map(|s| (*s).to_string()))
     }
 
     #[test]
     fn parses_both_flag_forms() {
-        assert_eq!(parse(&[]), TraceArgs::default());
-        assert!(!parse(&[]).active());
-        let a = parse(&["--trace", "out.json"]);
+        let (none, rest) = parse(&[]).unwrap();
+        assert_eq!(none, TraceArgs::default());
+        assert!(!none.active());
+        assert!(rest.is_empty());
+        let (a, _) = parse(&["--trace", "out.json"]).unwrap();
         assert_eq!(a.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert!(a.active());
-        let b = parse(&["--trace=x.json", "--trace-chrome=y.json"]);
+        let (b, _) = parse(&["--trace=x.json", "--trace-chrome=y.json"]).unwrap();
         assert_eq!(b.json.as_deref(), Some(std::path::Path::new("x.json")));
         assert_eq!(b.chrome.as_deref(), Some(std::path::Path::new("y.json")));
-        let c = parse(&["--trace-chrome", "t.json", "ignored-positional"]);
+        let (c, rest) = parse(&["fig13", "--trace-chrome", "t.json", "fig12"]).unwrap();
         assert_eq!(c.chrome.as_deref(), Some(std::path::Path::new("t.json")));
         assert_eq!(c.json, None);
+        assert_eq!(rest, ["fig13", "fig12"]);
     }
 
     #[test]
-    fn dangling_flag_is_inactive() {
-        let a = parse(&["--trace"]);
-        assert_eq!(a.json, None);
-        assert!(!a.active());
+    fn dangling_flag_is_refused() {
+        for (args, bad) in [
+            (&["--trace"][..], "--trace"),
+            (&["fig12", "--trace-chrome"], "--trace-chrome"),
+            (&["--trace="], "--trace="),
+            (&["--trace-chrome", ""], "--trace-chrome"),
+        ] {
+            assert_eq!(parse(args), Err(bad.to_string()), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_flag_is_refused() {
+        for (args, bad) in [
+            (&["--tarce", "t.json"][..], "--tarce"),
+            (
+                &["fig12", "--trace-chrome-x=t.json"],
+                "--trace-chrome-x=t.json",
+            ),
+            (&["-t"], "-t"),
+        ] {
+            assert_eq!(parse(args), Err(bad.to_string()), "{args:?}");
+        }
     }
 }

@@ -86,23 +86,22 @@ for pair in serve:serve_replay store:store_roundtrip pipeline:pipeline_throughpu
     echo "ok: BENCH_$name.json reproduces byte-for-byte"
 done
 
-# Figure output must not depend on the thread count: each figure that
-# maps its models over `ss_core::par::par_map` runs on one thread and on
-# four, at a small scale, and the two outputs must match byte for byte.
+# Figure output must not depend on the thread count: every experiment
+# runs on one thread and on four, at a small scale, each run writing its
+# outputs to `SS_OUT_DIR`, and the two directories must match byte for
+# byte. The per-experiment timings go to stderr, so they are never
+# compared.
 echo
 echo "== figure thread invariance (SS_THREADS=1 and 4, byte-identical) =="
-for fig in fig04_avg_width ablation_composer fig09_dadiannao fig11_fusion fig12_sstripes \
-    fig13_breakdown fig14_vs_bitfusion fig15_buffers ext_energy ext_onchip; do
-    for threads in 1 4; do
-        SS_SCALE=8 SS_INPUTS=1 SS_THREADS="$threads" \
-            cargo run --release -q -p ss-bench --bin "$fig" >"$bench_tmp/$fig.$threads.txt"
-    done
-    if ! diff -u "$bench_tmp/$fig.1.txt" "$bench_tmp/$fig.4.txt"; then
-        echo "FAIL: $fig output depends on the thread count" >&2
-        exit 1
-    fi
-    echo "ok: $fig"
+for threads in 1 4; do
+    SS_SCALE=8 SS_INPUTS=1 SS_THREADS="$threads" SS_OUT_DIR="$bench_tmp/figs.$threads" \
+        cargo run --release -q -p ss-bench --bin all_experiments >/dev/null
 done
+if ! diff -r "$bench_tmp/figs.1" "$bench_tmp/figs.4"; then
+    echo "FAIL: experiment output depends on the thread count" >&2
+    exit 1
+fi
+echo "ok: $(ls "$bench_tmp/figs.1" | wc -l) experiments"
 
 echo
 echo "== perf baseline (informational) =="
